@@ -17,7 +17,6 @@ from .analyzer import (
     global_sensitivity,
     intermediate_sensitivity,
     operator_delta,
-    propagate_constraints,
 )
 from .constraints import (
     Attr,
@@ -139,7 +138,6 @@ __all__ = [
     "parse_constraint",
     "parse_query",
     "parse_schemas",
-    "propagate_constraints",
     "satisfiable",
     "solution_count",
     "validate",

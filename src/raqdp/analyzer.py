@@ -9,7 +9,7 @@ tuple-level factor into a bound on the released number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .constraints import (
@@ -22,18 +22,14 @@ from .constraints import (
     format_constraint,
 )
 from .errors import ValidationError
-from .extmath import Ext, INF, ext_float, ext_mul, format_ext, is_infinite
+from .extmath import Ext, INF, ext_mul, format_ext, is_infinite
 from .query import (
     AggFn,
     Difference,
-    GroupAggregate,
-    Id,
     Plan,
     ProductAgg,
     ProductN,
     ProductOne,
-    Restriction,
-    Projection,
     TopQuery,
     difference_uses_fallback,
     op_name,
@@ -101,6 +97,11 @@ class TopRecord:
     delta_f: Ext
 
 
+def _exact(key: str, x: Ext) -> dict:
+    """A number as exact text under `key` and as a double under `key`_float."""
+    return {key: format_ext(x), f"{key}_float": float(x)}
+
+
 @dataclass(frozen=True)
 class SensitivityReport:
     gs: Ext
@@ -112,46 +113,33 @@ class SensitivityReport:
         top: dict = {
             "fn": self.top.fn.kind,
             "attr": self.top.fn.attr,
-            "delta": format_ext(self.top.delta_f),
-            "delta_float": ext_float(self.top.delta_f),
+            **_exact("delta", self.top.delta_f),
         }
         b = self.top.bounds
         if b is not None and not b.empty:
             top["bounds"] = {
                 "lo": format_ext(b.lower),
                 "hi": format_ext(b.upper),
-                "lo_float": ext_float(b.lower),
-                "hi_float": ext_float(b.upper),
+                "lo_float": float(b.lower),
+                "hi_float": float(b.upper),
             }
         else:
             top["bounds"] = None
         return {
-            "gs": format_ext(self.gs),
-            "gs_float": ext_float(self.gs),
+            **_exact("gs", self.gs),
             "top": top,
             "nodes": [
                 {
                     "op": r.op,
-                    "s": format_ext(r.s),
-                    "s_float": ext_float(r.s),
-                    "delta_op": format_ext(r.delta_op),
-                    "delta_op_float": ext_float(r.delta_op),
-                    "diam": format_ext(r.diam),
-                    "diam_float": ext_float(r.diam),
+                    **_exact("s", r.s),
+                    **_exact("delta_op", r.delta_op),
+                    **_exact("diam", r.diam),
                     "constraint_text": r.constraint_text,
                 }
                 for r in self.nodes
             ],
             "warnings": list(self.warnings),
         }
-
-
-def propagate_constraints(
-    tq: TopQuery, schemas: dict[str, ConstrainedSchema], opts: AnalysisOptions | None = None
-) -> dict:
-    opts = opts or AnalysisOptions()
-    memo = validate(tq, schemas, enum_cap=opts.enum_cap, dnf_cap=opts.dnf_cap)
-    return {node: schema.constraint for node, schema in memo.items()}
 
 
 class _Analysis:

@@ -35,28 +35,14 @@ from .errors import (
 from .extmath import INF, Ext, format_ext, is_infinite, parse_rational
 from .oracle import DEFAULT_UNIVERSE_CAP, brute_sensitivity, build_universe
 from .parsing import parse_query, parse_schemas
-from .query import base_relations, validate
+from .query import _OP_NAMES, base_relations, validate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNBOUNDED = 3
 EXIT_ORACLE = 4
 
-_OVERRIDABLE = frozenset(
-    {
-        "id",
-        "union",
-        "intersection",
-        "difference",
-        "restriction",
-        "projection",
-        "product",
-        "product-one",
-        "product-n",
-        "product-agg",
-        "group-aggregate",
-    }
-)
+_OVERRIDABLE = frozenset(_OP_NAMES.values())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,6 +127,29 @@ def _parse_data(items: list[str], schemas: dict) -> dict[str, Relation]:
     return db
 
 
+def _load(args, *, all_data: bool = True):
+    """Parse the schema and query files, load every --data file, and validate
+    the query once with the user's caps.
+
+    With `all_data`, every base relation of the query needs a --data file.
+    Returns (schemas, query, database, node schemas).
+    """
+    schemas = parse_schemas(_read(args.schema))
+    tq = parse_query(_read(args.query))
+    db = _parse_data(args.data, schemas)
+    missing = sorted(base_relations(tq.body) - set(db))
+    if all_data and missing:
+        raise ValueError(f"no --data for relation(s): {', '.join(missing)}")
+    node_schemas = validate(tq, schemas, enum_cap=args.enum_cap, dnf_cap=args.dnf_cap)
+    return schemas, tq, db, node_schemas
+
+
+def _options(args) -> AnalysisOptions:
+    # only analyze and validate take --delta-override
+    overrides = _parse_overrides(getattr(args, "delta_override", []))
+    return AnalysisOptions(enum_cap=args.enum_cap, dnf_cap=args.dnf_cap, delta_overrides=overrides)
+
+
 def _json_value(v):
     if isinstance(v, str):
         return v
@@ -175,24 +184,13 @@ def _print_report(report: SensitivityReport, fmt: str) -> None:
 def cmd_analyze(args) -> int:
     schemas = parse_schemas(_read(args.schema))
     tq = parse_query(_read(args.query))
-    options = AnalysisOptions(
-        enum_cap=args.enum_cap,
-        dnf_cap=args.dnf_cap,
-        delta_overrides=_parse_overrides(args.delta_override),
-    )
-    report = global_sensitivity(tq, schemas, options)
+    report = global_sensitivity(tq, schemas, _options(args))
     _print_report(report, args.format)
     return EXIT_UNBOUNDED if is_infinite(report.gs) else EXIT_OK
 
 
 def cmd_run(args) -> int:
-    schemas = parse_schemas(_read(args.schema))
-    tq = parse_query(_read(args.query))
-    db = _parse_data(args.data, schemas)
-    missing = sorted(base_relations(tq.body) - set(db))
-    if missing:
-        raise ValueError(f"no --data for relation(s): {', '.join(missing)}")
-    node_schemas = validate(tq, schemas, enum_cap=args.enum_cap, dnf_cap=args.dnf_cap)
+    _, tq, db, node_schemas = _load(args)
     trace: list | None = [] if args.trace else None
     value = answer(
         tq, db, node_schemas, enum_cap=args.enum_cap, dnf_cap=args.dnf_cap, trace=trace
@@ -212,23 +210,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_dp_run(args) -> int:
-    schemas = parse_schemas(_read(args.schema))
-    tq = parse_query(_read(args.query))
-    db = _parse_data(args.data, schemas)
-    missing = sorted(base_relations(tq.body) - set(db))
-    if missing:
-        raise ValueError(f"no --data for relation(s): {', '.join(missing)}")
+    schemas, tq, db, node_schemas = _load(args)
     params = DpParams(parse_rational(args.epsilon), args.seed)
-    options = AnalysisOptions(enum_cap=args.enum_cap, dnf_cap=args.dnf_cap)
+    options = _options(args)
     if args.samples is not None:
-        draws = sample_answers(tq, schemas, db, params, args.samples, options=options)
+        draws = sample_answers(
+            tq, schemas, db, params, args.samples, options=options, node_schemas=node_schemas
+        )
         if args.format == "json":
             print(json.dumps({"samples": [float(x) for x in draws]}))
         else:
             for x in draws:
                 print(float(x))
         return EXIT_OK
-    result = dp_answer(tq, schemas, db, params, options=options)
+    result = dp_answer(tq, schemas, db, params, options=options, node_schemas=node_schemas)
     if args.format == "json":
         print(json.dumps(result.to_json_dict(), indent=2))
     else:
@@ -242,17 +237,13 @@ def cmd_dp_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    schemas = parse_schemas(_read(args.schema))
-    tq = parse_query(_read(args.query))
-    context = _parse_data(args.data, schemas)
-    options = AnalysisOptions(
-        enum_cap=args.enum_cap,
-        dnf_cap=args.dnf_cap,
-        delta_overrides=_parse_overrides(args.delta_override),
-    )
-    report = global_sensitivity(tq, schemas, options)
+    # relations without --data form the oracle's enumerated universe
+    schemas, tq, context, node_schemas = _load(args, all_data=False)
+    report = global_sensitivity(tq, schemas, _options(args), node_schemas=node_schemas)
     universe = build_universe(tq, schemas, context, cap=args.universe_cap)
-    brute = brute_sensitivity(tq, universe)
+    brute = brute_sensitivity(
+        tq, universe, node_schemas, enum_cap=args.enum_cap, dnf_cap=args.dnf_cap
+    )
     if brute.value > report.gs:
         verdict = "VIOLATION"
     elif brute.value == report.gs:
@@ -289,30 +280,30 @@ _COMMANDS = {
 }
 
 
+# One row per exit code: the exception classes that end a command with it.
+# OverflowError is an exact value beyond double range, met when printing a
+# float field or scaling the noise.
+_EXIT_CODES = (
+    ((ParseError, SchemaError, ValidationError, EvalError, DataError,
+      OSError, ValueError, ZeroDivisionError, OverflowError), EXIT_INPUT),
+    (UnboundedSensitivityError, EXIT_UNBOUNDED),
+    (OracleError, EXIT_ORACLE),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as e:
+    except Exception as e:
+        code = next((code for classes, code in _EXIT_CODES if isinstance(e, classes)), None)
+        if code is None:
+            raise
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (SchemaError, ValidationError, EvalError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        for line in e.violations:
-            print(f"  {line}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError, ZeroDivisionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except UnboundedSensitivityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_UNBOUNDED
-    except OracleError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ORACLE
+        if isinstance(e, DataError):
+            for line in e.violations:
+                print(f"  {line}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Union
@@ -584,10 +584,6 @@ class Bounds:
     def make_empty(cls) -> Bounds:
         return cls(empty=True)
 
-    @classmethod
-    def closed(cls, lower, upper) -> Bounds:
-        return cls(Fraction(lower), Fraction(upper))
-
 
 # ---------------------------------------------------------------------------
 # Interval narrowing
@@ -659,12 +655,7 @@ class _Box:
                     changed = changed or new_hi != hi
         for a, members in self.numset_members.items():
             st = self.nums[a]
-            kept = [
-                v
-                for v in members
-                if (v > st[0] or (v == st[0] and not st[2]))
-                and (v < st[1] or (v == st[1] and not st[3]))
-            ]
+            kept = [v for v in members if _within(v, *st)]
             if not kept:
                 st[0], st[1] = Fraction(1), Fraction(0)  # mark empty
                 changed = True
@@ -685,6 +676,11 @@ class _Box:
             self.tighten_upper(a, o[1], o[3])
         for a in self.strs:
             self.strs[a] &= other.strs[a]
+
+
+def _within(v, lo: Ext, hi: Ext, lo_open: bool, hi_open: bool) -> bool:
+    """Whether v lies between lo and hi, each end open or closed as flagged."""
+    return (v > lo or (v == lo and not lo_open)) and (v < hi or (v == hi and not hi_open))
 
 
 def _sum_extreme(coeffs: dict[str, Fraction], box: _Box, skip: str, minimum: bool) -> tuple[Ext, bool] | None:
@@ -742,15 +738,22 @@ def _apply_atom(box: _Box, atom: Constraint) -> bool | None:
     raise TypeError(f"not an atom: {atom!r}")
 
 
-def _apply_cmp(box: _Box, atom: Cmp) -> bool | None:
+def _cmp_linear(atom: Cmp) -> tuple[dict[str, Fraction], Fraction] | None:
+    """The comparison as sum(coeffs * x) OP k; None for string or nonlinear sides."""
     lf_l = linear_form(atom.left)
     lf_r = linear_form(atom.right)
-    if lf_l is not None and lf_r is not None:
-        coeffs = dict(lf_l[0])
-        for a, c in lf_r[0].items():
-            coeffs[a] = coeffs.get(a, Fraction(0)) - c
-        coeffs = {a: c for a, c in coeffs.items() if c != 0}
-        k = lf_r[1] - lf_l[1]  # sum(coeffs * x) OP k
+    if lf_l is None or lf_r is None:
+        return None
+    coeffs = dict(lf_l[0])
+    for a, c in lf_r[0].items():
+        coeffs[a] = coeffs.get(a, Fraction(0)) - c
+    return {a: c for a, c in coeffs.items() if c != 0}, lf_r[1] - lf_l[1]
+
+
+def _apply_cmp(box: _Box, atom: Cmp) -> bool | None:
+    linear = _cmp_linear(atom)
+    if linear is not None:
+        coeffs, k = linear
         op = atom.op
         if op in ("<=", "<"):
             return _apply_linear_le(box, coeffs, k, op == "<")
@@ -830,12 +833,8 @@ def _apply_inset(box: _Box, atom: InSet) -> bool | None:
     vals = sorted((Fraction(v) - k) / c for v in atom.values if not isinstance(v, str))
     if not vals:
         return None
-    lo, hi, lo_open, hi_open = box.interval_of(a)
-    inside = [
-        v
-        for v in vals
-        if (v > lo or (v == lo and not lo_open)) and (v < hi or (v == hi and not hi_open))
-    ]
+    interval = box.interval_of(a)
+    inside = [v for v in vals if _within(v, *interval)]
     if not inside:
         box.nums[a][0], box.nums[a][1] = Fraction(1), Fraction(0)
         return True
@@ -911,16 +910,7 @@ def _struct_box(c: Constraint, schema: ConstrainedSchema, seed: _Box | None = No
     if isinstance(c, (Cmp, InSet)):
         return narrow([c], schema, seed)
     if isinstance(c, Or):
-        joined: _Box | None = None
-        for child in c.items:
-            sub = _struct_box(child, schema, seed)
-            if sub is None:
-                continue
-            if joined is None:
-                joined = sub
-            else:
-                _join_into(joined, sub)
-        return joined
+        return _hull(_struct_box(child, schema, seed) for child in c.items)
     if isinstance(c, And):
         atoms = [x for x in c.items if isinstance(x, (Cmp, InSet, BoolConst))]
         complexes = [x for x in c.items if not isinstance(x, (Cmp, InSet, BoolConst))]
@@ -936,15 +926,35 @@ def _struct_box(c: Constraint, schema: ConstrainedSchema, seed: _Box | None = No
     raise TypeError(f"expected negation normal form, found {c!r}")
 
 
-def _join_into(target: _Box, other: _Box) -> None:
-    for a, st in target.nums.items():
-        o = other.nums[a]
-        if o[0] < st[0] or (o[0] == st[0] and not o[2]):
-            st[0], st[2] = o[0], (o[2] and st[2]) if o[0] == st[0] else o[2]
-        if o[1] > st[1] or (o[1] == st[1] and not o[3]):
-            st[1], st[3] = o[1], (o[3] and st[3]) if o[1] == st[1] else o[3]
-    for a in target.strs:
-        target.strs[a] |= other.strs[a]
+def _branch_boxes(nnf: Constraint, schema: ConstrainedSchema, dnf_cap: int) -> list[_Box]:
+    """Narrowed boxes of the non-empty DNF branches; past the branch cap, one structural box."""
+    branches = dnf_branches(nnf, dnf_cap)
+    if branches is None:
+        boxes = [_struct_box(nnf, schema)]
+    else:
+        boxes = [narrow(branch, schema) for branch in branches]
+    return [box for box in boxes if box is not None]
+
+
+def _hull(boxes) -> _Box | None:
+    """The smallest box holding every given box (None entries are empty boxes).
+
+    The first box is widened in place and returned; None when all are empty.
+    """
+    boxes = [box for box in boxes if box is not None]
+    if not boxes:
+        return None
+    target = boxes[0]
+    for other in boxes[1:]:
+        for a, st in target.nums.items():
+            o = other.nums[a]
+            if o[0] < st[0] or (o[0] == st[0] and not o[2]):
+                st[0], st[2] = o[0], (o[2] and st[2]) if o[0] == st[0] else o[2]
+            if o[1] > st[1] or (o[1] == st[1] and not o[3]):
+                st[1], st[3] = o[1], (o[3] and st[3]) if o[1] == st[1] else o[3]
+        for a in target.strs:
+            target.strs[a] |= other.strs[a]
+    return target
 
 
 # ---------------------------------------------------------------------------
@@ -956,16 +966,9 @@ def _pinned_values(c: Constraint, attr: str) -> frozenset | None:
     if isinstance(c, BoolConst):
         return frozenset() if not c.value else None
     if isinstance(c, Cmp) and c.op == "=":
-        lf_l = linear_form(c.left)
-        lf_r = linear_form(c.right)
-        if lf_l is None or lf_r is None:
-            return None
-        coeffs = dict(lf_l[0])
-        for a, cc in lf_r[0].items():
-            coeffs[a] = coeffs.get(a, Fraction(0)) - cc
-        coeffs = {a: cc for a, cc in coeffs.items() if cc != 0}
-        if set(coeffs) == {attr}:
-            k = lf_r[1] - lf_l[1]
+        linear = _cmp_linear(c)
+        if linear is not None and set(linear[0]) == {attr}:
+            coeffs, k = linear
             return frozenset({k / coeffs[attr]})
         return None
     if isinstance(c, InSet) and not c.negated:
@@ -1012,12 +1015,8 @@ def _finite_grid(
         if dom.kind is DomainKind.STR_SET:
             values = sorted(box.strs[a])
         elif dom.kind is DomainKind.NUM_SET:
-            lo, hi, lo_open, hi_open = box.interval_of(a)
-            values = [
-                v
-                for v in dom.members
-                if (v > lo or (v == lo and not lo_open)) and (v < hi or (v == hi and not hi_open))
-            ]
+            interval = box.interval_of(a)
+            values = [v for v in dom.members if _within(v, *interval)]
         elif dom.kind is DomainKind.INT_RANGE:
             lo, hi, _, _ = box.interval_of(a)
             lo_i, hi_i = math.ceil(lo), math.floor(hi)
@@ -1038,11 +1037,7 @@ def _finite_grid(
                     values = []
                 else:
                     values = sorted(
-                        v
-                        for v in pinned
-                        if dom.contains(v)
-                        and (v > lo or (v == lo and not lo_open))
-                        and (v < hi or (v == hi and not hi_open))
+                        v for v in pinned if dom.contains(v) and _within(v, lo, hi, lo_open, hi_open)
                     )
         if not infinite and not too_big:
             if not values:
@@ -1058,10 +1053,13 @@ def _finite_grid(
     return "ok", grid
 
 
-def _iter_assignments(grid: dict[str, list]) -> Iterator[dict]:
+def _satisfying(c: Constraint, grid: dict[str, list]) -> Iterator[dict]:
+    """The grid's assignments that satisfy the constraint, in grid order."""
     names = list(grid)
     for combo in itertools.product(*(grid[a] for a in names)):
-        yield dict(zip(names, combo))
+        asg = dict(zip(names, combo))
+        if evaluate(c, asg):
+            yield asg
 
 
 def iter_solutions(
@@ -1073,18 +1071,17 @@ def iter_solutions(
         return iter(())
     if status != "ok":
         return None
-    visible = schema.attr_names()
+    return _distinct_visible(c, grid, schema.attr_names())
 
-    def gen() -> Iterator[tuple]:
-        seen: set[tuple] = set()
-        for asg in _iter_assignments(grid):
-            if evaluate(c, asg):
-                tup = tuple(asg[a] for a in visible)
-                if tup not in seen:
-                    seen.add(tup)
-                    yield tup
 
-    return gen()
+def _distinct_visible(c: Constraint, grid: dict[str, list], visible: tuple) -> Iterator[tuple]:
+    """The satisfying assignments projected onto the visible attributes, without repeats."""
+    seen: set[tuple] = set()
+    for asg in _satisfying(c, grid):
+        tup = tuple(asg[a] for a in visible)
+        if tup not in seen:
+            seen.add(tup)
+            yield tup
 
 
 def solution_count(
@@ -1098,14 +1095,10 @@ def solution_count(
         return "infinite"
     if status == "too-big":
         return "exceeds-cap"
-    visible = schema.attr_names()
-    seen: set[tuple] = set()
-    for asg in _iter_assignments(grid):
-        if evaluate(c, asg):
-            seen.add(tuple(asg[a] for a in visible))
-            if len(seen) > cap:
-                return "exceeds-cap"
-    return len(seen)
+    # stop at the first solution past the cap
+    found = itertools.islice(_distinct_visible(c, grid, schema.attr_names()), cap + 1)
+    count = sum(1 for _ in found)
+    return "exceeds-cap" if count > cap else count
 
 
 def diameter(c: Constraint, schema: ConstrainedSchema, cap: int = DEFAULT_ENUM_CAP) -> Ext:
@@ -1138,39 +1131,17 @@ def attribute_bounds(
         return Bounds.make_empty()
     if status == "ok":
         lo = hi = None
-        for asg in _iter_assignments(grid):
-            if evaluate(c, asg):
-                v = asg[attr]
-                lo = v if lo is None or v < lo else lo
-                hi = v if hi is None or v > hi else hi
+        for asg in _satisfying(c, grid):
+            v = asg[attr]
+            lo = v if lo is None or v < lo else lo
+            hi = v if hi is None or v > hi else hi
         if lo is None:
             return Bounds.make_empty()
         return Bounds(lo, hi)
-    branches = dnf_branches(nnf, dnf_cap)
-    boxes: list[_Box] = []
-    if branches is not None:
-        for branch in branches:
-            box = narrow(branch, schema)
-            if box is not None:
-                boxes.append(box)
-    else:
-        box = _struct_box(nnf, schema)
-        if box is not None:
-            boxes.append(box)
-    if not boxes:
+    hull = _hull(_branch_boxes(nnf, schema, dnf_cap))
+    if hull is None:
         return Bounds.make_empty()
-    lo, hi, lo_open, hi_open = boxes[0].interval_of(attr)
-    for box in boxes[1:]:
-        l2, h2, lo2, ho2 = box.interval_of(attr)
-        if l2 < lo:
-            lo, lo_open = l2, lo2
-        elif l2 == lo:
-            lo_open = lo_open and lo2
-        if h2 > hi:
-            hi, hi_open = h2, ho2
-        elif h2 == hi:
-            hi_open = hi_open and ho2
-    return Bounds(lo, hi, lo_open, hi_open)
+    return Bounds(*hull.interval_of(attr))
 
 
 # ---------------------------------------------------------------------------
@@ -1190,21 +1161,8 @@ def satisfiable(
     if status == "empty":
         return "no"
     if status == "ok":
-        for asg in _iter_assignments(grid):
-            if evaluate(c, asg):
-                return "yes"
-        return "no"
-    branches = dnf_branches(nnf, dnf_cap)
-    boxes: list[_Box] = []
-    if branches is not None:
-        for branch in branches:
-            box = narrow(branch, schema)
-            if box is not None:
-                boxes.append(box)
-    else:
-        box = _struct_box(nnf, schema)
-        if box is not None:
-            boxes.append(box)
+        return "no" if next(_satisfying(c, grid), None) is None else "yes"
+    boxes = _branch_boxes(nnf, schema, dnf_cap)
     if not boxes:
         return "no"
     for box in boxes:
@@ -1224,11 +1182,7 @@ def _witness_candidates(box: _Box, schema: ConstrainedSchema) -> Iterator[dict]:
             continue
         lo, hi, lo_open, hi_open = box.interval_of(a)
         if a in box.numset_members:
-            members = [
-                v
-                for v in box.numset_members[a]
-                if (v > lo or (v == lo and not lo_open)) and (v < hi or (v == hi and not hi_open))
-            ]
+            members = [v for v in box.numset_members[a] if _within(v, lo, hi, lo_open, hi_open)]
             mid = members[len(members) // 2] if members else None
             cands = [v for v in (members[0] if members else None, mid, members[-1] if members else None) if v is not None]
         elif is_infinite(lo) and is_infinite(hi):

@@ -13,7 +13,7 @@ answer record carries that note verbatim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +22,7 @@ from .analyzer import AnalysisOptions, SensitivityReport, global_sensitivity
 from .constraints import ConstrainedSchema
 from .engine import Relation, answer
 from .errors import UnboundedSensitivityError
-from .extmath import Ext, ext_float, is_infinite
+from .extmath import Ext, is_infinite
 from .query import TopQuery, validate
 
 RNG_NAME = "pcg64"
@@ -37,6 +37,8 @@ class DpParams:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if float(self.epsilon) == 0.0:
+            raise ValueError("epsilon is too small: it rounds to 0 in double precision")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -56,7 +58,7 @@ class DpAnswer:
         return {
             "noisy_value": self.noisy_value,
             "true_value_withheld": self.true_value_withheld,
-            "gs_used": ext_float(self.gs_used),
+            "gs_used": float(self.gs_used),
             "epsilon": float(self.epsilon),
             "seed": self.seed,
             "rng": self.rng_name,
@@ -96,6 +98,31 @@ def laplace_cdf(x, scale: float):
     return np.where(x < 0, 0.5 * np.exp(x / scale), 1 - 0.5 * np.exp(-x / scale))
 
 
+def _release(
+    tq: TopQuery,
+    schemas: dict[str, ConstrainedSchema],
+    db: dict[str, Relation],
+    params: DpParams,
+    options: AnalysisOptions | None,
+    node_schemas: dict | None,
+) -> tuple[SensitivityReport, float, float | None]:
+    """The report, the exact answer and the noise scale (None when gs is 0)."""
+    options = options or AnalysisOptions()
+    if node_schemas is None:
+        node_schemas = validate(tq, schemas, enum_cap=options.enum_cap, dnf_cap=options.dnf_cap)
+    report = global_sensitivity(tq, schemas, options, node_schemas=node_schemas)
+    if is_infinite(report.gs):
+        raise UnboundedSensitivityError(
+            "unbounded sensitivity: refusing to release a noisy answer"
+        )
+    true_value = answer(
+        tq, db, node_schemas, enum_cap=options.enum_cap, dnf_cap=options.dnf_cap
+    )
+    if report.gs == 0:
+        return report, float(true_value), None
+    return report, float(true_value), float(report.gs) / float(params.epsilon)
+
+
 def dp_answer(
     tq: TopQuery,
     schemas: dict[str, ConstrainedSchema],
@@ -103,29 +130,21 @@ def dp_answer(
     params: DpParams,
     *,
     options: AnalysisOptions | None = None,
-    report: SensitivityReport | None = None,
+    node_schemas: dict | None = None,
 ) -> DpAnswer:
-    """Evaluate the query exactly, then release it with calibrated noise."""
-    options = options or AnalysisOptions()
-    if report is None:
-        report = global_sensitivity(tq, schemas, options)
-    if is_infinite(report.gs):
-        raise UnboundedSensitivityError(
-            "unbounded sensitivity: refusing to release a noisy answer"
-        )
-    node_schemas = validate(tq, schemas, enum_cap=options.enum_cap, dnf_cap=options.dnf_cap)
-    true_value = answer(
-        tq, db, node_schemas, enum_cap=options.enum_cap, dnf_cap=options.dnf_cap
-    )
+    """Evaluate the query exactly, then release it with calibrated noise.
+
+    Pass `node_schemas` when the caller has already validated the query.
+    """
+    report, true_value, scale = _release(tq, schemas, db, params, options, node_schemas)
     warnings = list(report.warnings)
-    if report.gs == 0:
+    if scale is None:
         warnings.append(
             "sensitivity is zero; the exact answer is released without noise"
         )
-        noisy = float(true_value)
+        noisy = true_value
     else:
-        scale = ext_float(report.gs) / float(params.epsilon)
-        noisy = float(true_value) + laplace_sample(make_rng(params.seed), scale)
+        noisy = true_value + laplace_sample(make_rng(params.seed), scale)
     return DpAnswer(
         noisy_value=noisy,
         gs_used=report.gs,
@@ -143,19 +162,10 @@ def sample_answers(
     n: int,
     *,
     options: AnalysisOptions | None = None,
+    node_schemas: dict | None = None,
 ) -> np.ndarray:
     """n noisy releases from one seeded stream, for distribution checks."""
-    options = options or AnalysisOptions()
-    report = global_sensitivity(tq, schemas, options)
-    if is_infinite(report.gs):
-        raise UnboundedSensitivityError(
-            "unbounded sensitivity: refusing to release a noisy answer"
-        )
-    node_schemas = validate(tq, schemas, enum_cap=options.enum_cap, dnf_cap=options.dnf_cap)
-    true_value = answer(
-        tq, db, node_schemas, enum_cap=options.enum_cap, dnf_cap=options.dnf_cap
-    )
-    if report.gs == 0:
-        return np.full(n, float(true_value))
-    scale = ext_float(report.gs) / float(params.epsilon)
-    return float(true_value) + laplace_samples(make_rng(params.seed), scale, n)
+    _, true_value, scale = _release(tq, schemas, db, params, options, node_schemas)
+    if scale is None:
+        return np.full(n, true_value)
+    return true_value + laplace_samples(make_rng(params.seed), scale, n)

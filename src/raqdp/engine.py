@@ -56,7 +56,6 @@ class Relation:
         cls,
         schema: ConstrainedSchema,
         rows: Iterable,
-        check: bool = True,
         labels: list[int] | None = None,
     ) -> "Relation":
         names = schema.attr_names()
@@ -76,7 +75,7 @@ class Relation:
                     bad = True
                     break
                 v = v if isinstance(v, str) else Fraction(v)
-                if check and not schema.domain(a).contains(v):
+                if not schema.domain(a).contains(v):
                     violations.append(f"row {label}: {a} = {v} outside its domain")
                     bad = True
                     break
@@ -84,7 +83,7 @@ class Relation:
             if bad:
                 continue
             tup = tuple(coerced)
-            if check and not evaluate(schema.constraint, dict(zip(names, tup))):
+            if not evaluate(schema.constraint, dict(zip(names, tup))):
                 violations.append(f"row {label}: violates the check constraint")
                 continue
             out.add(tup)
@@ -201,15 +200,10 @@ def eval_plan(
     dnf_cap: int = DEFAULT_DNF_CAP,
     trace: list | None = None,
 ) -> Relation:
-    out = _eval(plan, db, node_schemas, enum_cap, dnf_cap, trace)
-    return out
-
-
-def _eval(plan, db, node_schemas, enum_cap, dnf_cap, trace) -> Relation:
     schema = node_schemas[plan]
 
     def rec(child):
-        return _eval(child, db, node_schemas, enum_cap, dnf_cap, trace)
+        return eval_plan(child, db, node_schemas, enum_cap=enum_cap, dnf_cap=dnf_cap, trace=trace)
 
     if isinstance(plan, Id):
         if plan.relation not in db:

@@ -30,37 +30,6 @@ def ext_mul(a: Ext, b: Ext) -> Ext:
     return a * b
 
 
-def ext_add(a: Ext, b: Ext) -> Ext:
-    if is_infinite(a) or is_infinite(b):
-        if is_infinite(a) and is_infinite(b) and (a > 0) != (b > 0):
-            raise ArithmeticError("inf + -inf is undefined")
-        return a if is_infinite(a) else b
-    return a + b
-
-
-def ext_sub(a: Ext, b: Ext) -> Ext:
-    return ext_add(a, ext_neg(b))
-
-
-def ext_neg(x: Ext) -> Ext:
-    if x == INF:
-        return NEG_INF
-    if x == NEG_INF:
-        return INF
-    return -x
-
-
-def ext_abs(x: Ext) -> Ext:
-    return ext_neg(x) if x < 0 else x
-
-
-def ext_div2(x: Ext) -> Ext:
-    """Halve a value (exact for rationals, identity-on-sign for infinities)."""
-    if is_infinite(x):
-        return x
-    return x / 2
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q', integer, or decimal text into an exact Fraction."""
     s = text.strip()
@@ -79,6 +48,3 @@ def format_ext(x: Ext) -> str:
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
-
-def ext_float(x: Ext) -> float:
-    return float(x)

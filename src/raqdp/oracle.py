@@ -13,7 +13,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constraints import ConstrainedSchema, initial_constraint, iter_solutions
+from .constraints import (
+    DEFAULT_DNF_CAP,
+    DEFAULT_ENUM_CAP,
+    ConstrainedSchema,
+    initial_constraint,
+    iter_solutions,
+)
 from .engine import Relation, answer, eval_plan
 from .errors import OracleError
 from .query import Plan, TopQuery, base_relations, validate, validate_plan
@@ -96,22 +102,35 @@ class BruteResult:
     witness: tuple[dict, dict] | None  # worst adjacent pair, name -> tuple list
 
 
-def _database_values(tq: TopQuery, universe: Universe, node_schemas: dict) -> dict:
-    """Exact query value for every admissible database, keyed by bitmask vector."""
-    values: dict[tuple[int, ...], Fraction] = {}
+def _databases(universe: Universe):
+    """Every admissible database with its bitmask vector.
+
+    Bit j of the i-th mask says whether tuple j of sensitive relation i is present.
+    """
     base = universe.context_db()
-    sizes = [len(sr.universe) for sr in universe.sensitive]
     mask_ranges = [
-        [m for m in range(1 << n) if m.bit_count() <= sr.capacity()]
-        for n, sr in zip(sizes, universe.sensitive)
+        [m for m in range(1 << len(sr.universe)) if m.bit_count() <= sr.capacity()]
+        for sr in universe.sensitive
     ]
     for combo in itertools.product(*mask_ranges):
         db = dict(base)
         for sr, mask in zip(universe.sensitive, combo):
-            tuples = frozenset(t for j, t in enumerate(sr.universe) if mask >> j & 1)
-            db[sr.name] = Relation(sr.schema, tuples)
-        values[combo] = answer(tq, db, node_schemas)
-    return values
+            db[sr.name] = Relation(sr.schema, frozenset(_members(sr, mask)))
+        yield combo, db
+
+
+def _members(sr: SensitiveRelation, mask: int) -> list:
+    return [t for j, t in enumerate(sr.universe) if mask >> j & 1]
+
+
+def _database_values(
+    tq: TopQuery, universe: Universe, node_schemas: dict, enum_cap: int, dnf_cap: int
+) -> dict:
+    """Exact query value for every admissible database, keyed by bitmask vector."""
+    return {
+        combo: answer(tq, db, node_schemas, enum_cap=enum_cap, dnf_cap=dnf_cap)
+        for combo, db in _databases(universe)
+    }
 
 
 def _adjacent(combo: tuple[int, ...], universe: Universe):
@@ -126,19 +145,25 @@ def _adjacent(combo: tuple[int, ...], universe: Universe):
 
 
 def _witness(universe: Universe, combo: tuple[int, ...]) -> dict:
-    out = {}
-    for sr, mask in zip(universe.sensitive, combo):
-        out[sr.name] = [t for j, t in enumerate(sr.universe) if mask >> j & 1]
-    return out
+    return {sr.name: _members(sr, mask) for sr, mask in zip(universe.sensitive, combo)}
 
 
 def brute_sensitivity(
-    tq: TopQuery, universe: Universe, node_schemas: dict | None = None
+    tq: TopQuery,
+    universe: Universe,
+    node_schemas: dict | None = None,
+    *,
+    enum_cap: int = DEFAULT_ENUM_CAP,
+    dnf_cap: int = DEFAULT_DNF_CAP,
 ) -> BruteResult:
-    """Worst |answer difference| over adjacent databases, by full enumeration."""
+    """Worst |answer difference| over adjacent databases, by full enumeration.
+
+    The caps are those of `answer`: they fix the default an aggregate takes
+    over an empty input, so they must match the ones the query runs with.
+    """
     if node_schemas is None:
-        node_schemas = validate(tq, universe.schemas())
-    values = _database_values(tq, universe, node_schemas)
+        node_schemas = validate(tq, universe.schemas(), enum_cap=enum_cap, dnf_cap=dnf_cap)
+    values = _database_values(tq, universe, node_schemas, enum_cap, dnf_cap)
     best = Fraction(0)
     witness = None
     for combo, value in values.items():
@@ -158,6 +183,22 @@ def _pair_distance(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return max((x ^ y).bit_count() for x, y in zip(a, b))
 
 
+def _pairwise_sup(values: dict, diff) -> Fraction:
+    """sup over pairs of distinct databases of diff(their values) / their distance.
+
+    The keys are distinct mask vectors, so every distance is at least 1.
+    """
+    combos = list(values)
+    best = Fraction(0)
+    for i, a in enumerate(combos):
+        va = values[a]
+        for b in combos[i + 1 :]:
+            ratio = diff(va, values[b]) / _pair_distance(a, b)
+            if ratio > best:
+                best = ratio
+    return best
+
+
 def brute_sensitivity_ratio(
     tq: TopQuery, universe: Universe, node_schemas: dict | None = None
 ) -> Fraction:
@@ -168,19 +209,8 @@ def brute_sensitivity_ratio(
     """
     if node_schemas is None:
         node_schemas = validate(tq, universe.schemas())
-    values = _database_values(tq, universe, node_schemas)
-    combos = list(values)
-    best = Fraction(0)
-    for i, a in enumerate(combos):
-        va = values[a]
-        for b in combos[i + 1 :]:
-            d = _pair_distance(a, b)
-            if d == 0:
-                continue
-            ratio = abs(va - values[b]) / d
-            if ratio > best:
-                best = ratio
-    return best
+    values = _database_values(tq, universe, node_schemas, DEFAULT_ENUM_CAP, DEFAULT_DNF_CAP)
+    return _pairwise_sup(values, lambda x, y: abs(x - y))
 
 
 def brute_lipschitz(
@@ -189,27 +219,5 @@ def brute_lipschitz(
     """sup over database pairs of (output symmetric difference) / distance."""
     if node_schemas is None:
         node_schemas = validate_plan(plan, universe.schemas())
-    outputs: dict[tuple[int, ...], frozenset] = {}
-    base = universe.context_db()
-    mask_ranges = [
-        [m for m in range(1 << len(sr.universe)) if m.bit_count() <= sr.capacity()]
-        for sr in universe.sensitive
-    ]
-    for combo in itertools.product(*mask_ranges):
-        db = dict(base)
-        for sr, mask in zip(universe.sensitive, combo):
-            tuples = frozenset(t for j, t in enumerate(sr.universe) if mask >> j & 1)
-            db[sr.name] = Relation(sr.schema, tuples)
-        outputs[combo] = eval_plan(plan, db, node_schemas).tuples
-    combos = list(outputs)
-    best = Fraction(0)
-    for i, a in enumerate(combos):
-        oa = outputs[a]
-        for b in combos[i + 1 :]:
-            d = _pair_distance(a, b)
-            if d == 0:
-                continue
-            ratio = Fraction(len(oa ^ outputs[b]), d)
-            if ratio > best:
-                best = ratio
-    return best
+    outputs = {combo: eval_plan(plan, db, node_schemas).tuples for combo, db in _databases(universe)}
+    return _pairwise_sup(outputs, lambda x, y: Fraction(len(x ^ y)))

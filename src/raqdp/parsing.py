@@ -177,11 +177,14 @@ class _Parser:
 
     def signed_number(self) -> Fraction:
         negative = self.accept_op("-")
-        t = self.peek()
-        if t.kind != "num":
+        if self.peek().kind != "num":
             self.error("expected a number")
-        self.advance()
-        value = t.value
+        value = self.rational()
+        return -value if negative else value
+
+    def rational(self) -> Fraction:
+        """A number token, divided by a directly following `/ number` if any."""
+        value = self.advance().value
         if self.at_op("/"):
             save = self.i
             self.advance()
@@ -193,7 +196,7 @@ class _Parser:
                 value = value / d.value
             else:
                 self.i = save
-        return -value if negative else value
+        return value
 
     def real_bound(self, low_side: bool) -> Fraction | float:
         if self.accept_kw("inf"):
@@ -261,6 +264,9 @@ class _Parser:
                 pass
             self.i = save
         left = self.arith()
+        if self.accept_kw("not"):
+            self.expect_kw("in")
+            return InSet(left, frozenset(self.value_set()), negated=True)
         if self.accept_kw("in"):
             return InSet(left, frozenset(self.value_set()))
         for op in ("<=", ">=", "!=", "<", ">", "="):
@@ -300,20 +306,7 @@ class _Parser:
     def factor(self):
         t = self.peek()
         if t.kind == "num":
-            self.advance()
-            value = t.value
-            if self.at_op("/"):
-                save = self.i
-                self.advance()
-                d = self.peek()
-                if d.kind == "num":
-                    self.advance()
-                    if d.value == 0:
-                        self.error("zero denominator", d)
-                    value = value / d.value
-                else:
-                    self.i = save
-            return Lit(value)
+            return Lit(self.rational())
         if t.kind == "str":
             self.advance()
             return Lit(t.value)

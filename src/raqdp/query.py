@@ -22,7 +22,6 @@ from .constraints import (
     Constraint,
     Domain,
     DomainKind,
-    InSet,
     Lit,
     Not,
     attribute_bounds,
@@ -255,15 +254,7 @@ def validate(
 ) -> dict:
     """Check the whole query and return the node → output-schema map."""
     builder = _SchemaBuilder(schemas, enum_cap, dnf_cap)
-    body_schema = builder.schema_of(tq.body)
-    fn = tq.fn
-    if fn.kind != "count":
-        if fn.attr not in body_schema.attr_names():
-            raise ValidationError(
-                f"aggregated attribute {fn.attr!r} is not produced by the query"
-            )
-        if not body_schema.domain(fn.attr).is_numeric:
-            raise ValidationError(f"cannot {fn.kind} over string attribute {fn.attr!r}")
+    _check_agg_attr(tq.fn, builder.schema_of(tq.body), "the query")
     return builder.memo
 
 
@@ -481,12 +472,7 @@ class _SchemaBuilder:
     def _fn_bounds(self, fn: AggFn, operand: ConstrainedSchema) -> Bounds | None:
         if fn.kind == "count":
             return None
-        if fn.attr not in operand.attr_names():
-            raise ValidationError(
-                f"aggregated attribute {fn.attr!r} is not produced by the operand"
-            )
-        if not operand.domain(fn.attr).is_numeric:
-            raise ValidationError(f"cannot {fn.kind} over string attribute {fn.attr!r}")
+        _check_agg_attr(fn, operand, "the operand")
         return attribute_bounds(
             operand.constraint,
             operand,
@@ -494,6 +480,16 @@ class _SchemaBuilder:
             enum_cap=self.enum_cap,
             dnf_cap=self.dnf_cap,
         )
+
+
+def _check_agg_attr(fn: AggFn, source: ConstrainedSchema, what: str) -> None:
+    """The aggregated attribute must be a visible numeric attribute of the source."""
+    if fn.kind == "count":
+        return
+    if fn.attr not in source.attr_names():
+        raise ValidationError(f"aggregated attribute {fn.attr!r} is not produced by {what}")
+    if not source.domain(fn.attr).is_numeric:
+        raise ValidationError(f"cannot {fn.kind} over string attribute {fn.attr!r}")
 
 
 def _require_same_attrs(sl: ConstrainedSchema, sr: ConstrainedSchema) -> None:

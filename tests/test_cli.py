@@ -1,9 +1,13 @@
 """Command-line behavior: commands, formats, and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import raqdp
 from raqdp.cli import main
 
 PEOPLE_SCHEMA = """
@@ -283,3 +287,106 @@ def test_unknown_data_relation_exits_2(workspace, capsys):
          "--data", "Ghost=people.csv"]
     )
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# caps shared by run and the oracle; numbers beyond double precision
+
+CAP_SCHEMA = "relation R { a: int [0, 4]; b: int [0, 4] } check { a * b >= 12 }"
+BIG = "1" + "0" * 401  # 10^401, past the largest double
+
+
+def test_oracle_evaluates_with_the_user_caps(tmp_path, capsys):
+    # avg over an empty R is the midpoint of a's proven range: [0, 4] when
+    # --enum-cap 1 stops the enumeration, the exact [3, 4] otherwise
+    schema = write(tmp_path, "s.schema", CAP_SCHEMA)
+    query = write(tmp_path, "q.raq", "avg(a) of R")
+    empty = write(tmp_path, "r.csv", "a,b\n")
+    assert main(["run", schema, query, "--data", f"R={empty}", "--enum-cap", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    assert main(["validate", schema, query, "--enum-cap", "1"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert (d["gs"], d["oracle"], d["verdict"]) == ("2", "2", "STRICT")
+    assert main(["validate", schema, query]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert (d["gs"], d["oracle"], d["verdict"]) == ("1/2", "1/2", "STRICT")
+
+
+def test_analyze_json_beyond_double_range_exits_2(tmp_path, capsys):
+    schema = write(tmp_path, "s.schema", f"relation R {{ x: real [0, {BIG}] }}")
+    query = write(tmp_path, "q.raq", "sum(x) of R")
+    assert main(["analyze", schema, query, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    # the exact table output has no float fields and still works
+    assert main(["analyze", schema, query]) == 0
+    assert f"global sensitivity: {BIG}" in capsys.readouterr().out
+
+
+def test_dp_run_beyond_double_range_exits_2(tmp_path, capsys):
+    schema = write(tmp_path, "s.schema", f"relation R {{ x: real [0, {BIG}] }}")
+    query = write(tmp_path, "q.raq", "sum(x) of R")
+    data = write(tmp_path, "r.csv", "x\n5\n")
+    assert main(["dp-run", schema, query, "--data", f"R={data}", "--epsilon", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_dp_run_epsilon_below_double_range_exits_2(workspace, capsys):
+    code = main(
+        ["dp-run", str(workspace / "people.schema"), str(workspace / "avg.raq"),
+         "--data", f"People={workspace / 'people.csv'}", "--epsilon", "1e-400"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "epsilon" in err
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract, checked on a separate interpreter so that an uncaught
+# exception shows as its traceback and exit code 1
+
+CONTRACT_FILES = {
+    "people.schema": PEOPLE_SCHEMA,
+    "people.csv": PEOPLE_CSV,
+    "bad.csv": "Name,Weight,Height\nAnn,999,170\n",
+    "avg.raq": "avg(Weight) of People\n",
+    "cut.raq": "count of\n",
+    "big.schema": f"relation R {{ x: real [0, {BIG}] }}",
+    "unbounded.schema": "relation R { x: real [0, inf] }",
+    "r.csv": "x\n5\n",
+    "sum.raq": "sum(x) of R\n",
+    "wide.schema": "relation R { a: int [0, 50] }",
+    "count.raq": "count of R\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param("analyze people.schema cut.raq", 2, id="parse-error"),
+        pytest.param("analyze nope.schema avg.raq", 2, id="missing-file"),
+        pytest.param("run people.schema avg.raq --data People=bad.csv", 2, id="bad-row"),
+        pytest.param("dp-run big.schema sum.raq --data R=r.csv --epsilon 1", 2, id="overflow"),
+        pytest.param(
+            "dp-run people.schema avg.raq --data People=people.csv --epsilon 1e-400", 2,
+            id="epsilon-underflow",
+        ),
+        pytest.param("dp-run unbounded.schema sum.raq --data R=r.csv --epsilon 1", 3,
+                     id="unbounded"),
+        pytest.param("validate wide.schema count.raq", 4, id="oracle-cap"),
+    ],
+)
+def test_errors_end_in_a_documented_exit_code(tmp_path, argv, code):
+    for name, text in CONTRACT_FILES.items():
+        (tmp_path / name).write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(raqdp.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "raqdp.cli", *argv.split()],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

@@ -43,6 +43,11 @@ def test_params_validate():
         DpParams(Fraction(1), 2**64)
 
 
+def test_params_reject_epsilon_that_rounds_to_zero():
+    with pytest.raises(ValueError, match="epsilon"):
+        DpParams(Fraction(1, 10**400), 0)
+
+
 # ---------------------------------------------------------------------------
 # Sampler
 

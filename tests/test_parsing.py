@@ -116,6 +116,16 @@ def test_membership_and_negation():
     assert evaluate(n, {"Name": "z"})
 
 
+def test_not_in_is_negated_membership():
+    c = parse_constraint('Name not in {"x", "y"}')
+    assert c == parse_constraint('not (Name in {"x", "y"})')
+    assert format_constraint(c) == 'not (Name in {"x", "y"})'
+    assert evaluate(c, {"Name": "z"}) and not evaluate(c, {"Name": "x"})
+    assert parse_constraint("a + 1 not in {2, 3}") == parse_constraint("not (a + 1 in {2, 3})")
+    with pytest.raises(ParseError):
+        parse_constraint("a not = 1")
+
+
 def test_iff_and_precedence():
     c = parse_constraint("a <= 1 or b <= 1 and a >= 0 iff b >= 0")
     # iff binds loosest, and tighter than or

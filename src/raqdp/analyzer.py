@@ -17,12 +17,11 @@ from .constraints import (
     DEFAULT_ENUM_CAP,
     Bounds,
     ConstrainedSchema,
-    attribute_bounds,
     diameter,
     format_constraint,
 )
 from .errors import ValidationError
-from .extmath import Ext, INF, ext_mul, format_ext, is_infinite
+from .extmath import Ext, INF, ext_mul, format_ext, is_infinite, to_double
 from .query import (
     AggFn,
     Difference,
@@ -99,7 +98,7 @@ class TopRecord:
 
 def _exact(key: str, x: Ext) -> dict:
     """A number as exact text under `key` and as a double under `key`_float."""
-    return {key: format_ext(x), f"{key}_float": float(x)}
+    return {key: format_ext(x), f"{key}_float": to_double(x, key)}
 
 
 @dataclass(frozen=True)
@@ -120,8 +119,8 @@ class SensitivityReport:
             top["bounds"] = {
                 "lo": format_ext(b.lower),
                 "hi": format_ext(b.upper),
-                "lo_float": float(b.lower),
-                "hi_float": float(b.upper),
+                "lo_float": to_double(b.lower, "bounds.lo"),
+                "hi_float": to_double(b.upper, "bounds.hi"),
             }
         else:
             top["bounds"] = None
@@ -220,18 +219,8 @@ def global_sensitivity(
     nodes = tuple(analysis.records(tq.body))
     warnings = list(_structural_warnings(tq.body))
 
-    root_schema = node_schemas[tq.body]
     fn = tq.fn
-    bounds: Bounds | None = None
-    if fn.kind != "count":
-        bounds = attribute_bounds(
-            root_schema.constraint,
-            root_schema,
-            fn.attr,
-            enum_cap=opts.enum_cap,
-            dnf_cap=opts.dnf_cap,
-        )
-
+    bounds = node_schemas[tq]
     root_diam = nodes[-1].diam
     if root_diam == 0 or (bounds is not None and bounds.empty):
         warnings.append("query is statically empty: the propagated constraint is unsatisfiable")

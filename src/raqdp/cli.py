@@ -32,7 +32,7 @@ from .errors import (
     UnboundedSensitivityError,
     ValidationError,
 )
-from .extmath import INF, Ext, format_ext, is_infinite, parse_rational
+from .extmath import INF, Ext, format_ext, is_infinite, parse_rational, to_double
 from .oracle import DEFAULT_UNIVERSE_CAP, brute_sensitivity, build_universe
 from .parsing import parse_query, parse_schemas
 from .query import _OP_NAMES, base_relations, validate
@@ -192,11 +192,9 @@ def cmd_analyze(args) -> int:
 def cmd_run(args) -> int:
     _, tq, db, node_schemas = _load(args)
     trace: list | None = [] if args.trace else None
-    value = answer(
-        tq, db, node_schemas, enum_cap=args.enum_cap, dnf_cap=args.dnf_cap, trace=trace
-    )
+    value = answer(tq, db, node_schemas, trace=trace)
     if args.format == "json":
-        out = {"answer": format_ext(value), "answer_float": float(value)}
+        out = {"answer": format_ext(value), "answer_float": to_double(value, "answer")}
         if trace is not None:
             out["trace"] = [{"op": op, "rows": n} for op, n in trace]
         print(json.dumps(out, indent=2))
@@ -241,9 +239,7 @@ def cmd_validate(args) -> int:
     schemas, tq, context, node_schemas = _load(args, all_data=False)
     report = global_sensitivity(tq, schemas, _options(args), node_schemas=node_schemas)
     universe = build_universe(tq, schemas, context, cap=args.universe_cap)
-    brute = brute_sensitivity(
-        tq, universe, node_schemas, enum_cap=args.enum_cap, dnf_cap=args.dnf_cap
-    )
+    brute = brute_sensitivity(tq, universe, node_schemas)
     if brute.value > report.gs:
         verdict = "VIOLATION"
     elif brute.value == report.gs:
@@ -281,8 +277,8 @@ _COMMANDS = {
 
 
 # One row per exit code: the exception classes that end a command with it.
-# OverflowError is an exact value beyond double range, met when printing a
-# float field or scaling the noise.
+# An exact value beyond double range is a ValueError that names its field
+# (extmath.to_double); OverflowError stays for any other float overflow.
 _EXIT_CODES = (
     ((ParseError, SchemaError, ValidationError, EvalError, DataError,
       OSError, ValueError, ZeroDivisionError, OverflowError), EXIT_INPUT),
@@ -291,9 +287,18 @@ _EXIT_CODES = (
 )
 
 
+def _check_counts(args) -> None:
+    """Caps and sample counts are counts: a negative one is an input error."""
+    for name in ("enum_cap", "dnf_cap", "universe_cap", "samples"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must not be negative, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         return _COMMANDS[args.command](args)
     except Exception as e:
         code = next((code for classes, code in _EXIT_CODES if isinstance(e, classes)), None)

@@ -22,7 +22,7 @@ from .analyzer import AnalysisOptions, SensitivityReport, global_sensitivity
 from .constraints import ConstrainedSchema
 from .engine import Relation, answer
 from .errors import UnboundedSensitivityError
-from .extmath import Ext, is_infinite
+from .extmath import Ext, is_infinite, to_double
 from .query import TopQuery, validate
 
 RNG_NAME = "pcg64"
@@ -37,7 +37,7 @@ class DpParams:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if float(self.epsilon) == 0.0:
+        if to_double(self.epsilon, "epsilon") == 0.0:
             raise ValueError("epsilon is too small: it rounds to 0 in double precision")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
@@ -58,8 +58,8 @@ class DpAnswer:
         return {
             "noisy_value": self.noisy_value,
             "true_value_withheld": self.true_value_withheld,
-            "gs_used": float(self.gs_used),
-            "epsilon": float(self.epsilon),
+            "gs_used": to_double(self.gs_used, "gs_used"),
+            "epsilon": to_double(self.epsilon, "epsilon"),
             "seed": self.seed,
             "rng": self.rng_name,
             "note": self.note,
@@ -115,12 +115,13 @@ def _release(
         raise UnboundedSensitivityError(
             "unbounded sensitivity: refusing to release a noisy answer"
         )
-    true_value = answer(
-        tq, db, node_schemas, enum_cap=options.enum_cap, dnf_cap=options.dnf_cap
-    )
+    true_value = to_double(answer(tq, db, node_schemas), "answer")
     if report.gs == 0:
-        return report, float(true_value), None
-    return report, float(true_value), float(report.gs) / float(params.epsilon)
+        return report, true_value, None
+    scale = to_double(report.gs, "gs") / to_double(params.epsilon, "epsilon")
+    if math.isinf(scale):
+        raise ValueError("the noise scale gs/epsilon is too large for double precision")
+    return report, true_value, scale
 
 
 def dp_answer(

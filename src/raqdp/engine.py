@@ -12,14 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union as TUnion
 
-from .constraints import (
-    DEFAULT_DNF_CAP,
-    DEFAULT_ENUM_CAP,
-    ConstrainedSchema,
-    DomainKind,
-    attribute_bounds,
-    evaluate,
-)
+from .constraints import Bounds, ConstrainedSchema, DomainKind, evaluate
 from .errors import DataError, EvalError
 from .query import (
     AggFn,
@@ -149,9 +142,12 @@ def tuple_key(t: tuple):
 # Aggregation
 
 
-def agg_raw(fn: AggFn, relation: Relation) -> Fraction:
-    """Aggregate of a non-empty relation."""
+def apply_agg(fn: AggFn, relation: Relation, bounds: Bounds | None = None) -> Fraction:
+    """Totalized aggregation: an empty input takes the default for the
+    aggregated attribute's value range `bounds` (see `default_aggregate`)."""
     tuples = relation.tuples
+    if not tuples:
+        return default_aggregate(fn, bounds)
     if fn.kind == "count":
         return Fraction(len(tuples))
     idx = relation.schema.index(fn.attr)
@@ -165,28 +161,6 @@ def agg_raw(fn: AggFn, relation: Relation) -> Fraction:
     return sum(values, Fraction(0)) / len(values)
 
 
-def apply_agg(
-    fn: AggFn,
-    relation: Relation,
-    *,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    dnf_cap: int = DEFAULT_DNF_CAP,
-) -> Fraction:
-    """Totalized aggregation: empty input falls back to the schema defaults."""
-    if relation.tuples:
-        return agg_raw(fn, relation)
-    if fn.kind in ("count", "sum"):
-        return Fraction(0)
-    bounds = attribute_bounds(
-        relation.schema.constraint,
-        relation.schema,
-        fn.attr,
-        enum_cap=enum_cap,
-        dnf_cap=dnf_cap,
-    )
-    return default_aggregate(fn, bounds)
-
-
 # ---------------------------------------------------------------------------
 # Plan evaluation
 
@@ -196,14 +170,13 @@ def eval_plan(
     db: dict[str, Relation],
     node_schemas: dict,
     *,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    dnf_cap: int = DEFAULT_DNF_CAP,
     trace: list | None = None,
 ) -> Relation:
+    """The plan's output over `db`; `node_schemas` is the map `validate` returns."""
     schema = node_schemas[plan]
 
     def rec(child):
-        return eval_plan(child, db, node_schemas, enum_cap=enum_cap, dnf_cap=dnf_cap, trace=trace)
+        return eval_plan(child, db, node_schemas, trace=trace)
 
     if isinstance(plan, Id):
         if plan.relation not in db:
@@ -240,7 +213,7 @@ def eval_plan(
         tuples = _cross(rec(plan.left).tuples, block)
     elif isinstance(plan, ProductAgg):
         right = rec(plan.right)
-        value = apply_agg(plan.fn, right, enum_cap=enum_cap, dnf_cap=dnf_cap)
+        value = apply_agg(plan.fn, right, node_schemas[TopQuery(plan.fn, plan.right)])
         tuples = frozenset(l + (value,) for l in rec(plan.left).tuples)
     elif isinstance(plan, GroupAggregate):
         source = rec(plan.source)
@@ -268,7 +241,7 @@ def _group_rows(plan: GroupAggregate, source: Relation) -> frozenset:
     rows = set()
     for key, members in groups.items():
         member_rel = Relation(source.schema, frozenset(members))
-        aggs = tuple(agg_raw(f, member_rel) for f in plan.fns)
+        aggs = tuple(apply_agg(f, member_rel) for f in plan.fns)
         rows.add(key + aggs)
     return frozenset(rows)
 
@@ -278,12 +251,8 @@ def answer(
     db: dict[str, Relation],
     node_schemas: dict,
     *,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    dnf_cap: int = DEFAULT_DNF_CAP,
     trace: list | None = None,
 ) -> Fraction:
     """The exact value of the query's top-level aggregation."""
-    body = eval_plan(
-        tq.body, db, node_schemas, enum_cap=enum_cap, dnf_cap=dnf_cap, trace=trace
-    )
-    return apply_agg(tq.fn, body, enum_cap=enum_cap, dnf_cap=dnf_cap)
+    body = eval_plan(tq.body, db, node_schemas, trace=trace)
+    return apply_agg(tq.fn, body, node_schemas[tq])

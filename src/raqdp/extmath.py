@@ -39,6 +39,14 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(s)  # Fraction accepts '3' and '1.5' exactly
 
 
+def to_double(x: Ext, name: str) -> float:
+    """x as a double; a ValueError naming the field `name` when x is beyond double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for double precision") from None
+
+
 def format_ext(x: Ext) -> str:
     """Render as 'p/q' (or plain integer), 'inf', or '-inf'."""
     if x == INF:

@@ -13,13 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constraints import (
-    DEFAULT_DNF_CAP,
-    DEFAULT_ENUM_CAP,
-    ConstrainedSchema,
-    initial_constraint,
-    iter_solutions,
-)
+from .constraints import ConstrainedSchema, initial_constraint, iter_solutions
 from .engine import Relation, answer, eval_plan
 from .errors import OracleError
 from .query import Plan, TopQuery, base_relations, validate, validate_plan
@@ -123,14 +117,9 @@ def _members(sr: SensitiveRelation, mask: int) -> list:
     return [t for j, t in enumerate(sr.universe) if mask >> j & 1]
 
 
-def _database_values(
-    tq: TopQuery, universe: Universe, node_schemas: dict, enum_cap: int, dnf_cap: int
-) -> dict:
+def _database_values(tq: TopQuery, universe: Universe, node_schemas: dict) -> dict:
     """Exact query value for every admissible database, keyed by bitmask vector."""
-    return {
-        combo: answer(tq, db, node_schemas, enum_cap=enum_cap, dnf_cap=dnf_cap)
-        for combo, db in _databases(universe)
-    }
+    return {combo: answer(tq, db, node_schemas) for combo, db in _databases(universe)}
 
 
 def _adjacent(combo: tuple[int, ...], universe: Universe):
@@ -149,21 +138,12 @@ def _witness(universe: Universe, combo: tuple[int, ...]) -> dict:
 
 
 def brute_sensitivity(
-    tq: TopQuery,
-    universe: Universe,
-    node_schemas: dict | None = None,
-    *,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    dnf_cap: int = DEFAULT_DNF_CAP,
+    tq: TopQuery, universe: Universe, node_schemas: dict | None = None
 ) -> BruteResult:
-    """Worst |answer difference| over adjacent databases, by full enumeration.
-
-    The caps are those of `answer`: they fix the default an aggregate takes
-    over an empty input, so they must match the ones the query runs with.
-    """
+    """Worst |answer difference| over adjacent databases, by full enumeration."""
     if node_schemas is None:
-        node_schemas = validate(tq, universe.schemas(), enum_cap=enum_cap, dnf_cap=dnf_cap)
-    values = _database_values(tq, universe, node_schemas, enum_cap, dnf_cap)
+        node_schemas = validate(tq, universe.schemas())
+    values = _database_values(tq, universe, node_schemas)
     best = Fraction(0)
     witness = None
     for combo, value in values.items():
@@ -209,7 +189,7 @@ def brute_sensitivity_ratio(
     """
     if node_schemas is None:
         node_schemas = validate(tq, universe.schemas())
-    values = _database_values(tq, universe, node_schemas, DEFAULT_ENUM_CAP, DEFAULT_DNF_CAP)
+    values = _database_values(tq, universe, node_schemas)
     return _pairwise_sup(values, lambda x, y: abs(x - y))
 
 

@@ -252,9 +252,18 @@ def validate(
     enum_cap: int = DEFAULT_ENUM_CAP,
     dnf_cap: int = DEFAULT_DNF_CAP,
 ) -> dict:
-    """Check the whole query and return the node → output-schema map."""
+    """Check the whole query and return the map of what validation derives.
+
+    Each plan node maps to its output schema. Each aggregation maps, under
+    the key `TopQuery(fn, operand)`, to the value range of its attribute over
+    the operand's output (`None` for count): the query's own aggregation
+    under `tq`, and each aggregating product's under
+    `TopQuery(plan.fn, plan.right)`. Evaluation reads these ranges for the
+    value an aggregate takes over an empty input, so the enumeration caps
+    are applied here once.
+    """
     builder = _SchemaBuilder(schemas, enum_cap, dnf_cap)
-    _check_agg_attr(tq.fn, builder.schema_of(tq.body), "the query")
+    builder.memo[tq] = builder._fn_bounds(tq.fn, builder.schema_of(tq.body), "the query")
     return builder.memo
 
 
@@ -425,6 +434,7 @@ class _SchemaBuilder:
                 f"aggregate column {col!r} collides with a left-operand attribute"
             )
         bounds = self._fn_bounds(fn, sr)
+        self.memo[TopQuery(fn, plan.right)] = bounds
         # the right operand's attributes become hidden witnesses
         taken = set(sl.attr_names()) | _aux_names(sl) | {col}
         right_pairs, mapping = _fresh_names(sr.attributes + sr.aux, taken)
@@ -469,10 +479,19 @@ class _SchemaBuilder:
         constraint = rename_attrs(make_and([ss.constraint] + atoms), mapping)
         return ConstrainedSchema("group-aggregate", attrs, constraint, aux)
 
-    def _fn_bounds(self, fn: AggFn, operand: ConstrainedSchema) -> Bounds | None:
+    def _fn_bounds(
+        self, fn: AggFn, operand: ConstrainedSchema, what: str = "the operand"
+    ) -> Bounds | None:
+        """Value range of the aggregated attribute over the operand; None for count.
+
+        The attribute must be a visible numeric attribute of the operand.
+        """
         if fn.kind == "count":
             return None
-        _check_agg_attr(fn, operand, "the operand")
+        if fn.attr not in operand.attr_names():
+            raise ValidationError(f"aggregated attribute {fn.attr!r} is not produced by {what}")
+        if not operand.domain(fn.attr).is_numeric:
+            raise ValidationError(f"cannot {fn.kind} over string attribute {fn.attr!r}")
         return attribute_bounds(
             operand.constraint,
             operand,
@@ -480,16 +499,6 @@ class _SchemaBuilder:
             enum_cap=self.enum_cap,
             dnf_cap=self.dnf_cap,
         )
-
-
-def _check_agg_attr(fn: AggFn, source: ConstrainedSchema, what: str) -> None:
-    """The aggregated attribute must be a visible numeric attribute of the source."""
-    if fn.kind == "count":
-        return
-    if fn.attr not in source.attr_names():
-        raise ValidationError(f"aggregated attribute {fn.attr!r} is not produced by {what}")
-    if not source.domain(fn.attr).is_numeric:
-        raise ValidationError(f"cannot {fn.kind} over string attribute {fn.attr!r}")
 
 
 def _require_same_attrs(sl: ConstrainedSchema, sr: ConstrainedSchema) -> None:

@@ -215,6 +215,23 @@ def test_dp_run_samples_mode(workspace, capsys):
     assert len(d["samples"]) == 50
 
 
+def test_readme_quick_tour(workspace, capsys):
+    # the README's People example, its published trace and its published release
+    base = [str(workspace / "people.schema"), str(workspace / "avg.raq"),
+            "--data", f"People={workspace / 'people.csv'}"]
+    assert main(["run", *base, "--trace"]) == 0
+    assert capsys.readouterr().out == (
+        "trace (bottom-up):\n"
+        "  id               4 rows\n"
+        "  restriction      2 rows\n"
+        "50\n"
+    )
+    assert main(["dp-run", *base, "--epsilon", "1/2", "--seed", "7"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["noisy_value"] == 78.79366824746074
+    assert d["gs_used"] == 50.0
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -312,6 +329,29 @@ def test_oracle_evaluates_with_the_user_caps(tmp_path, capsys):
     assert (d["gs"], d["oracle"], d["verdict"]) == ("1/2", "1/2", "STRICT")
 
 
+def test_product_agg_over_empty_operand_follows_the_user_caps(tmp_path, capsys):
+    # avg(a) over an empty S is the midpoint of a's proven range: [3, 4], or
+    # [0, 4] when --enum-cap 1 stops the enumeration; max over one row of R
+    # returns it
+    schema = write(
+        tmp_path, "s.schema",
+        "relation R { c: int [0, 1] }\n"
+        "relation S { a: int [0, 4]; b: int [0, 4] } check { a * b >= 12 }",
+    )
+    query = write(tmp_path, "q.raq", "max(avg_a) of R productagg avg(a) S")
+    r = write(tmp_path, "r.csv", "c\n1\n")
+    s = write(tmp_path, "s.csv", "a,b\n")
+    data = ["--data", f"R={r}"]
+    assert main(["run", schema, query, *data, "--data", f"S={s}"]) == 0
+    assert capsys.readouterr().out.strip() == "7/2"
+    assert main(["run", schema, query, *data, "--data", f"S={s}", "--enum-cap", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    assert main(["validate", schema, query, *data]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle"] == "1/2"
+    assert main(["validate", schema, query, *data, "--enum-cap", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle"] == "2"
+
+
 def test_analyze_json_beyond_double_range_exits_2(tmp_path, capsys):
     schema = write(tmp_path, "s.schema", f"relation R {{ x: real [0, {BIG}] }}")
     query = write(tmp_path, "q.raq", "sum(x) of R")
@@ -360,6 +400,8 @@ CONTRACT_FILES = {
     "sum.raq": "sum(x) of R\n",
     "wide.schema": "relation R { a: int [0, 50] }",
     "count.raq": "count of R\n",
+    "big.csv": f"x\n{BIG}\n",
+    "huge.schema": f"relation R {{ x: real [0, 1{'0' * 300}] }}",
 }
 
 
@@ -377,6 +419,14 @@ CONTRACT_FILES = {
         pytest.param("dp-run unbounded.schema sum.raq --data R=r.csv --epsilon 1", 3,
                      id="unbounded"),
         pytest.param("validate wide.schema count.raq", 4, id="oracle-cap"),
+        pytest.param("analyze people.schema avg.raq --enum-cap -1", 2, id="negative-enum-cap"),
+        pytest.param("analyze people.schema avg.raq --dnf-cap -1", 2, id="negative-dnf-cap"),
+        pytest.param("validate wide.schema count.raq --universe-cap -1", 2,
+                     id="negative-universe-cap"),
+        pytest.param(
+            "dp-run people.schema avg.raq --data People=people.csv --epsilon 1 --samples -1", 2,
+            id="negative-samples",
+        ),
     ],
 )
 def test_errors_end_in_a_documented_exit_code(tmp_path, argv, code):
@@ -390,3 +440,37 @@ def test_errors_end_in_a_documented_exit_code(tmp_path, argv, code):
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        pytest.param(
+            "dp-run people.schema avg.raq --data People=people.csv --epsilon 1e400", "epsilon",
+            id="epsilon",
+        ),
+        pytest.param("analyze big.schema sum.raq --format json", "delta", id="delta"),
+        pytest.param("dp-run big.schema sum.raq --data R=r.csv --epsilon 1", "gs", id="gs"),
+        pytest.param("run big.schema sum.raq --data R=big.csv --format json", "answer",
+                     id="answer"),
+        pytest.param("dp-run huge.schema sum.raq --data R=r.csv --epsilon 1e-300", "noise scale",
+                     id="noise-scale"),
+        pytest.param("analyze people.schema avg.raq --enum-cap -1", "--enum-cap", id="enum-cap"),
+        pytest.param("analyze people.schema avg.raq --dnf-cap -1", "--dnf-cap", id="dnf-cap"),
+        pytest.param("validate wide.schema count.raq --universe-cap -1", "--universe-cap",
+                     id="universe-cap"),
+        pytest.param(
+            "dp-run people.schema avg.raq --data People=people.csv --epsilon 1 --samples -1",
+            "--samples", id="samples",
+        ),
+    ],
+)
+def test_input_errors_name_the_field(tmp_path, monkeypatch, capsys, argv, field):
+    for name, text in CONTRACT_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert field in captured.err

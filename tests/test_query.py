@@ -6,6 +6,7 @@ import pytest
 
 from raqdp.constraints import (
     Attr,
+    Bounds,
     Cmp,
     Lit,
     attribute_bounds,
@@ -23,6 +24,7 @@ from raqdp.query import (
     ProductAgg,
     ProductOne,
     Restriction,
+    TopQuery,
     Union,
     default_aggregate,
     output_schema,
@@ -35,6 +37,11 @@ relation People {
   Weight: int [0, 150];
   Height: int [0, 200]
 }
+"""
+
+CAP = """
+relation R { c: int [0, 1] }
+relation S { a: int [0, 4]; b: int [0, 4] } check { a * b >= 12 }
 """
 
 TWO = """
@@ -239,6 +246,25 @@ def test_top_level_aggregate_attribute_checked():
         validate(parse_query("sum(Wages) of People"), schemas)
     with pytest.raises(ValidationError):
         validate(parse_query("avg(Name) of People"), schemas)
+
+
+def test_validate_records_each_aggregate_value_range():
+    # a * b >= 12 leaves a in [3, 4]; enumeration cut off at one solution
+    # falls back to the domain box [0, 4]
+    schemas = schemas_of(CAP)
+    tq = parse_query("avg(a) of S")
+    assert validate(tq, schemas)[tq] == Bounds(Fraction(3), Fraction(4))
+    b = validate(tq, schemas, enum_cap=1)[tq]
+    assert (b.lower, b.upper) == (0, 4)
+    tq = parse_query("count of S")
+    assert validate(tq, schemas)[tq] is None
+    tq = parse_query("max(avg_a) of R productagg avg(a) S")
+    memo = validate(tq, schemas)
+    plan = tq.body
+    right = memo[plan.right]
+    key = TopQuery(plan.fn, plan.right)
+    assert memo[key] == attribute_bounds(right.constraint, right, "a")
+    assert memo[key] == Bounds(Fraction(3), Fraction(4))
 
 
 def test_agg_fn_validation():

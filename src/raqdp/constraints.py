@@ -10,12 +10,14 @@ take an exact enumeration path instead.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .errors import SchemaError
 from .extmath import Ext, INF, NEG_INF, format_ext, is_infinite
@@ -135,22 +137,6 @@ class Arith:
 
 
 Term = Union[Attr, Lit, Arith]
-
-
-def eval_term(term: Term, asg: dict):
-    if isinstance(term, Lit):
-        return term.value
-    if isinstance(term, Attr):
-        return asg[term.name]
-    left = eval_term(term.left, asg)
-    right = eval_term(term.right, asg)
-    if isinstance(left, str) or isinstance(right, str):
-        raise SchemaError("arithmetic over string values")
-    if term.op == "+":
-        return left + right
-    if term.op == "-":
-        return left - right
-    return left * right
 
 
 def linear_form(term: Term) -> tuple[dict[str, Fraction], Fraction] | None:
@@ -321,37 +307,118 @@ def _negate_nnf(c: Constraint) -> Constraint:
     raise TypeError(f"not a constraint: {c!r}")
 
 
+# ---------------------------------------------------------------------------
+# Evaluation: a constraint compiled once into a test of value tuples
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_CMP = {
+    "<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt,
+    "=": operator.eq, "!=": operator.ne,
+}
+
+
 def evaluate(c: Constraint, asg: dict) -> bool:
+    """Whether the assignment (attribute name -> value) satisfies the constraint."""
+    return compile_constraint(c, tuple(asg))(tuple(asg.values()))
+
+
+@functools.lru_cache(maxsize=16)
+def compile_constraint(c: Constraint, names: tuple[str, ...]) -> Callable[[tuple], bool]:
+    """The constraint as a test of value tuples laid out as `names`.
+
+    and/or short-circuit left to right, an attribute missing from `names`
+    raises KeyError when reached, and string values in arithmetic or ordered
+    comparisons raise SchemaError when reached. Memoized, because the engine
+    tests one predicate or check constraint over many relations (the oracle
+    evaluates one plan's few predicates once per database).
+    """
+    return _compile(c, _positions(names))
+
+
+def _positions(names) -> dict[str, int]:
+    return {a: i for i, a in enumerate(names)}
+
+
+def _compile(c: Constraint, index: dict[str, int]) -> Callable[[tuple], bool]:
     if isinstance(c, BoolConst):
-        return c.value
+        value = c.value
+        return lambda v: value
     if isinstance(c, Cmp):
-        left = eval_term(c.left, asg)
-        right = eval_term(c.right, asg)
-        if isinstance(left, str) or isinstance(right, str):
-            if c.op == "=":
-                return left == right
-            if c.op == "!=":
-                return left != right
-            raise SchemaError(f"ordered comparison {c.op} over strings")
-        return {
-            "<=": left <= right,
-            ">=": left >= right,
-            "<": left < right,
-            ">": left > right,
-            "=": left == right,
-            "!=": left != right,
-        }[c.op]
+        return _compile_cmp(c, index)
     if isinstance(c, InSet):
-        return (eval_term(c.term, asg) in c.values) != c.negated
+        term, values = _compile_term(c.term, index)[0], c.values
+        if c.negated:
+            return lambda v: term(v) not in values
+        return lambda v: term(v) in values
     if isinstance(c, Not):
-        return not evaluate(c.arg, asg)
-    if isinstance(c, And):
-        return all(evaluate(x, asg) for x in c.items)
-    if isinstance(c, Or):
-        return any(evaluate(x, asg) for x in c.items)
+        arg = _compile(c.arg, index)
+        return lambda v: not arg(v)
+    if isinstance(c, (And, Or)):
+        items = tuple(_compile(x, index) for x in c.items)
+        if isinstance(c, And):
+
+            def conj(v):
+                for item in items:
+                    if not item(v):
+                        return False
+                return True
+
+            return conj
+
+        def disj(v):
+            for item in items:
+                if item(v):
+                    return True
+            return False
+
+        return disj
     if isinstance(c, Iff):
-        return evaluate(c.left, asg) == evaluate(c.right, asg)
+        left, right = _compile(c.left, index), _compile(c.right, index)
+        return lambda v: left(v) == right(v)
     raise TypeError(f"not a constraint: {c!r}")
+
+
+def _compile_cmp(c: Cmp, index: dict[str, int]) -> Callable[[tuple], bool]:
+    (left, left_str), (right, right_str) = _compile_term(c.left, index), _compile_term(c.right, index)
+    op = _CMP[c.op]
+    if c.op in ("=", "!=") or not (left_str or right_str):
+        return lambda v: op(left(v), right(v))
+    return _no_strings(op, left, right, f"ordered comparison {c.op} over strings")
+
+
+def _compile_term(t: Term, index: dict[str, int]) -> tuple[Callable[[tuple], object], bool]:
+    """(the term as a function of a value tuple, whether it may yield a string)."""
+    if isinstance(t, Lit):
+        value = t.value
+        if isinstance(value, Fraction) and value.denominator == 1:
+            value = value.numerator
+        return (lambda v: value), isinstance(value, str)
+    if isinstance(t, Attr):
+        if t.name in index:
+            return operator.itemgetter(index[t.name]), True
+        name = t.name
+
+        def missing(v):
+            raise KeyError(name)
+
+        return missing, True
+    (left, left_str), (right, right_str) = _compile_term(t.left, index), _compile_term(t.right, index)
+    op = _ARITH[t.op]
+    if not (left_str or right_str):
+        return (lambda v: op(left(v), right(v))), False
+    return _no_strings(op, left, right, "arithmetic over string values"), False
+
+
+def _no_strings(op, left, right, message: str) -> Callable[[tuple], object]:
+    """op of the two operands' values; SchemaError(message) when either is a string."""
+
+    def apply(v):
+        lv, rv = left(v), right(v)
+        if isinstance(lv, str) or isinstance(rv, str):
+            raise SchemaError(message)
+        return op(lv, rv)
+
+    return apply
 
 
 def constraint_attrs(c: Constraint) -> set[str]:
@@ -1053,13 +1120,12 @@ def _finite_grid(
     return "ok", grid
 
 
-def _satisfying(c: Constraint, grid: dict[str, list]) -> Iterator[dict]:
-    """The grid's assignments that satisfy the constraint, in grid order."""
-    names = list(grid)
-    for combo in itertools.product(*(grid[a] for a in names)):
-        asg = dict(zip(names, combo))
-        if evaluate(c, asg):
-            yield asg
+def _satisfying(c: Constraint, grid: dict[str, list]) -> Iterator[tuple]:
+    """The grid's value tuples (laid out as the grid's keys) that satisfy the
+    constraint, in grid order."""
+    # compiled once per grid and not memoized: the memo would keep each
+    # analysed constraint alive for no reuse worth its memory
+    return filter(_compile(c, _positions(grid)), itertools.product(*grid.values()))
 
 
 def iter_solutions(
@@ -1075,10 +1141,12 @@ def iter_solutions(
 
 
 def _distinct_visible(c: Constraint, grid: dict[str, list], visible: tuple) -> Iterator[tuple]:
-    """The satisfying assignments projected onto the visible attributes, without repeats."""
+    """The satisfying value tuples projected onto the visible attributes, without repeats."""
+    names = list(grid)
+    positions = [names.index(a) for a in visible]
     seen: set[tuple] = set()
-    for asg in _satisfying(c, grid):
-        tup = tuple(asg[a] for a in visible)
+    for values in _satisfying(c, grid):
+        tup = tuple([values[i] for i in positions])
         if tup not in seen:
             seen.add(tup)
             yield tup
@@ -1131,8 +1199,9 @@ def attribute_bounds(
         return Bounds.make_empty()
     if status == "ok":
         lo = hi = None
-        for asg in _satisfying(c, grid):
-            v = asg[attr]
+        i = list(grid).index(attr)
+        for values in _satisfying(c, grid):
+            v = values[i]
             lo = v if lo is None or v < lo else lo
             hi = v if hi is None or v > hi else hi
         if lo is None:
@@ -1165,20 +1234,21 @@ def satisfiable(
     boxes = _branch_boxes(nnf, schema, dnf_cap)
     if not boxes:
         return "no"
+    test = _compile(c, _positions(schema.all_domains()))
     for box in boxes:
-        for asg in _witness_candidates(box, schema):
-            if evaluate(c, asg):
-                return "yes"
+        if any(map(test, _witness_candidates(box, schema))):
+            return "yes"
     return "unknown"
 
 
-def _witness_candidates(box: _Box, schema: ConstrainedSchema) -> Iterator[dict]:
-    """Deterministic candidate assignments inside a narrowed box."""
-    shortlists: list[tuple[str, list]] = []
+def _witness_candidates(box: _Box, schema: ConstrainedSchema) -> Iterator[tuple]:
+    """Deterministic candidate value tuples inside a narrowed box, laid out as
+    `schema.all_domains()`."""
+    pools: list[list] = []
     for a, dom in schema.all_domains().items():
         if dom.kind is DomainKind.STR_SET:
             allowed = sorted(box.strs[a])
-            shortlists.append((a, allowed[:2]))
+            pools.append(allowed[:2])
             continue
         lo, hi, lo_open, hi_open = box.interval_of(a)
         if a in box.numset_members:
@@ -1210,10 +1280,7 @@ def _witness_candidates(box: _Box, schema: ConstrainedSchema) -> Iterator[dict]:
         for v in cands:
             if v not in seen and dom.contains(v):
                 seen.append(v)
-        shortlists.append((a, seen))
-    if any(not values for _, values in shortlists):
+        pools.append(seen)
+    if not all(pools):
         return
-    names = [a for a, _ in shortlists]
-    pools = [values for _, values in shortlists]
-    for combo in itertools.islice(itertools.product(*pools), _WITNESS_CANDIDATE_CAP):
-        yield dict(zip(names, combo))
+    yield from itertools.islice(itertools.product(*pools), _WITNESS_CANDIDATE_CAP)

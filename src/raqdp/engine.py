@@ -1,8 +1,9 @@
 """Set-semantics evaluation of query plans over in-memory relations.
 
 Relations are frozen sets of value tuples; every value is an exact rational
-or a string. Loading validates each row against the schema's domains and
-check constraint, so evaluation can assume constraint-valid inputs.
+or a string, and an integral value is held as an `int` (equal and hash-equal
+to its `Fraction`). Loading validates each row against the schema's domains
+and check constraint, so evaluation can assume constraint-valid inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union as TUnion
 
-from .constraints import Bounds, ConstrainedSchema, DomainKind, evaluate
+from .constraints import Bounds, ConstrainedSchema, Domain, DomainKind, compile_constraint
 from .errors import DataError, EvalError
 from .query import (
     AggFn,
@@ -33,7 +34,7 @@ from .query import (
     op_name,
 )
 
-Value = TUnion[Fraction, str]
+Value = TUnion[int, Fraction, str]
 
 
 @dataclass(frozen=True)
@@ -45,41 +46,17 @@ class Relation:
         return len(self.tuples)
 
     @classmethod
-    def from_rows(
-        cls,
-        schema: ConstrainedSchema,
-        rows: Iterable,
-        labels: list[int] | None = None,
-    ) -> "Relation":
-        names = schema.attr_names()
+    def from_rows(cls, schema: ConstrainedSchema, rows: Iterable) -> "Relation":
+        check = _row_checker(schema)
         out = set()
         violations: list[str] = []
         for i, row in enumerate(rows):
-            label = labels[i] if labels is not None else i + 1
-            row = tuple(row)
-            if len(row) != len(names):
-                violations.append(f"row {label}: expected {len(names)} values, got {len(row)}")
-                continue
-            coerced = []
-            bad = False
-            for a, v in zip(names, row):
-                if isinstance(v, bool) or not isinstance(v, (int, Fraction, str)):
-                    violations.append(f"row {label}: unsupported value {v!r} for {a}")
-                    bad = True
-                    break
-                v = v if isinstance(v, str) else Fraction(v)
-                if not schema.domain(a).contains(v):
-                    violations.append(f"row {label}: {a} = {v} outside its domain")
-                    bad = True
-                    break
-                coerced.append(v)
-            if bad:
-                continue
-            tup = tuple(coerced)
-            if not evaluate(schema.constraint, dict(zip(names, tup))):
-                violations.append(f"row {label}: violates the check constraint")
-                continue
-            out.add(tup)
+            cells = tuple(map(_cell, row))
+            problem = check(i + 1, cells)
+            if problem:
+                violations.append(problem)
+            else:
+                out.add(cells)
         if violations:
             raise DataError(
                 f"{len(violations)} invalid row(s) for relation {schema.name!r}", violations
@@ -87,47 +64,120 @@ class Relation:
         return cls(schema, frozenset(out))
 
 
+def _cell(v):
+    """A value as relations hold it: an integral number as int, any other
+    rational as Fraction, a string as str. Any other value comes back
+    unchanged, and no domain test accepts it."""
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction, str)):
+        return v
+    if isinstance(v, str):
+        return str(v)
+    if isinstance(v, int):
+        return int(v)
+    return v.numerator if v.denominator == 1 else Fraction(v)
+
+
+def _number_parser(attr: str):
+    """A parser of the attribute's CSV cells into numbers as `_cell` holds
+    them. It accepts what `Fraction(text)` accepts, trying `int` first."""
+
+    def parse(text: str):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+        try:
+            return _cell(Fraction(text))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{attr} = {text!r} is not a number") from None
+
+    return parse
+
+
+_NUMBER_TYPES = frozenset({int, Fraction})
+
+
+def _domain_test(dom: Domain):
+    """A membership test of the domain for values as `_cell` holds them."""
+    if dom.kind is DomainKind.STR_SET:
+        members = frozenset(dom.members)
+        return lambda v: v.__class__ is str and v in members
+    if dom.kind is DomainKind.INT_RANGE:
+        lo, hi = int(dom.lower), int(dom.upper)
+        return lambda v: v.__class__ is int and lo <= v <= hi
+    if dom.kind is DomainKind.NUM_SET:
+        members = frozenset(dom.members)
+        return lambda v: v.__class__ in _NUMBER_TYPES and v in members
+    lo, hi = dom.lower, dom.upper
+    return lambda v: v.__class__ in _NUMBER_TYPES and lo <= v <= hi
+
+
+def _row_checker(schema: ConstrainedSchema):
+    """check(label, cells): the first violation of one row, or None.
+
+    The cells are held as `_cell` holds them. The row is tested for its
+    arity, then cell by cell against its domain, then against the schema's
+    compiled check constraint.
+    """
+    names = schema.attr_names()
+    columns = tuple((a, _domain_test(schema.domain(a))) for a in names)
+    satisfies = compile_constraint(schema.constraint, names)
+
+    def check(label, cells: tuple) -> str | None:
+        if len(cells) != len(columns):
+            return f"row {label}: expected {len(columns)} values, got {len(cells)}"
+        for (a, test), v in zip(columns, cells):
+            if not test(v):
+                if v.__class__ not in _NUMBER_TYPES and v.__class__ is not str:
+                    return f"row {label}: unsupported value {v!r} for {a}"
+                return f"row {label}: {a} = {v} outside its domain"
+        return None if satisfies(cells) else f"row {label}: violates the check constraint"
+
+    return check
+
+
 def load_csv(schema: ConstrainedSchema, path: str) -> Relation:
+    """The relation in a CSV file whose header names the schema's attributes.
+
+    Rows with a cell that is not a number where one is due are reported
+    first; then rows with too many or too few fields, cells outside their
+    domain and rows violating the check constraint, in file order.
+    """
+    names = schema.attr_names()
+    parsers = [_number_parser(a) if schema.domain(a).is_numeric else str for a in names]
+    check = _row_checker(schema)
+    out = set()
+    not_numbers: list[str] = []
+    violations: list[str] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file", []) from None
-        names = list(schema.attr_names())
-        if [h.strip() for h in header] != names:
+        if [h.strip() for h in header] != list(names):
             raise DataError(
-                f"{path}: header {header} does not match schema attributes {names}", []
+                f"{path}: header {header} does not match schema attributes {list(names)}", []
             )
-        rows = []
-        labels = []
-        violations = []
         for i, row in enumerate(reader):
             if not row:
                 continue
-            parsed = []
-            for a, text in zip(names, row):
-                text = text.strip()
-                if schema.domain(a).kind is DomainKind.STR_SET:
-                    parsed.append(text)
-                else:
-                    try:
-                        parsed.append(Fraction(text))
-                    except (ValueError, ZeroDivisionError):
-                        violations.append(f"row {i + 1}: {a} = {text!r} is not a number")
-                        parsed = None
-                        break
-            if parsed is not None:
-                rows.append(parsed)
-                labels.append(i + 1)
-    try:
-        relation = Relation.from_rows(schema, rows, labels=labels)
-    except DataError as e:
-        violations.extend(e.violations)
-        relation = None
+            try:
+                cells = tuple([parse(text.strip()) for parse, text in zip(parsers, row)])
+            except ValueError as e:
+                not_numbers.append(f"row {i + 1}: {e}")
+                continue
+            if len(row) > len(names):
+                cells = tuple(row)  # whole, so that the arity test refuses it
+            problem = check(i + 1, cells)
+            if problem:
+                violations.append(problem)
+            else:
+                out.add(cells)
+    violations = not_numbers + violations
     if violations:
         raise DataError(f"{path}: {len(violations)} invalid row(s)", violations)
-    return relation
+    return Relation(schema, frozenset(out))
 
 
 def value_key(v: Value):
@@ -152,13 +202,13 @@ def apply_agg(fn: AggFn, relation: Relation, bounds: Bounds | None = None) -> Fr
         return Fraction(len(tuples))
     idx = relation.schema.index(fn.attr)
     values = [t[idx] for t in tuples]
-    if fn.kind == "sum":
-        return sum(values, Fraction(0))
+    # cells may be int: each result is made a Fraction once, at the end
     if fn.kind == "max":
-        return max(values)
+        return Fraction(max(values))
     if fn.kind == "min":
-        return min(values)
-    return sum(values, Fraction(0)) / len(values)
+        return Fraction(min(values))
+    total = Fraction(sum(values))
+    return total if fn.kind == "sum" else total / len(values)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +240,8 @@ def eval_plan(
         tuples = rec(plan.left).tuples - rec(plan.right).tuples
     elif isinstance(plan, Restriction):
         source = rec(plan.source)
-        names = source.schema.attr_names()
-        tuples = frozenset(
-            t for t in source.tuples if evaluate(plan.predicate, dict(zip(names, t)))
-        )
+        test = compile_constraint(plan.predicate, source.schema.attr_names())
+        tuples = frozenset(filter(test, source.tuples))
     elif isinstance(plan, Projection):
         source = rec(plan.source)
         idxs = [source.schema.index(a) for a in plan.attrs]

@@ -391,3 +391,137 @@ def test_trace_reports_postorder_row_counts():
     )
     assert value == 2
     assert trace == [("id", 4), ("restriction", 2)]
+
+
+# ---------------------------------------------------------------------------
+# CSV cells: integers as int, every aggregate as Fraction
+
+
+def write_csv(tmp_path, text, name="data.csv"):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_load_csv_refuses_a_row_with_extra_fields(tmp_path, capsys):
+    from raqdp.cli import main
+
+    schema = tmp_path / "r.schema"
+    schema.write_text("relation R { a: int [0, 9]; b: int [0, 9] }")
+    query = tmp_path / "q.raq"
+    query.write_text("sum(a) of R")
+    data = write_csv(tmp_path, "a,b\n1,2,3\n4,5\n6\n")
+    with pytest.raises(DataError) as exc:
+        load_csv(parse_schemas(schema.read_text())["R"], data)
+    assert exc.value.violations == [
+        "row 1: expected 2 values, got 3",
+        "row 3: expected 2 values, got 1",
+    ]
+    assert main(["run", str(schema), str(query), "--data", f"R={data}"]) == 2
+    err = capsys.readouterr().err
+    assert "row 1: expected 2 values, got 3" in err
+
+
+CELL_TEXTS = ["+5", "-0", "007", "1_000", "1.0", "2.50", "1e2", "3/2", "٣", "1__0", "",
+              "-", "inf", "nan", "1/0", "0x10"]
+
+
+@pytest.mark.parametrize("text", CELL_TEXTS)
+def test_csv_cells_parse_as_fraction_does(tmp_path, text):
+    schemas = parse_schemas("relation R { k: int [0, 9]; x: real [-inf, inf] }")
+    data = write_csv(tmp_path, f"k,x\n1,{text}\n")
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(DataError) as exc:
+            load_csv(schemas["R"], data)
+        assert exc.value.violations == [f"row 1: x = {text!r} is not a number"]
+        return
+    (row,) = load_csv(schemas["R"], data).tuples
+    assert row[1] == want
+    assert type(row[1]) is (int if want.denominator == 1 else Fraction)
+
+
+def test_csv_integral_decimal_in_an_int_column(tmp_path):
+    schemas = parse_schemas("relation R { a: int [0, 9] }")
+    (row,) = load_csv(schemas["R"], write_csv(tmp_path, "a\n1.0\n")).tuples
+    assert row == (1,) and type(row[0]) is int
+    with pytest.raises(DataError) as exc:
+        load_csv(schemas["R"], write_csv(tmp_path, "a\n1.5\n"))
+    assert exc.value.violations == ["row 1: a = 3/2 outside its domain"]
+
+
+def test_every_aggregate_of_int_cells_is_a_fraction(tmp_path):
+    from raqdp.oracle import brute_sensitivity_ratio, build_universe
+
+    schemas = parse_schemas("relation S { a: int [0, 2] }\nrelation T { b: int [0, 50] }")
+    t = load_csv(schemas["T"], write_csv(tmp_path, "b\n3\n7\n15\n"))
+    assert all(type(v) is int for (v,) in t.tuples)
+    for fn in (AggFn("count"), AggFn("sum", "b"), AggFn("max", "b"), AggFn("min", "b"),
+               AggFn("avg", "b")):
+        assert type(apply_agg(fn, t)) is Fraction
+    # answers 3 (S = {1}) and 7 (S = {2}) at distance 2 give the ratio 2
+    tq = parse_query("max(b) of select b <= a * 5 from (S product T)")
+    ratio = brute_sensitivity_ratio(tq, build_universe(tq, schemas, {"T": t}))
+    assert type(ratio) is Fraction
+    grouped = run_plan("count of group a agg count, max(b) from (S product T)", schemas,
+                       {"S": Relation.from_rows(schemas["S"], [(1,)]), "T": t})
+    assert all(type(v) is Fraction for row in grouped.tuples for v in row[1:])
+
+
+# ---------------------------------------------------------------------------
+# End to end against plain Python over a seeded CSV
+
+RELEASE_TEXT = """
+relation People {
+  Id: int [0, 9999];
+  Name: string in {"Ann", "Bob", "Cy", "Dee"};
+  Weight: int [0, 150];
+  Height: int [0, 200]
+} check { Weight <= Height }
+relation Dept { DId: int [0, 99]; Budget: int [0, 1000] }
+"""
+
+
+def test_release_shapes_match_plain_python(tmp_path):
+    rng = random.Random(4242)
+    people = []
+    for i in range(500):
+        height = rng.randint(0, 200)
+        people.append((i, rng.choice("Ann Bob Cy Dee".split()), rng.randint(0, min(150, height)),
+                       height))
+    dept = list(zip(rng.sample(range(100), 20), (rng.randint(0, 1000) for _ in range(20))))
+    schemas = parse_schemas(RELEASE_TEXT)
+    db = {
+        "People": load_csv(schemas["People"], write_csv(
+            tmp_path, "Id,Name,Weight,Height\n" + "".join(f"{i},{n},{w},{h}\n" for i, n, w, h in people),
+            "people.csv")),
+        "Dept": load_csv(schemas["Dept"], write_csv(
+            tmp_path, "DId,Budget\n" + "".join(f"{d},{b}\n" for d, b in dept), "dept.csv")),
+    }
+
+    def avg(values):
+        return Fraction(sum(values), len(values))
+
+    by_name = {}
+    for _, name, w, _ in people:
+        by_name.setdefault(name, []).append(w)
+    heavy = sum(1 for _, _, w, _ in people if w >= 120)
+    expected = {
+        "avg(Weight) of select Weight <= Height - 100 from People":
+            avg([w for _, _, w, h in people if w <= h - 100]),
+        "avg(avg_Weight) of group Name agg count, avg(Weight) from People":
+            avg([avg(ws) for ws in by_name.values()]),
+        'sum(Weight) of select Name in {"Ann", "Bob"} from People':
+            Fraction(sum(w for _, n, w, _ in people if n in ("Ann", "Bob"))),
+        "sum(Budget) of (select Weight >= 120 from People) productn 2 Dept":
+            Fraction(heavy * sum(b for _, b in sorted(dept)[:2])),
+        "avg(Weight) of People productagg max(Budget) Dept":
+            avg([w for _, _, w, _ in people]),
+    }
+    for text, want in expected.items():
+        got = run_answer(text, schemas, db)
+        assert got == want and type(got) is Fraction, text
+
+    as_fractions = [(Fraction(i), n, Fraction(w), Fraction(h)) for i, n, w, h in people]
+    assert Relation.from_rows(schemas["People"], as_fractions).tuples == db["People"].tuples

@@ -107,7 +107,7 @@ def _parse_overrides(items: list[str]) -> tuple:
         if op not in _OVERRIDABLE:
             raise ValueError(f"unknown operator {op!r} in --delta-override")
         text = value.strip()
-        delta: Ext = INF if text == "inf" else parse_rational(text)
+        delta: Ext = INF if text == "inf" else parse_rational(text, f"--delta-override {op}")
         out.append((op, delta))
     return tuple(out)
 
@@ -209,7 +209,7 @@ def cmd_run(args) -> int:
 
 def cmd_dp_run(args) -> int:
     schemas, tq, db, node_schemas = _load(args)
-    params = DpParams(parse_rational(args.epsilon), args.seed)
+    params = DpParams(parse_rational(args.epsilon, "epsilon"), args.seed)
     options = _options(args)
     if args.samples is not None:
         draws = sample_answers(

@@ -102,17 +102,36 @@ class Domain:
             return self.members[0], self.members[-1]
         return self.lower, self.upper
 
-    def contains(self, value) -> bool:
+    def member_test(self) -> Callable[[object], bool]:
+        """The domain's membership test for values as `held_value` holds them."""
         if self.kind is DomainKind.STR_SET:
-            return isinstance(value, str) and value in self.members
-        if isinstance(value, str):
-            return False
-        v = Fraction(value)
+            members = frozenset(self.members)
+            return lambda v: v.__class__ is str and v in members
+        if self.kind is DomainKind.INT_RANGE:
+            lo, hi = int(self.lower), int(self.upper)
+            return lambda v: v.__class__ is int and lo <= v <= hi
         if self.kind is DomainKind.NUM_SET:
-            return v in self.members
-        if self.kind is DomainKind.INT_RANGE and v.denominator != 1:
-            return False
-        return self.lower <= v <= self.upper
+            members = frozenset(self.members)
+            return lambda v: v.__class__ in _NUMBER_CLASSES and v in members
+        lo, hi = self.lower, self.upper
+        return lambda v: v.__class__ in _NUMBER_CLASSES and lo <= v <= hi
+
+    def contains(self, value) -> bool:
+        return self.member_test()(held_value(value))
+
+
+_NUMBER_CLASSES = frozenset({int, Fraction})
+
+
+def held_value(v):
+    """A value as relations and solution grids hold it: an integral number as
+    int, any other rational as Fraction, a string as str. Any other value
+    (a bool, a float) comes back unchanged, and no domain accepts it."""
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction, str)):
+        return v
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else Fraction(v)
+    return str(v) if isinstance(v, str) else int(v)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +337,7 @@ _CMP = {
 
 
 def evaluate(c: Constraint, asg: dict) -> bool:
-    """Whether the assignment (attribute name -> value) satisfies the constraint."""
+    """Whether the assignment (name -> value) satisfies the type-checked constraint."""
     return compile_constraint(c, tuple(asg))(tuple(asg.values()))
 
 
@@ -326,11 +345,13 @@ def evaluate(c: Constraint, asg: dict) -> bool:
 def compile_constraint(c: Constraint, names: tuple[str, ...]) -> Callable[[tuple], bool]:
     """The constraint as a test of value tuples laid out as `names`.
 
-    and/or short-circuit left to right, an attribute missing from `names`
-    raises KeyError when reached, and string values in arithmetic or ordered
-    comparisons raise SchemaError when reached. Memoized, because the engine
-    tests one predicate or check constraint over many relations (the oracle
-    evaluates one plan's few predicates once per database).
+    and/or short-circuit left to right, and an attribute missing from `names`
+    raises KeyError when reached. Types are not checked here: a constraint is
+    type-checked (`check_types`) when its schema is built, when a predicate
+    is validated and when a solver function takes it, so no comparison tests
+    its operands for strings. Memoized, because the engine tests one
+    predicate or check constraint over many relations (the oracle evaluates
+    one plan's few predicates once per database).
     """
     return _compile(c, _positions(names))
 
@@ -344,9 +365,9 @@ def _compile(c: Constraint, index: dict[str, int]) -> Callable[[tuple], bool]:
         value = c.value
         return lambda v: value
     if isinstance(c, Cmp):
-        return _compile_cmp(c, index)
+        return _binary(_CMP[c.op], _compile_term(c.left, index), _compile_term(c.right, index))
     if isinstance(c, InSet):
-        term, values = _compile_term(c.term, index)[0], c.values
+        term, values = _compile_term(c.term, index), frozenset(map(held_value, c.values))
         if c.negated:
             return lambda v: term(v) not in values
         return lambda v: term(v) in values
@@ -378,47 +399,25 @@ def _compile(c: Constraint, index: dict[str, int]) -> Callable[[tuple], bool]:
     raise TypeError(f"not a constraint: {c!r}")
 
 
-def _compile_cmp(c: Cmp, index: dict[str, int]) -> Callable[[tuple], bool]:
-    (left, left_str), (right, right_str) = _compile_term(c.left, index), _compile_term(c.right, index)
-    op = _CMP[c.op]
-    if c.op in ("=", "!=") or not (left_str or right_str):
-        return lambda v: op(left(v), right(v))
-    return _no_strings(op, left, right, f"ordered comparison {c.op} over strings")
-
-
-def _compile_term(t: Term, index: dict[str, int]) -> tuple[Callable[[tuple], object], bool]:
-    """(the term as a function of a value tuple, whether it may yield a string)."""
+def _compile_term(t: Term, index: dict[str, int]) -> Callable[[tuple], object]:
+    """The term as a function of a value tuple."""
     if isinstance(t, Lit):
-        value = t.value
-        if isinstance(value, Fraction) and value.denominator == 1:
-            value = value.numerator
-        return (lambda v: value), isinstance(value, str)
+        value = held_value(t.value)
+        return lambda v: value
     if isinstance(t, Attr):
         if t.name in index:
-            return operator.itemgetter(index[t.name]), True
+            return operator.itemgetter(index[t.name])
         name = t.name
 
         def missing(v):
             raise KeyError(name)
 
-        return missing, True
-    (left, left_str), (right, right_str) = _compile_term(t.left, index), _compile_term(t.right, index)
-    op = _ARITH[t.op]
-    if not (left_str or right_str):
-        return (lambda v: op(left(v), right(v))), False
-    return _no_strings(op, left, right, "arithmetic over string values"), False
+        return missing
+    return _binary(_ARITH[t.op], _compile_term(t.left, index), _compile_term(t.right, index))
 
 
-def _no_strings(op, left, right, message: str) -> Callable[[tuple], object]:
-    """op of the two operands' values; SchemaError(message) when either is a string."""
-
-    def apply(v):
-        lv, rv = left(v), right(v)
-        if isinstance(lv, str) or isinstance(rv, str):
-            raise SchemaError(message)
-        return op(lv, rv)
-
-    return apply
+def _binary(op, left, right) -> Callable[[tuple], object]:
+    return lambda v: op(left(v), right(v))
 
 
 def constraint_attrs(c: Constraint) -> set[str]:
@@ -577,7 +576,8 @@ class ConstrainedSchema:
 
     `aux` holds attributes that were projected or aggregated away: the
     constraint may still mention them (they are existentially quantified),
-    but they are not part of the relation's visible tuples.
+    but they are not part of the relation's visible tuples. The constraint
+    is type-checked here, once, so its compiled tests never check types.
     """
 
     name: str
@@ -591,11 +591,7 @@ class ConstrainedSchema:
             raise SchemaError(f"duplicate attribute names in schema {self.name!r}")
         if not self.attributes:
             raise SchemaError(f"schema {self.name!r} has no attributes")
-        loose = constraint_attrs(self.constraint) - set(names)
-        if loose:
-            raise SchemaError(
-                f"constraint of {self.name!r} mentions unknown attributes {sorted(loose)}"
-            )
+        check_types(self.constraint, self.all_domains())
 
     def attr_names(self) -> tuple[str, ...]:
         return tuple(a for a, _ in self.attributes)
@@ -819,7 +815,8 @@ def _cmp_linear(atom: Cmp) -> tuple[dict[str, Fraction], Fraction] | None:
 
 def _apply_cmp(box: _Box, atom: Cmp) -> bool | None:
     linear = _cmp_linear(atom)
-    if linear is not None:
+    # s = t over two string attributes has a linear form but is no arithmetic
+    if linear is not None and box.strs.keys().isdisjoint(linear[0]):
         coeffs, k = linear
         op = atom.op
         if op in ("<=", "<"):
@@ -880,8 +877,8 @@ def _apply_inset(box: _Box, atom: InSet) -> bool | None:
     term = atom.term
     if isinstance(term, Attr) and term.name in box.strs:
         allowed = box.strs[term.name]
-        values = {v for v in atom.values if isinstance(v, str)}
-        new = (allowed - values) if atom.negated else (allowed & values)
+        # check_types has made the set's values strings, like the attribute's
+        new = (allowed - atom.values) if atom.negated else (allowed & atom.values)
         if new != allowed:
             box.strs[term.name] = new
             return True
@@ -897,7 +894,7 @@ def _apply_inset(box: _Box, atom: InSet) -> bool | None:
     k = lf[1]
     if a not in box.nums:
         return False
-    vals = sorted((Fraction(v) - k) / c for v in atom.values if not isinstance(v, str))
+    vals = sorted((Fraction(v) - k) / c for v in atom.values)
     if not vals:
         return None
     interval = box.interval_of(a)
@@ -1042,7 +1039,7 @@ def _pinned_values(c: Constraint, attr: str) -> frozenset | None:
         lf = linear_form(c.term)
         if lf is not None and set(lf[0]) == {attr}:
             (_, cc), = lf[0].items()
-            return frozenset((Fraction(v) - lf[1]) / cc for v in c.values if not isinstance(v, str))
+            return frozenset((Fraction(v) - lf[1]) / cc for v in c.values)
         return None
     if isinstance(c, And):
         pin: frozenset | None = None
@@ -1065,12 +1062,16 @@ def _pinned_values(c: Constraint, attr: str) -> frozenset | None:
 def _finite_grid(
     nnf: Constraint, schema: ConstrainedSchema, cap: int
 ) -> tuple[str, dict[str, list] | None]:
-    """Candidate value lists per attribute.
+    """Candidate value lists per attribute, values held as `held_value` holds them.
 
     Returns (status, grid) with status one of 'ok', 'empty', 'infinite',
     'too-big'. The grid covers all solutions; enumeration still filters by
-    the constraint.
+    the constraint. Every solver function (`iter_solutions`,
+    `solution_count`, `attribute_bounds`, `satisfiable`) starts here, so the
+    constraint is type-checked here, once per call.
     """
+    domains = schema.all_domains()
+    check_types(nnf, domains)
     box = _struct_box(nnf, schema)
     if box is None:
         return "empty", None
@@ -1078,12 +1079,12 @@ def _finite_grid(
     total = 1
     too_big = False
     infinite = False
-    for a, dom in schema.all_domains().items():
+    for a, dom in domains.items():
         if dom.kind is DomainKind.STR_SET:
             values = sorted(box.strs[a])
         elif dom.kind is DomainKind.NUM_SET:
             interval = box.interval_of(a)
-            values = [v for v in dom.members if _within(v, *interval)]
+            values = [held_value(v) for v in dom.members if _within(v, *interval)]
         elif dom.kind is DomainKind.INT_RANGE:
             lo, hi, _, _ = box.interval_of(a)
             lo_i, hi_i = math.ceil(lo), math.floor(hi)
@@ -1092,19 +1093,22 @@ def _finite_grid(
                 too_big = True
                 values = []
             else:
-                values = [Fraction(v) for v in range(lo_i, hi_i + 1)]
+                values = list(range(lo_i, hi_i + 1))
         else:  # REAL_RANGE
             lo, hi, lo_open, hi_open = box.interval_of(a)
             if lo == hi and not lo_open and not hi_open:
-                values = [lo]
+                values = [held_value(lo)]
             else:
                 pinned = _pinned_values(nnf, a)
                 if pinned is None:
                     infinite = True
                     values = []
                 else:
+                    test = dom.member_test()
                     values = sorted(
-                        v for v in pinned if dom.contains(v) and _within(v, lo, hi, lo_open, hi_open)
+                        v
+                        for v in map(held_value, pinned)
+                        if test(v) and _within(v, lo, hi, lo_open, hi_open)
                     )
         if not infinite and not too_big:
             if not values:
@@ -1122,7 +1126,12 @@ def _finite_grid(
 
 def _satisfying(c: Constraint, grid: dict[str, list]) -> Iterator[tuple]:
     """The grid's value tuples (laid out as the grid's keys) that satisfy the
-    constraint, in grid order."""
+    constraint, in grid order.
+
+    The constraint has passed `check_types` in `_finite_grid`, and the grid
+    holds values as data does (`held_value`), so the compiled test checks no
+    types and runs on int arithmetic wherever the values are integral.
+    """
     # compiled once per grid and not memoized: the memo would keep each
     # analysed constraint alive for no reuse worth its memory
     return filter(_compile(c, _positions(grid)), itertools.product(*grid.values()))
@@ -1206,7 +1215,7 @@ def attribute_bounds(
             hi = v if hi is None or v > hi else hi
         if lo is None:
             return Bounds.make_empty()
-        return Bounds(lo, hi)
+        return Bounds(Fraction(lo), Fraction(hi))  # grid values may be int
     hull = _hull(_branch_boxes(nnf, schema, dnf_cap))
     if hull is None:
         return Bounds.make_empty()
@@ -1269,16 +1278,17 @@ def _witness_candidates(box: _Box, schema: ConstrainedSchema) -> Iterator[tuple]
             hi_c = hi if not hi_open else (lo + hi * 3) / 4
             cands = [mid, lo_c, hi_c]
         if dom.kind is DomainKind.INT_RANGE:
-            ints: list[Fraction] = []
+            ints: list[int] = []
             for v in cands:
-                iv = Fraction(math.floor(v))
+                iv = math.floor(v)
                 for candidate in (iv, iv + 1):
                     if lo <= candidate <= hi and candidate not in ints:
                         ints.append(candidate)
             cands = ints
+        test = dom.member_test()
         seen: list = []
-        for v in cands:
-            if v not in seen and dom.contains(v):
+        for v in map(held_value, cands):
+            if v not in seen and test(v):
                 seen.append(v)
         pools.append(seen)
     if not all(pools):

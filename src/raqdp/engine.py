@@ -1,9 +1,12 @@
 """Set-semantics evaluation of query plans over in-memory relations.
 
 Relations are frozen sets of value tuples; every value is an exact rational
-or a string, and an integral value is held as an `int` (equal and hash-equal
-to its `Fraction`). Loading validates each row against the schema's domains
-and check constraint, so evaluation can assume constraint-valid inputs.
+or a string, held as `constraints.held_value` holds it: an integral value is
+an `int` (equal and hash-equal to its `Fraction`), as in the solution grids
+of static analysis. Loading validates each row against the schema's domains
+(`Domain.member_test`) and compiled check constraint, so evaluation can
+assume constraint-valid inputs. Types are checked when a schema is built and
+when a query is validated, never per row.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union as TUnion
 
-from .constraints import Bounds, ConstrainedSchema, Domain, DomainKind, compile_constraint
+from .constraints import Bounds, ConstrainedSchema, compile_constraint, held_value
 from .errors import DataError, EvalError
+from .extmath import too_many_digits
 from .query import (
     AggFn,
     Difference,
@@ -51,7 +55,7 @@ class Relation:
         out = set()
         violations: list[str] = []
         for i, row in enumerate(rows):
-            cells = tuple(map(_cell, row))
+            cells = tuple(map(held_value, row))
             problem = check(i + 1, cells)
             if problem:
                 violations.append(problem)
@@ -64,22 +68,9 @@ class Relation:
         return cls(schema, frozenset(out))
 
 
-def _cell(v):
-    """A value as relations hold it: an integral number as int, any other
-    rational as Fraction, a string as str. Any other value comes back
-    unchanged, and no domain test accepts it."""
-    if isinstance(v, bool) or not isinstance(v, (int, Fraction, str)):
-        return v
-    if isinstance(v, str):
-        return str(v)
-    if isinstance(v, int):
-        return int(v)
-    return v.numerator if v.denominator == 1 else Fraction(v)
-
-
 def _number_parser(attr: str):
-    """A parser of the attribute's CSV cells into numbers as `_cell` holds
-    them. It accepts what `Fraction(text)` accepts, trying `int` first."""
+    """A parser of the attribute's CSV cells into numbers as `held_value`
+    holds them. It accepts what `Fraction(text)` accepts, trying `int` first."""
 
     def parse(text: str):
         try:
@@ -87,40 +78,23 @@ def _number_parser(attr: str):
         except ValueError:
             pass
         try:
-            return _cell(Fraction(text))
+            return held_value(Fraction(text))
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"{attr} = {text!r} is not a number") from None
+            error = too_many_digits(text, f"{attr} = {text[:20]!r}...")
+            raise error or ValueError(f"{attr} = {text!r} is not a number") from None
 
     return parse
-
-
-_NUMBER_TYPES = frozenset({int, Fraction})
-
-
-def _domain_test(dom: Domain):
-    """A membership test of the domain for values as `_cell` holds them."""
-    if dom.kind is DomainKind.STR_SET:
-        members = frozenset(dom.members)
-        return lambda v: v.__class__ is str and v in members
-    if dom.kind is DomainKind.INT_RANGE:
-        lo, hi = int(dom.lower), int(dom.upper)
-        return lambda v: v.__class__ is int and lo <= v <= hi
-    if dom.kind is DomainKind.NUM_SET:
-        members = frozenset(dom.members)
-        return lambda v: v.__class__ in _NUMBER_TYPES and v in members
-    lo, hi = dom.lower, dom.upper
-    return lambda v: v.__class__ in _NUMBER_TYPES and lo <= v <= hi
 
 
 def _row_checker(schema: ConstrainedSchema):
     """check(label, cells): the first violation of one row, or None.
 
-    The cells are held as `_cell` holds them. The row is tested for its
+    The cells are held as `held_value` holds them. The row is tested for its
     arity, then cell by cell against its domain, then against the schema's
     compiled check constraint.
     """
     names = schema.attr_names()
-    columns = tuple((a, _domain_test(schema.domain(a))) for a in names)
+    columns = tuple((a, schema.domain(a).member_test()) for a in names)
     satisfies = compile_constraint(schema.constraint, names)
 
     def check(label, cells: tuple) -> str | None:
@@ -128,7 +102,7 @@ def _row_checker(schema: ConstrainedSchema):
             return f"row {label}: expected {len(columns)} values, got {len(cells)}"
         for (a, test), v in zip(columns, cells):
             if not test(v):
-                if v.__class__ not in _NUMBER_TYPES and v.__class__ is not str:
+                if v.__class__ not in (int, Fraction, str):
                     return f"row {label}: unsupported value {v!r} for {a}"
                 return f"row {label}: {a} = {v} outside its domain"
         return None if satisfies(cells) else f"row {label}: violates the check constraint"

@@ -7,6 +7,7 @@ against them). Floats proper appear at reporting and noise-sampling time only.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 INF = float("inf")
@@ -30,13 +31,26 @@ def ext_mul(a: Ext, b: Ext) -> Ext:
     return a * b
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q', integer, or decimal text into an exact Fraction."""
+def parse_rational(text: str, name: str) -> Fraction:
+    """Parse 'p/q', integer, or decimal text into an exact Fraction; text that
+    is not a number, or has too many digits, raises a ValueError naming `name`."""
     s = text.strip()
-    if "/" in s:
-        num, _, den = s.partition("/")
-        return Fraction(int(num.strip()), int(den.strip()))
-    return Fraction(s)  # Fraction accepts '3' and '1.5' exactly
+    try:
+        if "/" in s:
+            num, _, den = s.partition("/")
+            return Fraction(int(num.strip()), int(den.strip()))
+        return Fraction(s)  # Fraction accepts '3' and '1.5' exactly
+    except (ValueError, ZeroDivisionError):
+        raise too_many_digits(s, name) or ValueError(f"{name} is not a number: {s[:20]!r}") from None
+
+
+def too_many_digits(text: str, name: str) -> ValueError | None:
+    """The error for number text with more decimal digits than Python turns
+    into an int (`sys.get_int_max_str_digits`), naming `name`; else None."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (before 3.10.7)
+    if limit and sum(map(str.isdecimal, text)) > limit:
+        return ValueError(f"{name} has more than {limit} digits")
+    return None
 
 
 def to_double(x: Ext, name: str) -> float:

@@ -25,13 +25,12 @@ from .constraints import (
     InSet,
     Lit,
     Not,
-    check_types,
     format_constraint,
     make_and,
     make_or,
 )
 from .errors import ParseError
-from .extmath import INF, NEG_INF
+from .extmath import INF, NEG_INF, too_many_digits
 from .query import (
     AggFn,
     Difference,
@@ -90,7 +89,11 @@ def tokenize(text: str) -> list[Token]:
         lexeme = m.group(0)
         kind = m.lastgroup
         if kind == "num":
-            tokens.append(Token("num", lexeme, Fraction(lexeme), line, col))
+            try:
+                value = Fraction(lexeme)
+            except ValueError:  # the lexeme is digits: it is past Python's digit limit
+                raise ParseError(str(too_many_digits(lexeme, "number")), line, col) from None
+            tokens.append(Token("num", lexeme, value, line, col))
         elif kind == "str":
             raw = lexeme[1:-1]
             value = re.sub(r"\\(.)", r"\1", raw)
@@ -355,8 +358,6 @@ class _Parser:
             self.expect_op("}")
         tok = self.peek()
         try:
-            domains = dict(attrs)
-            check_types(check, domains)
             return ConstrainedSchema(name, tuple(attrs), check)
         except Exception as exc:
             raise ParseError(str(exc), tok.line, tok.col) from exc

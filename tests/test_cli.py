@@ -384,6 +384,38 @@ def test_dp_run_epsilon_below_double_range_exits_2(workspace, capsys):
     assert err.startswith("error:") and "epsilon" in err
 
 
+def test_numbers_past_the_digit_limit_exit_2_and_say_where(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    digits = "1" + "0" * limit
+    long_schema = write(tmp_path, "long.schema", f"relation R {{ x: real [0, {digits}] }}")
+    schema = write(tmp_path, "s.schema", "relation R { x: real [0, 9] }")
+    query = write(tmp_path, "q.raq", "sum(x) of R")
+    long_query = write(tmp_path, "long.raq", f"sum(x) of select x <= {digits} from R")
+    data = write(tmp_path, "r.csv", "x\n1\n")
+    for argv, col in (([long_schema, query], 26), ([schema, long_query], 23)):
+        assert main(["analyze", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: number has more than {limit} digits (line 1, col {col})\n"
+        )
+    assert main(["dp-run", schema, query, "--data", f"R={data}", "--epsilon", digits]) == 2
+    assert capsys.readouterr().err == f"error: epsilon has more than {limit} digits\n"
+
+
+@pytest.mark.parametrize("text", ["abc", "1/0", "1/x", "2/-0"])
+def test_number_options_that_are_not_numbers_name_the_option(tmp_path, capsys, text):
+    schema = write(tmp_path, "s.schema", "relation R { x: real [0, 9] }")
+    query = write(tmp_path, "q.raq", "sum(x) of R")
+    data = write(tmp_path, "r.csv", "x\n1\n")
+    assert main(["dp-run", schema, query, "--data", f"R={data}", f"--epsilon={text}"]) == 2
+    assert capsys.readouterr().err == f"error: epsilon is not a number: {text!r}\n"
+    assert main(["analyze", schema, query, "--delta-override", f"restriction={text}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --delta-override restriction is not a number: {text!r}\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract, checked on a separate interpreter so that an uncaught
 # exception shows as its traceback and exit code 1

@@ -299,3 +299,104 @@ def test_make_and_or_flattening():
 def test_constraint_attrs():
     c = parse_constraint("a + b <= 3 and c in {1}")
     assert constraint_attrs(c) == {"a", "b", "c"}
+
+
+# ---------------------------------------------------------------------------
+# One value form: grids hold integral values as int, as data does
+
+
+def test_solutions_hold_integral_values_as_int():
+    from raqdp.oracle import enumerate_tuples
+
+    schema = parse_schemas(
+        "relation R { a: int [0, 2]; n: num in {1, 5/2}; x: real [0, 10]; y: real [0, 10] }"
+        " check { y = 4 and (x = 3 or x = 7/2) }"
+    )["R"]
+    solutions = list(iter_solutions(initial_constraint(schema), schema))
+    assert solutions and enumerate_tuples(schema) == tuple(solutions)
+    assert {t[1] for t in solutions} == {1, Fraction(5, 2)}
+    assert {t[2] for t in solutions} == {3, Fraction(7, 2)}
+    assert {t[3] for t in solutions} == {4}
+    for t in solutions:
+        for v in t:
+            assert type(v) is (int if v.denominator == 1 else Fraction), t
+
+
+def test_attribute_bounds_endpoints_are_fractions():
+    small = small_schema()  # a 4 x 3 grid: exact enumeration
+    wide = ConstrainedSchema("W", (ints("a", 0, 10**6),))  # past the budget: narrowing
+    exact = attribute_bounds(initial_constraint(small), small, "a")
+    narrowed = attribute_bounds(initial_constraint(wide), wide, "a")
+    assert (exact.lower, exact.upper) == (0, 3)
+    assert (narrowed.lower, narrowed.upper) == (0, 10**6)
+    for b in (exact, narrowed):
+        assert type(b.lower) is Fraction and type(b.upper) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# One type check: when a schema is built, a predicate validated or a solver called
+
+
+def strings_schema(constraint=TRUE):
+    return ConstrainedSchema("S", (("s", Domain.str_set({"a", "b"})), ints("k", 0, 3)), constraint)
+
+
+@pytest.mark.parametrize("text", ['s < "b"', 's + s = "aa"', "s + k = 1", 'k = "a"', "k in {\"a\"}"])
+def test_schema_with_ill_typed_check_is_refused_when_built(text):
+    with pytest.raises(SchemaError):
+        strings_schema(parse_constraint(text))
+
+
+def test_solver_functions_check_types_once_per_call():
+    schema = strings_schema()
+    c = parse_constraint('s + s = "aa"')
+    with pytest.raises(SchemaError):
+        iter_solutions(c, schema)
+    for call in (solution_count, diameter, satisfiable):
+        with pytest.raises(SchemaError):
+            call(c, schema)
+    with pytest.raises(SchemaError):
+        attribute_bounds(c, schema, "k")
+
+
+def test_contains_agrees_with_from_rows():
+    from raqdp.engine import Relation
+    from raqdp.errors import DataError
+
+    domains = [
+        Domain.int_range(0, 5),
+        Domain.real_range(0, 5),
+        Domain.num_set({3, Fraction(1, 2)}),
+        Domain.str_set({"x"}),
+    ]
+    values = (3, Fraction(3), Fraction(1, 2), 0.5, True, "x")
+    accepted = [
+        (True, True, False, False, False, False),
+        (True, True, True, False, False, False),
+        (True, True, True, False, False, False),
+        (False, False, False, False, False, True),
+    ]
+    for dom, want in zip(domains, accepted):
+        schema = ConstrainedSchema("R", (("v", dom),))
+        loads = []
+        for value in values:
+            try:
+                Relation.from_rows(schema, [(value,)])
+                loads.append(True)
+            except DataError:
+                loads.append(False)
+        assert tuple(dom.contains(v) for v in values) == tuple(loads) == want, dom.kind
+
+
+def test_equality_between_string_attributes_narrows_as_strings():
+    schema = parse_schemas(
+        'relation R { a: string in {"x", "y"}; b: string in {"x", "y", "z"}; k: int [0, 2] }'
+        " check { a = b and k <= 1 }"
+    )["R"]
+    c = initial_constraint(schema)
+    assert sorted(iter_solutions(c, schema)) == [
+        ("x", "x", 0), ("x", "x", 1), ("y", "y", 0), ("y", "y", 1)
+    ]
+    # enum_cap 1 takes the narrowing path, which read a = b as linear arithmetic
+    assert attribute_bounds(c, schema, "k", enum_cap=1) == Bounds(Fraction(0), Fraction(1))
+    assert satisfiable(make_and([c, parse_constraint('b = "z"')]), schema, enum_cap=1) == "no"

@@ -1,6 +1,7 @@
 """Evaluation semantics: the reference tables, CSV loading, identities."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -525,3 +526,14 @@ def test_release_shapes_match_plain_python(tmp_path):
 
     as_fractions = [(Fraction(i), n, Fraction(w), Fraction(h)) for i, n, w, h in people]
     assert Relation.from_rows(schemas["People"], as_fractions).tuples == db["People"].tuples
+
+
+def test_csv_cell_past_the_digit_limit_says_so_briefly(tmp_path):
+    limit = sys.get_int_max_str_digits()
+    schemas = parse_schemas("relation R { x: real [-inf, inf] }")
+    data = write_csv(tmp_path, "x\n1" + "0" * limit + "\n")
+    with pytest.raises(DataError) as exc:
+        load_csv(schemas["R"], data)
+    (line,) = exc.value.violations
+    assert line.startswith("row 1: x = '1000") and line.endswith(f"has more than {limit} digits")
+    assert len(line) < 80

@@ -179,3 +179,13 @@ def test_max_size_cap_restricts_databases():
     tq = parse_query("sum(a) of R")
     res = brute_sensitivity(tq, capped)
     assert res.value == 2
+
+
+def test_avg_over_an_enumerated_universe_stays_exact():
+    # the empty database takes avg's default, the midpoint 3/2 of a's range
+    # [0, 3]: exact only while attribute_bounds returns Fraction endpoints
+    tq, _, universe = universe_for("avg(a) of R", "relation R { a: int [0, 3] }")
+    brute = brute_sensitivity(tq, universe)
+    ratio = brute_sensitivity_ratio(tq, universe)
+    assert brute.value == ratio == Fraction(3, 2)
+    assert type(brute.value) is Fraction and type(ratio) is Fraction

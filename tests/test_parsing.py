@@ -1,5 +1,6 @@
 """Parser and printer: schemas, constraints, queries, error positions."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,20 @@ def test_parse_error_carries_position():
         assert e.line == 1 and e.col >= 5
     else:
         pytest.fail("expected a parse error")
+
+
+def test_number_past_the_digit_limit_is_a_parse_error_at_its_position():
+    limit = sys.get_int_max_str_digits()
+    digits = "1" + "0" * limit
+    cases = [
+        (parse_schemas, f"relation R {{\n  x: real [0, {digits}]\n}}", (2, 15)),
+        (parse_query, f"count of\n  select x <= {digits}.5 from R", (2, 15)),
+    ]
+    for parse, text, (line, col) in cases:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
+        assert str(exc.value) == f"number has more than {limit} digits (line {line}, col {col})"
 
 
 # ---------------------------------------------------------------------------

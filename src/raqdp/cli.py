@@ -287,8 +287,20 @@ _EXIT_CODES = (
 )
 
 
-def _check_counts(args) -> None:
-    """Caps and sample counts are counts: a negative one is an input error."""
+_REPEATABLE = frozenset({"data", "delta_override"})
+
+
+def _check_options(args) -> None:
+    """Refuse option values that argparse lets through but no command can use.
+
+    For `--opt=--` argparse stores an empty list, for a repeatable option
+    inside its list, where every option here takes one string or number.
+    Caps and sample counts are counts: a negative one is an input error.
+    """
+    for dest, value in vars(args).items():
+        values = value if dest in _REPEATABLE else [value]
+        if any(isinstance(v, list) for v in values):
+            raise ValueError(f"--{dest.replace('_', '-')} needs a value, got '--'")
     for name in ("enum_cap", "dnf_cap", "universe_cap", "samples"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
@@ -298,7 +310,7 @@ def _check_counts(args) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_counts(args)
+        _check_options(args)
         return _COMMANDS[args.command](args)
     except Exception as e:
         code = next((code for classes, code in _EXIT_CODES if isinstance(e, classes)), None)

@@ -7,11 +7,15 @@ of static analysis. Loading validates each row against the schema's domains
 (`Domain.member_test`) and compiled check constraint, so evaluation can
 assume constraint-valid inputs. Types are checked when a schema is built and
 when a query is validated, never per row.
+
+A plan is compiled once (`compile_plan`, `compile_query`) into a function of
+databases; `eval_plan` and `answer` compile and run it once.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union as TUnion
@@ -169,24 +173,149 @@ def tuple_key(t: tuple):
 def apply_agg(fn: AggFn, relation: Relation, bounds: Bounds | None = None) -> Fraction:
     """Totalized aggregation: an empty input takes the default for the
     aggregated attribute's value range `bounds` (see `default_aggregate`)."""
-    tuples = relation.tuples
-    if not tuples:
-        return default_aggregate(fn, bounds)
+    return _compile_agg(fn, relation.schema, bounds)(relation.tuples)
+
+
+def _compile_agg(fn: AggFn, schema: ConstrainedSchema, bounds: Bounds | None = None):
+    """agg(tuples): `apply_agg` over tuples laid out as `schema`.
+
+    Cells may be int: each result is made a Fraction once, at the end.
+    """
+    empty = default_aggregate(fn, bounds)
     if fn.kind == "count":
-        return Fraction(len(tuples))
-    idx = relation.schema.index(fn.attr)
-    values = [t[idx] for t in tuples]
-    # cells may be int: each result is made a Fraction once, at the end
-    if fn.kind == "max":
-        return Fraction(max(values))
-    if fn.kind == "min":
-        return Fraction(min(values))
-    total = Fraction(sum(values))
-    return total if fn.kind == "sum" else total / len(values)
+        return lambda tuples: Fraction(len(tuples)) if tuples else empty
+    idx, kind = schema.index(fn.attr), fn.kind
+    fold = {"max": max, "min": min, "sum": sum, "avg": sum}[kind]
+
+    def agg(tuples) -> Fraction:
+        if not tuples:
+            return empty
+        total = Fraction(fold([t[idx] for t in tuples]))
+        return total / len(tuples) if kind == "avg" else total
+
+    return agg
 
 
 # ---------------------------------------------------------------------------
-# Plan evaluation
+# Plan evaluation: a plan compiled once into a function of databases
+
+
+def compile_plan(plan: Plan, node_schemas: dict, trace: list | None = None):
+    """run(db): the plan's output tuples over `db`, a frozenset.
+
+    `node_schemas` is the map `validate` returns. Every lookup in it is made
+    here, once: each node's schema, projection indices, compiled predicate
+    and aggregate range, so a run over one database is set operations only
+    (the oracle runs one compiled plan per database). With `trace`, each node
+    appends (operator, output rows) when it finishes: children before their
+    parent, in the order the node evaluates them, which is left before right
+    and `single` before `source`, but the right operand first for product-n
+    and product-agg.
+    """
+    run = _compile_node(plan, node_schemas, trace)
+    if trace is None:
+        return run
+    name = op_name(plan)
+
+    def traced(db) -> frozenset:
+        out = run(db)
+        trace.append((name, len(out)))
+        return out
+
+    return traced
+
+
+def _compile_node(plan: Plan, node_schemas: dict, trace: list | None):
+    def sub(child):
+        return compile_plan(child, node_schemas, trace)
+
+    if isinstance(plan, Id):
+        name = plan.relation
+
+        def read(db) -> frozenset:
+            if name not in db:
+                raise EvalError(f"no data loaded for relation {name!r}")
+            return frozenset(db[name].tuples)
+
+        return read
+    if isinstance(plan, (Union, Intersection, Difference, Product)):
+        left, right = sub(plan.left), sub(plan.right)
+        op = _BINARY[type(plan)]
+        return lambda db: op(left(db), right(db))
+    if isinstance(plan, Restriction):
+        source = sub(plan.source)
+        test = compile_constraint(plan.predicate, node_schemas[plan.source].attr_names())
+        return lambda db: frozenset(filter(test, source(db)))
+    if isinstance(plan, Projection):
+        source = sub(plan.source)
+        cells = _cells(node_schemas[plan.source], plan.attrs)
+        return lambda db: frozenset(map(cells, source(db)))
+    if isinstance(plan, ProductOne):
+        single, source = sub(plan.single), sub(plan.source)
+
+        def product_one(db) -> frozenset:
+            row = single(db)
+            if len(row) != 1:
+                raise EvalError(
+                    f"one-sided product requires exactly one tuple, found {len(row)}"
+                )
+            return _cross(row, source(db))
+
+        return product_one
+    if isinstance(plan, ProductN):
+        left, right, n = sub(plan.left), sub(plan.right), plan.n
+
+        def product_n(db) -> frozenset:
+            block = sorted(right(db), key=tuple_key)[:n]
+            return _cross(left(db), block)
+
+        return product_n
+    if isinstance(plan, ProductAgg):
+        left, right = sub(plan.left), sub(plan.right)
+        agg = _compile_agg(
+            plan.fn, node_schemas[plan.right], node_schemas[TopQuery(plan.fn, plan.right)]
+        )
+
+        def product_agg(db) -> frozenset:
+            value = (agg(right(db)),)
+            return frozenset(l + value for l in left(db))
+
+        return product_agg
+    if isinstance(plan, GroupAggregate):
+        source = sub(plan.source)
+        schema = node_schemas[plan.source]
+        key = _cells(schema, plan.group_attrs)
+        aggs = [_compile_agg(f, schema) for f in plan.fns]
+
+        def group(db) -> frozenset:
+            groups: dict[tuple, list] = {}
+            for t in source(db):
+                groups.setdefault(key(t), []).append(t)
+            return frozenset(k + tuple(agg(ts) for agg in aggs) for k, ts in groups.items())
+
+        return group
+    raise TypeError(f"not a plan node: {plan!r}")
+
+
+def _cells(schema: ConstrainedSchema, attrs: tuple[str, ...]):
+    """t -> the tuple of t's cells for `attrs`, t laid out as `schema`."""
+    idxs = [schema.index(a) for a in attrs]
+    if len(idxs) == 1:
+        i = idxs[0]
+        return lambda t: (t[i],)
+    return operator.itemgetter(*idxs) if idxs else lambda t: ()
+
+
+def _cross(left, right) -> frozenset:
+    return frozenset(l + r for l in left for r in right)
+
+
+_BINARY = {
+    Union: operator.or_,
+    Intersection: operator.and_,
+    Difference: operator.sub,
+    Product: _cross,
+}
 
 
 def eval_plan(
@@ -197,75 +326,14 @@ def eval_plan(
     trace: list | None = None,
 ) -> Relation:
     """The plan's output over `db`; `node_schemas` is the map `validate` returns."""
-    schema = node_schemas[plan]
-
-    def rec(child):
-        return eval_plan(child, db, node_schemas, trace=trace)
-
-    if isinstance(plan, Id):
-        if plan.relation not in db:
-            raise EvalError(f"no data loaded for relation {plan.relation!r}")
-        tuples = db[plan.relation].tuples
-    elif isinstance(plan, Union):
-        tuples = rec(plan.left).tuples | rec(plan.right).tuples
-    elif isinstance(plan, Intersection):
-        tuples = rec(plan.left).tuples & rec(plan.right).tuples
-    elif isinstance(plan, Difference):
-        tuples = rec(plan.left).tuples - rec(plan.right).tuples
-    elif isinstance(plan, Restriction):
-        source = rec(plan.source)
-        test = compile_constraint(plan.predicate, source.schema.attr_names())
-        tuples = frozenset(filter(test, source.tuples))
-    elif isinstance(plan, Projection):
-        source = rec(plan.source)
-        idxs = [source.schema.index(a) for a in plan.attrs]
-        tuples = frozenset(tuple(t[i] for i in idxs) for t in source.tuples)
-    elif isinstance(plan, Product):
-        tuples = _cross(rec(plan.left).tuples, rec(plan.right).tuples)
-    elif isinstance(plan, ProductOne):
-        single = rec(plan.single)
-        if len(single) != 1:
-            raise EvalError(
-                f"one-sided product requires exactly one tuple, found {len(single)}"
-            )
-        tuples = _cross(single.tuples, rec(plan.source).tuples)
-    elif isinstance(plan, ProductN):
-        right = rec(plan.right)
-        block = sorted(right.tuples, key=tuple_key)[: plan.n]
-        tuples = _cross(rec(plan.left).tuples, block)
-    elif isinstance(plan, ProductAgg):
-        right = rec(plan.right)
-        value = apply_agg(plan.fn, right, node_schemas[TopQuery(plan.fn, plan.right)])
-        tuples = frozenset(l + (value,) for l in rec(plan.left).tuples)
-    elif isinstance(plan, GroupAggregate):
-        source = rec(plan.source)
-        tuples = _group_rows(plan, source)
-    else:
-        raise TypeError(f"not a plan node: {plan!r}")
-
-    out = Relation(schema, frozenset(tuples))
-    if trace is not None:
-        trace.append((op_name(plan), len(out)))
-    return out
+    return Relation(node_schemas[plan], compile_plan(plan, node_schemas, trace)(db))
 
 
-def _cross(left, right) -> frozenset:
-    return frozenset(l + r for l in left for r in right)
-
-
-def _group_rows(plan: GroupAggregate, source: Relation) -> frozenset:
-    if not source.tuples:
-        return frozenset()
-    key_idx = [source.schema.index(a) for a in plan.group_attrs]
-    groups: dict[tuple, list] = {}
-    for t in source.tuples:
-        groups.setdefault(tuple(t[i] for i in key_idx), []).append(t)
-    rows = set()
-    for key, members in groups.items():
-        member_rel = Relation(source.schema, frozenset(members))
-        aggs = tuple(apply_agg(f, member_rel) for f in plan.fns)
-        rows.add(key + aggs)
-    return frozenset(rows)
+def compile_query(tq: TopQuery, node_schemas: dict, trace: list | None = None):
+    """value(db): the exact value of the query's top-level aggregation over `db`."""
+    body = compile_plan(tq.body, node_schemas, trace)
+    agg = _compile_agg(tq.fn, node_schemas[tq.body], node_schemas[tq])
+    return lambda db: agg(body(db))
 
 
 def answer(
@@ -276,5 +344,4 @@ def answer(
     trace: list | None = None,
 ) -> Fraction:
     """The exact value of the query's top-level aggregation."""
-    body = eval_plan(tq.body, db, node_schemas, trace=trace)
-    return apply_agg(tq.fn, body, node_schemas[tq])
+    return compile_query(tq, node_schemas, trace)(db)

@@ -5,16 +5,23 @@ database over the admissible tuple universes, evaluate the query exactly,
 and take the worst change across adjacent databases. An adjacency step may
 add or remove at most one tuple in each sensitive relation (at least one
 relation changes); fixed context relations never change.
+
+The query is compiled once (`engine.compile_query`) and run once per
+database: 2^n runs over a universe of n tuples, fewer when a relation's size
+is capped. The exact values are then put over one common denominator, so
+each adjacent pair costs one integer comparison. The combined universe is
+capped at `DEFAULT_UNIVERSE_CAP` = 12 tuples unless the caller asks for more.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .constraints import ConstrainedSchema, initial_constraint, iter_solutions
-from .engine import Relation, answer, eval_plan
+from .engine import Relation, compile_plan, compile_query
 from .errors import OracleError
 from .query import Plan, TopQuery, base_relations, validate, validate_plan
 
@@ -119,18 +126,33 @@ def _members(sr: SensitiveRelation, mask: int) -> list:
 
 def _database_values(tq: TopQuery, universe: Universe, node_schemas: dict) -> dict:
     """Exact query value for every admissible database, keyed by bitmask vector."""
-    return {combo: answer(tq, db, node_schemas) for combo, db in _databases(universe)}
+    value = compile_query(tq, node_schemas)
+    return {combo: value(db) for combo, db in _databases(universe)}
 
 
-def _adjacent(combo: tuple[int, ...], universe: Universe):
-    """All databases one step away: toggle at most one tuple per relation."""
-    per_rel = []
-    for sr, mask in zip(universe.sensitive, combo):
-        options = [mask] + [mask ^ (1 << j) for j in range(len(sr.universe))]
-        per_rel.append(options)
-    for neighbor in itertools.product(*per_rel):
-        if neighbor != combo:
-            yield neighbor
+def _scaled(values: dict) -> tuple[dict, int]:
+    """The values over their least common denominator: (numerators, denominator)."""
+    scale = math.lcm(*(v.denominator for v in values.values()))
+    return {combo: v.numerator * (scale // v.denominator) for combo, v in values.items()}, scale
+
+
+def _later_neighbors(combo: tuple[int, ...], universe: Universe) -> list:
+    """The databases one step away (toggle at most one tuple per relation)
+    that `_databases` yields after `combo`.
+
+    With one relation these are the masks with one more bit set. With more,
+    they keep the order of the product of each relation's options: keep the
+    mask, then toggle bit 0, 1, ... of it.
+    """
+    if len(combo) == 1:
+        (mask,) = combo
+        bits = (1 << j for j in range(len(universe.sensitive[0].universe)))
+        return [(mask | bit,) for bit in bits if not mask & bit]
+    options = [
+        [mask] + [mask ^ (1 << j) for j in range(len(sr.universe))]
+        for sr, mask in zip(universe.sensitive, combo)
+    ]
+    return [neighbor for neighbor in itertools.product(*options) if neighbor > combo]
 
 
 def _witness(universe: Universe, combo: tuple[int, ...]) -> dict:
@@ -140,22 +162,28 @@ def _witness(universe: Universe, combo: tuple[int, ...]) -> dict:
 def brute_sensitivity(
     tq: TopQuery, universe: Universe, node_schemas: dict | None = None
 ) -> BruteResult:
-    """Worst |answer difference| over adjacent databases, by full enumeration."""
+    """Worst |answer difference| over adjacent databases, by full enumeration.
+
+    Each adjacent pair is compared once, from its earlier database in
+    `_databases` order, in integers over the values' common denominator. The
+    witness is the first pair, in that order, that reaches the worst change.
+    """
     if node_schemas is None:
         node_schemas = validate(tq, universe.schemas())
-    values = _database_values(tq, universe, node_schemas)
-    best = Fraction(0)
-    witness = None
+    values, scale = _scaled(_database_values(tq, universe, node_schemas))
+    best = 0
+    worst = None
     for combo, value in values.items():
-        for neighbor in _adjacent(combo, universe):
+        for neighbor in _later_neighbors(combo, universe):
             other = values.get(neighbor)
             if other is None:
                 continue  # neighbor over-filled a size-capped relation
             diff = abs(value - other)
             if diff > best:
                 best = diff
-                witness = (_witness(universe, combo), _witness(universe, neighbor))
-    return BruteResult(best, witness)
+                worst = combo, neighbor
+    witness = None if worst is None else tuple(_witness(universe, c) for c in worst)
+    return BruteResult(Fraction(best, scale), witness)
 
 
 def _pair_distance(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -166,17 +194,18 @@ def _pair_distance(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 def _pairwise_sup(values: dict, diff) -> Fraction:
     """sup over pairs of distinct databases of diff(their values) / their distance.
 
-    The keys are distinct mask vectors, so every distance is at least 1.
+    `diff` returns an int. The keys are distinct mask vectors, so every
+    distance is at least 1; ratios are compared by cross-multiplying.
     """
     combos = list(values)
-    best = Fraction(0)
+    best, best_distance = 0, 1
     for i, a in enumerate(combos):
         va = values[a]
         for b in combos[i + 1 :]:
-            ratio = diff(va, values[b]) / _pair_distance(a, b)
-            if ratio > best:
-                best = ratio
-    return best
+            d, distance = diff(va, values[b]), _pair_distance(a, b)
+            if d * best_distance > best * distance:
+                best, best_distance = d, distance
+    return Fraction(best, best_distance)
 
 
 def brute_sensitivity_ratio(
@@ -189,8 +218,8 @@ def brute_sensitivity_ratio(
     """
     if node_schemas is None:
         node_schemas = validate(tq, universe.schemas())
-    values = _database_values(tq, universe, node_schemas)
-    return _pairwise_sup(values, lambda x, y: abs(x - y))
+    values, scale = _scaled(_database_values(tq, universe, node_schemas))
+    return _pairwise_sup(values, lambda x, y: abs(x - y)) / scale
 
 
 def brute_lipschitz(
@@ -199,5 +228,6 @@ def brute_lipschitz(
     """sup over database pairs of (output symmetric difference) / distance."""
     if node_schemas is None:
         node_schemas = validate_plan(plan, universe.schemas())
-    outputs = {combo: eval_plan(plan, db, node_schemas).tuples for combo, db in _databases(universe)}
-    return _pairwise_sup(outputs, lambda x, y: Fraction(len(x ^ y)))
+    run = compile_plan(plan, node_schemas)
+    outputs = {combo: run(db) for combo, db in _databases(universe)}
+    return _pairwise_sup(outputs, lambda x, y: len(x ^ y))

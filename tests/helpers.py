@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,9 +17,16 @@ from raqdp.constraints import (
     solution_count,
     initial_constraint,
 )
-from raqdp.engine import Relation
+from raqdp.engine import Relation, answer
 from raqdp.errors import ValidationError
-from raqdp.oracle import SensitiveRelation, Universe, enumerate_tuples
+from raqdp.oracle import (
+    BruteResult,
+    SensitiveRelation,
+    Universe,
+    _databases,
+    _witness,
+    enumerate_tuples,
+)
 from raqdp.parsing import parse_schemas
 from raqdp.query import (
     AggFn,
@@ -162,3 +170,34 @@ def random_case(rng: random.Random, max_solutions: int = 6, depth: int = 4):
             (("K", Relation(k_schema, frozenset({(Fraction(7),)}))),),
         )
         return tq, schemas, universe
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the adjacent-pair search in its plainest form
+
+
+def reference_brute_sensitivity(tq: TopQuery, universe: Universe) -> BruteResult:
+    """Worst |answer difference| over adjacent databases, in Fractions.
+
+    Each database is evaluated with `answer`, and every ordered adjacent pair
+    is compared (so each pair twice), in enumeration order; the first pair
+    reaching the worst change is the witness.
+    """
+    node_schemas = validate(tq, universe.schemas())
+    values = {combo: answer(tq, db, node_schemas) for combo, db in _databases(universe)}
+    best = Fraction(0)
+    witness = None
+    for combo, value in values.items():
+        options = [
+            [mask] + [mask ^ (1 << j) for j in range(len(sr.universe))]
+            for sr, mask in zip(universe.sensitive, combo)
+        ]
+        for neighbor in itertools.product(*options):
+            other = values.get(neighbor)
+            if neighbor == combo or other is None:
+                continue
+            diff = abs(value - other)
+            if diff > best:
+                best = diff
+                witness = (_witness(universe, combo), _witness(universe, neighbor))
+    return BruteResult(best, witness)

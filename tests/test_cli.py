@@ -1,5 +1,6 @@
 """Command-line behavior: commands, formats, and the exit-code contract."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import raqdp
-from raqdp.cli import main
+from raqdp.cli import build_parser, main
 
 PEOPLE_SCHEMA = """
 relation People {
@@ -414,6 +415,39 @@ def test_number_options_that_are_not_numbers_name_the_option(tmp_path, capsys, t
     assert capsys.readouterr().err == (
         f"error: --delta-override restriction is not a number: {text!r}\n"
     )
+
+
+def _subcommand_options():
+    """(command, option, takes a value) for every option of every subcommand."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            if action.option_strings and action.dest != "help":
+                yield command, action.option_strings[0], action.nargs != 0
+
+
+OPTIONS = list(_subcommand_options())
+
+
+@pytest.mark.parametrize("command, option, takes_value", OPTIONS,
+                         ids=[f"{command} {option}" for command, option, _ in OPTIONS])
+def test_every_option_given_dashes_exits_2_naming_it(workspace, capsys, command, option,
+                                                     takes_value):
+    # `--opt=--` makes argparse store an empty list instead of a value
+    argv = [command, str(workspace / "people.schema"), str(workspace / "avg.raq")]
+    if command == "dp-run":
+        argv += ["--epsilon", "1"]
+    argv.append(f"{option}=--")
+    if not takes_value:  # a flag: argparse itself refuses the value
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and option in capsys.readouterr().err
+        return
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option} needs a value, got '--'\n"
 
 
 # ---------------------------------------------------------------------------

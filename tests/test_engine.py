@@ -394,6 +394,39 @@ def test_trace_reports_postorder_row_counts():
     assert trace == [("id", 4), ("restriction", 2)]
 
 
+TRACE_TEXT = """
+relation K { k: int [7, 7] }
+relation L { x: int [0, 9] }
+relation R { a: int [0, 9] }
+relation T { a: int [0, 9] }
+"""
+
+
+@pytest.mark.parametrize(
+    "query, trace",
+    [
+        ("count of T union (select a >= 2 from R)",
+         [("id", 4), ("id", 3), ("restriction", 2), ("union", 5)]),
+        ("count of K product1 R", [("id", 1), ("id", 3), ("product-one", 3)]),
+        ("count of L productn 2 R", [("id", 3), ("id", 2), ("product-n", 4)]),
+        ("count of L productagg sum(a) R", [("id", 3), ("id", 2), ("product-agg", 2)]),
+        ("count of (L productagg count R) productn 1 T",
+         [("id", 4), ("id", 3), ("id", 2), ("product-agg", 2), ("product-n", 2)]),
+    ],
+)
+def test_trace_order_of_two_operand_nodes(query, trace):
+    # each base relation has its own size, so a trace shows which ran first:
+    # left before right, single before source, but the right operand first
+    # for productn and productagg
+    schemas = parse_schemas(TRACE_TEXT)
+    rows = {"K": [7], "L": [0, 1], "R": [1, 2, 3], "T": [3, 4, 5, 6]}
+    db = {name: Relation.from_rows(schemas[name], [(v,) for v in values])
+          for name, values in rows.items()}
+    got: list = []
+    run_answer(query, schemas, db, got)
+    assert got == trace
+
+
 # ---------------------------------------------------------------------------
 # CSV cells: integers as int, every aggregate as Fraction
 

@@ -1,5 +1,6 @@
 """Brute-force ground truth and its agreement with the static bound."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from raqdp.extmath import is_infinite
 from raqdp.oracle import (
     SensitiveRelation,
     Universe,
+    _database_values,
     brute_lipschitz,
     brute_sensitivity,
     brute_sensitivity_ratio,
@@ -19,8 +21,9 @@ from raqdp.oracle import (
     enumerate_tuples,
 )
 from raqdp.parsing import parse_query, parse_schemas
+from raqdp.query import validate
 
-from helpers import random_case
+from helpers import random_case, reference_brute_sensitivity
 
 
 def universe_for(query_text, schema_text, context=None, cap=12):
@@ -189,3 +192,54 @@ def test_avg_over_an_enumerated_universe_stays_exact():
     ratio = brute_sensitivity_ratio(tq, universe)
     assert brute.value == ratio == Fraction(3, 2)
     assert type(brute.value) is Fraction and type(ratio) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# The integer neighbour loop against the Fraction reference
+
+
+def assert_matches_reference(tq, universe):
+    got = brute_sensitivity(tq, universe)
+    want = reference_brute_sensitivity(tq, universe)
+    assert got.value == want.value and type(got.value) is Fraction
+    assert got.witness == want.witness
+
+
+def test_brute_matches_the_reference_on_random_cases():
+    rng = random.Random(20121)
+    for _ in range(30):
+        tq, _, universe = random_case(rng)
+        assert_matches_reference(tq, universe)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "count of R union T",
+        "avg(a) of R union T",
+        "sum(a) of R minus T",
+        "max(a) of R intersect T",
+        "min(a) of (select a >= 1 from R) union T",
+    ],
+)
+def test_brute_matches_the_reference_on_two_relations(query):
+    text = "relation R { a: int [0, 2] }\nrelation T { a: int [1, 3] }"
+    tq, _, universe = universe_for(query, text)
+    assert len(universe.sensitive) == 2
+    assert_matches_reference(tq, universe)
+
+
+@pytest.mark.parametrize("query", ["sum(a) of R", "avg(a) of R", "min(a) of R"])
+def test_brute_matches_the_reference_on_a_size_capped_relation(query):
+    schema = parse_schemas("relation R { a: int [0, 3] }")["R"]
+    capped = Universe((SensitiveRelation("R", schema, enumerate_tuples(schema), max_size=1),))
+    assert_matches_reference(parse_query(query), capped)
+
+
+def test_brute_matches_the_reference_over_a_common_denominator():
+    # averages of subsets of {0, 1, 2, 3} include 1/2 and 4/3, so the values
+    # are compared over a denominator of 6
+    tq, schemas, universe = universe_for("avg(a) of R", "relation R { a: int [0, 3] }")
+    values = _database_values(tq, universe, validate(tq, schemas))
+    assert math.lcm(*(v.denominator for v in values.values())) == 6
+    assert_matches_reference(tq, universe)

@@ -31,15 +31,7 @@ from .constraints import (
     solution_count,
 )
 from .dp import DpAnswer, DpParams, dp_answer, laplace_sample, laplace_samples, make_rng
-from .engine import (
-    Relation,
-    answer,
-    apply_agg,
-    compile_plan,
-    compile_query,
-    eval_plan,
-    load_csv,
-)
+from .engine import Relation, answer, apply_agg, eval_plan, load_csv
 from .errors import (
     DataError,
     EvalError,
@@ -128,8 +120,6 @@ __all__ = [
     "brute_sensitivity",
     "brute_sensitivity_ratio",
     "build_universe",
-    "compile_plan",
-    "compile_query",
     "diameter",
     "dp_answer",
     "eval_plan",

@@ -293,13 +293,14 @@ _REPEATABLE = frozenset({"data", "delta_override"})
 def _check_options(args) -> None:
     """Refuse option values that argparse lets through but no command can use.
 
-    For `--opt=--` argparse stores an empty list, for a repeatable option
-    inside its list, where every option here takes one string or number.
+    For `--opt=--` argparse stores an empty list or, in some Python
+    versions, the string '--' (for a repeatable option, inside its list),
+    where every option here takes one string or number.
     Caps and sample counts are counts: a negative one is an input error.
     """
     for dest, value in vars(args).items():
         values = value if dest in _REPEATABLE else [value]
-        if any(isinstance(v, list) for v in values):
+        if any(isinstance(v, list) or v == "--" for v in values):
             raise ValueError(f"--{dest.replace('_', '-')} needs a value, got '--'")
     for name in ("enum_cap", "dnf_cap", "universe_cap", "samples"):
         value = getattr(args, name, None)

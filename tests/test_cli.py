@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import raqdp
-from raqdp.cli import build_parser, main
+from raqdp.cli import _check_options, build_parser, main
 
 PEOPLE_SCHEMA = """
 relation People {
@@ -418,36 +418,46 @@ def test_number_options_that_are_not_numbers_name_the_option(tmp_path, capsys, t
 
 
 def _subcommand_options():
-    """(command, option, takes a value) for every option of every subcommand."""
+    """(command, option) for every option of every subcommand."""
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for command, sub in commands.choices.items():
         for action in sub._actions:
             if action.option_strings and action.dest != "help":
-                yield command, action.option_strings[0], action.nargs != 0
+                yield command, action.option_strings[0]
 
 
 OPTIONS = list(_subcommand_options())
 
 
-@pytest.mark.parametrize("command, option, takes_value", OPTIONS,
-                         ids=[f"{command} {option}" for command, option, _ in OPTIONS])
-def test_every_option_given_dashes_exits_2_naming_it(workspace, capsys, command, option,
-                                                     takes_value):
-    # `--opt=--` makes argparse store an empty list instead of a value
+@pytest.mark.parametrize("command, option", OPTIONS,
+                         ids=[f"{command} {option}" for command, option in OPTIONS])
+def test_every_option_given_dashes_exits_2_naming_it(workspace, capsys, command, option):
+    # given `--opt=--`, argparse stores an empty list or the string '--' as the
+    # value, or refuses it itself (flags; typed options in some Python versions)
     argv = [command, str(workspace / "people.schema"), str(workspace / "avg.raq")]
     if command == "dp-run":
         argv += ["--epsilon", "1"]
     argv.append(f"{option}=--")
-    if not takes_value:  # a flag: argparse itself refuses the value
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2 and option in capsys.readouterr().err
-        return
-    assert main(argv) == 2
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
+    assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: {option} needs a value, got '--'\n"
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and option in errors[0]
+
+
+@pytest.mark.parametrize("dest", ["epsilon", "data"])
+def test_option_holding_dashes_is_refused(dest):
+    args = build_parser().parse_args(["dp-run", "s.schema", "q.raq", "--epsilon", "1"])
+    # what argparse stores for `--opt=--` in some Python versions
+    setattr(args, dest, ["--"] if dest == "data" else "--")
+    with pytest.raises(ValueError, match=f"^--{dest} needs a value, got '--'$"):
+        _check_options(args)
 
 
 # ---------------------------------------------------------------------------

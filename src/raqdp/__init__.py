@@ -9,7 +9,6 @@ finite universes.
 """
 
 from .analyzer import (
-    AnalysisOptions,
     NodeRecord,
     SensitivityReport,
     TopRecord,
@@ -71,7 +70,7 @@ from .query import (
     Restriction,
     TopQuery,
     Union,
-    output_schema,
+    ValidatedQuery,
     validate,
 )
 
@@ -79,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggFn",
-    "AnalysisOptions",
     "Attr",
     "Bounds",
     "BruteResult",
@@ -111,6 +109,7 @@ __all__ = [
     "UnboundedSensitivityError",
     "Union",
     "Universe",
+    "ValidatedQuery",
     "ValidationError",
     "aggregation_delta",
     "answer",
@@ -134,7 +133,6 @@ __all__ = [
     "load_csv",
     "make_rng",
     "operator_delta",
-    "output_schema",
     "parse_constraint",
     "parse_query",
     "parse_schemas",

@@ -12,14 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constraints import (
-    DEFAULT_DNF_CAP,
-    DEFAULT_ENUM_CAP,
-    Bounds,
-    ConstrainedSchema,
-    diameter,
-    format_constraint,
-)
+from .constraints import Bounds, diameter, format_constraint
 from .errors import ValidationError
 from .extmath import Ext, INF, ext_mul, format_ext, is_infinite, to_double
 from .query import (
@@ -29,12 +22,11 @@ from .query import (
     ProductAgg,
     ProductN,
     ProductOne,
-    TopQuery,
+    ValidatedQuery,
     difference_uses_fallback,
     op_name,
     plan_children,
     product_pinned_leaf,
-    validate,
 )
 
 # Exact-diameter floor: grids at most this large are always counted exactly,
@@ -56,16 +48,8 @@ _BASE_DELTAS: dict[str, Ext] = {
 }
 
 
-@dataclass(frozen=True)
-class AnalysisOptions:
-    enum_cap: int = DEFAULT_ENUM_CAP
-    dnf_cap: int = DEFAULT_DNF_CAP
-    # test-only corruption hook: (operator name, replacement factor)
-    delta_overrides: tuple[tuple[str, Fraction], ...] = ()
-
-
 def operator_delta(
-    kind: str, n: int | None = None, overrides: tuple[tuple[str, Fraction], ...] = ()
+    kind: str, n: int | None = None, overrides: tuple[tuple[str, Ext], ...] = ()
 ) -> Ext:
     """The intrinsic per-operator amplification factor."""
     for name, value in overrides:
@@ -142,17 +126,17 @@ class SensitivityReport:
 
 
 class _Analysis:
-    def __init__(self, node_schemas: dict, opts: AnalysisOptions):
-        self.node_schemas = node_schemas
-        self.opts = opts
+    def __init__(self, vq: ValidatedQuery, delta_overrides: tuple):
+        self.vq = vq
+        self.delta_overrides = delta_overrides
         self.results: dict = {}  # plan -> (delta, diam, s)
 
     def s_of(self, plan: Plan) -> Ext:
         if plan in self.results:
             return self.results[plan][2]
-        schema = self.node_schemas[plan]
+        schema = self.vq.outputs[plan]
         n = plan.n if isinstance(plan, ProductN) else None
-        delta = operator_delta(op_name(plan), n, self.opts.delta_overrides)
+        delta = operator_delta(op_name(plan), n, self.delta_overrides)
         children = plan_children(plan)
         if not children:
             structural = Fraction(1)
@@ -162,7 +146,7 @@ class _Analysis:
         # The diameter only matters below the structural bound, so there is
         # no point enumerating a big grid exactly; keep a floor so small
         # grids still report their exact size.
-        budget = self.opts.enum_cap
+        budget = self.vq.enum_cap
         if not is_infinite(structural):
             budget = min(budget, max(int(structural) + 1, _DIAM_FLOOR))
         diam = diameter(schema.constraint, schema, budget)
@@ -175,7 +159,7 @@ class _Analysis:
         for child in plan_children(plan):
             out.extend(self.records(child))
         delta, diam, s = self.results[plan]
-        schema = self.node_schemas[plan]
+        schema = self.vq.outputs[plan]
         out.append(
             NodeRecord(op_name(plan), delta, diam, s, format_constraint(schema.constraint))
         )
@@ -183,10 +167,11 @@ class _Analysis:
 
 
 def intermediate_sensitivity(
-    plan: Plan, node_schemas: dict, opts: AnalysisOptions | None = None
+    plan: Plan, vq: ValidatedQuery, *, delta_overrides: tuple[tuple[str, Ext], ...] = ()
 ) -> Ext:
-    analysis = _Analysis(node_schemas, opts or AnalysisOptions())
-    return analysis.s_of(plan)
+    """The bound S on how many output tuples of `plan`, a node of the
+    validated query, one changed input row can change."""
+    return _Analysis(vq, delta_overrides).s_of(plan)
 
 
 def aggregation_delta(fn: AggFn, bounds: Bounds | None) -> Ext:
@@ -205,22 +190,21 @@ def aggregation_delta(fn: AggFn, bounds: Bounds | None) -> Ext:
 
 
 def global_sensitivity(
-    tq: TopQuery,
-    schemas: dict[str, ConstrainedSchema],
-    opts: AnalysisOptions | None = None,
-    *,
-    node_schemas: dict | None = None,
+    vq: ValidatedQuery, *, delta_overrides: tuple[tuple[str, Ext], ...] = ()
 ) -> SensitivityReport:
-    opts = opts or AnalysisOptions()
-    if node_schemas is None:
-        node_schemas = validate(tq, schemas, enum_cap=opts.enum_cap, dnf_cap=opts.dnf_cap)
-    analysis = _Analysis(node_schemas, opts)
+    """The bound on how far the query's answer moves when one row changes.
+
+    `delta_overrides` is a test-only corruption hook: (operator name,
+    replacement factor) pairs that stand in for `operator_delta`.
+    """
+    tq = vq.query
+    analysis = _Analysis(vq, delta_overrides)
     s_root = analysis.s_of(tq.body)
     nodes = tuple(analysis.records(tq.body))
     warnings = list(_structural_warnings(tq.body))
 
     fn = tq.fn
-    bounds = node_schemas[tq]
+    bounds = vq.bounds
     root_diam = nodes[-1].diam
     if root_diam == 0 or (bounds is not None and bounds.empty):
         warnings.append("query is statically empty: the propagated constraint is unsatisfiable")

@@ -19,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .analyzer import AnalysisOptions, SensitivityReport, global_sensitivity
+from .analyzer import SensitivityReport, global_sensitivity
 from .constraints import DEFAULT_DNF_CAP, DEFAULT_ENUM_CAP
 from .dp import DpParams, dp_answer, sample_answers
 from .engine import Relation, answer, load_csv
@@ -128,26 +128,22 @@ def _parse_data(items: list[str], schemas: dict) -> dict[str, Relation]:
 
 
 def _load(args, *, all_data: bool = True):
-    """Parse the schema and query files, load every --data file, and validate
-    the query once with the user's caps.
+    """Parse the schema and query files, load every --data file, parse any
+    --delta-override, and validate the query once with the user's caps.
 
     With `all_data`, every base relation of the query needs a --data file.
-    Returns (schemas, query, database, node schemas).
+    Returns (schemas, validated query, database, delta overrides).
     """
     schemas = parse_schemas(_read(args.schema))
     tq = parse_query(_read(args.query))
-    db = _parse_data(args.data, schemas)
+    # analyze takes no --data; only analyze and validate take --delta-override
+    db = _parse_data(getattr(args, "data", []), schemas)
     missing = sorted(base_relations(tq.body) - set(db))
     if all_data and missing:
         raise ValueError(f"no --data for relation(s): {', '.join(missing)}")
-    node_schemas = validate(tq, schemas, enum_cap=args.enum_cap, dnf_cap=args.dnf_cap)
-    return schemas, tq, db, node_schemas
-
-
-def _options(args) -> AnalysisOptions:
-    # only analyze and validate take --delta-override
     overrides = _parse_overrides(getattr(args, "delta_override", []))
-    return AnalysisOptions(enum_cap=args.enum_cap, dnf_cap=args.dnf_cap, delta_overrides=overrides)
+    vq = validate(tq, schemas, enum_cap=args.enum_cap, dnf_cap=args.dnf_cap)
+    return schemas, vq, db, overrides
 
 
 def _json_value(v):
@@ -182,17 +178,16 @@ def _print_report(report: SensitivityReport, fmt: str) -> None:
 
 
 def cmd_analyze(args) -> int:
-    schemas = parse_schemas(_read(args.schema))
-    tq = parse_query(_read(args.query))
-    report = global_sensitivity(tq, schemas, _options(args))
+    _, vq, _, overrides = _load(args, all_data=False)
+    report = global_sensitivity(vq, delta_overrides=overrides)
     _print_report(report, args.format)
     return EXIT_UNBOUNDED if is_infinite(report.gs) else EXIT_OK
 
 
 def cmd_run(args) -> int:
-    _, tq, db, node_schemas = _load(args)
+    _, vq, db, _ = _load(args)
     trace: list | None = [] if args.trace else None
-    value = answer(tq, db, node_schemas, trace=trace)
+    value = answer(vq, db, trace=trace)
     if args.format == "json":
         out = {"answer": format_ext(value), "answer_float": to_double(value, "answer")}
         if trace is not None:
@@ -208,20 +203,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_dp_run(args) -> int:
-    schemas, tq, db, node_schemas = _load(args)
+    _, vq, db, _ = _load(args)
     params = DpParams(parse_rational(args.epsilon, "epsilon"), args.seed)
-    options = _options(args)
     if args.samples is not None:
-        draws = sample_answers(
-            tq, schemas, db, params, args.samples, options=options, node_schemas=node_schemas
-        )
+        draws = sample_answers(vq, db, params, args.samples)
         if args.format == "json":
             print(json.dumps({"samples": [float(x) for x in draws]}))
         else:
             for x in draws:
                 print(float(x))
         return EXIT_OK
-    result = dp_answer(tq, schemas, db, params, options=options, node_schemas=node_schemas)
+    result = dp_answer(vq, db, params)
     if args.format == "json":
         print(json.dumps(result.to_json_dict(), indent=2))
     else:
@@ -236,10 +228,10 @@ def cmd_dp_run(args) -> int:
 
 def cmd_validate(args) -> int:
     # relations without --data form the oracle's enumerated universe
-    schemas, tq, context, node_schemas = _load(args, all_data=False)
-    report = global_sensitivity(tq, schemas, _options(args), node_schemas=node_schemas)
-    universe = build_universe(tq, schemas, context, cap=args.universe_cap)
-    brute = brute_sensitivity(tq, universe, node_schemas)
+    schemas, vq, context, overrides = _load(args, all_data=False)
+    report = global_sensitivity(vq, delta_overrides=overrides)
+    universe = build_universe(vq.query, schemas, context, cap=args.universe_cap)
+    brute = brute_sensitivity(vq, universe)
     if brute.value > report.gs:
         verdict = "VIOLATION"
     elif brute.value == report.gs:
@@ -279,9 +271,10 @@ _COMMANDS = {
 # One row per exit code: the exception classes that end a command with it.
 # An exact value beyond double range is a ValueError that names its field
 # (extmath.to_double); OverflowError stays for any other float overflow.
+# A count too large to allocate, such as `--samples 10**15`, is a MemoryError.
 _EXIT_CODES = (
     ((ParseError, SchemaError, ValidationError, EvalError, DataError,
-      OSError, ValueError, ZeroDivisionError, OverflowError), EXIT_INPUT),
+      OSError, ValueError, ZeroDivisionError, OverflowError, MemoryError), EXIT_INPUT),
     (UnboundedSensitivityError, EXIT_UNBOUNDED),
     (OracleError, EXIT_ORACLE),
 )

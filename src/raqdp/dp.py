@@ -18,12 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analyzer import AnalysisOptions, SensitivityReport, global_sensitivity
-from .constraints import ConstrainedSchema
+from .analyzer import SensitivityReport, global_sensitivity
 from .engine import Relation, answer
 from .errors import UnboundedSensitivityError
 from .extmath import Ext, is_infinite, to_double
-from .query import TopQuery, validate
+from .query import ValidatedQuery
 
 RNG_NAME = "pcg64"
 MECHANISM_NOTE = "floating-point mechanism - not hardened"
@@ -99,23 +98,15 @@ def laplace_cdf(x, scale: float):
 
 
 def _release(
-    tq: TopQuery,
-    schemas: dict[str, ConstrainedSchema],
-    db: dict[str, Relation],
-    params: DpParams,
-    options: AnalysisOptions | None,
-    node_schemas: dict | None,
+    vq: ValidatedQuery, db: dict[str, Relation], params: DpParams
 ) -> tuple[SensitivityReport, float, float | None]:
     """The report, the exact answer and the noise scale (None when gs is 0)."""
-    options = options or AnalysisOptions()
-    if node_schemas is None:
-        node_schemas = validate(tq, schemas, enum_cap=options.enum_cap, dnf_cap=options.dnf_cap)
-    report = global_sensitivity(tq, schemas, options, node_schemas=node_schemas)
+    report = global_sensitivity(vq)
     if is_infinite(report.gs):
         raise UnboundedSensitivityError(
             "unbounded sensitivity: refusing to release a noisy answer"
         )
-    true_value = to_double(answer(tq, db, node_schemas), "answer")
+    true_value = to_double(answer(vq, db), "answer")
     if report.gs == 0:
         return report, true_value, None
     scale = to_double(report.gs, "gs") / to_double(params.epsilon, "epsilon")
@@ -124,20 +115,9 @@ def _release(
     return report, true_value, scale
 
 
-def dp_answer(
-    tq: TopQuery,
-    schemas: dict[str, ConstrainedSchema],
-    db: dict[str, Relation],
-    params: DpParams,
-    *,
-    options: AnalysisOptions | None = None,
-    node_schemas: dict | None = None,
-) -> DpAnswer:
-    """Evaluate the query exactly, then release it with calibrated noise.
-
-    Pass `node_schemas` when the caller has already validated the query.
-    """
-    report, true_value, scale = _release(tq, schemas, db, params, options, node_schemas)
+def dp_answer(vq: ValidatedQuery, db: dict[str, Relation], params: DpParams) -> DpAnswer:
+    """Evaluate the validated query exactly, then release it with calibrated noise."""
+    report, true_value, scale = _release(vq, db, params)
     warnings = list(report.warnings)
     if scale is None:
         warnings.append(
@@ -156,17 +136,10 @@ def dp_answer(
 
 
 def sample_answers(
-    tq: TopQuery,
-    schemas: dict[str, ConstrainedSchema],
-    db: dict[str, Relation],
-    params: DpParams,
-    n: int,
-    *,
-    options: AnalysisOptions | None = None,
-    node_schemas: dict | None = None,
+    vq: ValidatedQuery, db: dict[str, Relation], params: DpParams, n: int
 ) -> np.ndarray:
     """n noisy releases from one seeded stream, for distribution checks."""
-    _, true_value, scale = _release(tq, schemas, db, params, options, node_schemas)
+    _, true_value, scale = _release(vq, db, params)
     if scale is None:
         return np.full(n, true_value)
     return true_value + laplace_samples(make_rng(params.seed), scale, n)

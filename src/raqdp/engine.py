@@ -36,8 +36,8 @@ from .query import (
     ProductOne,
     Projection,
     Restriction,
-    TopQuery,
     Union,
+    ValidatedQuery,
     default_aggregate,
     op_name,
 )
@@ -200,19 +200,19 @@ def _compile_agg(fn: AggFn, schema: ConstrainedSchema, bounds: Bounds | None = N
 # Plan evaluation: a plan compiled once into a function of databases
 
 
-def compile_plan(plan: Plan, node_schemas: dict, trace: list | None = None):
-    """run(db): the plan's output tuples over `db`, a frozenset.
+def compile_plan(plan: Plan, vq: ValidatedQuery, trace: list | None = None):
+    """run(db): the output tuples over `db`, a frozenset, of `plan`, a node
+    of the validated query `vq`.
 
-    `node_schemas` is the map `validate` returns. Every lookup in it is made
-    here, once: each node's schema, projection indices, compiled predicate
-    and aggregate range, so a run over one database is set operations only
-    (the oracle runs one compiled plan per database). With `trace`, each node
-    appends (operator, output rows) when it finishes: children before their
-    parent, in the order the node evaluates them, which is left before right
-    and `single` before `source`, but the right operand first for product-n
-    and product-agg.
+    Every lookup in `vq` is made here, once: each node's schema, projection
+    indices, compiled predicate and aggregate range, so a run over one
+    database is set operations only (the oracle runs one compiled plan per
+    database). With `trace`, each node appends (operator, output rows) when
+    it finishes: children before their parent, in the order the node
+    evaluates them, which is left before right and `single` before
+    `source`, but the right operand first for product-n and product-agg.
     """
-    run = _compile_node(plan, node_schemas, trace)
+    run = _compile_node(plan, vq, trace)
     if trace is None:
         return run
     name = op_name(plan)
@@ -225,9 +225,9 @@ def compile_plan(plan: Plan, node_schemas: dict, trace: list | None = None):
     return traced
 
 
-def _compile_node(plan: Plan, node_schemas: dict, trace: list | None):
+def _compile_node(plan: Plan, vq: ValidatedQuery, trace: list | None):
     def sub(child):
-        return compile_plan(child, node_schemas, trace)
+        return compile_plan(child, vq, trace)
 
     if isinstance(plan, Id):
         name = plan.relation
@@ -244,11 +244,11 @@ def _compile_node(plan: Plan, node_schemas: dict, trace: list | None):
         return lambda db: op(left(db), right(db))
     if isinstance(plan, Restriction):
         source = sub(plan.source)
-        test = compile_constraint(plan.predicate, node_schemas[plan.source].attr_names())
+        test = compile_constraint(plan.predicate, vq.outputs[plan.source].attr_names())
         return lambda db: frozenset(filter(test, source(db)))
     if isinstance(plan, Projection):
         source = sub(plan.source)
-        cells = _cells(node_schemas[plan.source], plan.attrs)
+        cells = _cells(vq.outputs[plan.source], plan.attrs)
         return lambda db: frozenset(map(cells, source(db)))
     if isinstance(plan, ProductOne):
         single, source = sub(plan.single), sub(plan.source)
@@ -272,9 +272,7 @@ def _compile_node(plan: Plan, node_schemas: dict, trace: list | None):
         return product_n
     if isinstance(plan, ProductAgg):
         left, right = sub(plan.left), sub(plan.right)
-        agg = _compile_agg(
-            plan.fn, node_schemas[plan.right], node_schemas[TopQuery(plan.fn, plan.right)]
-        )
+        agg = _compile_agg(plan.fn, vq.outputs[plan.right], vq.agg_bounds[plan])
 
         def product_agg(db) -> frozenset:
             value = (agg(right(db)),)
@@ -283,7 +281,7 @@ def _compile_node(plan: Plan, node_schemas: dict, trace: list | None):
         return product_agg
     if isinstance(plan, GroupAggregate):
         source = sub(plan.source)
-        schema = node_schemas[plan.source]
+        schema = vq.outputs[plan.source]
         key = _cells(schema, plan.group_attrs)
         aggs = [_compile_agg(f, schema) for f in plan.fns]
 
@@ -319,29 +317,19 @@ _BINARY = {
 
 
 def eval_plan(
-    plan: Plan,
-    db: dict[str, Relation],
-    node_schemas: dict,
-    *,
-    trace: list | None = None,
+    plan: Plan, db: dict[str, Relation], vq: ValidatedQuery, *, trace: list | None = None
 ) -> Relation:
-    """The plan's output over `db`; `node_schemas` is the map `validate` returns."""
-    return Relation(node_schemas[plan], compile_plan(plan, node_schemas, trace)(db))
+    """The output over `db` of `plan`, a node of the validated query `vq`."""
+    return Relation(vq.outputs[plan], compile_plan(plan, vq, trace)(db))
 
 
-def compile_query(tq: TopQuery, node_schemas: dict, trace: list | None = None):
+def compile_query(vq: ValidatedQuery, trace: list | None = None):
     """value(db): the exact value of the query's top-level aggregation over `db`."""
-    body = compile_plan(tq.body, node_schemas, trace)
-    agg = _compile_agg(tq.fn, node_schemas[tq.body], node_schemas[tq])
+    body = compile_plan(vq.query.body, vq, trace)
+    agg = _compile_agg(vq.query.fn, vq.outputs[vq.query.body], vq.bounds)
     return lambda db: agg(body(db))
 
 
-def answer(
-    tq: TopQuery,
-    db: dict[str, Relation],
-    node_schemas: dict,
-    *,
-    trace: list | None = None,
-) -> Fraction:
+def answer(vq: ValidatedQuery, db: dict[str, Relation], *, trace: list | None = None) -> Fraction:
     """The exact value of the query's top-level aggregation."""
-    return compile_query(tq, node_schemas, trace)(db)
+    return compile_query(vq, trace)(db)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .constraints import ConstrainedSchema, initial_constraint, iter_solutions
 from .engine import Relation, compile_plan, compile_query
 from .errors import OracleError
-from .query import Plan, TopQuery, base_relations, validate, validate_plan
+from .query import Plan, TopQuery, ValidatedQuery, base_relations
 
 DEFAULT_UNIVERSE_CAP = 12
 
@@ -124,9 +124,9 @@ def _members(sr: SensitiveRelation, mask: int) -> list:
     return [t for j, t in enumerate(sr.universe) if mask >> j & 1]
 
 
-def _database_values(tq: TopQuery, universe: Universe, node_schemas: dict) -> dict:
+def _database_values(vq: ValidatedQuery, universe: Universe) -> dict:
     """Exact query value for every admissible database, keyed by bitmask vector."""
-    value = compile_query(tq, node_schemas)
+    value = compile_query(vq)
     return {combo: value(db) for combo, db in _databases(universe)}
 
 
@@ -161,18 +161,14 @@ def _witness(universe: Universe, combo: tuple[int, ...]) -> dict:
     return {sr.name: _members(sr, mask) for sr, mask in zip(universe.sensitive, combo)}
 
 
-def brute_sensitivity(
-    tq: TopQuery, universe: Universe, node_schemas: dict | None = None
-) -> BruteResult:
+def brute_sensitivity(vq: ValidatedQuery, universe: Universe) -> BruteResult:
     """Worst |answer difference| over adjacent databases, by full enumeration.
 
     Each adjacent pair is compared once, from its earlier database in
     `_databases` order, in integers over the values' common denominator. The
     witness is the first pair, in that order, that reaches the worst change.
     """
-    if node_schemas is None:
-        node_schemas = validate(tq, universe.schemas())
-    values, scale = _scaled(_database_values(tq, universe, node_schemas))
+    values, scale = _scaled(_database_values(vq, universe))
     best = 0
     worst = None
     for combo, value in values.items():
@@ -210,26 +206,19 @@ def _pairwise_sup(values: dict, diff) -> Fraction:
     return Fraction(best, best_distance)
 
 
-def brute_sensitivity_ratio(
-    tq: TopQuery, universe: Universe, node_schemas: dict | None = None
-) -> Fraction:
+def brute_sensitivity_ratio(vq: ValidatedQuery, universe: Universe) -> Fraction:
     """sup over all database pairs of |answer difference| / distance.
 
     Equals brute_sensitivity when the adjacency steps generate the distance —
     checked as a property test. Quadratic in the database count.
     """
-    if node_schemas is None:
-        node_schemas = validate(tq, universe.schemas())
-    values, scale = _scaled(_database_values(tq, universe, node_schemas))
+    values, scale = _scaled(_database_values(vq, universe))
     return _pairwise_sup(values, lambda x, y: abs(x - y)) / scale
 
 
-def brute_lipschitz(
-    plan: Plan, universe: Universe, node_schemas: dict | None = None
-) -> Fraction:
-    """sup over database pairs of (output symmetric difference) / distance."""
-    if node_schemas is None:
-        node_schemas = validate_plan(plan, universe.schemas())
-    run = compile_plan(plan, node_schemas)
+def brute_lipschitz(plan: Plan, universe: Universe, vq: ValidatedQuery) -> Fraction:
+    """sup over database pairs of (output symmetric difference) / distance,
+    for `plan`, a node of the validated query `vq`."""
+    run = compile_plan(plan, vq)
     outputs = {combo: run(db) for combo, db in _databases(universe)}
     return _pairwise_sup(outputs, lambda x, y: len(x ^ y))

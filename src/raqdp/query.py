@@ -245,49 +245,41 @@ def default_aggregate(fn: AggFn, bounds: Bounds | None) -> Fraction:
 # Output schemas
 
 
+@dataclass(frozen=True)
+class ValidatedQuery:
+    """A query checked against its schemas, with what validation derives.
+
+    `outputs` maps each plan node to its output schema. `agg_bounds` maps
+    each aggregating product to the value range of its aggregated attribute
+    over the right operand, and `bounds` is that range for the query's own
+    aggregation over its body (`None` for count). Evaluation reads these
+    ranges for the value an aggregate takes over an empty input. The caps
+    stay with what was derived under them: the analyzer's diameter budget
+    reads `enum_cap`.
+    """
+
+    query: TopQuery
+    outputs: dict[Plan, ConstrainedSchema]
+    agg_bounds: dict[ProductAgg, Bounds | None]
+    bounds: Bounds | None
+    enum_cap: int
+    dnf_cap: int
+
+
 def validate(
     tq: TopQuery,
     schemas: dict[str, ConstrainedSchema],
     *,
     enum_cap: int = DEFAULT_ENUM_CAP,
     dnf_cap: int = DEFAULT_DNF_CAP,
-) -> dict:
-    """Check the whole query and return the map of what validation derives.
-
-    Each plan node maps to its output schema. Each aggregation maps, under
-    the key `TopQuery(fn, operand)`, to the value range of its attribute over
-    the operand's output (`None` for count): the query's own aggregation
-    under `tq`, and each aggregating product's under
-    `TopQuery(plan.fn, plan.right)`. Evaluation reads these ranges for the
-    value an aggregate takes over an empty input, so the enumeration caps
-    are applied here once.
-    """
+) -> ValidatedQuery:
+    """Check the query against `schemas` and derive what `ValidatedQuery`
+    holds, under the given enumeration caps; raise ValidationError if the
+    query is ill-formed. Analysis, evaluation, release and the oracle all
+    take the result, so a query is validated once."""
     builder = _SchemaBuilder(schemas, enum_cap, dnf_cap)
-    builder.memo[tq] = builder._fn_bounds(tq.fn, builder.schema_of(tq.body), "the query")
-    return builder.memo
-
-
-def output_schema(
-    plan: Plan,
-    schemas: dict[str, ConstrainedSchema],
-    *,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    dnf_cap: int = DEFAULT_DNF_CAP,
-) -> ConstrainedSchema:
-    return _SchemaBuilder(schemas, enum_cap, dnf_cap).schema_of(plan)
-
-
-def validate_plan(
-    plan: Plan,
-    schemas: dict[str, ConstrainedSchema],
-    *,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    dnf_cap: int = DEFAULT_DNF_CAP,
-) -> dict:
-    """Like validate, for a bare plan without a top-level aggregate."""
-    builder = _SchemaBuilder(schemas, enum_cap, dnf_cap)
-    builder.schema_of(plan)
-    return builder.memo
+    bounds = builder._fn_bounds(tq.fn, builder.schema_of(tq.body), "the query")
+    return ValidatedQuery(tq, builder.memo, builder.agg_bounds, bounds, enum_cap, dnf_cap)
 
 
 class _SchemaBuilder:
@@ -295,7 +287,8 @@ class _SchemaBuilder:
         self.schemas = schemas
         self.enum_cap = enum_cap
         self.dnf_cap = dnf_cap
-        self.memo: dict = {}
+        self.memo: dict = {}  # plan -> output schema
+        self.agg_bounds: dict = {}  # aggregating product -> its aggregate's range
 
     def schema_of(self, plan: Plan) -> ConstrainedSchema:
         if plan in self.memo:
@@ -434,7 +427,7 @@ class _SchemaBuilder:
                 f"aggregate column {col!r} collides with a left-operand attribute"
             )
         bounds = self._fn_bounds(fn, sr)
-        self.memo[TopQuery(fn, plan.right)] = bounds
+        self.agg_bounds[plan] = bounds
         # the right operand's attributes become hidden witnesses
         taken = set(sl.attr_names()) | _aux_names(sl) | {col}
         right_pairs, mapping = _fresh_names(sr.attributes + sr.aux, taken)

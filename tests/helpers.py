@@ -39,7 +39,7 @@ from raqdp.query import (
     Restriction,
     TopQuery,
     Union,
-    output_schema,
+    ValidatedQuery,
     validate,
 )
 
@@ -48,6 +48,11 @@ AGG_KINDS = ("count", "sum", "max", "min", "avg")
 
 def schema_of(text: str) -> dict[str, ConstrainedSchema]:
     return parse_schemas(text)
+
+
+def output_schema(plan, schemas: dict[str, ConstrainedSchema]) -> ConstrainedSchema:
+    """The output schema of a bare plan, validated as the body of a count."""
+    return validate(TopQuery(AggFn("count"), plan), schemas).outputs[plan]
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +181,14 @@ def random_case(rng: random.Random, max_solutions: int = 6, depth: int = 4):
 # Reference oracle: the adjacent-pair search in its plainest form
 
 
-def reference_brute_sensitivity(tq: TopQuery, universe: Universe) -> BruteResult:
+def reference_brute_sensitivity(vq: ValidatedQuery, universe: Universe) -> BruteResult:
     """Worst |answer difference| over adjacent databases, in Fractions.
 
     Each database is evaluated with `answer`, and every ordered adjacent pair
     is compared (so each pair twice), in enumeration order; the first pair
     reaching the worst change is the witness.
     """
-    node_schemas = validate(tq, universe.schemas())
-    values = {combo: answer(tq, db, node_schemas) for combo, db in _databases(universe)}
+    values = {combo: answer(vq, db) for combo, db in _databases(universe)}
     best = Fraction(0)
     witness = None
     for combo, value in values.items():

@@ -23,7 +23,7 @@ from raqdp.errors import ValidationError
 from raqdp.extmath import INF, is_infinite
 from raqdp.oracle import brute_lipschitz, brute_sensitivity, build_universe
 from raqdp.parsing import format_plan, parse_query, parse_schemas
-from raqdp.query import AggFn, TopQuery, validate, validate_plan
+from raqdp.query import AggFn, TopQuery, validate
 
 
 VERDICTS: list[str] = []  # re-printed after the run by the conftest summary
@@ -59,8 +59,8 @@ def test_worked_example_sensitivities():
         restricted = parse_query(
             "avg(Weight) of select Weight <= Height - 100 from People"
         )
-        assert global_sensitivity(plain, schemas).gs == Fraction(75)
-        assert global_sensitivity(restricted, schemas).gs == Fraction(50)
+        assert global_sensitivity(validate(plain, schemas)).gs == Fraction(75)
+        assert global_sensitivity(validate(restricted, schemas)).gs == Fraction(50)
         assert time.perf_counter() - t0 < 1.0
 
 
@@ -185,8 +185,9 @@ def test_random_soundness_sweep():
         rng = random.Random(20240816)
         for _ in range(200):
             tq, schemas, universe = random_case(rng, max_solutions=10, depth=4)
-            report = global_sensitivity(tq, schemas)
-            brute = brute_sensitivity(tq, universe)
+            vq = validate(tq, schemas)
+            report = global_sensitivity(vq)
+            brute = brute_sensitivity(vq, universe)
             assert brute.value <= report.gs
         assert time.perf_counter() - t0 < 300.0
 
@@ -256,14 +257,15 @@ def test_strictness_suite():
         for op, schema_text, query_text, expected in STRICT_CASES:
             schemas = schema_of(schema_text)
             tq = parse_query(query_text)
-            report = global_sensitivity(tq, schemas)
+            vq = validate(tq, schemas)
+            report = global_sensitivity(vq)
             context = None
             if "K" in schemas:
                 context = {
                     "K": Relation(schemas["K"], frozenset({(Fraction(7),)}))
                 }
             universe = build_universe(tq, schemas, context)
-            brute = brute_sensitivity(tq, universe)
+            brute = brute_sensitivity(vq, universe)
             label = f"{op} / {query_text}"
             assert report.gs == Fraction(expected), label
             assert brute.value == Fraction(expected), label
@@ -290,13 +292,13 @@ def test_diameter_caps_amplification():
             plan = random_plan(rng, schemas["R"], rng.randint(1, 3))
             if "group" in format_plan(plan):
                 continue  # grouping output lives outside the base tuple space
+            tq = TopQuery(AggFn("count"), plan)
             try:
-                memo = validate_plan(plan, schemas)
+                memo = validate(tq, schemas)
             except ValidationError:
                 continue
             s = intermediate_sensitivity(plan, memo)
             assert s <= 6, format_plan(plan)
-            tq = TopQuery(AggFn("count"), plan)
             universe = build_universe(tq, schemas, context)
             assert brute_lipschitz(plan, universe, memo) <= s, format_plan(plan)
             checked += 1
@@ -327,8 +329,9 @@ def test_empirical_privacy_histogram():
         db_big = {"R": _rows(schemas, "R", [(0,), (1,), (2,)])}
 
         n = 10**6
-        a = sample_answers(tq, schemas, db_small, DpParams(Fraction(eps), 101), n)
-        b = sample_answers(tq, schemas, db_big, DpParams(Fraction(eps), 202), n)
+        vq = validate(tq, schemas)
+        a = sample_answers(vq, db_small, DpParams(Fraction(eps), 101), n)
+        b = sample_answers(vq, db_big, DpParams(Fraction(eps), 202), n)
 
         scale = 1.0 / eps
         lo, hi = 2 - 5 * scale, 3 + 5 * scale
@@ -375,6 +378,6 @@ def test_constraint_monotonicity():
                 make_and((base.constraint, atom)),
                 base.aux,
             )
-            loose = global_sensitivity(tq, schemas).gs
-            tight = global_sensitivity(tq, {**schemas, "R": tightened}).gs
+            loose = global_sensitivity(validate(tq, schemas)).gs
+            tight = global_sensitivity(validate(tq, {**schemas, "R": tightened})).gs
             assert tight <= loose

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from raqdp.analyzer import (
-    AnalysisOptions,
     aggregation_delta,
     global_sensitivity,
     intermediate_sensitivity,
@@ -15,7 +14,7 @@ from raqdp.constraints import Bounds
 from raqdp.errors import ValidationError
 from raqdp.extmath import INF, is_infinite
 from raqdp.parsing import parse_query, parse_schemas
-from raqdp.query import AggFn
+from raqdp.query import AggFn, TopQuery, validate
 
 PEOPLE = """
 relation People {
@@ -26,9 +25,7 @@ relation People {
 
 
 def gs(query_text, schema_text, **kw):
-    return global_sensitivity(
-        parse_query(query_text), parse_schemas(schema_text), AnalysisOptions(**kw)
-    )
+    return global_sensitivity(validate(parse_query(query_text), parse_schemas(schema_text)), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +221,9 @@ def test_product_one_rejects_derived_single_side():
 
 
 def test_intermediate_sensitivity_exposed():
-    from raqdp.query import validate_plan
-
     schemas = parse_schemas("relation R { a: int [0, 1] }")
     plan = parse_query("count of R union R").body
-    memo = validate_plan(plan, schemas)
+    memo = validate(TopQuery(AggFn("count"), plan), schemas)
     s = intermediate_sensitivity(plan, memo)
     assert s == 2  # min(2 * 1, diam = 2)
 

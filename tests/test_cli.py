@@ -1,14 +1,19 @@
 """Command-line behavior: commands, formats, and the exit-code contract."""
 
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import raqdp
+from raqdp import query
 from raqdp.cli import _check_options, build_parser, main
 
 PEOPLE_SCHEMA = """
@@ -231,6 +236,19 @@ def test_readme_quick_tour(workspace, capsys):
     d = json.loads(capsys.readouterr().out)
     assert d["noisy_value"] == 78.79366824746074
     assert d["gs_used"] == 50.0
+
+
+def test_readme_library_use(workspace, monkeypatch):
+    # the README's "Library use" snippet, run as written over the same files
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Library use", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(workspace)
+    namespace: dict = {}
+    exec(snippet, namespace)
+    assert namespace["report"].gs == 50
+    assert namespace["ans"].noisy_value == 78.79366824746074
 
 
 # ---------------------------------------------------------------------------
@@ -550,3 +568,158 @@ def test_input_errors_name_the_field(tmp_path, monkeypatch, capsys, argv, field)
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert field in captured.err
+
+
+# ---------------------------------------------------------------------------
+# one validation per command; exit codes over arbitrary argv, in-process
+
+TINY_FILES = {
+    "r.schema": "relation R { a: int [0, 2] }\nrelation U { x: real [0, inf] }\n",
+    "count.raq": "count of R\n",
+    "sum.raq": "sum(a) of R\n",
+    "unbounded.raq": "sum(x) of U\n",
+    "r.csv": "a\n1\n2\n",
+}
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    for name, text in TINY_FILES.items():
+        (root / name).write_text(text)
+    return root
+
+
+def tiny_argv(root, command, *options):
+    argv = [command, str(root / "r.schema"), str(root / "count.raq")]
+    if command in ("run", "dp-run"):
+        argv += ["--data", f"R={root / 'r.csv'}"]
+    if command == "dp-run":
+        argv += ["--epsilon", "1"]
+    return argv + list(options)
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [("analyze", ()), ("run", ()), ("run", ("--trace",)), ("dp-run", ()),
+     ("dp-run", ("--samples", "5")), ("validate", ())],
+    ids=["analyze", "run", "run --trace", "dp-run", "dp-run --samples", "validate"],
+)
+def test_each_command_validates_once(tiny, monkeypatch, capsys, command, options):
+    built = []
+
+    class CountingBuilder(query._SchemaBuilder):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(query, "_SchemaBuilder", CountingBuilder)
+    assert main(tiny_argv(tiny, command, *options)) == 0
+    assert len(built) == 1
+
+
+def test_sample_count_too_large_to_allocate_exits_2(tiny, capsys):
+    # 10^15 float64 draws need 8 PB, past any address space, so numpy refuses
+    # the allocation before it takes any memory
+    assert main(tiny_argv(tiny, "dp-run", "--samples", str(10**15))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _flags():
+    """(command, option) for every option that takes no value."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {(command, action.option_strings[0]) for command, sub in commands.choices.items()
+            for action in sub._actions if action.option_strings and action.nargs == 0}
+
+
+_FLAGS = _flags()
+_WORDS = st.sampled_from([
+    "--", "", "-", "abc", "1/2", "1/0", "0.25", "1e400", "1e-400", "inf", "-inf", "nan",
+    "0x10", " 1", "R", "R=", "=", "Ghost=x.csv", "R=nope.csv", "union=2", "union=inf",
+    "union=", "product=-1", "swizzle=1", "json", "table", "1" + "0" * 400,
+]) | st.text(alphabet=st.characters(blacklist_characters="/"), max_size=8)
+_NUMBERS = st.integers(min_value=-(10**30), max_value=10**30).map(str)
+_COUNTS = (st.integers(0, 4) | st.integers(min_value=0, max_value=10**30)).map(str)
+
+
+def _values(option: str, root):
+    """Values for an option: mostly ones it accepts, else anything."""
+    if option == "--samples":
+        # a sample count that numpy could actually grant would allocate it
+        anything = st.integers(min_value=-(10**30), max_value=1000).map(str) | _WORDS.filter(
+            lambda text: not _is_int(text)
+        )
+        return st.integers(0, 1000).map(str) | anything
+    good = {
+        "--enum-cap": _COUNTS,
+        "--dnf-cap": _COUNTS,
+        "--universe-cap": _COUNTS,
+        "--format": st.sampled_from(["json", "table"]),
+        "--data": st.just(f"R={root / 'r.csv'}"),
+        "--epsilon": st.sampled_from(["1", "1/2", "0.25", "3"]),
+        "--seed": st.integers(0, 2**64 - 1).map(str),
+        "--delta-override": st.builds(
+            "{}={}".format,
+            st.sampled_from(["id", "union", "restriction", "product"]),
+            st.sampled_from(["0", "1", "2", "1/2", "inf"]),
+        ),
+    }[option]
+    return good | good | _WORDS | _NUMBERS
+
+
+@st.composite
+def argvs(draw, root):
+    command = draw(st.sampled_from(["analyze", "run", "dp-run", "validate"]))
+    argv = tiny_argv(root, command)
+    argv[2] = str(root / draw(st.sampled_from(["count.raq", "sum.raq", "unbounded.raq"])))
+    if draw(st.integers(0, 4)) == 0:  # mangle a positional or a preset option value
+        argv[draw(st.integers(1, len(argv) - 1))] = draw(_WORDS | _NUMBERS)
+    options = [option for c, option in OPTIONS if c == command]
+    for option in draw(st.lists(st.sampled_from(options), max_size=4)):
+        if (command, option) in _FLAGS:
+            argv.append(option)
+            continue
+        value = draw(_values(option, root))
+        argv += draw(st.sampled_from([[option, value], [f"{option}={value}"]]))
+    return argv
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the arguments
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def tiny_argvs(tiny):
+    return argvs(tiny)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_any_argv_ends_in_a_documented_exit_code(tiny_argvs, data):
+    argv = data.draw(tiny_argvs, label="argv")
+    code, out, err = run_in_process(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 3 and argv[0] == "analyze":
+        # the full report of an infinite bound, whose warning names the cause
+        assert out and err == ""
+    elif code != 0:
+        assert out == ""
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1

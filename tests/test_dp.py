@@ -19,6 +19,7 @@ from raqdp.dp import (
 from raqdp.engine import Relation
 from raqdp.errors import UnboundedSensitivityError
 from raqdp.parsing import parse_query, parse_schemas
+from raqdp.query import validate
 
 
 def fixture_db():
@@ -99,19 +100,19 @@ def test_empirical_cdf_tracks_analytic():
 
 def test_release_is_deterministic_given_seed():
     schemas, db = fixture_db()
-    tq = parse_query("count of R")
+    vq = validate(parse_query("count of R"), schemas)
     params = DpParams(Fraction(1), 99)
-    a = dp_answer(tq, schemas, db, params)
-    b = dp_answer(tq, schemas, db, params)
+    a = dp_answer(vq, db, params)
+    b = dp_answer(vq, db, params)
     assert a.noisy_value == b.noisy_value
-    c = dp_answer(tq, schemas, db, DpParams(Fraction(1), 100))
+    c = dp_answer(vq, db, DpParams(Fraction(1), 100))
     assert c.noisy_value != a.noisy_value
 
 
 def test_release_record_fields():
     schemas, db = fixture_db()
     tq = parse_query("count of R")
-    ans = dp_answer(tq, schemas, db, DpParams(Fraction(1, 2), 7))
+    ans = dp_answer(validate(tq, schemas), db, DpParams(Fraction(1, 2), 7))
     assert ans.true_value_withheld
     assert ans.gs_used == 1
     assert ans.epsilon == Fraction(1, 2)
@@ -126,13 +127,13 @@ def test_unbounded_sensitivity_refused():
     schemas = parse_schemas("relation U { x: real [0, inf] }")
     db = {"U": Relation(schemas["U"], frozenset())}
     with pytest.raises(UnboundedSensitivityError):
-        dp_answer(parse_query("sum(x) of U"), schemas, db, DpParams(Fraction(1), 0))
+        dp_answer(validate(parse_query("sum(x) of U"), schemas), db, DpParams(Fraction(1), 0))
 
 
 def test_zero_sensitivity_short_circuits_with_warning():
     schemas = parse_schemas("relation Z { a: int [0, 5] } check { a > 9 }")
     db = {"Z": Relation(schemas["Z"], frozenset())}
-    ans = dp_answer(parse_query("count of Z"), schemas, db, DpParams(Fraction(1), 0))
+    ans = dp_answer(validate(parse_query("count of Z"), schemas), db, DpParams(Fraction(1), 0))
     assert ans.noisy_value == 0.0
     assert any("zero" in w for w in ans.warnings)
 
@@ -140,7 +141,7 @@ def test_zero_sensitivity_short_circuits_with_warning():
 def test_sample_answers_centered_on_truth():
     schemas, db = fixture_db()
     tq = parse_query("count of R")  # true value 2, gs 1
-    xs = sample_answers(tq, schemas, db, DpParams(Fraction(1), 5), 200_000)
+    xs = sample_answers(validate(tq, schemas), db, DpParams(Fraction(1), 5), 200_000)
     assert abs(xs.mean() - 2.0) < 0.02
     assert abs(xs.var() - 2.0) < 0.06  # variance 2 b^2 with b = gs/eps = 1
 
@@ -148,6 +149,6 @@ def test_sample_answers_centered_on_truth():
 def test_noise_scale_follows_gs_over_epsilon():
     schemas, db = fixture_db()
     tq = parse_query("sum(a) of R")  # gs = 2
-    xs = sample_answers(tq, schemas, db, DpParams(Fraction(1, 2), 5), 200_000)
+    xs = sample_answers(validate(tq, schemas), db, DpParams(Fraction(1, 2), 5), 200_000)
     b = 2 / 0.5
     assert abs(xs.var() - 2 * b * b) < 0.8

@@ -9,7 +9,7 @@ import pytest
 from raqdp.engine import Relation, answer, apply_agg, eval_plan, load_csv
 from raqdp.errors import DataError, EvalError
 from raqdp.parsing import parse_constraint, parse_query, parse_schemas
-from raqdp.query import AggFn, validate, validate_plan
+from raqdp.query import AggFn, validate
 
 PEOPLE_TEXT = """
 relation People {
@@ -49,7 +49,7 @@ def run_plan(text, schemas, db):
 def run_answer(text, schemas, db, trace=None):
     tq = parse_query(text)
     memo = validate(tq, schemas)
-    return answer(tq, db, memo, trace=trace)
+    return answer(memo, db, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +141,8 @@ def test_group_aggregate_table():
 def test_aggregates_on_data():
     schemas = parse_schemas("relation R { a: int [0, 10] }")
     rel = Relation.from_rows(schemas["R"], [(Fraction(v),) for v in (1, 4, 7)])
-    memo = validate_plan(parse_query("count of R").body, schemas)
-    node = memo[parse_query("count of R").body]
+    memo = validate(parse_query("count of R"), schemas)
+    node = memo.outputs[parse_query("count of R").body]
     assert apply_agg(AggFn("count"), rel) == 3
     assert apply_agg(AggFn("sum", "a"), rel) == 12
     assert apply_agg(AggFn("max", "a"), rel) == 7
@@ -371,7 +371,7 @@ def test_eval_outputs_satisfy_node_constraints():
         memo = validate(tq, schemas)
         db = {"People": random_people(rng, schemas, 6)}
         out = eval_plan(tq.body, db, memo)
-        node = memo[tq.body]
+        node = memo.outputs[tq.body]
         names = node.attr_names()
         for tup in out.tuples:
             env = dict(zip(names, tup))
@@ -496,7 +496,7 @@ def test_every_aggregate_of_int_cells_is_a_fraction(tmp_path):
         assert type(apply_agg(fn, t)) is Fraction
     # answers 3 (S = {1}) and 7 (S = {2}) at distance 2 give the ratio 2
     tq = parse_query("max(b) of select b <= a * 5 from (S product T)")
-    ratio = brute_sensitivity_ratio(tq, build_universe(tq, schemas, {"T": t}))
+    ratio = brute_sensitivity_ratio(validate(tq, schemas), build_universe(tq, schemas, {"T": t}))
     assert type(ratio) is Fraction
     grouped = run_plan("count of group a agg count, max(b) from (S product T)", schemas,
                        {"S": Relation.from_rows(schemas["S"], [(1,)]), "T": t})

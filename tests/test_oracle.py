@@ -70,7 +70,7 @@ def test_context_relations_are_not_enumerated():
     t_rel = Relation.from_rows(schemas["T"], [[Fraction(1)]])
     uni = build_universe(tq, schemas, context={"T": t_rel})
     assert [sr.name for sr in uni.sensitive] == ["S"]
-    res = brute_sensitivity(tq, uni)
+    res = brute_sensitivity(validate(tq, uni.schemas()), uni)
     assert res.value == 1
 
 
@@ -80,14 +80,14 @@ def test_context_relations_are_not_enumerated():
 
 def test_count_brute_is_one():
     tq, _, uni = universe_for("count of R", "relation R { a: int [0, 2] }")
-    res = brute_sensitivity(tq, uni)
+    res = brute_sensitivity(validate(tq, uni.schemas()), uni)
     assert res.value == 1
     assert res.witness is not None
 
 
 def test_sum_brute_is_extreme_magnitude():
     tq, _, uni = universe_for("sum(a) of R", "relation R { a: int [-4, 2] }")
-    res = brute_sensitivity(tq, uni)
+    res = brute_sensitivity(validate(tq, uni.schemas()), uni)
     assert res.value == 4  # adding or removing the tuple (-4,)
     before, after = res.witness
     diff = set(map(tuple, before["R"])) ^ set(map(tuple, after["R"]))
@@ -96,25 +96,25 @@ def test_sum_brute_is_extreme_magnitude():
 
 def test_max_brute_spans_the_range():
     tq, _, uni = universe_for("max(a) of R", "relation R { a: int [0, 10] }")
-    assert brute_sensitivity(tq, uni).value == 10
+    assert brute_sensitivity(validate(tq, uni.schemas()), uni).value == 10
 
 
 def test_avg_brute_is_half_range():
     tq, _, uni = universe_for("avg(a) of R", "relation R { a: num in {0, 5, 10} }")
-    assert brute_sensitivity(tq, uni).value == 5
+    assert brute_sensitivity(validate(tq, uni.schemas()), uni).value == 5
 
 
 def test_empty_default_drives_min_sensitivity():
     # min over empty relation defaults to the range supremum; inserting the
     # smallest tuple then swings the answer across the whole range
     tq, _, uni = universe_for("min(a) of R", "relation R { a: num in {0, 5, 10} }")
-    assert brute_sensitivity(tq, uni).value == 10
+    assert brute_sensitivity(validate(tq, uni.schemas()), uni).value == 10
 
 
 def test_union_witness_changes_both_relations():
     text = "relation R { a: int [0, 2] }\nrelation T { a: int [3, 5] }"
     tq, _, uni = universe_for("count of R union T", text)
-    res = brute_sensitivity(tq, uni)
+    res = brute_sensitivity(validate(tq, uni.schemas()), uni)
     assert res.value == 2
     before, after = res.witness
     assert before["R"] != after["R"] and before["T"] != after["T"]
@@ -128,8 +128,8 @@ def test_adjacent_equals_ratio_on_random_cases():
     rng = random.Random(424242)
     for _ in range(25):
         tq, schemas, uni = random_case(rng, max_solutions=4, depth=3)
-        adjacent = brute_sensitivity(tq, uni).value
-        ratio = brute_sensitivity_ratio(tq, uni)
+        adjacent = brute_sensitivity(validate(tq, uni.schemas()), uni).value
+        ratio = brute_sensitivity_ratio(validate(tq, uni.schemas()), uni)
         assert adjacent == ratio
 
 
@@ -139,25 +139,24 @@ def test_adjacent_equals_ratio_on_random_cases():
 
 def test_lipschitz_of_identity_is_one():
     tq, schemas, uni = universe_for("count of R", "relation R { a: int [0, 2] }")
-    assert brute_lipschitz(tq.body, uni) == 1
+    assert brute_lipschitz(tq.body, uni, validate(tq, uni.schemas())) == 1
 
 
 def test_lipschitz_union_reaches_two():
     text = "relation R { a: int [0, 2] }\nrelation T { a: int [3, 5] }"
     tq, schemas, uni = universe_for("count of R union T", text)
-    assert brute_lipschitz(tq.body, uni) == 2
+    assert brute_lipschitz(tq.body, uni, validate(tq, uni.schemas())) == 2
 
 
 def test_lipschitz_bounded_by_static_s():
-    from raqdp.query import validate_plan
     from raqdp.analyzer import intermediate_sensitivity
 
     rng = random.Random(31415)
     for _ in range(15):
         tq, schemas, uni = random_case(rng, max_solutions=4, depth=3)
-        memo = validate_plan(tq.body, schemas)
+        memo = validate(tq, schemas)
         s = intermediate_sensitivity(tq.body, memo)
-        lip = brute_lipschitz(tq.body, uni)
+        lip = brute_lipschitz(tq.body, uni, memo)
         assert is_infinite(s) or lip <= s
 
 
@@ -169,8 +168,9 @@ def test_static_bound_dominates_brute_on_random_cases():
     rng = random.Random(8675309)
     for _ in range(40):
         tq, schemas, uni = random_case(rng)
-        rep = global_sensitivity(tq, schemas)
-        res = brute_sensitivity(tq, uni)
+        vq = validate(tq, schemas)
+        rep = global_sensitivity(vq)
+        res = brute_sensitivity(vq, uni)
         assert is_infinite(rep.gs) or res.value <= rep.gs
 
 
@@ -180,7 +180,7 @@ def test_max_size_cap_restricts_databases():
         (SensitiveRelation("R", schema, enumerate_tuples(schema), max_size=1),)
     )
     tq = parse_query("sum(a) of R")
-    res = brute_sensitivity(tq, capped)
+    res = brute_sensitivity(validate(tq, capped.schemas()), capped)
     assert res.value == 2
 
 
@@ -188,8 +188,8 @@ def test_avg_over_an_enumerated_universe_stays_exact():
     # the empty database takes avg's default, the midpoint 3/2 of a's range
     # [0, 3]: exact only while attribute_bounds returns Fraction endpoints
     tq, _, universe = universe_for("avg(a) of R", "relation R { a: int [0, 3] }")
-    brute = brute_sensitivity(tq, universe)
-    ratio = brute_sensitivity_ratio(tq, universe)
+    brute = brute_sensitivity(validate(tq, universe.schemas()), universe)
+    ratio = brute_sensitivity_ratio(validate(tq, universe.schemas()), universe)
     assert brute.value == ratio == Fraction(3, 2)
     assert type(brute.value) is Fraction and type(ratio) is Fraction
 
@@ -199,8 +199,9 @@ def test_avg_over_an_enumerated_universe_stays_exact():
 
 
 def assert_matches_reference(tq, universe):
-    got = brute_sensitivity(tq, universe)
-    want = reference_brute_sensitivity(tq, universe)
+    vq = validate(tq, universe.schemas())
+    got = brute_sensitivity(vq, universe)
+    want = reference_brute_sensitivity(vq, universe)
     assert got.value == want.value and type(got.value) is Fraction
     assert got.witness == want.witness
 
@@ -240,6 +241,6 @@ def test_brute_matches_the_reference_over_a_common_denominator():
     # averages of subsets of {0, 1, 2, 3} include 1/2 and 4/3, so the values
     # are compared over a denominator of 6
     tq, schemas, universe = universe_for("avg(a) of R", "relation R { a: int [0, 3] }")
-    values = _database_values(tq, universe, validate(tq, schemas))
+    values = _database_values(validate(tq, schemas), universe)
     assert math.lcm(*(v.denominator for v in values.values())) == 6
     assert_matches_reference(tq, universe)

@@ -24,12 +24,12 @@ from raqdp.query import (
     ProductAgg,
     ProductOne,
     Restriction,
-    TopQuery,
     Union,
     default_aggregate,
-    output_schema,
     validate,
 )
+
+from helpers import output_schema
 
 PEOPLE = """
 relation People {
@@ -253,18 +253,17 @@ def test_validate_records_each_aggregate_value_range():
     # falls back to the domain box [0, 4]
     schemas = schemas_of(CAP)
     tq = parse_query("avg(a) of S")
-    assert validate(tq, schemas)[tq] == Bounds(Fraction(3), Fraction(4))
-    b = validate(tq, schemas, enum_cap=1)[tq]
+    assert validate(tq, schemas).bounds == Bounds(Fraction(3), Fraction(4))
+    b = validate(tq, schemas, enum_cap=1).bounds
     assert (b.lower, b.upper) == (0, 4)
     tq = parse_query("count of S")
-    assert validate(tq, schemas)[tq] is None
+    assert validate(tq, schemas).bounds is None
     tq = parse_query("max(avg_a) of R productagg avg(a) S")
     memo = validate(tq, schemas)
     plan = tq.body
-    right = memo[plan.right]
-    key = TopQuery(plan.fn, plan.right)
-    assert memo[key] == attribute_bounds(right.constraint, right, "a")
-    assert memo[key] == Bounds(Fraction(3), Fraction(4))
+    right = memo.outputs[plan.right]
+    assert memo.agg_bounds[plan] == attribute_bounds(right.constraint, right, "a")
+    assert memo.agg_bounds[plan] == Bounds(Fraction(3), Fraction(4))
 
 
 def test_agg_fn_validation():

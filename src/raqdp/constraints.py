@@ -5,7 +5,8 @@ comparison atoms and finite-set membership atoms. Everything downstream —
 attribute bounds, satisfiability, solution counting, diameter — works on
 exact rationals. Bounds for interval domains come from a hull-consistency
 narrowing fixpoint applied per disjunctive branch; fully enumerable domains
-take an exact enumeration path instead.
+take an exact enumeration path instead. Solution counts multiply over groups
+of conjuncts with disjoint attributes; the enumeration cap is on the whole grid.
 """
 
 from __future__ import annotations
@@ -1161,25 +1162,63 @@ def _distinct_visible(c: Constraint, grid: dict[str, list], visible: tuple) -> I
             yield tup
 
 
+def _components(nnf: Constraint, names) -> list[tuple[list[str], Constraint]]:
+    """The NNF's top-level conjuncts in attribute-disjoint groups (a union-find),
+    each as (its attributes in `names` order, their conjunction). An attribute
+    no conjunct mentions is a group alone, and so is a conjunct that mentions
+    none; those come first, so a false one ends a count early."""
+    root = {a: a for a in names}
+
+    def find(a: str) -> str:
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    conjuncts = nnf.items if isinstance(nnf, And) else (nnf,)
+    for conj in conjuncts:
+        heads = sorted({find(a) for a in constraint_attrs(conj)})
+        for a in heads:
+            root[a] = heads[0]
+    groups: dict[object, tuple[list[str], list[Constraint]]] = {}
+    for conj in conjuncts:
+        attrs = constraint_attrs(conj)
+        groups.setdefault(find(min(attrs)) if attrs else conj, ([], []))[1].append(conj)
+    for a in names:
+        groups.setdefault(find(a), ([], []))[0].append(a)
+    return sorted(((a, make_and(c)) for a, c in groups.values()), key=lambda g: bool(g[0]))
+
+
 def solution_count(
     c: Constraint, schema: ConstrainedSchema, cap: int = DEFAULT_ENUM_CAP
 ) -> int | str:
-    """Exact count of distinct visible solutions, 'exceeds-cap', or 'infinite'."""
-    status, grid = _finite_grid(normalize(c), schema, cap)
+    """Exact count of distinct visible solutions, 'exceeds-cap', or 'infinite'.
+
+    A grid within the cap is counted per attribute-disjoint group of the
+    NNF's conjuncts, each over its own sub-grid, and the counts multiply:
+    the solutions are the product of the groups' solutions."""
+    nnf = normalize(c)
+    status, grid = _finite_grid(nnf, schema, cap)
     if status == "empty":
         return 0
     if status == "infinite":
         return "infinite"
     if status == "too-big":
         return "exceeds-cap"
-    # stop at the first solution past the cap
-    found = itertools.islice(_distinct_visible(c, grid, schema.attr_names()), cap + 1)
-    count = sum(1 for _ in found)
-    return "exceeds-cap" if count > cap else count
+    total = 1
+    for attrs, conj in _components(nnf, grid):
+        shown = tuple(a for a in attrs if a in schema.attr_names())
+        found = _distinct_visible(conj, {a: grid[a] for a in attrs}, shown)
+        # a group with no visible attribute counts 1 once it has a solution
+        count = sum(1 for _ in itertools.islice(found, None if shown else 1))
+        if count == 0:
+            return 0
+        total *= count
+    return total
 
 
 def diameter(c: Constraint, schema: ConstrainedSchema, cap: int = DEFAULT_ENUM_CAP) -> Ext:
-    """Adjacency-graph diameter over relations on the schema: |solutions|, else +inf."""
+    """Adjacency-graph diameter over relations on the schema: |solutions|, else +inf
+    (counted per attribute-disjoint group, with the cap on the whole grid)."""
     count = solution_count(c, schema, cap)
     if isinstance(count, int):
         return Fraction(count)

@@ -7,13 +7,17 @@ import random
 from fractions import Fraction
 
 from raqdp.constraints import (
+    DEFAULT_ENUM_CAP,
     Attr,
     Cmp,
     ConstrainedSchema,
     Domain,
     InSet,
     Lit,
+    _distinct_visible,
+    _finite_grid,
     make_and,
+    normalize,
     solution_count,
     initial_constraint,
 )
@@ -205,3 +209,23 @@ def reference_brute_sensitivity(vq: ValidatedQuery, universe: Universe) -> Brute
                 best = diff
                 witness = (_witness(universe, combo), _witness(universe, neighbor))
     return BruteResult(best, witness)
+
+
+# ---------------------------------------------------------------------------
+# Reference count: the whole-grid loop, one compiled test per grid point
+
+
+def reference_solution_count(c, schema: ConstrainedSchema, cap: int = DEFAULT_ENUM_CAP) -> int | str:
+    """Distinct visible solutions counted over the whole grid, 'exceeds-cap'
+    or 'infinite': every grid point is tested, and the count stops at the
+    first solution past the cap."""
+    status, grid = _finite_grid(normalize(c), schema, cap)
+    if status == "empty":
+        return 0
+    if status == "infinite":
+        return "infinite"
+    if status == "too-big":
+        return "exceeds-cap"
+    found = itertools.islice(_distinct_visible(c, grid, schema.attr_names()), cap + 1)
+    count = sum(1 for _ in found)
+    return "exceeds-cap" if count > cap else count

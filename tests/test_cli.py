@@ -371,6 +371,30 @@ def test_product_agg_over_empty_operand_follows_the_user_caps(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["oracle"] == "2"
 
 
+def test_enum_cap_bounds_the_whole_product_grid(workspace, tmp_path, capsys):
+    # the product grid is 4 * 3 * 5 = 60 points, of which 9 * 5 = 45 are
+    # solutions: a cap of 60 counts them, a cap of 59 counts nothing, even
+    # though each operand's grid alone is within it
+    schema = write(
+        tmp_path, "pin.schema",
+        "relation A { a: int [0, 3]; b: int [0, 2] } check { a >= b }\n"
+        "relation B { c: int [0, 4] }",
+    )
+    query = write(tmp_path, "pin.raq", "count of A product B")
+    assert main(["analyze", schema, query, "--enum-cap", "60"]) == 0
+    out = capsys.readouterr().out
+    assert "global sensitivity: 45\n" in out
+    assert "  product          delta=inf    diam=45         S=45\n" in out
+    assert main(["analyze", schema, query, "--enum-cap", "59"]) == 3
+    out = capsys.readouterr().out
+    assert "global sensitivity: inf\n" in out
+    assert "  product          delta=inf    diam=inf        S=inf\n" in out
+    # the README example's grids (4 * 151 * 201 points) stay over the budget
+    assert main(["analyze", str(workspace / "people.schema"), str(workspace / "avg.raq")]) == 0
+    diams = [line.split()[2] for line in capsys.readouterr().out.splitlines() if "diam=" in line]
+    assert diams == ["diam=inf", "diam=inf"]
+
+
 def test_analyze_json_beyond_double_range_exits_2(tmp_path, capsys):
     schema = write(tmp_path, "s.schema", f"relation R {{ x: real [0, {BIG}] }}")
     query = write(tmp_path, "q.raq", "sum(x) of R")

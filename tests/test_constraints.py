@@ -1,13 +1,18 @@
 """Constraint language: solving, bounds, diameters, satisfiability."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from raqdp import constraints
+from raqdp.analyzer import global_sensitivity
 from raqdp.constraints import (
+    DEFAULT_ENUM_CAP,
     Attr,
     Bounds,
     Cmp,
@@ -33,9 +38,12 @@ from raqdp.constraints import (
     satisfiable,
     solution_count,
 )
-from raqdp.errors import SchemaError
+from raqdp.errors import SchemaError, ValidationError
 from raqdp.extmath import INF, NEG_INF
-from raqdp.parsing import parse_constraint, parse_schemas
+from raqdp.parsing import parse_constraint, parse_query, parse_schemas
+from raqdp.query import validate
+
+from helpers import reference_solution_count
 
 
 def ints(name, lo, hi):
@@ -400,3 +408,143 @@ def test_equality_between_string_attributes_narrows_as_strings():
     # enum_cap 1 takes the narrowing path, which read a = b as linear arithmetic
     assert attribute_bounds(c, schema, "k", enum_cap=1) == Bounds(Fraction(0), Fraction(1))
     assert satisfiable(make_and([c, parse_constraint('b = "z"')]), schema, enum_cap=1) == "no"
+
+
+# ---------------------------------------------------------------------------
+# Counting per attribute-disjoint group, against the whole-grid loop
+
+
+def _random_relation(rng: random.Random, name: str, features: set) -> tuple[str, dict]:
+    """A relation of one or two attributes, as schema text, and its attribute types."""
+    decls, checks, types = [], [], {}
+    for i in range(rng.choice([1, 2, 2])):
+        a = f"{name.lower()}{i}"
+        kind = rng.choice(["int", "num", "string", "real"])
+        if kind == "int":
+            lo = rng.randint(-2, 2)
+            decls.append(f"{a}: int [{lo}, {lo + rng.randint(0, 4)}]")
+        elif kind == "num":
+            values = rng.sample(["-1", "0", "1/2", "2", "3"], rng.randint(1, 4))
+            decls.append(f"{a}: num in {{{', '.join(values)}}}")
+            features.add("num set")
+        elif kind == "string":
+            values = rng.sample(["x", "y", "z"], rng.randint(1, 3))
+            members = ", ".join(f'"{v}"' for v in values)
+            decls.append(f"{a}: string in {{{members}}}")
+            if rng.random() < 0.3:
+                checks.append(f'{a} not in {{"{values[0]}"}}')
+            features.add("string set")
+        else:
+            decls.append(f"{a}: real [0, 3]")
+            if rng.random() < 0.85:  # otherwise the grid is infinite
+                pins = rng.sample(["0", "1/2", "2", "3", "7"], rng.randint(1, 3))
+                checks.append(f"{a} in {{{', '.join(pins)}}}" if len(pins) > 1 else f"{a} = {pins[0]}")
+                features.add("pinned real")
+        types[a] = "str" if kind == "string" else "num"
+    nums = [a for a, t in types.items() if t == "num"]
+    roll = rng.random()
+    if roll < 0.15:
+        checks.append(f"{rng.choice(list(types))} != {rng.choice(list(types))}")
+    elif roll < 0.3:
+        checks.append(rng.choice(["1 = 2", "1 = 1", "1 <= 2"]))
+        features.add("attribute-free atom")
+    elif roll < 0.5 and len(nums) == 2:
+        checks.append(rng.choice([f"{nums[0]} <= {nums[1]}", f"{nums[0]} = 2 or {nums[1]} < 1"]))
+    check = f" check {{ {' and '.join(checks)} }}" if checks else ""
+    return f"relation {name} {{ {'; '.join(decls)} }}{check}", types
+
+
+def _random_product_case(rng: random.Random, features: set) -> tuple[str, str]:
+    """Schema text and a count over 2-3 relations joined by `product`, with
+    projections that hide attributes and restrictions that link the relations."""
+    texts, operands, visible = [], [], []
+    for name in ["R", "S", "T"][: rng.choice([2, 3])]:
+        text, types = _random_relation(rng, name, features)
+        texts.append(text)
+        kept = list(types)
+        if len(kept) == 2 and rng.random() < 0.3:
+            kept = [rng.choice(kept)]
+            operands.append(f"(project {kept[0]} from {name})")
+            features.add("aux")
+        else:
+            operands.append(name)
+        visible.append({a: types[a] for a in kept})
+    plan = " product ".join(operands[:2])
+    if len(operands) == 3:
+        plan = f"({plan}) product {operands[2]}"
+    left, right = rng.sample(visible, 2)
+    pairs = [(a, b) for a in left for b in right if left[a] == right[b]]
+    if pairs and rng.random() < 0.6:
+        a, b = rng.choice(pairs)
+        if left[a] == "num":
+            link = rng.choice([f"{a} = {b}", f"{a} + {b} <= 2", f"{a} < {b} or 1 = 2"])
+        else:
+            link = rng.choice([f"{a} = {b}", f"{a} != {b}"])
+        plan = f"select {link} from ({plan})"
+        features.add("link")
+    names = [a for attrs in visible for a in attrs]
+    if len(names) > 1 and rng.random() < 0.4:
+        plan = f"project {', '.join(rng.sample(names, rng.randint(1, len(names) - 1)))} from ({plan})"
+        features.add("aux")
+    return "\n".join(texts), f"count of {plan}"
+
+
+def test_component_count_matches_the_whole_grid_loop():
+    rng = random.Random(8)
+    features: set = set()
+    checked = empty = 0
+    while checked < 240:
+        schema_text, query_text = _random_product_case(rng, features)
+        try:
+            vq = validate(parse_query(query_text), parse_schemas(schema_text))
+        except (SchemaError, ValidationError):
+            continue
+        for node, schema in vq.outputs.items():
+            c = schema.constraint
+            want = reference_solution_count(c, schema)
+            assert solution_count(c, schema) == want, (schema_text, query_text, node)
+            status, grid = constraints._finite_grid(normalize(c), schema, DEFAULT_ENUM_CAP)
+            if status == "ok":
+                size = math.prod(len(values) for values in grid.values())
+                assert solution_count(c, schema, size) == want
+                assert solution_count(c, schema, size - 1) == "exceeds-cap"
+                assert reference_solution_count(c, schema, size - 1) == "exceeds-cap"
+            empty += want == 0
+            checked += 1
+    assert empty > 0
+    assert features == {
+        "num set", "string set", "pinned real", "attribute-free atom", "aux", "link"
+    }
+
+
+def test_product_diameter_counts_each_operand_alone(monkeypatch):
+    schemas = parse_schemas("relation A { a: int [0, 999] }\nrelation B { c: int [0, 999] }")
+    vq = validate(parse_query("count of A product B"), schemas)
+    compile_ = constraints._compile
+    depth = runs = 0
+
+    def counting(c, index):
+        # counts the runs of each outermost compiled test, not of its parts
+        nonlocal depth
+        depth += 1
+        try:
+            test = compile_(c, index)
+        finally:
+            depth -= 1
+        if depth:
+            return test
+
+        def run(values):
+            nonlocal runs
+            runs += 1
+            return test(values)
+
+        return run
+
+    monkeypatch.setattr(constraints, "_compile", counting)
+    report = global_sensitivity(vq)
+    assert [r.diam for r in report.nodes] == [1000, 1000, 1_000_000]
+    assert report.gs == 1_000_000
+    # both operands' grids once for their own nodes and once for the product:
+    # the whole product grid is 10^6 points
+    assert runs <= 4_000

@@ -26,7 +26,6 @@ from .constraints import (
     diameter,
     initial_constraint,
     iter_solutions,
-    satisfiable,
     solution_count,
 )
 from .dp import DpAnswer, DpParams, dp_answer, laplace_sample, laplace_samples, make_rng
@@ -136,7 +135,6 @@ __all__ = [
     "parse_constraint",
     "parse_query",
     "parse_schemas",
-    "satisfiable",
     "solution_count",
     "validate",
 ]

@@ -48,13 +48,8 @@ _BASE_DELTAS: dict[str, Ext] = {
 }
 
 
-def operator_delta(
-    kind: str, n: int | None = None, overrides: tuple[tuple[str, Ext], ...] = ()
-) -> Ext:
+def operator_delta(kind: str, n: int | None = None) -> Ext:
     """The intrinsic per-operator amplification factor."""
-    for name, value in overrides:
-        if name == kind:
-            return value
     if kind == "product-n":
         if n is None or n < 1:
             raise ValidationError("block product factor needs its block size")
@@ -126,9 +121,8 @@ class SensitivityReport:
 
 
 class _Analysis:
-    def __init__(self, vq: ValidatedQuery, delta_overrides: tuple):
+    def __init__(self, vq: ValidatedQuery):
         self.vq = vq
-        self.delta_overrides = delta_overrides
         self.results: dict = {}  # plan -> (delta, diam, s)
 
     def s_of(self, plan: Plan) -> Ext:
@@ -136,7 +130,7 @@ class _Analysis:
             return self.results[plan][2]
         schema = self.vq.outputs[plan]
         n = plan.n if isinstance(plan, ProductN) else None
-        delta = operator_delta(op_name(plan), n, self.delta_overrides)
+        delta = operator_delta(op_name(plan), n)
         children = plan_children(plan)
         if not children:
             structural = Fraction(1)
@@ -166,12 +160,10 @@ class _Analysis:
         return out
 
 
-def intermediate_sensitivity(
-    plan: Plan, vq: ValidatedQuery, *, delta_overrides: tuple[tuple[str, Ext], ...] = ()
-) -> Ext:
+def intermediate_sensitivity(plan: Plan, vq: ValidatedQuery) -> Ext:
     """The bound S on how many output tuples of `plan`, a node of the
     validated query, one changed input row can change."""
-    return _Analysis(vq, delta_overrides).s_of(plan)
+    return _Analysis(vq).s_of(plan)
 
 
 def aggregation_delta(fn: AggFn, bounds: Bounds | None) -> Ext:
@@ -189,16 +181,10 @@ def aggregation_delta(fn: AggFn, bounds: Bounds | None) -> Ext:
     return (hi - lo) / 2
 
 
-def global_sensitivity(
-    vq: ValidatedQuery, *, delta_overrides: tuple[tuple[str, Ext], ...] = ()
-) -> SensitivityReport:
-    """The bound on how far the query's answer moves when one row changes.
-
-    `delta_overrides` is a test-only corruption hook: (operator name,
-    replacement factor) pairs that stand in for `operator_delta`.
-    """
+def global_sensitivity(vq: ValidatedQuery) -> SensitivityReport:
+    """The bound on how far the query's answer moves when one row changes."""
     tq = vq.query
-    analysis = _Analysis(vq, delta_overrides)
+    analysis = _Analysis(vq)
     s_root = analysis.s_of(tq.body)
     nodes = tuple(analysis.records(tq.body))
     warnings = list(_structural_warnings(tq.body))

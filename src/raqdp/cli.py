@@ -32,17 +32,15 @@ from .errors import (
     UnboundedSensitivityError,
     ValidationError,
 )
-from .extmath import INF, Ext, format_ext, is_infinite, parse_rational, to_double
+from .extmath import format_ext, is_infinite, parse_rational, to_double
 from .oracle import DEFAULT_UNIVERSE_CAP, brute_sensitivity, build_universe
 from .parsing import parse_query, parse_schemas
-from .query import _OP_NAMES, base_relations, validate
+from .query import base_relations, validate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNBOUNDED = 3
 EXIT_ORACLE = 4
-
-_OVERRIDABLE = frozenset(_OP_NAMES.values())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="static sensitivity report (no data needed)")
     common(sp, data=False, fmt_default="table")
-    sp.add_argument("--delta-override", action="append", default=[], metavar="OP=VALUE",
-                    help="test hook: override an operator's sensitivity constant")
 
     sp = sub.add_parser("run", help="evaluate the query exactly over CSV data")
     common(sp, data=True, fmt_default="table")
@@ -87,29 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, data=True, fmt_default="json")
     sp.add_argument("--universe-cap", type=int, default=DEFAULT_UNIVERSE_CAP,
                     help="largest combined tuple universe the oracle will enumerate")
-    sp.add_argument("--delta-override", action="append", default=[], metavar="OP=VALUE",
-                    help="test hook: override an operator's sensitivity constant")
     return parser
 
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
-
-
-def _parse_overrides(items: list[str]) -> tuple:
-    out = []
-    for item in items:
-        op, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"--delta-override expects OP=VALUE, got {item!r}")
-        op = op.strip()
-        if op not in _OVERRIDABLE:
-            raise ValueError(f"unknown operator {op!r} in --delta-override")
-        text = value.strip()
-        delta: Ext = INF if text == "inf" else parse_rational(text, f"--delta-override {op}")
-        out.append((op, delta))
-    return tuple(out)
 
 
 def _parse_data(items: list[str], schemas: dict) -> dict[str, Relation]:
@@ -128,22 +107,21 @@ def _parse_data(items: list[str], schemas: dict) -> dict[str, Relation]:
 
 
 def _load(args, *, all_data: bool = True):
-    """Parse the schema and query files, load every --data file, parse any
-    --delta-override, and validate the query once with the user's caps.
+    """Parse the schema and query files, load every --data file, and
+    validate the query once with the user's caps.
 
     With `all_data`, every base relation of the query needs a --data file.
-    Returns (schemas, validated query, database, delta overrides).
+    Returns (schemas, validated query, database).
     """
     schemas = parse_schemas(_read(args.schema))
     tq = parse_query(_read(args.query))
-    # analyze takes no --data; only analyze and validate take --delta-override
+    # analyze takes no --data
     db = _parse_data(getattr(args, "data", []), schemas)
     missing = sorted(base_relations(tq.body) - set(db))
     if all_data and missing:
         raise ValueError(f"no --data for relation(s): {', '.join(missing)}")
-    overrides = _parse_overrides(getattr(args, "delta_override", []))
     vq = validate(tq, schemas, enum_cap=args.enum_cap, dnf_cap=args.dnf_cap)
-    return schemas, vq, db, overrides
+    return schemas, vq, db
 
 
 def _json_value(v):
@@ -178,14 +156,14 @@ def _print_report(report: SensitivityReport, fmt: str) -> None:
 
 
 def cmd_analyze(args) -> int:
-    _, vq, _, overrides = _load(args, all_data=False)
-    report = global_sensitivity(vq, delta_overrides=overrides)
+    _, vq, _ = _load(args, all_data=False)
+    report = global_sensitivity(vq)
     _print_report(report, args.format)
     return EXIT_UNBOUNDED if is_infinite(report.gs) else EXIT_OK
 
 
 def cmd_run(args) -> int:
-    _, vq, db, _ = _load(args)
+    _, vq, db = _load(args)
     trace: list | None = [] if args.trace else None
     value = answer(vq, db, trace=trace)
     if args.format == "json":
@@ -203,7 +181,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_dp_run(args) -> int:
-    _, vq, db, _ = _load(args)
+    _, vq, db = _load(args)
     params = DpParams(parse_rational(args.epsilon, "epsilon"), args.seed)
     if args.samples is not None:
         draws = sample_answers(vq, db, params, args.samples)
@@ -228,8 +206,8 @@ def cmd_dp_run(args) -> int:
 
 def cmd_validate(args) -> int:
     # relations without --data form the oracle's enumerated universe
-    schemas, vq, context, overrides = _load(args, all_data=False)
-    report = global_sensitivity(vq, delta_overrides=overrides)
+    schemas, vq, context = _load(args, all_data=False)
+    report = global_sensitivity(vq)
     universe = build_universe(vq.query, schemas, context, cap=args.universe_cap)
     brute = brute_sensitivity(vq, universe)
     if brute.value > report.gs:
@@ -280,19 +258,17 @@ _EXIT_CODES = (
 )
 
 
-_REPEATABLE = frozenset({"data", "delta_override"})
-
-
 def _check_options(args) -> None:
     """Refuse option values that argparse lets through but no command can use.
 
     For `--opt=--` argparse stores an empty list or, in some Python
     versions, the string '--' (for a repeatable option, inside its list),
-    where every option here takes one string or number.
+    where every option here takes one string or number; `--data` is the
+    one repeatable option.
     Caps and sample counts are counts: a negative one is an input error.
     """
     for dest, value in vars(args).items():
-        values = value if dest in _REPEATABLE else [value]
+        values = value if dest == "data" else [value]
         if any(isinstance(v, list) or v == "--" for v in values):
             raise ValueError(f"--{dest.replace('_', '-')} needs a value, got '--'")
     for name in ("enum_cap", "dnf_cap", "universe_cap", "samples"):

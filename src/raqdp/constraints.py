@@ -2,10 +2,10 @@
 
 The constraint language is boolean structure (and/or/not/iff) over linear
 comparison atoms and finite-set membership atoms. Everything downstream —
-attribute bounds, satisfiability, solution counting, diameter — works on
-exact rationals. Bounds for interval domains come from a hull-consistency
-narrowing fixpoint applied per disjunctive branch; fully enumerable domains
-take an exact enumeration path instead. Solution counts multiply over groups
+attribute bounds, solution counting, diameter — works on exact rationals.
+Bounds for interval domains come from a hull-consistency narrowing fixpoint
+applied per disjunctive branch; fully enumerable domains take an exact
+enumeration path instead. Solution counts multiply over groups
 of conjuncts with disjoint attributes; the enumeration cap is on the whole grid.
 """
 
@@ -30,7 +30,6 @@ DEFAULT_DNF_CAP = 64
 # larger finite grids fall back to the (sound) interval path.
 _EXACT_BOUNDS_BUDGET = 4096
 _NARROW_MAX_PASSES = 32
-_WITNESS_CANDIDATE_CAP = 256
 
 
 # ---------------------------------------------------------------------------
@@ -1068,8 +1067,8 @@ def _finite_grid(
     Returns (status, grid) with status one of 'ok', 'empty', 'infinite',
     'too-big'. The grid covers all solutions; enumeration still filters by
     the constraint. Every solver function (`iter_solutions`,
-    `solution_count`, `attribute_bounds`, `satisfiable`) starts here, so the
-    constraint is type-checked here, once per call.
+    `solution_count`, `attribute_bounds`) starts here, so the constraint is
+    type-checked here, once per call.
     """
     domains = schema.all_domains()
     check_types(nnf, domains)
@@ -1259,77 +1258,3 @@ def attribute_bounds(
     if hull is None:
         return Bounds.make_empty()
     return Bounds(*hull.interval_of(attr))
-
-
-# ---------------------------------------------------------------------------
-# Satisfiability
-
-
-def satisfiable(
-    c: Constraint,
-    schema: ConstrainedSchema,
-    *,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    dnf_cap: int = DEFAULT_DNF_CAP,
-) -> str:
-    """'yes', 'no', or 'unknown'. Definitive on enumerable-within-cap domains."""
-    nnf = normalize(c)
-    status, grid = _finite_grid(nnf, schema, min(enum_cap, 65536))
-    if status == "empty":
-        return "no"
-    if status == "ok":
-        return "no" if next(_satisfying(c, grid), None) is None else "yes"
-    boxes = _branch_boxes(nnf, schema, dnf_cap)
-    if not boxes:
-        return "no"
-    test = _compile(c, _positions(schema.all_domains()))
-    for box in boxes:
-        if any(map(test, _witness_candidates(box, schema))):
-            return "yes"
-    return "unknown"
-
-
-def _witness_candidates(box: _Box, schema: ConstrainedSchema) -> Iterator[tuple]:
-    """Deterministic candidate value tuples inside a narrowed box, laid out as
-    `schema.all_domains()`."""
-    pools: list[list] = []
-    for a, dom in schema.all_domains().items():
-        if dom.kind is DomainKind.STR_SET:
-            allowed = sorted(box.strs[a])
-            pools.append(allowed[:2])
-            continue
-        lo, hi, lo_open, hi_open = box.interval_of(a)
-        if a in box.numset_members:
-            members = [v for v in box.numset_members[a] if _within(v, lo, hi, lo_open, hi_open)]
-            mid = members[len(members) // 2] if members else None
-            cands = [v for v in (members[0] if members else None, mid, members[-1] if members else None) if v is not None]
-        elif is_infinite(lo) and is_infinite(hi):
-            cands = [Fraction(0), Fraction(1), Fraction(-1)]
-        elif is_infinite(lo):
-            base = hi if not hi_open else hi - 1
-            cands = [base, hi - 1, hi - 10]
-        elif is_infinite(hi):
-            base = lo if not lo_open else lo + 1
-            cands = [base, lo + 1, lo + 10]
-        else:
-            mid = (lo + hi) / 2
-            lo_c = lo if not lo_open else (lo * 3 + hi) / 4
-            hi_c = hi if not hi_open else (lo + hi * 3) / 4
-            cands = [mid, lo_c, hi_c]
-        if dom.kind is DomainKind.INT_RANGE:
-            ints: list[int] = []
-            for v in cands:
-                iv = math.floor(v)
-                for candidate in (iv, iv + 1):
-                    if lo <= candidate <= hi and candidate not in ints:
-                        ints.append(candidate)
-            cands = ints
-        test = dom.member_test()
-        seen: list = []
-        for v in map(held_value, cands):
-            if v not in seen and test(v):
-                seen.append(v)
-        pools.append(seen)
-    if not all(pools):
-        return
-    yield from itertools.islice(itertools.product(*pools), _WITNESS_CANDIDATE_CAP)

@@ -7,10 +7,10 @@ add or remove at most one tuple in each sensitive relation (at least one
 relation changes); fixed context relations never change.
 
 The query is compiled once (`engine.compile_query`) and run once per
-database: 2^n runs over a universe of n tuples, fewer when a relation's size
-is capped. The exact values are then put over one common denominator, so
-each adjacent pair costs one integer comparison. The combined universe is
-capped at `DEFAULT_UNIVERSE_CAP` = 12 tuples unless the caller asks for more.
+database: 2^n runs over a universe of n tuples. The exact values are then
+put over one common denominator, so each adjacent pair costs one integer
+comparison. The combined universe is capped at `DEFAULT_UNIVERSE_CAP` = 12
+tuples unless the caller asks for more.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ class SensitiveRelation:
     name: str
     schema: ConstrainedSchema
     universe: tuple  # all admissible tuples, in a fixed order
-    max_size: int | None = None  # admissible relations hold at most this many
-
-    def capacity(self) -> int:
-        return len(self.universe) if self.max_size is None else min(self.max_size, len(self.universe))
 
 
 @dataclass(frozen=True)
@@ -109,10 +105,7 @@ def _databases(universe: Universe):
     Bit j of the i-th mask says whether tuple j of sensitive relation i is present.
     """
     base = universe.context_db()
-    mask_ranges = [
-        [m for m in range(1 << len(sr.universe)) if m.bit_count() <= sr.capacity()]
-        for sr in universe.sensitive
-    ]
+    mask_ranges = [range(1 << len(sr.universe)) for sr in universe.sensitive]
     for combo in itertools.product(*mask_ranges):
         db = dict(base)
         for sr, mask in zip(universe.sensitive, combo):
@@ -173,10 +166,7 @@ def brute_sensitivity(vq: ValidatedQuery, universe: Universe) -> BruteResult:
     worst = None
     for combo, value in values.items():
         for neighbor in _later_neighbors(combo, universe):
-            other = values.get(neighbor)
-            if other is None:
-                continue  # neighbor over-filled a size-capped relation
-            diff = abs(value - other)
+            diff = abs(value - values[neighbor])
             if diff > best:
                 best = diff
                 worst = combo, neighbor

@@ -201,10 +201,9 @@ def reference_brute_sensitivity(vq: ValidatedQuery, universe: Universe) -> Brute
             for sr, mask in zip(universe.sensitive, combo)
         ]
         for neighbor in itertools.product(*options):
-            other = values.get(neighbor)
-            if neighbor == combo or other is None:
+            if neighbor == combo:
                 continue
-            diff = abs(value - other)
+            diff = abs(value - values[neighbor])
             if diff > best:
                 best = diff
                 witness = (_witness(universe, combo), _witness(universe, neighbor))

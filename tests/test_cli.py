@@ -7,13 +7,14 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import raqdp
-from raqdp import query
+from raqdp import analyzer, query
 from raqdp.cli import _check_options, build_parser, main
 
 PEOPLE_SCHEMA = """
@@ -221,6 +222,26 @@ def test_dp_run_samples_mode(workspace, capsys):
     assert len(d["samples"]) == 50
 
 
+def test_dp_run_statically_empty_release_prints_every_line(tmp_path, capsys):
+    # gs is 0, so no noise is drawn and no sampler value is pinned
+    schema = write(tmp_path, "s.schema", "relation R { a: int [0, 5] } check { a > 9 }")
+    query = write(tmp_path, "q.raq", "sum(a) of R")
+    data = write(tmp_path, "r.csv", "a\n")
+    argv = ["dp-run", schema, query, "--data", f"R={data}", "--epsilon", "1"]
+    assert main([*argv, "--format", "table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert lines[0] == "noisy answer: 0.0"
+    assert lines[1].startswith("gs: 0   epsilon: 1   seed: 0   rng: ")
+    assert lines[2].startswith("note: ")
+    assert lines[3:] == [
+        "warning: query is statically empty: the propagated constraint is unsatisfiable",
+        "warning: sensitivity is zero; the exact answer is released without noise",
+    ]
+    assert main([*argv, "--samples", "2"]) == 0
+    assert capsys.readouterr().out == '{"samples": [0.0, 0.0]}\n'
+
+
 def test_readme_quick_tour(workspace, capsys):
     # the README's People example, its published trace and its published release
     base = [str(workspace / "people.schema"), str(workspace / "avg.raq"),
@@ -265,13 +286,14 @@ def test_validate_strict_on_simple_count(tmp_path, capsys):
     assert d["witness"] is not None
 
 
-def test_validate_reports_violation_with_corrupted_factor(tmp_path, capsys):
+def test_validate_reports_violation_with_corrupted_factor(tmp_path, capsys, monkeypatch):
     schema = write(
         tmp_path, "s.schema",
         "relation R { a: int [0, 2] }\nrelation T { a: int [3, 5] }",
     )
     query = write(tmp_path, "q.raq", "count of R union T")
-    assert main(["validate", schema, query, "--delta-override", "union=1"]) == 0
+    monkeypatch.setitem(analyzer._BASE_DELTAS, "union", Fraction(1))
+    assert main(["validate", schema, query]) == 0
     d = json.loads(capsys.readouterr().out)
     assert d["verdict"] == "VIOLATION"
     assert d["gs"] == "1" and d["oracle"] == "2"
@@ -315,6 +337,79 @@ def test_validate_data_files_fix_context(tmp_path, capsys):
     assert main(["validate", schema, query, "--data", f"T={data}"]) == 0
     d = json.loads(capsys.readouterr().out)
     assert d["verdict"] in ("STRICT", "SOUND")
+
+
+def test_validate_table_output(tmp_path, capsys):
+    schema = write(tmp_path, "s.schema", "relation R { a: int [0, 2] }")
+    query = write(tmp_path, "q.raq", "count of R")
+    assert main(["validate", schema, query, "--format", "table"]) == 0
+    assert capsys.readouterr().out == (
+        "static bound: 1   oracle: 1   verdict: STRICT\n"
+        'witness pair: {"R": {"R": []}, "R_plus": {"R": [["0"]]}}\n'
+    )
+
+
+def validate_result(tmp_path, schema_text, query_text, *options):
+    """(gs, oracle, verdict) as `validate --format json` prints them."""
+    schema = write(tmp_path, "s.schema", schema_text)
+    query = write(tmp_path, "q.raq", query_text)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["validate", schema, query, *options]) == 0
+    d = json.loads(out.getvalue())
+    return d["gs"], d["oracle"], d["verdict"]
+
+
+@pytest.mark.parametrize(
+    "options, want",
+    [
+        (["--enum-cap", "1"], ("0", "0", "STRICT")),
+        # past the branch cap the structural box keeps a in [3, 5]
+        (["--enum-cap", "1", "--dnf-cap", "0"], ("2", "0", "SOUND")),
+    ],
+)
+def test_validate_past_the_dnf_cap_falls_back_to_the_structural_box(tmp_path, options, want):
+    query = "max(a) of select (a <= 2 or a >= 7) and a >= 3 and a <= 5 from R"
+    assert validate_result(tmp_path, "relation R { a: int [0, 9] }", query, *options) == want
+
+
+IFF_SCHEMA = "relation R { a: int [0, 2]; b: int [0, 2] } check { a >= 1 iff b >= 1 }"
+
+
+@pytest.mark.parametrize(
+    "query, want",
+    [
+        ("sum(a) of R", ("2", "2", "STRICT")),
+        ("sum(b) of select a = 0 iff b = 0 from R", ("2", "2", "STRICT")),
+        ("count of group a agg count from R", ("2", "1", "SOUND")),
+        ("count of project a from R", ("1", "1", "STRICT")),
+    ],
+)
+def test_validate_iff_in_the_check_and_in_a_predicate(tmp_path, query, want):
+    assert validate_result(tmp_path, IFF_SCHEMA, query) == want
+
+
+MIXED_DOMAINS = """
+relation S { s: string in {"x"}; k: int [0, 1] }
+relation T { s: string in {"y", "z"}; k: int [0, 2] }
+relation U { n: num in {1/2, 3}; k: int [0, 1] }
+relation V { n: int [0, 2]; k: int [0, 1] }
+relation W { n: num in {1, 3}; k: int [0, 1] }
+"""
+
+
+@pytest.mark.parametrize(
+    "query, want",
+    [
+        ("count of S union T", ("2", "2", "STRICT")),
+        ("sum(k) of (project k from S) union (project k from T)", ("4", "3", "SOUND")),
+        ("sum(n) of U union V", ("6", "5", "SOUND")),
+        ("sum(n) of U union W", ("6", "6", "STRICT")),
+        ("sum(k) of (project k from S) union (project k from V)", ("2", "1", "SOUND")),
+    ],
+)
+def test_validate_union_of_operands_with_different_domains(tmp_path, query, want):
+    assert validate_result(tmp_path, MIXED_DOMAINS, query) == want
 
 
 def test_unknown_data_relation_exits_2(workspace, capsys):
@@ -453,10 +548,6 @@ def test_number_options_that_are_not_numbers_name_the_option(tmp_path, capsys, t
     data = write(tmp_path, "r.csv", "x\n1\n")
     assert main(["dp-run", schema, query, "--data", f"R={data}", f"--epsilon={text}"]) == 2
     assert capsys.readouterr().err == f"error: epsilon is not a number: {text!r}\n"
-    assert main(["analyze", schema, query, "--delta-override", f"restriction={text}"]) == 2
-    assert capsys.readouterr().err == (
-        f"error: --delta-override restriction is not a number: {text!r}\n"
-    )
 
 
 def _subcommand_options():
@@ -470,6 +561,19 @@ def _subcommand_options():
 
 
 OPTIONS = list(_subcommand_options())
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    common = {"--dnf-cap", "--enum-cap", "--format"}
+    got = {}
+    for command, option in OPTIONS:
+        got.setdefault(command, set()).add(option)
+    assert got == {
+        "analyze": common,
+        "run": common | {"--data", "--trace"},
+        "dp-run": common | {"--data", "--epsilon", "--samples", "--seed"},
+        "validate": common | {"--data", "--universe-cap"},
+    }
 
 
 @pytest.mark.parametrize("command, option", OPTIONS,
@@ -693,11 +797,6 @@ def _values(option: str, root):
         "--data": st.just(f"R={root / 'r.csv'}"),
         "--epsilon": st.sampled_from(["1", "1/2", "0.25", "3"]),
         "--seed": st.integers(0, 2**64 - 1).map(str),
-        "--delta-override": st.builds(
-            "{}={}".format,
-            st.sampled_from(["id", "union", "restriction", "product"]),
-            st.sampled_from(["0", "1", "2", "1/2", "inf"]),
-        ),
     }[option]
     return good | good | _WORDS | _NUMBERS
 

@@ -35,7 +35,6 @@ from raqdp.constraints import (
     make_and,
     make_or,
     normalize,
-    satisfiable,
     solution_count,
 )
 from raqdp.errors import SchemaError, ValidationError
@@ -228,28 +227,6 @@ def test_aux_attributes_constrain_visible_ones():
 
 
 # ---------------------------------------------------------------------------
-# Satisfiability
-
-
-def test_satisfiable_verdicts():
-    schema = small_schema()
-    c = initial_constraint(schema)
-    assert satisfiable(c, schema) == "yes"
-    assert satisfiable(make_and([c, parse_constraint("a > 99")]), schema) == "no"
-
-
-def test_satisfiable_reals_witness_search():
-    text = """
-    relation Items {
-      Cost: real [0, 10000];
-      Price: real [0, 10000]
-    } check { Cost <= Price and Price <= 1000 and Cost > 0 }
-    """
-    schema = parse_schemas(text)["Items"]
-    assert satisfiable(initial_constraint(schema), schema) == "yes"
-
-
-# ---------------------------------------------------------------------------
 # Normalization properties
 
 
@@ -360,7 +337,7 @@ def test_solver_functions_check_types_once_per_call():
     c = parse_constraint('s + s = "aa"')
     with pytest.raises(SchemaError):
         iter_solutions(c, schema)
-    for call in (solution_count, diameter, satisfiable):
+    for call in (solution_count, diameter):
         with pytest.raises(SchemaError):
             call(c, schema)
     with pytest.raises(SchemaError):
@@ -407,7 +384,19 @@ def test_equality_between_string_attributes_narrows_as_strings():
     ]
     # enum_cap 1 takes the narrowing path, which read a = b as linear arithmetic
     assert attribute_bounds(c, schema, "k", enum_cap=1) == Bounds(Fraction(0), Fraction(1))
-    assert satisfiable(make_and([c, parse_constraint('b = "z"')]), schema, enum_cap=1) == "no"
+    pinned = make_and([c, parse_constraint('b = "z"')])
+    assert attribute_bounds(pinned, schema, "k", enum_cap=1).empty
+
+
+def test_past_the_dnf_cap_bounds_come_from_the_structural_box():
+    schemas = parse_schemas("relation R { a: int [0, 9] }")
+    tq = parse_query("max(a) of select (a <= 2 or a >= 7) and a >= 3 and a <= 5 from R")
+    out = validate(tq, schemas).outputs[tq.body]
+    # each branch narrows to empty; one box over both keeps the conjuncts' [3, 5]
+    assert attribute_bounds(out.constraint, out, "a", enum_cap=1).empty
+    assert attribute_bounds(out.constraint, out, "a", enum_cap=1, dnf_cap=0) == Bounds(
+        Fraction(3), Fraction(5)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ from raqdp.engine import Relation
 from raqdp.errors import OracleError
 from raqdp.extmath import is_infinite
 from raqdp.oracle import (
-    SensitiveRelation,
-    Universe,
     _database_values,
     brute_lipschitz,
     brute_sensitivity,
@@ -174,16 +172,6 @@ def test_static_bound_dominates_brute_on_random_cases():
         assert is_infinite(rep.gs) or res.value <= rep.gs
 
 
-def test_max_size_cap_restricts_databases():
-    schema = parse_schemas("relation R { a: int [0, 2] }")["R"]
-    capped = Universe(
-        (SensitiveRelation("R", schema, enumerate_tuples(schema), max_size=1),)
-    )
-    tq = parse_query("sum(a) of R")
-    res = brute_sensitivity(validate(tq, capped.schemas()), capped)
-    assert res.value == 2
-
-
 def test_avg_over_an_enumerated_universe_stays_exact():
     # the empty database takes avg's default, the midpoint 3/2 of a's range
     # [0, 3]: exact only while attribute_bounds returns Fraction endpoints
@@ -228,13 +216,6 @@ def test_brute_matches_the_reference_on_two_relations(query):
     tq, _, universe = universe_for(query, text)
     assert len(universe.sensitive) == 2
     assert_matches_reference(tq, universe)
-
-
-@pytest.mark.parametrize("query", ["sum(a) of R", "avg(a) of R", "min(a) of R"])
-def test_brute_matches_the_reference_on_a_size_capped_relation(query):
-    schema = parse_schemas("relation R { a: int [0, 3] }")["R"]
-    capped = Universe((SensitiveRelation("R", schema, enumerate_tuples(schema), max_size=1),))
-    assert_matches_reference(parse_query(query), capped)
 
 
 def test_brute_matches_the_reference_over_a_common_denominator():

@@ -12,7 +12,6 @@ from raqdp.constraints import (
     attribute_bounds,
     format_constraint,
     make_and,
-    satisfiable,
     solution_count,
 )
 from raqdp.errors import ValidationError
@@ -141,7 +140,8 @@ def test_difference_same_base_negates_right():
     b = attribute_bounds(out.constraint, out, "Weight")
     # Weight >= 100 negated gives Weight < 100; integer tightening closes at 99
     assert (b.lower, b.upper) == (0, 99)
-    assert satisfiable(out.constraint, out) == "yes"
+    # 4 names x Weight 0-99 x Height 0-200
+    assert solution_count(out.constraint, out) == 80_400
 
 
 def test_difference_unrelated_keeps_left_only():
@@ -228,8 +228,8 @@ def test_product_agg_statically_empty_right_keeps_default_reachable():
     )
     plan = ProductAgg(AggFn("count"), Id("R"), Id("T"))
     out = output_schema(plan, schemas)
-    assert satisfiable(out.constraint, out) == "yes"
-    # the exact runtime row (a=0, count=0) must remain admissible
+    # the exact runtime row (a=0, count=0) must remain admissible, and so
+    # the unpinned constraint is satisfiable too
     pinned = make_and(
         [
             out.constraint,
@@ -237,7 +237,7 @@ def test_product_agg_statically_empty_right_keeps_default_reachable():
             Cmp("=", Attr("count"), Lit(Fraction(0))),
         ]
     )
-    assert satisfiable(pinned, out) == "yes"
+    assert solution_count(pinned, out) == 1
 
 
 def test_top_level_aggregate_attribute_checked():
@@ -294,4 +294,4 @@ def test_projection_then_union_aligns():
     )
     out = output_schema(parse_query(text).body, schemas)
     assert out.attr_names() == ("Name",)
-    assert satisfiable(out.constraint, out) == "yes"
+    assert solution_count(out.constraint, out) == 4

@@ -16,19 +16,16 @@ from raqdp.constraints import (
     Lit,
     _distinct_visible,
     _finite_grid,
-    make_and,
     normalize,
     solution_count,
     initial_constraint,
 )
-from raqdp.engine import Relation, answer
+from raqdp.engine import Relation, answer, eval_plan
 from raqdp.errors import ValidationError
 from raqdp.oracle import (
     BruteResult,
     SensitiveRelation,
     Universe,
-    _databases,
-    _witness,
     enumerate_tuples,
 )
 from raqdp.parsing import parse_schemas
@@ -182,7 +179,27 @@ def random_case(rng: random.Random, max_solutions: int = 6, depth: int = 4):
 
 
 # ---------------------------------------------------------------------------
-# Reference oracle: the adjacent-pair search in its plainest form
+# Reference oracle: the adjacent-pair search in its plainest form, over every
+# mask of every sensitive relation
+
+
+def reference_databases(universe: Universe):
+    """Every database over the whole universe with its bitmask vector, in
+    increasing order of the vectors: every mask, whatever the query reads."""
+    ranges = [range(1 << len(sr.universe)) for sr in universe.sensitive]
+    for combo in itertools.product(*ranges):
+        db = dict(universe.context)
+        for sr, mask in zip(universe.sensitive, combo):
+            db[sr.name] = Relation(sr.schema, frozenset(_members(sr, mask)))
+        yield combo, db
+
+
+def _members(sr: SensitiveRelation, mask: int) -> list:
+    return [t for j, t in enumerate(sr.universe) if mask >> j & 1]
+
+
+def _witness(universe: Universe, combo: tuple[int, ...]) -> dict:
+    return {sr.name: _members(sr, mask) for sr, mask in zip(universe.sensitive, combo)}
 
 
 def reference_brute_sensitivity(vq: ValidatedQuery, universe: Universe) -> BruteResult:
@@ -192,7 +209,7 @@ def reference_brute_sensitivity(vq: ValidatedQuery, universe: Universe) -> Brute
     is compared (so each pair twice), in enumeration order; the first pair
     reaching the worst change is the witness.
     """
-    values = {combo: answer(vq, db) for combo, db in _databases(universe)}
+    values = {combo: answer(vq, db) for combo, db in reference_databases(universe)}
     best = Fraction(0)
     witness = None
     for combo, value in values.items():
@@ -208,6 +225,29 @@ def reference_brute_sensitivity(vq: ValidatedQuery, universe: Universe) -> Brute
                 best = diff
                 witness = (_witness(universe, combo), _witness(universe, neighbor))
     return BruteResult(best, witness)
+
+
+def _reference_sup(values: dict, diff) -> Fraction:
+    """sup over ordered pairs of distinct databases of diff / distance, in Fractions."""
+    best = Fraction(0)
+    for a, b in itertools.permutations(values, 2):
+        distance = max(bin(x ^ y).count("1") for x, y in zip(a, b))
+        best = max(best, Fraction(diff(values[a], values[b]), distance))
+    return best
+
+
+def reference_brute_ratio(vq: ValidatedQuery, universe: Universe) -> Fraction:
+    """sup over every pair of databases of |answer difference| / distance."""
+    values = {combo: answer(vq, db) for combo, db in reference_databases(universe)}
+    return _reference_sup(values, lambda x, y: abs(x - y))
+
+
+def reference_brute_lipschitz(plan, universe: Universe, vq: ValidatedQuery) -> Fraction:
+    """sup over every pair of databases of |output symmetric difference| / distance."""
+    outputs = {
+        combo: eval_plan(plan, db, vq).tuples for combo, db in reference_databases(universe)
+    }
+    return _reference_sup(outputs, lambda x, y: len(x ^ y))
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from raqdp.constraints import ConstrainedSchema, make_and
 from raqdp.dp import DpParams, laplace_cdf, laplace_samples, make_rng, sample_answers
 from raqdp.engine import Relation, eval_plan
 from raqdp.errors import ValidationError
-from raqdp.extmath import INF, is_infinite
+from raqdp.extmath import INF
 from raqdp.oracle import brute_lipschitz, brute_sensitivity, build_universe
-from raqdp.parsing import format_plan, parse_query, parse_schemas
+from raqdp.parsing import format_plan, parse_query
 from raqdp.query import AggFn, TopQuery, validate
 
 

@@ -18,10 +18,7 @@ from raqdp.constraints import (
     Cmp,
     ConstrainedSchema,
     Domain,
-    InSet,
     Lit,
-    Not,
-    Or,
     TRUE,
     FALSE,
     And,

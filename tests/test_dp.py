@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from raqdp.dp import (
-    DpAnswer,
     DpParams,
     dp_answer,
     laplace_cdf,

@@ -8,7 +8,7 @@ import pytest
 
 from raqdp.engine import Relation, answer, apply_agg, eval_plan, load_csv
 from raqdp.errors import DataError, EvalError
-from raqdp.parsing import parse_constraint, parse_query, parse_schemas
+from raqdp.parsing import parse_query, parse_schemas
 from raqdp.query import AggFn, validate
 
 PEOPLE_TEXT = """

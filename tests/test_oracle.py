@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from raqdp.analyzer import global_sensitivity
-from raqdp.engine import Relation
-from raqdp.errors import OracleError
+from raqdp import oracle
+from raqdp.engine import Relation, compile_query
+from raqdp.errors import EvalError, OracleError
 from raqdp.extmath import is_infinite
 from raqdp.oracle import (
     _database_values,
+    _read_bits,
     brute_lipschitz,
     brute_sensitivity,
     brute_sensitivity_ratio,
@@ -21,7 +23,12 @@ from raqdp.oracle import (
 from raqdp.parsing import parse_query, parse_schemas
 from raqdp.query import validate
 
-from helpers import random_case, reference_brute_sensitivity
+from helpers import (
+    random_case,
+    reference_brute_lipschitz,
+    reference_brute_ratio,
+    reference_brute_sensitivity,
+)
 
 
 def universe_for(query_text, schema_text, context=None, cap=12):
@@ -222,6 +229,147 @@ def test_brute_matches_the_reference_over_a_common_denominator():
     # averages of subsets of {0, 1, 2, 3} include 1/2 and 4/3, so the values
     # are compared over a denominator of 6
     tq, schemas, universe = universe_for("avg(a) of R", "relation R { a: int [0, 3] }")
-    values = _database_values(validate(tq, schemas), universe)
+    vq = validate(tq, schemas)
+    values = _database_values(vq, universe, _read_bits(vq.query.body, vq, universe))
     assert math.lcm(*(v.denominator for v in values.values())) == 6
     assert_matches_reference(tq, universe)
+
+
+# ---------------------------------------------------------------------------
+# Enumerating only the read bits changes no result: each entry point against
+# the reference, which enumerates every mask of every relation
+
+_K = "relation K { k: int [7, 7] }\n"
+_ONE = "relation R { a: int [-1, 4] }"
+_PAIR = "relation R { a: int [0, 2] }\nrelation T { a: int [0, 2] }"
+
+
+def full_bits(universe):
+    return tuple((1 << len(sr.universe)) - 1 for sr in universe.sensitive)
+
+
+def assert_projection_changes_nothing(tq, universe):
+    vq = validate(tq, universe.schemas())
+    assert_matches_reference(tq, universe)
+    assert brute_sensitivity_ratio(vq, universe) == reference_brute_ratio(vq, universe)
+    assert brute_lipschitz(tq.body, universe, vq) == reference_brute_lipschitz(
+        tq.body, universe, vq
+    )
+
+
+@pytest.mark.parametrize(
+    "query, schema_text",
+    [
+        pytest.param("sum(a) of select a >= 2 from R", _ONE, id="select"),
+        pytest.param(
+            "count of (select a >= 1 from R) minus (select a >= 4 from R)", _ONE, id="minus"
+        ),
+        pytest.param(
+            "max(a) of (select a <= 3 from R) intersect (select a >= 1 from R)",
+            _ONE,
+            id="intersect",
+        ),
+        pytest.param(
+            "count of group g agg count from (select a >= 1 from R)",
+            "relation R { g: int [0, 1]; a: int [0, 2] }",
+            id="group",
+        ),
+        pytest.param("sum(a) of K product1 (select a <= 2 from R)", _K + _ONE, id="product1"),
+        pytest.param("count of (select a >= 2 from R) union T", _PAIR, id="union-pair"),
+        pytest.param("sum(a) of (select a = 1 from R) minus T", _PAIR, id="minus-pair"),
+        pytest.param("avg(a) of (select a <= 1 from R) intersect T", _PAIR, id="intersect-pair"),
+    ],
+)
+def test_read_bits_match_the_full_enumeration(query, schema_text):
+    context = None
+    if "K" in query:
+        context = {"K": Relation(parse_schemas(_K)["K"], frozenset({(Fraction(7),)}))}
+    tq, _, universe = universe_for(query, schema_text, context)
+    vq = validate(tq, universe.schemas())
+    bits = _read_bits(tq.body, vq, universe)
+    assert bits != full_bits(universe) and all(bits)
+    assert_projection_changes_nothing(tq, universe)
+
+
+def test_read_bits_match_the_full_enumeration_on_random_cases():
+    rng = random.Random(20260)
+    projected = 0
+    for _ in range(30):
+        tq, _, universe = random_case(rng, max_solutions=5)
+        vq = validate(tq, universe.schemas())
+        projected += _read_bits(tq.body, vq, universe) != full_bits(universe)
+        assert_projection_changes_nothing(tq, universe)
+    assert projected >= 5
+
+
+def test_read_bits_raise_the_first_error_of_the_full_enumeration():
+    # the one-row side is sensitive, so a database without exactly one R
+    # tuple cannot be evaluated
+    text = "relation R { r: int [0, 2] }\nrelation T { a: int [0, 2] }"
+    tq, _, universe = universe_for("count of R product1 (select a >= 1 from T)", text)
+    vq = validate(tq, universe.schemas())
+    assert _read_bits(tq.body, vq, universe) == (0b111, 0b110)
+    with pytest.raises(EvalError) as want:
+        reference_brute_sensitivity(vq, universe)
+    assert str(want.value) == "one-sided product requires exactly one tuple, found 0"
+    for run in (
+        lambda: brute_sensitivity(vq, universe),
+        lambda: brute_sensitivity_ratio(vq, universe),
+        lambda: brute_lipschitz(tq.body, universe, vq),
+    ):
+        with pytest.raises(EvalError) as got:
+            run()
+        assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# How many databases the oracle evaluates
+
+
+@pytest.mark.parametrize(
+    "query, schema_text, runs",
+    [
+        pytest.param(
+            "sum(a) of select a <= 7 from R", "relation R { a: int [0, 11] }", 2**8, id="select"
+        ),
+        pytest.param(
+            "avg(a) of R union T",
+            "relation R { a: int [1, 6] }\nrelation T { a: int [1, 6] }",
+            2**12,
+            id="unrestricted",
+        ),
+        pytest.param(
+            "count of select a >= 5 from R", "relation R { a: int [0, 2] }", 1, id="keeps-none"
+        ),
+    ],
+)
+def test_the_oracle_runs_the_query_once_per_readable_database(
+    monkeypatch, query, schema_text, runs
+):
+    count = 0
+
+    def counted(vq):
+        value = compile_query(vq)
+
+        def run(db):
+            nonlocal count
+            count += 1
+            return value(db)
+
+        return run
+
+    monkeypatch.setattr(oracle, "compile_query", counted)
+    tq, _, universe = universe_for(query, schema_text)
+    brute_sensitivity(validate(tq, universe.schemas()), universe)
+    assert count == runs
+
+
+def test_a_universe_of_context_relations_only_is_one_database():
+    tq, schemas, _ = universe_for("sum(a) of select a >= 1 from R", "relation R { a: int [0, 2] }")
+    data = {"R": Relation.from_rows(schemas["R"], [[Fraction(1)], [Fraction(2)]])}
+    universe = build_universe(tq, schemas, data)
+    vq = validate(tq, schemas)
+    assert universe.sensitive == () and _read_bits(tq.body, vq, universe) == ()
+    assert brute_sensitivity(vq, universe) == reference_brute_sensitivity(vq, universe)
+    assert brute_sensitivity(vq, universe).value == 0
+    assert brute_sensitivity_ratio(vq, universe) == brute_lipschitz(tq.body, universe, vq) == 0

@@ -17,16 +17,13 @@ from raqdp.parsing import (
 )
 from raqdp.query import (
     AggFn,
-    Difference,
     GroupAggregate,
     Id,
-    Product,
     ProductAgg,
     ProductN,
     ProductOne,
     Projection,
     Restriction,
-    TopQuery,
     Union,
 )
 

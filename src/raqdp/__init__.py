@@ -15,7 +15,6 @@ from .analyzer import (
     aggregation_delta,
     global_sensitivity,
     intermediate_sensitivity,
-    operator_delta,
 )
 from .constraints import (
     Attr,
@@ -45,7 +44,6 @@ from .oracle import (
     Universe,
     brute_lipschitz,
     brute_sensitivity,
-    brute_sensitivity_ratio,
     build_universe,
 )
 from .parsing import (
@@ -61,6 +59,7 @@ from .query import (
     GroupAggregate,
     Id,
     Intersection,
+    NodeFacts,
     Product,
     ProductAgg,
     ProductN,
@@ -70,6 +69,7 @@ from .query import (
     TopQuery,
     Union,
     ValidatedQuery,
+    operator_delta,
     validate,
 )
 
@@ -90,6 +90,7 @@ __all__ = [
     "GroupAggregate",
     "Id",
     "Intersection",
+    "NodeFacts",
     "NodeRecord",
     "OracleError",
     "ParseError",
@@ -116,7 +117,6 @@ __all__ = [
     "attribute_bounds",
     "brute_lipschitz",
     "brute_sensitivity",
-    "brute_sensitivity_ratio",
     "build_universe",
     "diameter",
     "dp_answer",

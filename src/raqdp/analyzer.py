@@ -1,10 +1,11 @@
 """Compositional sensitivity analysis of aggregation queries.
 
-Every operator contributes an intrinsic amplification factor; the recursion
-multiplies factors bottom-up and caps each intermediate result by the
-diameter of the node's propagated constraint (an output can never change by
-more tuples than can exist at all). The top-level aggregation converts the
-tuple-level factor into a bound on the released number.
+Every operator contributes an intrinsic amplification factor; validation
+(`query.validate`) multiplies factors bottom-up and caps each intermediate
+result by the diameter of the node's propagated constraint (an output can
+never change by more tuples than can exist at all). The analyzer reads those
+per-node bounds, converts the root's tuple-level bound into a bound on the
+released number through the top-level aggregation, and reports both.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constraints import Bounds, diameter, format_constraint
-from .errors import ValidationError
+from .constraints import Bounds, format_constraint
 from .extmath import Ext, INF, ext_mul, format_ext, is_infinite, to_double
 from .query import (
     AggFn,
@@ -28,35 +28,6 @@ from .query import (
     plan_children,
     product_pinned_leaf,
 )
-
-# Exact-diameter floor: grids at most this large are always counted exactly,
-# keeping reports informative; beyond it the count is skipped whenever it
-# cannot lower the sensitivity.
-_DIAM_FLOOR = 4096
-
-_BASE_DELTAS: dict[str, Ext] = {
-    "id": Fraction(1),
-    "union": Fraction(2),
-    "intersection": Fraction(2),
-    "difference": Fraction(2),
-    "restriction": Fraction(1),
-    "projection": Fraction(1),
-    "product": INF,
-    "product-one": Fraction(1),
-    "product-agg": Fraction(1),
-    "group-aggregate": Fraction(2),
-}
-
-
-def operator_delta(kind: str, n: int | None = None) -> Ext:
-    """The intrinsic per-operator amplification factor."""
-    if kind == "product-n":
-        if n is None or n < 1:
-            raise ValidationError("block product factor needs its block size")
-        return Fraction(n)
-    if kind not in _BASE_DELTAS:
-        raise ValidationError(f"unknown operator {kind!r}")
-    return _BASE_DELTAS[kind]
 
 
 @dataclass(frozen=True)
@@ -120,50 +91,10 @@ class SensitivityReport:
         }
 
 
-class _Analysis:
-    def __init__(self, vq: ValidatedQuery):
-        self.vq = vq
-        self.results: dict = {}  # plan -> (delta, diam, s)
-
-    def s_of(self, plan: Plan) -> Ext:
-        if plan in self.results:
-            return self.results[plan][2]
-        schema = self.vq.outputs[plan]
-        n = plan.n if isinstance(plan, ProductN) else None
-        delta = operator_delta(op_name(plan), n)
-        children = plan_children(plan)
-        if not children:
-            structural = Fraction(1)
-        else:
-            inner = max(self.s_of(c) for c in children)
-            structural = ext_mul(delta, inner)
-        # The diameter only matters below the structural bound, so there is
-        # no point enumerating a big grid exactly; keep a floor so small
-        # grids still report their exact size.
-        budget = self.vq.enum_cap
-        if not is_infinite(structural):
-            budget = min(budget, max(int(structural) + 1, _DIAM_FLOOR))
-        diam = diameter(schema.constraint, schema, budget)
-        s = min(structural, diam)
-        self.results[plan] = (delta, diam, s)
-        return s
-
-    def records(self, plan: Plan) -> list[NodeRecord]:
-        out: list[NodeRecord] = []
-        for child in plan_children(plan):
-            out.extend(self.records(child))
-        delta, diam, s = self.results[plan]
-        schema = self.vq.outputs[plan]
-        out.append(
-            NodeRecord(op_name(plan), delta, diam, s, format_constraint(schema.constraint))
-        )
-        return out
-
-
 def intermediate_sensitivity(plan: Plan, vq: ValidatedQuery) -> Ext:
     """The bound S on how many output tuples of `plan`, a node of the
     validated query, one changed input row can change."""
-    return _Analysis(vq).s_of(plan)
+    return vq.nodes[plan].s
 
 
 def aggregation_delta(fn: AggFn, bounds: Bounds | None) -> Ext:
@@ -184,15 +115,12 @@ def aggregation_delta(fn: AggFn, bounds: Bounds | None) -> Ext:
 def global_sensitivity(vq: ValidatedQuery) -> SensitivityReport:
     """The bound on how far the query's answer moves when one row changes."""
     tq = vq.query
-    analysis = _Analysis(vq)
-    s_root = analysis.s_of(tq.body)
-    nodes = tuple(analysis.records(tq.body))
-    warnings = list(_structural_warnings(tq.body))
+    root = vq.nodes[tq.body]
+    nodes, warnings = _report_rows(tq.body, vq)
 
     fn = tq.fn
     bounds = vq.bounds
-    root_diam = nodes[-1].diam
-    if root_diam == 0 or (bounds is not None and bounds.empty):
+    if root.diam == 0 or (bounds is not None and bounds.empty):
         warnings.append("query is statically empty: the propagated constraint is unsatisfiable")
         top = TopRecord(fn, bounds, Fraction(0))
         return SensitivityReport(Fraction(0), top, nodes, tuple(warnings))
@@ -207,21 +135,34 @@ def global_sensitivity(vq: ValidatedQuery) -> SensitivityReport:
     if fn.kind in ("max", "min"):
         gs = delta_f
     else:
-        gs = ext_mul(delta_f, s_root)
+        gs = ext_mul(delta_f, root.s)
     top = TopRecord(fn, bounds, delta_f)
     return SensitivityReport(gs, top, nodes, tuple(warnings))
 
 
-def _structural_warnings(plan: Plan):
-    if isinstance(plan, Difference) and difference_uses_fallback(plan):
-        yield (
-            "set difference over unrelated operands: the right-hand constraint "
-            "cannot be negated soundly, so only the left constraint was kept"
-        )
-    if isinstance(plan, (ProductOne, ProductN, ProductAgg)) and not product_pinned_leaf(plan):
-        yield (
-            "the pinned side of a restricted product is a derived subquery; "
-            "the static factor assumes it does not vary with the database"
-        )
-    for child in plan_children(plan):
-        yield from _structural_warnings(child)
+def _report_rows(body: Plan, vq: ValidatedQuery) -> tuple[tuple[NodeRecord, ...], list[str]]:
+    """The record of every node occurrence of the plan tree, children first,
+    and the structural warnings, parents first."""
+    records: list[NodeRecord] = []
+    warnings: list[str] = []
+    stack = [(body, False)]
+    while stack:
+        plan, children_done = stack.pop()
+        if children_done:
+            facts = vq.nodes[plan]
+            text = format_constraint(facts.schema.constraint)
+            records.append(NodeRecord(op_name(plan), facts.delta, facts.diam, facts.s, text))
+            continue
+        if isinstance(plan, Difference) and difference_uses_fallback(plan):
+            warnings.append(
+                "set difference over unrelated operands: the right-hand constraint "
+                "cannot be negated soundly, so only the left constraint was kept"
+            )
+        if isinstance(plan, (ProductOne, ProductN, ProductAgg)) and not product_pinned_leaf(plan):
+            warnings.append(
+                "the pinned side of a restricted product is a derived subquery; "
+                "the static factor assumes it does not vary with the database"
+            )
+        stack.append((plan, True))
+        stack.extend((child, False) for child in reversed(plan_children(plan)))
+    return tuple(records), warnings

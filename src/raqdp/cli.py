@@ -282,6 +282,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_options(args)
         return _COMMANDS[args.command](args)
+    except RecursionError:
+        # parsing, validation and evaluation recurse along the input's nesting
+        print("error: the input is nested too deeply", file=sys.stderr)
+        return EXIT_INPUT
     except Exception as e:
         code = next((code for classes, code in _EXIT_CODES if isinstance(e, classes)), None)
         if code is None:

@@ -128,11 +128,10 @@ def load_csv(schema: ConstrainedSchema, path: str) -> Relation:
     not_numbers: list[str] = []
     violations: list[str] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file", []) from None
+        reader = _csv_rows(fh, path)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file", [])
         if [h.strip() for h in header] != list(names):
             raise DataError(
                 f"{path}: header {header} does not match schema attributes {list(names)}", []
@@ -156,6 +155,16 @@ def load_csv(schema: ConstrainedSchema, path: str) -> Relation:
     if violations:
         raise DataError(f"{path}: {len(violations)} invalid row(s)", violations)
     return Relation(schema, frozenset(out))
+
+
+def _csv_rows(fh, path: str):
+    """The file's CSV rows; a row the csv module cannot read, such as one with
+    a cell over its field size limit, is a DataError naming its line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise DataError(f"{path}: line {reader.line_num}: {e}", []) from None
 
 
 def value_key(v: Value):
@@ -244,11 +253,11 @@ def _compile_node(plan: Plan, vq: ValidatedQuery, trace: list | None):
         return lambda db: op(left(db), right(db))
     if isinstance(plan, Restriction):
         source = sub(plan.source)
-        test = compile_constraint(plan.predicate, vq.outputs[plan.source].attr_names())
+        test = compile_constraint(plan.predicate, vq.nodes[plan.source].schema.attr_names())
         return lambda db: frozenset(filter(test, source(db)))
     if isinstance(plan, Projection):
         source = sub(plan.source)
-        cells = _cells(vq.outputs[plan.source], plan.attrs)
+        cells = _cells(vq.nodes[plan.source].schema, plan.attrs)
         return lambda db: frozenset(map(cells, source(db)))
     if isinstance(plan, ProductOne):
         single, source = sub(plan.single), sub(plan.source)
@@ -272,7 +281,7 @@ def _compile_node(plan: Plan, vq: ValidatedQuery, trace: list | None):
         return product_n
     if isinstance(plan, ProductAgg):
         left, right = sub(plan.left), sub(plan.right)
-        agg = _compile_agg(plan.fn, vq.outputs[plan.right], vq.agg_bounds[plan])
+        agg = _compile_agg(plan.fn, vq.nodes[plan.right].schema, vq.nodes[plan].bounds)
 
         def product_agg(db) -> frozenset:
             value = (agg(right(db)),)
@@ -281,7 +290,7 @@ def _compile_node(plan: Plan, vq: ValidatedQuery, trace: list | None):
         return product_agg
     if isinstance(plan, GroupAggregate):
         source = sub(plan.source)
-        schema = vq.outputs[plan.source]
+        schema = vq.nodes[plan.source].schema
         key = _cells(schema, plan.group_attrs)
         aggs = [_compile_agg(f, schema) for f in plan.fns]
 
@@ -320,13 +329,13 @@ def eval_plan(
     plan: Plan, db: dict[str, Relation], vq: ValidatedQuery, *, trace: list | None = None
 ) -> Relation:
     """The output over `db` of `plan`, a node of the validated query `vq`."""
-    return Relation(vq.outputs[plan], compile_plan(plan, vq, trace)(db))
+    return Relation(vq.nodes[plan].schema, compile_plan(plan, vq, trace)(db))
 
 
 def compile_query(vq: ValidatedQuery, trace: list | None = None):
     """value(db): the exact value of the query's top-level aggregation over `db`."""
     body = compile_plan(vq.query.body, vq, trace)
-    agg = _compile_agg(vq.query.fn, vq.outputs[vq.query.body], vq.bounds)
+    agg = _compile_agg(vq.query.fn, vq.nodes[vq.query.body].schema, vq.bounds)
     return lambda db: agg(body(db))
 
 

@@ -241,40 +241,25 @@ def _pair_distance(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return max((x ^ y).bit_count() for x, y in zip(a, b))
 
 
-def _pairwise_sup(values: dict, diff) -> Fraction:
-    """sup over pairs of distinct databases of diff(their values) / their distance.
-
-    `diff` returns an int. The keys are distinct mask vectors, so every
-    distance is at least 1; ratios are compared by cross-multiplying.
-    """
-    combos = list(values)
-    best, best_distance = 0, 1
-    for i, a in enumerate(combos):
-        va = values[a]
-        for b in combos[i + 1 :]:
-            d, distance = diff(va, values[b]), _pair_distance(a, b)
-            if d * best_distance > best * distance:
-                best, best_distance = d, distance
-    return Fraction(best, best_distance)
-
-
-def brute_sensitivity_ratio(vq: ValidatedQuery, universe: Universe) -> Fraction:
-    """sup over all database pairs of |answer difference| / distance.
-
-    Equals brute_sensitivity when the adjacency steps generate the distance —
-    checked as a property test. Quadratic in the database count. Projecting
-    a pair onto the read bits keeps its values and grows no distance, so the
-    supremum over the pairs inside them is the full one.
-    """
-    bits = _read_bits(vq.query.body, vq, universe)
-    values, scale = _scaled(_database_values(vq, universe, bits))
-    return _pairwise_sup(values, lambda x, y: abs(x - y)) / scale
-
-
 def brute_lipschitz(plan: Plan, universe: Universe, vq: ValidatedQuery) -> Fraction:
     """sup over database pairs of (output symmetric difference) / distance,
-    for `plan`, a node of the validated query `vq`."""
+    for `plan`, a node of the validated query `vq`.
+
+    Quadratic in the database count. Projecting a pair onto the read bits
+    keeps its outputs' difference and grows no distance, so the supremum
+    over the pairs inside them is the full one.
+    """
     run = compile_plan(plan, vq)
     bits = _read_bits(plan, vq, universe)
     outputs = {combo: run(db) for combo, db in _databases(universe, bits)}
-    return _pairwise_sup(outputs, lambda x, y: len(x ^ y))
+    # the keys are distinct mask vectors, so every distance is at least 1;
+    # ratios are compared by cross-multiplying
+    combos = list(outputs)
+    best, best_distance = 0, 1
+    for i, a in enumerate(combos):
+        out_a = outputs[a]
+        for b in combos[i + 1 :]:
+            d, distance = len(out_a ^ outputs[b]), _pair_distance(a, b)
+            if d * best_distance > best * distance:
+                best, best_distance = d, distance
+    return Fraction(best, best_distance)

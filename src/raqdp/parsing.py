@@ -201,7 +201,7 @@ class _Parser:
                 self.i = save
         return value
 
-    def real_bound(self, low_side: bool) -> Fraction | float:
+    def real_bound(self) -> Fraction | float:
         if self.accept_kw("inf"):
             return INF
         if self.at_op("-"):
@@ -380,12 +380,14 @@ class _Parser:
             return Domain.int_range(lo, hi)
         if self.accept_kw("real"):
             self.expect_op("[")
-            lo = self.real_bound(low_side=True)
+            lo = self.real_bound()
             self.expect_op(",")
-            hi = self.real_bound(low_side=False)
+            hi = self.real_bound()
             self.expect_op("]")
-            if not isinstance(lo, float) and not isinstance(hi, float) and lo > hi:
+            if lo > hi:
                 self.error("real range needs low <= high", tok)
+            if lo == INF or hi == NEG_INF:
+                self.error(f"real range [{lo}, {hi}] holds no real number", tok)
             return Domain.real_range(lo, hi)
         if self.accept_kw("num"):
             self.expect_kw("in")

@@ -2,7 +2,9 @@
 
 A plan is an operator tree over named base relations; a full query wraps a
 plan with one top-level aggregation. Validation assigns every node an output
-schema whose constraint describes all tuples the node can ever produce —
+schema whose constraint describes all tuples the node can ever produce, then
+derives in one bottom-up pass each node's operator factor, diameter and the
+bound S on how many of its output tuples one changed input row can change —
 the bridge between the evaluation engine and the sensitivity analyzer.
 """
 
@@ -28,13 +30,14 @@ from .constraints import (
     check_types,
     conjoin,
     constraint_attrs,
+    diameter,
     disjoin,
     initial_constraint,
     make_and,
     rename_attrs,
 )
 from .errors import SchemaError, ValidationError
-from .extmath import INF, is_infinite
+from .extmath import INF, Ext, ext_mul, is_infinite
 
 AGG_KINDS = ("count", "sum", "max", "min", "avg")
 
@@ -169,6 +172,31 @@ def op_name(plan: Plan) -> str:
     return _OP_NAMES[type(plan)]
 
 
+_BASE_DELTAS: dict[str, Ext] = {
+    "id": Fraction(1),
+    "union": Fraction(2),
+    "intersection": Fraction(2),
+    "difference": Fraction(2),
+    "restriction": Fraction(1),
+    "projection": Fraction(1),
+    "product": INF,
+    "product-one": Fraction(1),
+    "product-agg": Fraction(1),
+    "group-aggregate": Fraction(2),
+}
+
+
+def operator_delta(kind: str, n: int | None = None) -> Ext:
+    """The intrinsic per-operator amplification factor."""
+    if kind == "product-n":
+        if n is None or n < 1:
+            raise ValidationError("block product factor needs its block size")
+        return Fraction(n)
+    if kind not in _BASE_DELTAS:
+        raise ValidationError(f"unknown operator {kind!r}")
+    return _BASE_DELTAS[kind]
+
+
 def plan_children(plan: Plan) -> tuple[Plan, ...]:
     if isinstance(plan, Id):
         return ()
@@ -246,24 +274,38 @@ def default_aggregate(fn: AggFn, bounds: Bounds | None) -> Fraction:
 
 
 @dataclass(frozen=True)
+class NodeFacts:
+    """What validation derives for one plan node: its output schema, the
+    aggregate's value range of an aggregating product (else `None`), the
+    operator factor, the diameter (`inf` when unbounded or past its budget)
+    and S = min(delta times the children's largest S, diam), 1 at a leaf."""
+
+    schema: ConstrainedSchema
+    bounds: Bounds | None
+    delta: Ext
+    diam: Ext
+    s: Ext
+
+
+@dataclass(frozen=True)
 class ValidatedQuery:
     """A query checked against its schemas, with what validation derives.
 
-    `outputs` maps each plan node to its output schema. `agg_bounds` maps
-    each aggregating product to the value range of its aggregated attribute
-    over the right operand, and `bounds` is that range for the query's own
-    aggregation over its body (`None` for count). Evaluation reads these
-    ranges for the value an aggregate takes over an empty input. The caps
-    stay with what was derived under them: the analyzer's diameter budget
-    reads `enum_cap`.
+    `nodes` maps each plan node to its `NodeFacts`, and `bounds` is the
+    value range of the query's own aggregation over its body (`None` for
+    count). Evaluation reads these ranges for the value an aggregate takes
+    over an empty input; the analyzer reads each node's S and diameter.
     """
 
     query: TopQuery
-    outputs: dict[Plan, ConstrainedSchema]
-    agg_bounds: dict[ProductAgg, Bounds | None]
+    nodes: dict[Plan, NodeFacts]
     bounds: Bounds | None
-    enum_cap: int
-    dnf_cap: int
+
+
+# Exact-diameter floor: grids at most this large are always counted exactly,
+# keeping reports informative; beyond it the count is skipped whenever it
+# cannot lower the sensitivity.
+_DIAM_FLOOR = 4096
 
 
 def validate(
@@ -275,11 +317,26 @@ def validate(
 ) -> ValidatedQuery:
     """Check the query against `schemas` and derive what `ValidatedQuery`
     holds, under the given enumeration caps; raise ValidationError if the
-    query is ill-formed. Analysis, evaluation, release and the oracle all
-    take the result, so a query is validated once."""
+    query is ill-formed. Every node is checked before any diameter is
+    counted. Analysis, evaluation, release and the oracle all take the
+    result, so a query is validated once."""
     builder = _SchemaBuilder(schemas, enum_cap, dnf_cap)
     bounds = builder._fn_bounds(tq.fn, builder.schema_of(tq.body), "the query")
-    return ValidatedQuery(tq, builder.memo, builder.agg_bounds, bounds, enum_cap, dnf_cap)
+    nodes: dict[Plan, NodeFacts] = {}
+    for plan, schema in builder.memo.items():  # in post-order: children first
+        delta = operator_delta(op_name(plan), getattr(plan, "n", None))
+        inner = max((nodes[c].s for c in plan_children(plan)), default=None)
+        structural = Fraction(1) if inner is None else ext_mul(delta, inner)
+        # The diameter only matters below the structural bound, so there is
+        # no point enumerating a big grid exactly; keep a floor so small
+        # grids still report their exact size.
+        budget = enum_cap
+        if not is_infinite(structural):
+            budget = min(budget, max(int(structural) + 1, _DIAM_FLOOR))
+        diam = diameter(schema.constraint, schema, budget)
+        s = min(structural, diam)
+        nodes[plan] = NodeFacts(schema, builder.agg_bounds.get(plan), delta, diam, s)
+    return ValidatedQuery(tq, nodes, bounds)
 
 
 class _SchemaBuilder:

@@ -53,7 +53,7 @@ def schema_of(text: str) -> dict[str, ConstrainedSchema]:
 
 def output_schema(plan, schemas: dict[str, ConstrainedSchema]) -> ConstrainedSchema:
     """The output schema of a bare plan, validated as the body of a count."""
-    return validate(TopQuery(AggFn("count"), plan), schemas).outputs[plan]
+    return validate(TopQuery(AggFn("count"), plan), schemas).nodes[plan].schema
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.stats
 
 from helpers import K_SCHEMA_TEXT, random_atom, random_case, random_plan, schema_of
-from raqdp.analyzer import global_sensitivity, intermediate_sensitivity, operator_delta
+from raqdp.analyzer import global_sensitivity, intermediate_sensitivity
 from raqdp.constraints import ConstrainedSchema, make_and
 from raqdp.dp import DpParams, laplace_cdf, laplace_samples, make_rng, sample_answers
 from raqdp.engine import Relation, eval_plan
@@ -23,7 +23,7 @@ from raqdp.errors import ValidationError
 from raqdp.extmath import INF
 from raqdp.oracle import brute_lipschitz, brute_sensitivity, build_universe
 from raqdp.parsing import format_plan, parse_query
-from raqdp.query import AggFn, TopQuery, validate
+from raqdp.query import AggFn, TopQuery, operator_delta, validate
 
 
 VERDICTS: list[str] = []  # re-printed after the run by the conftest summary

@@ -8,13 +8,12 @@ from raqdp.analyzer import (
     aggregation_delta,
     global_sensitivity,
     intermediate_sensitivity,
-    operator_delta,
 )
 from raqdp.constraints import Bounds
 from raqdp.errors import ValidationError
 from raqdp.extmath import INF, is_infinite
 from raqdp.parsing import parse_query, parse_schemas
-from raqdp.query import AggFn, TopQuery, validate
+from raqdp.query import AggFn, TopQuery, operator_delta, validate
 
 PEOPLE = """
 relation People {
@@ -213,6 +212,11 @@ def test_intermediate_sensitivity_exposed():
     memo = validate(TopQuery(AggFn("count"), plan), schemas)
     s = intermediate_sensitivity(plan, memo)
     assert s == 2  # min(2 * 1, diam = 2)
+    # the shared leaf is one node of the plan, reported once per occurrence
+    rep = global_sensitivity(memo)
+    assert [n.op for n in rep.nodes] == ["id", "id", "union"]
+    assert rep.nodes[0] == rep.nodes[1]
+    assert (rep.nodes[0].diam, rep.nodes[0].s) == (2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import raqdp
-from raqdp import analyzer, query
+from raqdp import query
 from raqdp.cli import _check_options, build_parser, main
 
 PEOPLE_SCHEMA = """
@@ -292,7 +292,7 @@ def test_validate_reports_violation_with_corrupted_factor(tmp_path, capsys, monk
         "relation R { a: int [0, 2] }\nrelation T { a: int [3, 5] }",
     )
     query = write(tmp_path, "q.raq", "count of R union T")
-    monkeypatch.setitem(analyzer._BASE_DELTAS, "union", Fraction(1))
+    monkeypatch.setitem(raqdp.query._BASE_DELTAS, "union", Fraction(1))
     assert main(["validate", schema, query]) == 0
     d = json.loads(capsys.readouterr().out)
     assert d["verdict"] == "VIOLATION"
@@ -624,6 +624,13 @@ CONTRACT_FILES = {
     "count.raq": "count of R\n",
     "big.csv": f"x\n{BIG}\n",
     "huge.schema": f"relation R {{ x: real [0, 1{'0' * 300}] }}",
+    "long.csv": "x\n1\n" + "1" * 131_073 + "\n",
+    "empty.schema": "relation R { x: real [inf, inf] }",
+    # 1,000 levels of nesting, past the interpreter's recursion limit
+    "parens.raq": "count of select " + "(" * 1000 + "x >= 1" + ")" * 1000 + " from R\n",
+    "unions.raq": "count of " + " union ".join(["R"] * 1000) + "\n",
+    "selects.raq": "count of " + "select x >= 1 from " * 1000 + "R\n",
+    "plus.raq": "count of select " + " + ".join(["x"] * 1000) + " >= 1 from R\n",
 }
 
 
@@ -649,6 +656,13 @@ CONTRACT_FILES = {
             "dp-run people.schema avg.raq --data People=people.csv --epsilon 1 --samples -1", 2,
             id="negative-samples",
         ),
+        pytest.param("analyze big.schema parens.raq", 2, id="deep-parens"),
+        pytest.param("run big.schema unions.raq --data R=r.csv", 2, id="deep-unions"),
+        pytest.param("dp-run big.schema selects.raq --data R=r.csv --epsilon 1", 2,
+                     id="deep-selects"),
+        pytest.param("validate big.schema plus.raq", 2, id="deep-plus"),
+        pytest.param("run big.schema count.raq --data R=long.csv", 2, id="long-cell"),
+        pytest.param("analyze empty.schema count.raq", 2, id="infinite-point-range"),
     ],
 )
 def test_errors_end_in_a_documented_exit_code(tmp_path, argv, code):
@@ -662,6 +676,17 @@ def test_errors_end_in_a_documented_exit_code(tmp_path, argv, code):
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["parens", "unions", "selects", "plus"])
+def test_deeply_nested_input_ends_in_one_error_line(tmp_path, capsys, name):
+    for file_name in ("big.schema", f"{name}.raq"):
+        (tmp_path / file_name).write_text(CONTRACT_FILES[file_name])
+    argv = ["analyze", str(tmp_path / "big.schema"), str(tmp_path / f"{name}.raq")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the input is nested too deeply\n"
 
 
 @pytest.mark.parametrize(

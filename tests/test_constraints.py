@@ -388,7 +388,7 @@ def test_equality_between_string_attributes_narrows_as_strings():
 def test_past_the_dnf_cap_bounds_come_from_the_structural_box():
     schemas = parse_schemas("relation R { a: int [0, 9] }")
     tq = parse_query("max(a) of select (a <= 2 or a >= 7) and a >= 3 and a <= 5 from R")
-    out = validate(tq, schemas).outputs[tq.body]
+    out = validate(tq, schemas).nodes[tq.body].schema
     # each branch narrows to empty; one box over both keeps the conjuncts' [3, 5]
     assert attribute_bounds(out.constraint, out, "a", enum_cap=1).empty
     assert attribute_bounds(out.constraint, out, "a", enum_cap=1, dnf_cap=0) == Bounds(
@@ -485,7 +485,7 @@ def test_component_count_matches_the_whole_grid_loop():
             vq = validate(parse_query(query_text), parse_schemas(schema_text))
         except (SchemaError, ValidationError):
             continue
-        for node, schema in vq.outputs.items():
+        for node, schema in [(p, facts.schema) for p, facts in vq.nodes.items()]:
             c = schema.constraint
             want = reference_solution_count(c, schema)
             assert solution_count(c, schema) == want, (schema_text, query_text, node)

@@ -142,7 +142,7 @@ def test_aggregates_on_data():
     schemas = parse_schemas("relation R { a: int [0, 10] }")
     rel = Relation.from_rows(schemas["R"], [(Fraction(v),) for v in (1, 4, 7)])
     memo = validate(parse_query("count of R"), schemas)
-    node = memo.outputs[parse_query("count of R").body]
+    node = memo.nodes[parse_query("count of R").body].schema
     assert apply_agg(AggFn("count"), rel) == 3
     assert apply_agg(AggFn("sum", "a"), rel) == 12
     assert apply_agg(AggFn("max", "a"), rel) == 7
@@ -371,7 +371,7 @@ def test_eval_outputs_satisfy_node_constraints():
         memo = validate(tq, schemas)
         db = {"People": random_people(rng, schemas, 6)}
         out = eval_plan(tq.body, db, memo)
-        node = memo.outputs[tq.body]
+        node = memo.nodes[tq.body].schema
         names = node.attr_names()
         for tup in out.tuples:
             env = dict(zip(names, tup))
@@ -431,6 +431,17 @@ def test_trace_order_of_two_operand_nodes(query, trace):
 # CSV cells: integers as int, every aggregate as Fraction
 
 
+def test_load_csv_refuses_a_cell_over_the_field_limit(tmp_path):
+    schemas = parse_schemas("relation R { a: int [0, 9] }")
+    path = tmp_path / "r.csv"
+    path.write_text("a\n1\n2\n" + "1" * 131_073 + "\n3\n")
+    with pytest.raises(DataError, match=r"r\.csv: line 4: field larger than field limit"):
+        load_csv(schemas["R"], str(path))
+    path.write_text("a" * 131_073 + "\n1\n")
+    with pytest.raises(DataError, match=r"r\.csv: line 1: field larger than field limit"):
+        load_csv(schemas["R"], str(path))
+
+
 def write_csv(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -486,7 +497,9 @@ def test_csv_integral_decimal_in_an_int_column(tmp_path):
 
 
 def test_every_aggregate_of_int_cells_is_a_fraction(tmp_path):
-    from raqdp.oracle import brute_sensitivity_ratio, build_universe
+    from raqdp.oracle import build_universe
+
+    from helpers import reference_brute_ratio
 
     schemas = parse_schemas("relation S { a: int [0, 2] }\nrelation T { b: int [0, 50] }")
     t = load_csv(schemas["T"], write_csv(tmp_path, "b\n3\n7\n15\n"))
@@ -496,7 +509,7 @@ def test_every_aggregate_of_int_cells_is_a_fraction(tmp_path):
         assert type(apply_agg(fn, t)) is Fraction
     # answers 3 (S = {1}) and 7 (S = {2}) at distance 2 give the ratio 2
     tq = parse_query("max(b) of select b <= a * 5 from (S product T)")
-    ratio = brute_sensitivity_ratio(validate(tq, schemas), build_universe(tq, schemas, {"T": t}))
+    ratio = reference_brute_ratio(validate(tq, schemas), build_universe(tq, schemas, {"T": t}))
     assert type(ratio) is Fraction
     grouped = run_plan("count of group a agg count, max(b) from (S product T)", schemas,
                        {"S": Relation.from_rows(schemas["S"], [(1,)]), "T": t})

@@ -57,6 +57,12 @@ def test_schema_real_unbounded():
     assert float(lo) == float("-inf") and float(hi) == float("inf")
 
 
+@pytest.mark.parametrize("bounds", ["inf, inf", "-inf, -inf", "inf, -inf", "inf, 3", "3, -inf"])
+def test_schema_real_range_without_a_real_number_rejected(bounds):
+    with pytest.raises(ParseError, match="real range"):
+        parse_schemas(f"relation R {{ x: real [{bounds}] }}")
+
+
 def test_schema_duplicate_relation_rejected():
     with pytest.raises(ParseError):
         parse_schemas("relation R { a: int [0, 1] } relation R { a: int [0, 1] }")

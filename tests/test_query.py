@@ -14,6 +14,7 @@ from raqdp.constraints import (
     make_and,
     solution_count,
 )
+from raqdp import query
 from raqdp.errors import ValidationError
 from raqdp.parsing import parse_query, parse_schemas
 from raqdp.query import (
@@ -261,9 +262,9 @@ def test_validate_records_each_aggregate_value_range():
     tq = parse_query("max(avg_a) of R productagg avg(a) S")
     memo = validate(tq, schemas)
     plan = tq.body
-    right = memo.outputs[plan.right]
-    assert memo.agg_bounds[plan] == attribute_bounds(right.constraint, right, "a")
-    assert memo.agg_bounds[plan] == Bounds(Fraction(3), Fraction(4))
+    right = memo.nodes[plan.right].schema
+    assert memo.nodes[plan].bounds == attribute_bounds(right.constraint, right, "a")
+    assert memo.nodes[plan].bounds == Bounds(Fraction(3), Fraction(4))
 
 
 def test_agg_fn_validation():
@@ -295,3 +296,15 @@ def test_projection_then_union_aligns():
     out = output_schema(parse_query(text).body, schemas)
     assert out.attr_names() == ("Name",)
     assert solution_count(out.constraint, out) == 4
+
+
+def test_every_node_is_validated_before_any_diameter_is_counted(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a diameter was counted")
+
+    monkeypatch.setattr(query, "diameter", refuse)
+    schemas = parse_schemas("relation R { a: int [0, 3] }\nrelation T { b: int [0, 3] }")
+    with pytest.raises(ValidationError, match="unknown attributes"):
+        validate(parse_query("count of select zz >= 1 from (R product T)"), schemas)
+    with pytest.raises(AssertionError, match="a diameter was counted"):
+        validate(parse_query("count of select a >= 1 from (R product T)"), schemas)

@@ -2,7 +2,11 @@
 
 The constraint language is boolean structure (and/or/not/iff) over linear
 comparison atoms and finite-set membership atoms. Everything downstream —
-attribute bounds, solution counting, diameter — works on exact rationals.
+attribute bounds, solution counting, diameter — works on exact rationals,
+held as `held_value` holds them (an integral value as int, any other as
+Fraction) in narrowing boxes, linear forms and value grids alike; division
+goes through `_quotient`, never through int / int, which gives a float.
+Returned bounds and diameters are Fractions (or infinities).
 Bounds for interval domains come from a hull-consistency narrowing fixpoint
 applied per disjunctive branch; fully enumerable domains take an exact
 enumeration path instead. Solution counts multiply over groups
@@ -134,6 +138,20 @@ def held_value(v):
     return str(v) if isinstance(v, str) else int(v)
 
 
+def _held_number(x):
+    """An int or Fraction as `held_value` holds it, without its type checks."""
+    return x.numerator if x.__class__ is not int and x.denominator == 1 else x
+
+
+def _quotient(a, b):
+    """a / b exactly, held as `held_value` holds it; b is not 0. Plain `/` on
+    two ints would give a float."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return q if r == 0 else Fraction(a, b)
+    return _held_number(a / b)  # one of them is a Fraction
+
+
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -158,14 +176,15 @@ class Arith:
 Term = Union[Attr, Lit, Arith]
 
 
-def linear_form(term: Term) -> tuple[dict[str, Fraction], Fraction] | None:
-    """Decompose into (coefficients, constant); None for string or nonlinear terms."""
+def linear_form(term: Term) -> tuple[dict[str, int | Fraction], int | Fraction] | None:
+    """Decompose into (coefficients, constant), each held as `held_value` holds
+    it; None for string or nonlinear terms."""
     if isinstance(term, Lit):
         if isinstance(term.value, str):
             return None
-        return {}, term.value
+        return {}, held_value(term.value)
     if isinstance(term, Attr):
-        return {term.name: Fraction(1)}, Fraction(0)
+        return {term.name: 1}, 0
     lf_l = linear_form(term.left)
     lf_r = linear_form(term.right)
     if lf_l is None or lf_r is None:
@@ -176,14 +195,19 @@ def linear_form(term: Term) -> tuple[dict[str, Fraction], Fraction] | None:
         sign = 1 if term.op == "+" else -1
         coeffs = dict(cl)
         for a, c in cr.items():
-            coeffs[a] = coeffs.get(a, Fraction(0)) + sign * c
-        return {a: c for a, c in coeffs.items() if c != 0}, kl + sign * kr
+            coeffs[a] = coeffs.get(a, 0) + sign * c
+        return _held_form(coeffs, kl + sign * kr)
     # multiplication: at least one side must be constant
     if not cl:
-        return {a: kl * c for a, c in cr.items() if kl * c != 0}, kl * kr
+        return _held_form({a: kl * c for a, c in cr.items()}, kl * kr)
     if not cr:
-        return {a: kr * c for a, c in cl.items() if kr * c != 0}, kl * kr
+        return _held_form({a: kr * c for a, c in cl.items()}, kl * kr)
     return None
+
+
+def _held_form(coeffs: dict, k) -> tuple[dict[str, int | Fraction], int | Fraction]:
+    """A linear form without its zero coefficients, every number held as `held_value` holds it."""
+    return {a: _held_number(c) for a, c in coeffs.items() if c != 0}, _held_number(k)
 
 
 def term_attrs(term: Term) -> set[str]:
@@ -613,6 +637,11 @@ class ConstrainedSchema:
                 return i
         raise SchemaError(f"schema {self.name!r} has no visible attribute {name!r}")
 
+    @functools.cached_property
+    def _box(self) -> "_Box":
+        """The domains' narrowing box, built once; narrowing works on copies of it."""
+        return _Box(self)
+
 
 def initial_constraint(schema: ConstrainedSchema) -> Constraint:
     """Domain membership atoms conjoined with the schema's check constraint."""
@@ -653,7 +682,10 @@ class Bounds:
 
 
 class _Box:
-    """Per-attribute intervals (numeric) and allowed-value sets (string)."""
+    """Per-attribute intervals (numeric) and allowed-value sets (string).
+
+    Every endpoint and num-set member is held as `held_value` holds it, or is
+    +-inf; `attribute_bounds` turns endpoints back into Fractions."""
 
     __slots__ = ("nums", "strs", "numset_members", "int_attrs")
 
@@ -666,10 +698,9 @@ class _Box:
             if dom.kind is DomainKind.STR_SET:
                 self.strs[a] = set(dom.members)
             else:
-                lo, hi = dom.interval()
-                self.nums[a] = [lo, hi, False, False]
+                self.nums[a] = [*map(held_value, dom.interval()), False, False]
                 if dom.kind is DomainKind.NUM_SET:
-                    self.numset_members[a] = dom.members
+                    self.numset_members[a] = tuple(map(held_value, dom.members))
                 elif dom.kind is DomainKind.INT_RANGE:
                     self.int_attrs.add(a)
 
@@ -707,12 +738,12 @@ class _Box:
             st = self.nums[a]
             lo, hi = st[0], st[1]
             if not is_infinite(lo):
-                new_lo = Fraction(math.floor(lo)) + 1 if (st[2] and lo.denominator == 1) else Fraction(math.ceil(lo))
+                new_lo = math.floor(lo) + 1 if st[2] else math.ceil(lo)
                 if new_lo != lo or st[2]:
                     st[0], st[2] = new_lo, False
                     changed = changed or new_lo != lo
             if not is_infinite(hi):
-                new_hi = Fraction(math.ceil(hi)) - 1 if (st[3] and hi.denominator == 1) else Fraction(math.floor(hi))
+                new_hi = math.ceil(hi) - 1 if st[3] else math.floor(hi)
                 if new_hi != hi or st[3]:
                     st[1], st[3] = new_hi, False
                     changed = changed or new_hi != hi
@@ -720,7 +751,7 @@ class _Box:
             st = self.nums[a]
             kept = [v for v in members if _within(v, *st)]
             if not kept:
-                st[0], st[1] = Fraction(1), Fraction(0)  # mark empty
+                st[0], st[1] = 1, 0  # mark empty
                 changed = True
             else:
                 if kept[0] != st[0] or kept[-1] != st[1] or st[2] or st[3]:
@@ -746,12 +777,12 @@ def _within(v, lo: Ext, hi: Ext, lo_open: bool, hi_open: bool) -> bool:
     return (v > lo or (v == lo and not lo_open)) and (v < hi or (v == hi and not hi_open))
 
 
-def _sum_extreme(coeffs: dict[str, Fraction], box: _Box, skip: str, minimum: bool) -> tuple[Ext, bool] | None:
+def _sum_extreme(coeffs: dict[str, int | Fraction], box: _Box, skip: str, minimum: bool) -> tuple[Ext, bool] | None:
     """Min (or max) of sum(c_j * x_j) over the box, skipping one variable.
 
     Returns (value, any_open_endpoint_used) or None when unbounded.
     """
-    total: Ext = Fraction(0)
+    total: Ext = 0
     used_open = False
     for a, c in coeffs.items():
         if a == skip:
@@ -766,14 +797,14 @@ def _sum_extreme(coeffs: dict[str, Fraction], box: _Box, skip: str, minimum: boo
     return total, used_open
 
 
-def _apply_linear_le(box: _Box, coeffs: dict[str, Fraction], bound: Fraction, strict: bool) -> bool | None:
+def _apply_linear_le(box: _Box, coeffs: dict[str, int | Fraction], bound: int | Fraction, strict: bool) -> bool | None:
     """Narrow the box with sum(c_i * x_i) <= bound (< if strict).
 
     Returns whether anything changed, or None when the atom is contradictory
     on a variable-free form.
     """
     if not coeffs:
-        ok = Fraction(0) < bound if strict else Fraction(0) <= bound
+        ok = 0 < bound if strict else 0 <= bound
         return None if not ok else False
     changed = False
     for a, c in coeffs.items():
@@ -781,7 +812,7 @@ def _apply_linear_le(box: _Box, coeffs: dict[str, Fraction], bound: Fraction, st
         if rest is None:
             continue
         rest_min, rest_open = rest
-        limit = (bound - rest_min) / c
+        limit = _quotient(bound - rest_min, c)
         derived_strict = strict or rest_open
         if c > 0:
             changed = box.tighten_upper(a, limit, derived_strict) or changed
@@ -801,7 +832,7 @@ def _apply_atom(box: _Box, atom: Constraint) -> bool | None:
     raise TypeError(f"not an atom: {atom!r}")
 
 
-def _cmp_linear(atom: Cmp) -> tuple[dict[str, Fraction], Fraction] | None:
+def _cmp_linear(atom: Cmp) -> tuple[dict[str, int | Fraction], int | Fraction] | None:
     """The comparison as sum(coeffs * x) OP k; None for string or nonlinear sides."""
     lf_l = linear_form(atom.left)
     lf_r = linear_form(atom.right)
@@ -809,8 +840,8 @@ def _cmp_linear(atom: Cmp) -> tuple[dict[str, Fraction], Fraction] | None:
         return None
     coeffs = dict(lf_l[0])
     for a, c in lf_r[0].items():
-        coeffs[a] = coeffs.get(a, Fraction(0)) - c
-    return {a: c for a, c in coeffs.items() if c != 0}, lf_r[1] - lf_l[1]
+        coeffs[a] = coeffs.get(a, 0) - c
+    return _held_form(coeffs, lf_r[1] - lf_l[1])
 
 
 def _apply_cmp(box: _Box, atom: Cmp) -> bool | None:
@@ -894,13 +925,13 @@ def _apply_inset(box: _Box, atom: InSet) -> bool | None:
     k = lf[1]
     if a not in box.nums:
         return False
-    vals = sorted((Fraction(v) - k) / c for v in atom.values)
+    vals = sorted(_quotient(held_value(v) - k, c) for v in atom.values)
     if not vals:
         return None
     interval = box.interval_of(a)
     inside = [v for v in vals if _within(v, *interval)]
     if not inside:
-        box.nums[a][0], box.nums[a][1] = Fraction(1), Fraction(0)
+        box.nums[a][0], box.nums[a][1] = 1, 0
         return True
     changed = box.tighten_lower(a, inside[0], False)
     changed = box.tighten_upper(a, inside[-1], False) or changed
@@ -909,7 +940,7 @@ def _apply_inset(box: _Box, atom: InSet) -> bool | None:
 
 def narrow(atoms, schema: ConstrainedSchema, seed: _Box | None = None) -> _Box | None:
     """Hull-consistency fixpoint over a conjunction of atoms; None if empty."""
-    box = seed.copy() if seed is not None else _Box(schema)
+    box = (seed if seed is not None else schema._box).copy()
     box.integer_tighten()
     if box.is_empty():
         return None
@@ -978,7 +1009,7 @@ def _struct_box(c: Constraint, schema: ConstrainedSchema, seed: _Box | None = No
     if isinstance(c, And):
         atoms = [x for x in c.items if isinstance(x, (Cmp, InSet, BoolConst))]
         complexes = [x for x in c.items if not isinstance(x, (Cmp, InSet, BoolConst))]
-        box = seed.copy() if seed is not None else _Box(schema)
+        box = (seed if seed is not None else schema._box).copy()
         for child in complexes:
             sub = _struct_box(child, schema, seed)
             if sub is None:
@@ -1033,13 +1064,13 @@ def _pinned_values(c: Constraint, attr: str) -> frozenset | None:
         linear = _cmp_linear(c)
         if linear is not None and set(linear[0]) == {attr}:
             coeffs, k = linear
-            return frozenset({k / coeffs[attr]})
+            return frozenset({_quotient(k, coeffs[attr])})
         return None
     if isinstance(c, InSet) and not c.negated:
         lf = linear_form(c.term)
         if lf is not None and set(lf[0]) == {attr}:
             (_, cc), = lf[0].items()
-            return frozenset((Fraction(v) - lf[1]) / cc for v in c.values)
+            return frozenset(_quotient(held_value(v) - lf[1], cc) for v in c.values)
         return None
     if isinstance(c, And):
         pin: frozenset | None = None
@@ -1084,7 +1115,7 @@ def _finite_grid(
             values = sorted(box.strs[a])
         elif dom.kind is DomainKind.NUM_SET:
             interval = box.interval_of(a)
-            values = [held_value(v) for v in dom.members if _within(v, *interval)]
+            values = [v for v in box.numset_members[a] if _within(v, *interval)]
         elif dom.kind is DomainKind.INT_RANGE:
             lo, hi, _, _ = box.interval_of(a)
             lo_i, hi_i = math.ceil(lo), math.floor(hi)
@@ -1097,7 +1128,7 @@ def _finite_grid(
         else:  # REAL_RANGE
             lo, hi, lo_open, hi_open = box.interval_of(a)
             if lo == hi and not lo_open and not hi_open:
-                values = [held_value(lo)]
+                values = [lo]
             else:
                 pinned = _pinned_values(nnf, a)
                 if pinned is None:
@@ -1107,7 +1138,7 @@ def _finite_grid(
                     test = dom.member_test()
                     values = sorted(
                         v
-                        for v in map(held_value, pinned)
+                        for v in pinned
                         if test(v) and _within(v, lo, hi, lo_open, hi_open)
                     )
         if not infinite and not too_big:
@@ -1257,4 +1288,10 @@ def attribute_bounds(
     hull = _hull(_branch_boxes(nnf, schema, dnf_cap))
     if hull is None:
         return Bounds.make_empty()
-    return Bounds(*hull.interval_of(attr))
+    lo, hi, lo_open, hi_open = hull.interval_of(attr)
+    return Bounds(_fraction(lo), _fraction(hi), lo_open, hi_open)
+
+
+def _fraction(x: Ext) -> Ext:
+    """A box endpoint as `Bounds` holds it: a Fraction, or +-inf."""
+    return x if is_infinite(x) else Fraction(x)

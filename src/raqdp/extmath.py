@@ -1,8 +1,11 @@
 """Exact rational arithmetic extended with infinities.
 
-All bound and sensitivity computations run on `fractions.Fraction`; the only
-floats that ever enter are ``+inf``/``-inf`` markers (Fraction compares cleanly
-against them). Floats proper appear at reporting and noise-sampling time only.
+All bound and sensitivity computations are exact: a value is a
+`fractions.Fraction`, or a Python `int` where static analysis holds an
+integral value that way (interval narrowing, value grids), and every bound
+and sensitivity it returns is a `Fraction`. The only floats that ever enter
+are ``+inf``/``-inf`` markers (int and Fraction compare cleanly against
+them). Floats proper appear at reporting and noise-sampling time only.
 """
 
 from __future__ import annotations
@@ -13,12 +16,13 @@ from fractions import Fraction
 INF = float("inf")
 NEG_INF = float("-inf")
 
-# A rational, or +-inf. No other floats are allowed in this role.
-Ext = Fraction | float
+# A rational (int or Fraction), or +-inf. No other floats are allowed in this role.
+Ext = int | Fraction | float
 
 
 def is_infinite(x: Ext) -> bool:
-    return x == INF or x == NEG_INF
+    # the class test first: comparing a Fraction with a float takes Fraction's slow path
+    return isinstance(x, float) and (x == INF or x == NEG_INF)
 
 
 def ext_mul(a: Ext, b: Ext) -> Ext:
@@ -63,10 +67,8 @@ def to_double(x: Ext, name: str) -> float:
 
 def format_ext(x: Ext) -> str:
     """Render as 'p/q' (or plain integer), 'inf', or '-inf'."""
-    if x == INF:
-        return "inf"
-    if x == NEG_INF:
-        return "-inf"
+    if is_infinite(x):
+        return "inf" if x > 0 else "-inf"
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 

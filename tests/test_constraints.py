@@ -22,6 +22,10 @@ from raqdp.constraints import (
     TRUE,
     FALSE,
     And,
+    Arith,
+    Constraint,
+    InSet,
+    Not,
     attribute_bounds,
     constraint_attrs,
     diameter,
@@ -313,6 +317,105 @@ def test_attribute_bounds_endpoints_are_fractions():
     assert (narrowed.lower, narrowed.upper) == (0, 10**6)
     for b in (exact, narrowed):
         assert type(b.lower) is Fraction and type(b.upper) is Fraction
+
+
+def _is_bounds_endpoint(v) -> bool:
+    return type(v) is Fraction or (type(v) is float and v in (INF, NEG_INF))
+
+
+# A real x beside a two-valued y: every grid has at least two points, so
+# enum_cap=1 makes attribute_bounds narrow instead of enumerate.
+@pytest.mark.parametrize(
+    "text, values, bounds",
+    [
+        ("x = 3", [3], (Fraction(3), Fraction(3))),
+        ("2 * x = 7", [Fraction(7, 2)], (Fraction(7, 2), Fraction(7, 2))),
+        ("x in {3, 7/2}", [3, Fraction(7, 2)], (Fraction(3), Fraction(7, 2))),
+        ("3 * x <= 7", None, (NEG_INF, Fraction(7, 3))),
+    ],
+)
+def test_narrowing_divides_without_floats(text, values, bounds):
+    schema = ConstrainedSchema("R", (("x", Domain.real_range()), ints("y", 0, 1)))
+    c = make_and([initial_constraint(schema), parse_constraint(text)])
+    solutions = iter_solutions(c, schema)
+    if values is None:
+        assert solutions is None
+    else:
+        solutions = list(solutions)
+        assert solutions == [(v, y) for v in values for y in (0, 1)]
+        for x, _ in solutions:
+            assert type(x) is (int if x.denominator == 1 else Fraction), solutions
+    for cap in (1, DEFAULT_ENUM_CAP):
+        b = attribute_bounds(c, schema, "x", enum_cap=cap)
+        assert (b.lower, b.upper, b.lower_open, b.upper_open) == (*bounds, False, False)
+        assert _is_bounds_endpoint(b.lower) and _is_bounds_endpoint(b.upper), (cap, b)
+
+
+def _containment_case(rng: random.Random) -> tuple[ConstrainedSchema, Constraint]:
+    """Up to three attributes over int, num-set and pinned real domains, and a
+    random constraint of linear comparisons, memberships, or, and not."""
+    domains, pins = [], []
+    for i in range(rng.randint(1, 3)):
+        a, kind = f"a{i}", rng.choice(["int", "num", "real"])
+        if kind == "int":
+            lo = rng.randint(-3, 3)
+            domains.append((a, Domain.int_range(lo, lo + rng.randint(0, 5))))
+        elif kind == "num":
+            members = rng.sample([-2, -1, 0, Fraction(1, 2), 2, Fraction(7, 3), 4], rng.randint(1, 4))
+            domains.append((a, Domain.num_set(members)))
+        else:
+            domains.append((a, Domain.real_range(rng.choice([NEG_INF, -2]), rng.choice([3, INF]))))
+            values = rng.sample([-2, Fraction(-1, 2), 0, Fraction(5, 3), 3], rng.randint(1, 3))
+            pins.append(InSet(Attr(a), frozenset(map(Fraction, values))))
+    names = [a for a, _ in domains]
+
+    def term():
+        coeff = rng.choice([1, 1, -1, 2, 3, Fraction(1, 2)])
+        t = Attr(rng.choice(names))
+        t = t if coeff == 1 else Arith("*", Lit(Fraction(coeff)), t)
+        if rng.random() < 0.4:
+            t = Arith(rng.choice("+-"), t, Attr(rng.choice(names)))
+        return t
+
+    def atom():
+        if rng.random() < 0.2:
+            values = frozenset(Fraction(rng.randint(-4, 8), rng.choice([1, 1, 2])) for _ in range(3))
+            return InSet(term(), values, rng.random() < 0.2)
+        op = rng.choice(["<=", "<", ">=", ">", "=", "!="])
+        return Cmp(op, term(), Lit(Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))))
+
+    def formula(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.4:
+            return atom()
+        if roll < 0.6:
+            return Not(formula(depth - 1))
+        make = make_or if roll < 0.8 else make_and
+        return make([formula(depth - 1), formula(depth - 1)])
+
+    schema = ConstrainedSchema("R", tuple(domains))
+    return schema, make_and([initial_constraint(schema), *pins, formula(2), formula(1)])
+
+
+def test_narrowing_contains_the_exact_range():
+    """The narrowing interval (enum_cap=1) holds every value the exact
+    enumeration finds, and its endpoints are Fractions or infinities."""
+    rng = random.Random("narrowing-containment")
+    nonempty = 0
+    for _ in range(600):
+        schema, c = _containment_case(rng)
+        solutions = list(iter_solutions(c, schema))
+        nonempty += bool(solutions)
+        for i, a in enumerate(schema.attr_names()):
+            b = attribute_bounds(c, schema, a, enum_cap=1)
+            assert _is_bounds_endpoint(b.lower) and _is_bounds_endpoint(b.upper), b
+            if not solutions:
+                continue
+            lo, hi = min(t[i] for t in solutions), max(t[i] for t in solutions)
+            assert not b.empty, (format_constraint(c), a)
+            assert b.lower < lo or b.lower == lo and not b.lower_open, (format_constraint(c), a, b)
+            assert b.upper > hi or b.upper == hi and not b.upper_open, (format_constraint(c), a, b)
+    assert nonempty > 180
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return fh.read()
 
 

@@ -3,10 +3,13 @@
 Relations are frozen sets of value tuples; every value is an exact rational
 or a string, held as `constraints.held_value` holds it: an integral value is
 an `int` (equal and hash-equal to its `Fraction`), as in the solution grids
-of static analysis. Loading validates each row against the schema's domains
-(`Domain.member_test`) and compiled check constraint, so evaluation can
-assume constraint-valid inputs. Types are checked when a schema is built and
-when a query is validated, never per row.
+of static analysis; so are the aggregate columns of product-agg and grouping.
+Loading validates each row against the schema's domains (`Domain.member_test`)
+and compiled check constraint, so evaluation can assume constraint-valid
+inputs. A CSV file is read in chunks of rows, each tested a column at a time
+in loops the interpreter runs in C; a chunk that fails that test is loaded
+again row by row, the one path that words violations. Types are checked when
+a schema is built and when a query is validated, never per row.
 
 A plan is compiled once (`compile_plan`, `compile_query`) into a function of
 databases; `eval_plan` and `answer` compile and run it once.
@@ -18,9 +21,18 @@ import csv
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Union as TUnion
 
-from .constraints import Bounds, ConstrainedSchema, compile_constraint, held_value
+from .constraints import (
+    Bounds,
+    ConstrainedSchema,
+    Domain,
+    DomainKind,
+    compile_column_constraint,
+    compile_constraint,
+    held_value,
+)
 from .errors import DataError, EvalError
 from .extmath import too_many_digits
 from .query import (
@@ -114,57 +126,129 @@ def _row_checker(schema: ConstrainedSchema):
     return check
 
 
+_CHUNK = 256  # rows per bulk test: its lists stay in cache and add little to peak memory
+
+
 def load_csv(schema: ConstrainedSchema, path: str) -> Relation:
     """The relation in a CSV file whose header names the schema's attributes.
 
     Rows with a cell that is not a number where one is due are reported
     first; then rows with too many or too few fields, cells outside their
-    domain and rows violating the check constraint, in file order.
+    domain and rows violating the check constraint, in file order. Row
+    numbers count blank rows, which are skipped. A UTF-8 byte-order mark is
+    skipped.
+
+    The file is read `_CHUNK` rows at a time. A chunk is tested a column at a
+    time, against the domains (`_column_loader`) and then the check
+    constraint (`compile_column_constraint`), in loops the interpreter runs
+    in C. A chunk with any row that fails is loaded again row by row
+    (`_row_checker`), the one path that words violations.
     """
     names = schema.attr_names()
     parsers = [_number_parser(a) if schema.domain(a).is_numeric else str for a in names]
+    columns = [_column_loader(schema.domain(a), parse) for a, parse in zip(names, parsers)]
+    satisfied = compile_column_constraint(schema.constraint, names)
     check = _row_checker(schema)
     out = set()
     not_numbers: list[str] = []
     violations: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(fh, path)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file", [])
-        if [h.strip() for h in header] != list(names):
-            raise DataError(
-                f"{path}: header {header} does not match schema attributes {list(names)}", []
-            )
-        for i, row in enumerate(reader):
+
+    def bulk(chunk: list) -> list | None:
+        """The chunk's tuples when every row in it is valid, else None."""
+        rows = list(filter(None, chunk))  # without blank rows
+        if set(map(len, rows)) != {len(names)}:
+            return None
+        cols = []
+        for load, texts in zip(columns, zip(*rows)):
+            values = load(list(map(str.strip, texts)))
+            if values is None:
+                return None
+            cols.append(values)
+        return list(zip(*cols)) if satisfied(cols) else None
+
+    def by_row(chunk: list, first: int) -> None:
+        for label, row in enumerate(chunk, first):
             if not row:
                 continue
             try:
                 cells = tuple([parse(text.strip()) for parse, text in zip(parsers, row)])
             except ValueError as e:
-                not_numbers.append(f"row {i + 1}: {e}")
+                not_numbers.append(f"row {label}: {e}")
                 continue
             if len(row) > len(names):
                 cells = tuple(row)  # whole, so that the arity test refuses it
-            problem = check(i + 1, cells)
+            problem = check(label, cells)
             if problem:
                 violations.append(problem)
             else:
                 out.add(cells)
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = _csv_chunk(reader, path, 1)
+        if not header:
+            raise DataError(f"{path}: empty file", [])
+        if [h.strip() for h in header[0]] != list(names):
+            raise DataError(
+                f"{path}: header {header[0]} does not match schema attributes {list(names)}", []
+            )
+        done = 0
+        while chunk := _csv_chunk(reader, path, _CHUNK):
+            tuples = bulk(chunk)
+            if tuples is None:
+                by_row(chunk, done + 1)
+            else:
+                out.update(tuples)
+            done += len(chunk)
     violations = not_numbers + violations
     if violations:
         raise DataError(f"{path}: {len(violations)} invalid row(s)", violations)
     return Relation(schema, frozenset(out))
 
 
-def _csv_rows(fh, path: str):
-    """The file's CSV rows; a row the csv module cannot read, such as one with
-    a cell over its field size limit, is a DataError naming its line."""
-    reader = csv.reader(fh)
+def _csv_chunk(reader, path: str, size: int) -> list:
+    """The reader's next `size` rows (fewer at the end of the file); a row the
+    csv module cannot read, such as one with a cell over its field size
+    limit, is a DataError naming its line."""
     try:
-        yield from reader
+        return list(islice(reader, size))
     except csv.Error as e:
         raise DataError(f"{path}: line {reader.line_num}: {e}", []) from None
+
+
+def _column_loader(domain: Domain, parse):
+    """load(texts): the values, held as `held_value` holds them, of a column
+    of stripped CSV cells, or None when a cell is not a number where one is
+    due or lies outside `domain`; `parse` is the column's cell parser.
+
+    A numeric column is parsed by `int` and tested by its range's min and max
+    or by its set's members; a column with another number in it is parsed
+    and tested cell by cell, as `load_csv`'s row path does.
+    """
+    if domain.kind is DomainKind.STR_SET:
+        members = frozenset(domain.members)
+        return lambda texts: texts if members.issuperset(texts) else None
+    test = domain.member_test()
+    if domain.kind is DomainKind.NUM_SET:
+        within = frozenset(domain.members).issuperset
+    else:
+        lo, hi = domain.lower, domain.upper
+
+        def within(values: list) -> bool:
+            return lo <= min(values) and max(values) <= hi
+
+    def load(texts: list) -> list | None:
+        try:
+            values = list(map(int, texts))
+        except ValueError:
+            try:
+                values = list(map(parse, texts))
+            except ValueError:
+                return None
+            return values if all(map(test, values)) else None
+        return values if within(values) else None
+
+    return load
 
 
 def value_key(v: Value):
@@ -284,7 +368,7 @@ def _compile_node(plan: Plan, vq: ValidatedQuery, trace: list | None):
         agg = _compile_agg(plan.fn, vq.nodes[plan.right].schema, vq.nodes[plan].bounds)
 
         def product_agg(db) -> frozenset:
-            value = (agg(right(db)),)
+            value = (held_value(agg(right(db))),)
             return frozenset(l + value for l in left(db))
 
         return product_agg
@@ -298,7 +382,9 @@ def _compile_node(plan: Plan, vq: ValidatedQuery, trace: list | None):
             groups: dict[tuple, list] = {}
             for t in source(db):
                 groups.setdefault(key(t), []).append(t)
-            return frozenset(k + tuple(agg(ts) for agg in aggs) for k, ts in groups.items())
+            return frozenset(
+                k + tuple(held_value(agg(ts)) for agg in aggs) for k, ts in groups.items()
+            )
 
         return group
     raise TypeError(f"not a plan node: {plan!r}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import itertools
 import random
 from fractions import Fraction
@@ -16,12 +17,13 @@ from raqdp.constraints import (
     Lit,
     _distinct_visible,
     _finite_grid,
+    compile_constraint,
     normalize,
     solution_count,
     initial_constraint,
 )
 from raqdp.engine import Relation, answer, eval_plan
-from raqdp.errors import ValidationError
+from raqdp.errors import DataError, ValidationError
 from raqdp.oracle import (
     BruteResult,
     SensitiveRelation,
@@ -268,3 +270,71 @@ def reference_solution_count(c, schema: ConstrainedSchema, cap: int = DEFAULT_EN
     found = itertools.islice(_distinct_visible(c, grid, schema.attr_names()), cap + 1)
     count = sum(1 for _ in found)
     return "exceeds-cap" if count > cap else count
+
+
+# ---------------------------------------------------------------------------
+# Reference CSV load: one row at a time, from the documented semantics
+
+
+def _reference_number(attr: str, text: str):
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{attr} = {text!r} is not a number") from None
+    return value.numerator if value.denominator == 1 else value
+
+
+def reference_load_csv(schema: ConstrainedSchema, path: str) -> frozenset:
+    """The tuples of a CSV file as `engine.load_csv` documents them, or its
+    DataError: a UTF-8 byte-order mark is skipped; rows are numbered from 1
+    after the header, blank rows included, and blank rows are skipped; cells
+    are stripped, and a numeric cell is read as `int` or `Fraction` reads it
+    (an int when integral). A row's violation is its first cell that is not a
+    number (among the schema's arity of cells), else a wrong number of
+    fields, else its first cell outside its domain (`Domain.member_test`),
+    else the check constraint; not-a-number rows are listed first. Cells
+    past the digit limit are not covered."""
+    names = schema.attr_names()
+    domains = [schema.domain(a) for a in names]
+    tests = [d.member_test() for d in domains]
+    satisfies = compile_constraint(schema.constraint, names)
+    out, not_numbers, violations = set(), [], []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as e:
+            raise DataError(f"{path}: line {reader.line_num}: {e}", []) from None
+    if not rows:
+        raise DataError(f"{path}: empty file", [])
+    if [h.strip() for h in rows[0]] != list(names):
+        raise DataError(f"{path}: header {rows[0]} does not match schema attributes {list(names)}", [])
+    for i, row in enumerate(rows[1:], 1):
+        if not row:
+            continue
+        try:
+            cells = tuple(
+                _reference_number(a, text.strip()) if d.is_numeric else text.strip()
+                for a, d, text in zip(names, domains, row)
+            )
+        except ValueError as e:
+            not_numbers.append(f"row {i}: {e}")
+            continue
+        if len(row) != len(names):
+            violations.append(f"row {i}: expected {len(names)} values, got {len(row)}")
+            continue
+        outside = [(a, v) for a, test, v in zip(names, tests, cells) if not test(v)]
+        if outside:
+            violations.append(f"row {i}: {outside[0][0]} = {outside[0][1]} outside its domain")
+        elif not satisfies(cells):
+            violations.append(f"row {i}: violates the check constraint")
+        else:
+            out.add(cells)
+    violations = not_numbers + violations
+    if violations:
+        raise DataError(f"{path}: {len(violations)} invalid row(s)", violations)
+    return frozenset(out)

@@ -1,6 +1,7 @@
 """Command-line behavior: commands, formats, and the exit-code contract."""
 
 import argparse
+import codecs
 import io
 import json
 import os
@@ -122,6 +123,17 @@ def test_run_exact_answer(workspace, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out.strip() == "50"
+
+
+@pytest.mark.parametrize("name", ["people.schema", "avg.raq", "people.csv"])
+def test_run_reads_a_file_with_a_utf8_byte_order_mark(workspace, capsys, name):
+    path = workspace / name
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    code = main(
+        ["run", str(workspace / "people.schema"), str(workspace / "avg.raq"),
+         "--data", f"People={workspace / 'people.csv'}"]
+    )
+    assert (code, capsys.readouterr().out.strip()) == (0, "50")
 
 
 def test_run_trace_row_counts(workspace, capsys):

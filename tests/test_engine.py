@@ -1,11 +1,14 @@
 """Evaluation semantics: the reference tables, CSV loading, identities."""
 
+import itertools
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
+from raqdp import engine
+from raqdp.constraints import compile_constraint
 from raqdp.engine import Relation, answer, apply_agg, eval_plan, load_csv
 from raqdp.errors import DataError, EvalError
 from raqdp.parsing import parse_query, parse_schemas
@@ -442,6 +445,16 @@ def test_load_csv_refuses_a_cell_over_the_field_limit(tmp_path):
         load_csv(schemas["R"], str(path))
 
 
+@pytest.mark.parametrize("before", [engine._CHUNK, 2 * engine._CHUNK + 300])
+def test_load_csv_names_the_line_of_an_over_limit_cell_past_the_first_chunk(tmp_path, before):
+    schemas = parse_schemas("relation R { a: int [0, 9] }")
+    path = tmp_path / "r.csv"
+    path.write_text("a\n" + "1\n" * before + "1" * 131_073 + "\n2\n")
+    with pytest.raises(DataError) as exc:
+        load_csv(schemas["R"], str(path))
+    assert str(exc.value) == f"{path}: line {before + 2}: field larger than field limit (131072)"
+
+
 def write_csv(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -511,9 +524,134 @@ def test_every_aggregate_of_int_cells_is_a_fraction(tmp_path):
     tq = parse_query("max(b) of select b <= a * 5 from (S product T)")
     ratio = reference_brute_ratio(validate(tq, schemas), build_universe(tq, schemas, {"T": t}))
     assert type(ratio) is Fraction
-    grouped = run_plan("count of group a agg count, max(b) from (S product T)", schemas,
-                       {"S": Relation.from_rows(schemas["S"], [(1,)]), "T": t})
-    assert all(type(v) is Fraction for row in grouped.tuples for v in row[1:])
+    grouped = run_answer("max(max_b) of group a agg count, max(b) from (S product T)", schemas,
+                         {"S": Relation.from_rows(schemas["S"], [(1,)]), "T": t})
+    assert grouped == 15 and type(grouped) is Fraction
+
+
+def test_aggregate_columns_hold_integral_values_as_int():
+    schemas = parse_schemas("relation L { x: int [0, 1] }\nrelation R { a: int [0, 9]; c: int [0, 9] }")
+    db = {"L": Relation.from_rows(schemas["L"], [(0,), (1,)]),
+          "R": Relation.from_rows(schemas["R"], [(2, 9), (3, 9), (3, 4)])}
+    expected = {
+        "count of L productagg max(c) R": {(0, 9), (1, 9)},
+        "count of L productagg avg(a) R": {(0, Fraction(8, 3)), (1, Fraction(8, 3))},
+        "count of group c agg count, sum(a), min(a), max(a), avg(a) from R": {
+            (9, 2, 5, 2, 3, Fraction(5, 2)), (4, 1, 3, 3, 3, 3)},
+    }
+    for text, want in expected.items():
+        out = run_plan(text, schemas, db).tuples
+        assert out == want, text
+        for row in out:
+            assert [type(v) for v in row] == [
+                int if Fraction(v).denominator == 1 else Fraction for v in row], text
+        assert type(run_answer(text, schemas, db)) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# Chunked CSV load against a plain row-by-row reference
+
+CHUNK_SCHEMA = """relation R {
+  k: int [0, 20];
+  x: real [-5, 5];
+  m: num in {0, 1/2, 3, 1000};
+  s: string in {"a", "b", "c"}
+} check { %s }"""
+CHUNK_CHECKS = ["k >= x", "k != 7 and m <= 3", 's = "a" or k <= 10', "not (k = 3)", "true",
+                "k - 2 * x >= m - 3 and s != \"c\""]
+
+
+def _cell_texts(v) -> list[str]:
+    """Texts that read as the number v: plain, padded, decimal, fraction, exponent."""
+    f = Fraction(v)
+    texts = [str(f), f" {f} ", f"\x1c{f}", f"{float(f)}", f"{f.numerator * 2}/{f.denominator * 2}"]
+    return texts + {10: ["1e1"], 1000: ["1e3"]}.get(f, [])
+
+
+# A bad row: a valid row with this cell (column, text), extra field or
+# missing fields, or the check constraint violated (three times as often,
+# as a row breaks it in many ways).
+BAD_ROWS = [(0, "zz"), (1, "1/0"), (2, ""), (0, "nan"), (0, "21"), (0, "-1"), (0, "3/2"),
+            (1, "6"), (1, "-11/2"), (2, "2"), (2, "1e2"), (3, "d"), (3, " "),
+            ("long", "1"), ("long", "zz"), ("short", 1), ("short", 3)] + [("check", None)] * 3
+
+
+def _chunked_csv_case(rng: random.Random, check: str, chunk: int, bad_rows=None):
+    """A seeded CSV of two or more `chunk`-row chunks (two or three at the
+    real chunk size) of valid rows, blank lines and duplicates. In about half
+    the chunks, one row in twenty is spelled unusually or has a fraction for
+    x, which keeps its column off the plain `int` path. With `bad_rows`, an
+    iterator over `BAD_ROWS`, each chunk holds one bad row, often its first
+    or last, so that no other bad row hides it."""
+    schema = parse_schemas(CHUNK_SCHEMA % check)["R"]
+    satisfies = compile_constraint(schema.constraint, schema.attr_names())
+    xs = [-5, Fraction(-5, 2), Fraction(-1, 4), 0, Fraction(1, 2), 3, 5]
+    ms = [0, Fraction(1, 2), 3, 1000]
+    pools = {(odd, valid): [] for odd in (False, True) for valid in (False, True)}
+    for _ in range(400):
+        values = (rng.randint(0, 20), rng.choice(xs), rng.choice(ms), rng.choice("abc"))
+        valid = satisfies(values)
+        pools[True, valid].append(values)
+        if values[1].__class__ is int:
+            pools[False, valid].append(values)
+
+    def row(valid: bool = True, odd: float = 0.0) -> list[str]:
+        if rng.random() >= odd:
+            return [str(v) for v in rng.choice(pools[False, valid] or pools[False, True])]
+        values = rng.choice(pools[True, valid] or pools[True, True])
+        texts = [rng.choice(_cell_texts(v)) for v in values[:3]]
+        return texts + [rng.choice([values[3], f" {values[3]} ", f"\x1c{values[3]}"])]
+
+    def bad(where, text) -> list[str]:
+        if where == "check":
+            return row(False)
+        texts = row()
+        if where == "long":
+            return texts + [text]
+        if where == "short":
+            return texts[:text]
+        texts[where] = text
+        return texts
+
+    n = rng.randint(chunk + 1, 2 * chunk + 200)
+    odd = [rng.choice([0.0, 0.05]) for _ in range(n // chunk + 1)]
+    lines = [row(odd=odd[i // chunk]) for i in range(n)]
+    for _ in range(rng.randint(0, 5)):
+        lines[rng.randrange(n)] = list(rng.choice(lines))  # a duplicate row
+    for _ in range(rng.randint(0, 3)):
+        lines.insert(rng.randrange(n), [])  # a blank line
+    for first in range(0, len(lines), chunk) if bad_rows else ():
+        last = min(len(lines), first + chunk) - 1
+        lines[rng.choice([first, last, rng.randint(first, last)])] = bad(*next(bad_rows))
+    bom = "\ufeff" if rng.random() < 0.3 else ""
+    return schema, bom + "k,x,m,s\n" + "".join(",".join(t) + "\n" for t in lines)
+
+
+def _load_outcome(load, schema, path):
+    """The loaded tuples with each cell's type, or the DataError's text and rows."""
+    try:
+        return frozenset(tuple((type(v), v) for v in t) for t in load(schema, path))
+    except DataError as e:
+        return str(e), e.violations
+
+
+@pytest.mark.parametrize("chunk, cases", [(engine._CHUNK, 48), (8, 48)])
+def test_chunked_load_matches_the_row_by_row_reference(tmp_path, monkeypatch, chunk, cases):
+    """At the real chunk size, and at 8 rows, where a file has many chunks."""
+    from helpers import reference_load_csv
+
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    rng = random.Random(131_313 + chunk)
+    bad_rows = itertools.cycle(rng.sample(BAD_ROWS, len(BAD_ROWS)))
+    refused = 0
+    for case in range(cases):
+        check = CHUNK_CHECKS[case // 2 % len(CHUNK_CHECKS)]
+        schema, text = _chunked_csv_case(rng, check, chunk, bad_rows if case % 2 else None)
+        path = write_csv(tmp_path, text, f"case{case}.csv")
+        got = _load_outcome(lambda s, p: load_csv(s, p).tuples, schema, path)
+        assert got == _load_outcome(reference_load_csv, schema, path), case
+        refused += isinstance(got, tuple)
+    assert refused == cases // 2
 
 
 # ---------------------------------------------------------------------------

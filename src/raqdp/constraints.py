@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .errors import SchemaError
 from .extmath import Ext, INF, NEG_INF, format_ext, is_infinite
@@ -119,6 +119,18 @@ class Domain:
             return lambda v: v.__class__ in _NUMBER_CLASSES and v in members
         lo, hi = self.lower, self.upper
         return lambda v: v.__class__ in _NUMBER_CLASSES and lo <= v <= hi
+
+    def column_test(self) -> Callable[[list], bool]:
+        """all_in(column): whether every value of a non-empty column lies in the
+        domain, as `member_test` would find one by one, the column given as CSV
+        text for a string set and as `int`s for a numeric domain."""
+        if self.kind is DomainKind.STR_SET:
+            return frozenset(self.members).issuperset
+        if self.kind is DomainKind.NUM_SET:
+            test = self.member_test()
+            return lambda column: all(map(test, column))
+        lo, hi = held_value(self.lower), held_value(self.upper)
+        return lambda column: lo <= min(column) and max(column) <= hi
 
     def contains(self, value) -> bool:
         return self.member_test()(held_value(value))
@@ -442,42 +454,6 @@ def _compile_term(t: Term, index: dict[str, int]) -> Callable[[tuple], object]:
 
 def _binary(op, left, right) -> Callable[[tuple], object]:
     return lambda v: op(left(v), right(v))
-
-
-def compile_column_constraint(c: Constraint, names: tuple[str, ...]) -> Callable[[list], bool]:
-    """ok(columns): whether every row satisfies the constraint, the rows given
-    as one equally long, non-empty column of values per name in `names`.
-
-    A comparison over attributes in `names`, and a conjunction of such, is
-    tested a whole column at a time by `map` loops that the interpreter runs
-    in C; any other constraint is tested row by row (`compile_constraint`).
-    Terms are numbers or strings of checked types, so evaluating a comparison
-    that a row's conjunction would have short-circuited cannot raise.
-    """
-    index = _positions(names)
-    if isinstance(c, BoolConst):
-        value = c.value
-        return lambda cols: value
-    if isinstance(c, And):
-        items = tuple(compile_column_constraint(x, names) for x in c.items)
-        return lambda cols: all(ok(cols) for ok in items)
-    if isinstance(c, Cmp) and term_attrs(c.left) | term_attrs(c.right) <= index.keys():
-        op, left, right = _CMP[c.op], _column_term(c.left, index), _column_term(c.right, index)
-        return lambda cols: all(map(op, left(cols), right(cols)))
-    test = compile_constraint(c, names)
-    return lambda cols: all(map(test, zip(*cols)))
-
-
-def _column_term(t: Term, index: dict[str, int]) -> Callable[[list], Iterable]:
-    """The term's values over the rows of columns laid out as `index`."""
-    if isinstance(t, Lit):
-        value = held_value(t.value)
-        return lambda cols: itertools.repeat(value, len(cols[0]))
-    if isinstance(t, Attr):
-        i = index[t.name]
-        return lambda cols: cols[i]
-    op, left, right = _ARITH[t.op], _column_term(t.left, index), _column_term(t.right, index)
-    return lambda cols: map(op, left(cols), right(cols))
 
 
 def constraint_attrs(c: Constraint) -> set[str]:

@@ -24,15 +24,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Union as TUnion
 
-from .constraints import (
-    Bounds,
-    ConstrainedSchema,
-    Domain,
-    DomainKind,
-    compile_column_constraint,
-    compile_constraint,
-    held_value,
-)
+from .constraints import Bounds, ConstrainedSchema, compile_constraint, held_value
 from .errors import DataError, EvalError
 from .extmath import too_many_digits
 from .query import (
@@ -139,15 +131,17 @@ def load_csv(schema: ConstrainedSchema, path: str) -> Relation:
     skipped.
 
     The file is read `_CHUNK` rows at a time. A chunk is tested a column at a
-    time, against the domains (`_column_loader`) and then the check
-    constraint (`compile_column_constraint`), in loops the interpreter runs
-    in C. A chunk with any row that fails is loaded again row by row
+    time, in loops the interpreter runs in C: each numeric column must parse
+    by `int`, each column must lie in its domain (`Domain.column_test`), and
+    then each row must satisfy the check constraint. A chunk that fails any
+    of these, such as one with a cell like `3.0`, is loaded again row by row
     (`_row_checker`), the one path that words violations.
     """
     names = schema.attr_names()
-    parsers = [_number_parser(a) if schema.domain(a).is_numeric else str for a in names]
-    columns = [_column_loader(schema.domain(a), parse) for a, parse in zip(names, parsers)]
-    satisfied = compile_column_constraint(schema.constraint, names)
+    domains = [schema.domain(a) for a in names]
+    parsers = [_number_parser(a) if d.is_numeric else str for a, d in zip(names, domains)]
+    columns = [(d.is_numeric, d.column_test()) for d in domains]
+    satisfies = compile_constraint(schema.constraint, names)
     check = _row_checker(schema)
     out = set()
     not_numbers: list[str] = []
@@ -159,12 +153,18 @@ def load_csv(schema: ConstrainedSchema, path: str) -> Relation:
         if set(map(len, rows)) != {len(names)}:
             return None
         cols = []
-        for load, texts in zip(columns, zip(*rows)):
-            values = load(list(map(str.strip, texts)))
-            if values is None:
+        for (numeric, all_in), texts in zip(columns, zip(*rows)):
+            values = list(map(str.strip, texts))
+            if numeric:
+                try:
+                    values = list(map(int, values))
+                except ValueError:
+                    return None
+            if not all_in(values):
                 return None
             cols.append(values)
-        return list(zip(*cols)) if satisfied(cols) else None
+        tuples = list(zip(*cols))
+        return tuples if all(map(satisfies, tuples)) else None
 
     def by_row(chunk: list, first: int) -> None:
         for label, row in enumerate(chunk, first):
@@ -214,41 +214,6 @@ def _csv_chunk(reader, path: str, size: int) -> list:
         return list(islice(reader, size))
     except csv.Error as e:
         raise DataError(f"{path}: line {reader.line_num}: {e}", []) from None
-
-
-def _column_loader(domain: Domain, parse):
-    """load(texts): the values, held as `held_value` holds them, of a column
-    of stripped CSV cells, or None when a cell is not a number where one is
-    due or lies outside `domain`; `parse` is the column's cell parser.
-
-    A numeric column is parsed by `int` and tested by its range's min and max
-    or by its set's members; a column with another number in it is parsed
-    and tested cell by cell, as `load_csv`'s row path does.
-    """
-    if domain.kind is DomainKind.STR_SET:
-        members = frozenset(domain.members)
-        return lambda texts: texts if members.issuperset(texts) else None
-    test = domain.member_test()
-    if domain.kind is DomainKind.NUM_SET:
-        within = frozenset(domain.members).issuperset
-    else:
-        lo, hi = domain.lower, domain.upper
-
-        def within(values: list) -> bool:
-            return lo <= min(values) and max(values) <= hi
-
-    def load(texts: list) -> list | None:
-        try:
-            values = list(map(int, texts))
-        except ValueError:
-            try:
-                values = list(map(parse, texts))
-            except ValueError:
-                return None
-            return values if all(map(test, values)) else None
-        return values if within(values) else None
-
-    return load
 
 
 def value_key(v: Value):

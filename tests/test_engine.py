@@ -580,9 +580,10 @@ def _chunked_csv_case(rng: random.Random, check: str, chunk: int, bad_rows=None)
     """A seeded CSV of two or more `chunk`-row chunks (two or three at the
     real chunk size) of valid rows, blank lines and duplicates. In about half
     the chunks, one row in twenty is spelled unusually or has a fraction for
-    x, which keeps its column off the plain `int` path. With `bad_rows`, an
-    iterator over `BAD_ROWS`, each chunk holds one bad row, often its first
-    or last, so that no other bad row hides it."""
+    x or m, which keeps its column off the plain `int` path; the other rows
+    hold ints, so that the other chunks take it. With `bad_rows`, an iterator
+    over `BAD_ROWS`, each chunk holds one bad row, often its first or last,
+    so that no other bad row hides it."""
     schema = parse_schemas(CHUNK_SCHEMA % check)["R"]
     satisfies = compile_constraint(schema.constraint, schema.attr_names())
     xs = [-5, Fraction(-5, 2), Fraction(-1, 4), 0, Fraction(1, 2), 3, 5]
@@ -592,7 +593,7 @@ def _chunked_csv_case(rng: random.Random, check: str, chunk: int, bad_rows=None)
         values = (rng.randint(0, 20), rng.choice(xs), rng.choice(ms), rng.choice("abc"))
         valid = satisfies(values)
         pools[True, valid].append(values)
-        if values[1].__class__ is int:
+        if values[1].__class__ is int and values[2].__class__ is int:
             pools[False, valid].append(values)
 
     def row(valid: bool = True, odd: float = 0.0) -> list[str]:

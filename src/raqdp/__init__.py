@@ -9,7 +9,6 @@ finite universes.
 """
 
 from .analyzer import (
-    NodeRecord,
     SensitivityReport,
     TopRecord,
     aggregation_delta,
@@ -91,7 +90,6 @@ __all__ = [
     "Id",
     "Intersection",
     "NodeFacts",
-    "NodeRecord",
     "OracleError",
     "ParseError",
     "Product",

@@ -1,11 +1,13 @@
 """Compositional sensitivity analysis of aggregation queries.
 
 Every operator contributes an intrinsic amplification factor; validation
-(`query.validate`) multiplies factors bottom-up and caps each intermediate
+(`query.validate`) multiplies factors bottom-up, caps each intermediate
 result by the diameter of the node's propagated constraint (an output can
-never change by more tuples than can exist at all). The analyzer reads those
-per-node bounds, converts the root's tuple-level bound into a bound on the
-released number through the top-level aggregation, and reports both.
+never change by more tuples than can exist at all) and notes each node's
+structural warning, all in one `NodeFacts` per node. The analyzer converts
+the root's tuple-level bound into a bound on the released number through the
+top-level aggregation, and reports it with those records, one per node
+occurrence, as they are.
 """
 
 from __future__ import annotations
@@ -15,28 +17,7 @@ from fractions import Fraction
 
 from .constraints import Bounds, format_constraint
 from .extmath import Ext, INF, ext_mul, format_ext, is_infinite, to_double
-from .query import (
-    AggFn,
-    Difference,
-    Plan,
-    ProductAgg,
-    ProductN,
-    ProductOne,
-    ValidatedQuery,
-    difference_uses_fallback,
-    op_name,
-    plan_children,
-    product_pinned_leaf,
-)
-
-
-@dataclass(frozen=True)
-class NodeRecord:
-    op: str
-    delta_op: Ext
-    diam: Ext
-    s: Ext
-    constraint_text: str
+from .query import AggFn, NodeFacts, Plan, ValidatedQuery, plan_children
 
 
 @dataclass(frozen=True)
@@ -55,7 +36,7 @@ def _exact(key: str, x: Ext) -> dict:
 class SensitivityReport:
     gs: Ext
     top: TopRecord
-    nodes: tuple[NodeRecord, ...]
+    nodes: tuple[NodeFacts, ...]
     warnings: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
@@ -81,9 +62,9 @@ class SensitivityReport:
                 {
                     "op": r.op,
                     **_exact("s", r.s),
-                    **_exact("delta_op", r.delta_op),
+                    **_exact("delta_op", r.delta),
                     **_exact("diam", r.diam),
-                    "constraint_text": r.constraint_text,
+                    "constraint_text": format_constraint(r.schema.constraint),
                 }
                 for r in self.nodes
             ],
@@ -116,7 +97,7 @@ def global_sensitivity(vq: ValidatedQuery) -> SensitivityReport:
     """The bound on how far the query's answer moves when one row changes."""
     tq = vq.query
     root = vq.nodes[tq.body]
-    nodes, warnings = _report_rows(tq.body, vq)
+    nodes, warnings = _occurrences(tq.body, vq)
 
     fn = tq.fn
     bounds = vq.bounds
@@ -140,29 +121,20 @@ def global_sensitivity(vq: ValidatedQuery) -> SensitivityReport:
     return SensitivityReport(gs, top, nodes, tuple(warnings))
 
 
-def _report_rows(body: Plan, vq: ValidatedQuery) -> tuple[tuple[NodeRecord, ...], list[str]]:
-    """The record of every node occurrence of the plan tree, children first,
-    and the structural warnings, parents first."""
-    records: list[NodeRecord] = []
+def _occurrences(body: Plan, vq: ValidatedQuery) -> tuple[tuple[NodeFacts, ...], list[str]]:
+    """The facts of every node occurrence of the plan tree, children first,
+    and their warnings, parents first."""
+    nodes: list[NodeFacts] = []
     warnings: list[str] = []
     stack = [(body, False)]
     while stack:
         plan, children_done = stack.pop()
+        facts = vq.nodes[plan]
         if children_done:
-            facts = vq.nodes[plan]
-            text = format_constraint(facts.schema.constraint)
-            records.append(NodeRecord(op_name(plan), facts.delta, facts.diam, facts.s, text))
+            nodes.append(facts)
             continue
-        if isinstance(plan, Difference) and difference_uses_fallback(plan):
-            warnings.append(
-                "set difference over unrelated operands: the right-hand constraint "
-                "cannot be negated soundly, so only the left constraint was kept"
-            )
-        if isinstance(plan, (ProductOne, ProductN, ProductAgg)) and not product_pinned_leaf(plan):
-            warnings.append(
-                "the pinned side of a restricted product is a derived subquery; "
-                "the static factor assumes it does not vary with the database"
-            )
+        if facts.warning is not None:
+            warnings.append(facts.warning)
         stack.append((plan, True))
         stack.extend((child, False) for child in reversed(plan_children(plan)))
-    return tuple(records), warnings
+    return tuple(nodes), warnings

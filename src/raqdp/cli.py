@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .analyzer import SensitivityReport, global_sensitivity
-from .constraints import DEFAULT_DNF_CAP, DEFAULT_ENUM_CAP
+from .constraints import DEFAULT_DNF_CAP, DEFAULT_ENUM_CAP, format_constraint
 from .dp import DpParams, dp_answer, sample_answers
 from .engine import Relation, answer, load_csv
 from .errors import (
@@ -147,10 +147,10 @@ def _print_report(report: SensitivityReport, fmt: str) -> None:
     print("nodes (bottom-up):")
     for rec in report.nodes:
         print(
-            f"  {rec.op:<16} delta={format_ext(rec.delta_op):<6} "
+            f"  {rec.op:<16} delta={format_ext(rec.delta):<6} "
             f"diam={format_ext(rec.diam):<10} S={format_ext(rec.s)}"
         )
-        print(f"    constraint: {rec.constraint_text}")
+        print(f"    constraint: {format_constraint(rec.schema.constraint)}")
     for w in report.warnings:
         print(f"warning: {w}")
 

@@ -43,7 +43,6 @@ from .query import (
     Union,
     ValidatedQuery,
     default_aggregate,
-    op_name,
 )
 
 Value = TUnion[int, Fraction, str]
@@ -273,7 +272,7 @@ def compile_plan(plan: Plan, vq: ValidatedQuery, trace: list | None = None):
     run = _compile_node(plan, vq, trace)
     if trace is None:
         return run
-    name = op_name(plan)
+    name = vq.nodes[plan].op
 
     def traced(db) -> frozenset:
         out = run(db)

@@ -5,7 +5,8 @@ plan with one top-level aggregation. Validation assigns every node an output
 schema whose constraint describes all tuples the node can ever produce, then
 derives in one bottom-up pass each node's operator factor, diameter and the
 bound S on how many of its output tuples one changed input row can change —
-the bridge between the evaluation engine and the sensitivity analyzer.
+the bridge between the evaluation engine and the sensitivity analyzer. Where
+a node's constraint or factor rests on an assumption, its record says so.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Union as TUnion
 from .constraints import (
     DEFAULT_DNF_CAP,
     DEFAULT_ENUM_CAP,
+    EXACT_GRID_BUDGET,
     Attr,
     Bounds,
     Cmp,
@@ -168,10 +170,6 @@ _OP_NAMES = {
 }
 
 
-def op_name(plan: Plan) -> str:
-    return _OP_NAMES[type(plan)]
-
-
 _BASE_DELTAS: dict[str, Ext] = {
     "id": Fraction(1),
     "union": Fraction(2),
@@ -235,19 +233,6 @@ def row_tree_relation(plan: Plan) -> str | None:
     return None
 
 
-def difference_uses_fallback(plan: Difference) -> bool:
-    return row_tree_relation(plan) is None
-
-
-def product_pinned_leaf(plan: Plan) -> bool:
-    """Whether the restricted product's pinned side is a plain base relation."""
-    if isinstance(plan, ProductOne):
-        return isinstance(plan.single, Id)
-    if isinstance(plan, (ProductN, ProductAgg)):
-        return isinstance(plan.right, Id)
-    return True
-
-
 def default_aggregate(fn: AggFn, bounds: Bounds | None) -> Fraction:
     """Aggregate value for an empty relation.
 
@@ -275,16 +260,19 @@ def default_aggregate(fn: AggFn, bounds: Bounds | None) -> Fraction:
 
 @dataclass(frozen=True)
 class NodeFacts:
-    """What validation derives for one plan node: its output schema, the
-    aggregate's value range of an aggregating product (else `None`), the
-    operator factor, the diameter (`inf` when unbounded or past its budget)
-    and S = min(delta times the children's largest S, diam), 1 at a leaf."""
+    """What validation derives for one plan node: its operator's name, its
+    output schema, the aggregate's value range of an aggregating product
+    (else `None`), the operator factor, the diameter (`inf` when unbounded
+    or past its budget), S = min(delta times the children's largest S,
+    diam), 1 at a leaf, and the node's structural warning, if any."""
 
+    op: str
     schema: ConstrainedSchema
     bounds: Bounds | None
     delta: Ext
     diam: Ext
     s: Ext
+    warning: str | None
 
 
 @dataclass(frozen=True)
@@ -302,10 +290,15 @@ class ValidatedQuery:
     bounds: Bounds | None
 
 
-# Exact-diameter floor: grids at most this large are always counted exactly,
-# keeping reports informative; beyond it the count is skipped whenever it
-# cannot lower the sensitivity.
-_DIAM_FLOOR = 4096
+# The structural warnings, each stated on the node whose record it qualifies.
+_DIFFERENCE_FALLBACK = (
+    "set difference over unrelated operands: the right-hand constraint "
+    "cannot be negated soundly, so only the left constraint was kept"
+)
+_DERIVED_PINNED_SIDE = (
+    "the pinned side of a restricted product is a derived subquery; "
+    "the static factor assumes it does not vary with the database"
+)
 
 
 def validate(
@@ -324,18 +317,21 @@ def validate(
     bounds = builder._fn_bounds(tq.fn, builder.schema_of(tq.body), "the query")
     nodes: dict[Plan, NodeFacts] = {}
     for plan, schema in builder.memo.items():  # in post-order: children first
-        delta = operator_delta(op_name(plan), getattr(plan, "n", None))
+        op = _OP_NAMES[type(plan)]
+        delta = operator_delta(op, getattr(plan, "n", None))
         inner = max((nodes[c].s for c in plan_children(plan)), default=None)
         structural = Fraction(1) if inner is None else ext_mul(delta, inner)
         # The diameter only matters below the structural bound, so there is
-        # no point enumerating a big grid exactly; keep a floor so small
-        # grids still report their exact size.
+        # no point enumerating a big grid exactly; small grids still report
+        # their exact size.
         budget = enum_cap
         if not is_infinite(structural):
-            budget = min(budget, max(int(structural) + 1, _DIAM_FLOOR))
+            budget = min(budget, max(int(structural) + 1, EXACT_GRID_BUDGET))
         diam = diameter(schema.constraint, schema, budget)
         s = min(structural, diam)
-        nodes[plan] = NodeFacts(schema, builder.agg_bounds.get(plan), delta, diam, s)
+        nodes[plan] = NodeFacts(
+            op, schema, builder.agg_bounds.get(plan), delta, diam, s, builder.warnings.get(plan)
+        )
     return ValidatedQuery(tq, nodes, bounds)
 
 
@@ -346,6 +342,7 @@ class _SchemaBuilder:
         self.dnf_cap = dnf_cap
         self.memo: dict = {}  # plan -> output schema
         self.agg_bounds: dict = {}  # aggregating product -> its aggregate's range
+        self.warnings: dict = {}  # plan -> its structural warning
 
     def schema_of(self, plan: Plan) -> ConstrainedSchema:
         if plan in self.memo:
@@ -402,10 +399,11 @@ class _SchemaBuilder:
         sl = self.schema_of(plan.left)
         sr = self.schema_of(plan.right)
         _require_same_attrs(sl, sr)
-        if difference_uses_fallback(plan):
+        if row_tree_relation(plan) is None:
             # Negating the right side's constraint is only sound when both
             # operands filter the same base relation; otherwise keep the
-            # left constraint (a sound superset — the analyzer warns).
+            # left constraint (a sound superset) and warn.
+            self.warnings[plan] = _DIFFERENCE_FALLBACK
             return ConstrainedSchema("difference", sl.attributes, sl.constraint, sl.aux)
         constraint = conjoin(sl.constraint, Not(sr.constraint))
         return ConstrainedSchema("difference", sl.attributes, constraint, sl.aux)
@@ -451,10 +449,12 @@ class _SchemaBuilder:
                     "or an aggregating product"
                 )
             left, right = plan.single, plan.source
+            self._check_pinned(plan, plan.single)
         elif isinstance(plan, ProductN):
             if plan.n < 1:
                 raise ValidationError("block size of a block product must be positive")
             left, right = plan.left, plan.right
+            self._check_pinned(plan, plan.right)
         else:
             left, right = plan.left, plan.right
         sl = self.schema_of(left)
@@ -471,7 +471,13 @@ class _SchemaBuilder:
             sl.aux + sr.aux,
         )
 
+    def _check_pinned(self, plan: Plan, pinned: Plan) -> None:
+        """Warn when a restricted product's pinned side is not a base relation."""
+        if not isinstance(pinned, Id):
+            self.warnings[plan] = _DERIVED_PINNED_SIDE
+
     def _product_agg(self, plan: ProductAgg):
+        self._check_pinned(plan, plan.right)
         sl = self.schema_of(plan.left)
         sr = self.schema_of(plan.right)
         overlap = set(sl.attr_names()) & set(sr.attr_names())

@@ -13,7 +13,7 @@ from raqdp.constraints import Bounds
 from raqdp.errors import ValidationError
 from raqdp.extmath import INF, is_infinite
 from raqdp.parsing import parse_query, parse_schemas
-from raqdp.query import AggFn, TopQuery, operator_delta, validate
+from raqdp.query import AggFn, TopQuery, operator_delta, plan_children, validate
 
 PEOPLE = """
 relation People {
@@ -217,6 +217,41 @@ def test_intermediate_sensitivity_exposed():
     assert [n.op for n in rep.nodes] == ["id", "id", "union"]
     assert rep.nodes[0] == rep.nodes[1]
     assert (rep.nodes[0].diam, rep.nodes[0].s) == (2, 1)
+
+
+def _occurrences(plan):
+    for child in plan_children(plan):
+        yield from _occurrences(child)
+    yield plan
+
+
+@pytest.mark.parametrize(
+    "query_text, schema_text, warned",
+    [
+        ("count of ((R minus T) union (R minus T)) productn 1 (select b >= 1 from U)",
+         "relation R { a: int [0, 3] }\nrelation T { a: int [0, 3] }\n"
+         "relation U { b: int [0, 2] }",
+         ["difference", "difference", "product-n"]),
+        ("count of ((select a <= 1 from R) union (select a >= 1 from R)) productn 2 U",
+         "relation R { a: int [0, 3] }\nrelation U { b: int [0, 2] }", []),
+        ("sum(a) of R productagg max(c) (select c >= 1 from S)",
+         "relation R { a: int [0, 3] }\nrelation S { c: int [0, 5] }",
+         ["product-agg"]),
+        ("count of ((K productagg count R) product1 R)",
+         "relation K { k: int [0, 1] }\nrelation R { a: int [0, 3] }",
+         ["product-one"]),
+    ],
+    ids=["structural", "plain", "productagg", "product1"],
+)
+def test_report_nodes_are_the_validated_records(query_text, schema_text, warned):
+    vq = validate(parse_query(query_text), parse_schemas(schema_text))
+    rep = global_sensitivity(vq)
+    plans = list(_occurrences(vq.query.body))
+    assert len(rep.nodes) == len(plans)
+    for record, plan in zip(rep.nodes, plans):
+        assert record is vq.nodes[plan]
+    # validation states each structural warning on the node it belongs to
+    assert [r.op for r in rep.nodes if r.warning is not None] == warned
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,138 @@ def test_analyze_json_output(workspace, capsys):
     assert d["top"]["bounds"]["hi"] == "100"
 
 
+# A repeated subtree with both structural warnings: the pinned side of the
+# block product is derived, and each difference is over unrelated operands.
+STRUCTURAL_FILES = {
+    "rtu.schema": "relation R { a: int [0, 3] }\n"
+    "relation T { a: int [0, 3] }\n"
+    "relation U { b: int [0, 2] }\n",
+    "structural.raq": "count of ((R minus T) union (R minus T)) productn 1 "
+    "(select b >= 1 from U)\n",
+    "r.csv": "a\n0\n2\n",
+    "t.csv": "a\n2\n3\n",
+    "u.csv": "b\n0\n1\n2\n",
+}
+
+A_TEXT = "a >= 0 and a <= 3"
+B_TEXT = "b >= 0 and b <= 2"
+UNION_TEXT = f"{A_TEXT} or {A_TEXT}"
+PINNED_WARNING = (
+    "the pinned side of a restricted product is a derived subquery; "
+    "the static factor assumes it does not vary with the database"
+)
+DIFFERENCE_WARNING = (
+    "set difference over unrelated operands: the right-hand constraint "
+    "cannot be negated soundly, so only the left constraint was kept"
+)
+
+STRUCTURAL_TABLE = f"""\
+global sensitivity: 4
+aggregation: count   delta_f: 1
+nodes (bottom-up):
+  id               delta=1      diam=4          S=1
+    constraint: {A_TEXT}
+  id               delta=1      diam=4          S=1
+    constraint: {A_TEXT}
+  difference       delta=2      diam=4          S=2
+    constraint: {A_TEXT}
+  id               delta=1      diam=4          S=1
+    constraint: {A_TEXT}
+  id               delta=1      diam=4          S=1
+    constraint: {A_TEXT}
+  difference       delta=2      diam=4          S=2
+    constraint: {A_TEXT}
+  union            delta=2      diam=4          S=4
+    constraint: {UNION_TEXT}
+  id               delta=1      diam=3          S=1
+    constraint: {B_TEXT}
+  restriction      delta=1      diam=2          S=1
+    constraint: {B_TEXT} and b >= 1
+  product-n        delta=1      diam=8          S=4
+    constraint: ({UNION_TEXT}) and {B_TEXT} and b >= 1
+warning: {PINNED_WARNING}
+warning: {DIFFERENCE_WARNING}
+warning: {DIFFERENCE_WARNING}
+"""
+
+
+def _node_json(op, s, delta, diam, text):
+    return {
+        "op": op,
+        "s": str(s), "s_float": float(s),
+        "delta_op": str(delta), "delta_op_float": float(delta),
+        "diam": str(diam), "diam_float": float(diam),
+        "constraint_text": text,
+    }
+
+
+_DIFFERENCE_NODES = [
+    _node_json("id", 1, 1, 4, A_TEXT),
+    _node_json("id", 1, 1, 4, A_TEXT),
+    _node_json("difference", 2, 2, 4, A_TEXT),
+]
+STRUCTURAL_JSON = {
+    "gs": "4", "gs_float": 4.0,
+    "top": {"fn": "count", "attr": None, "delta": "1", "delta_float": 1.0, "bounds": None},
+    "nodes": _DIFFERENCE_NODES + _DIFFERENCE_NODES + [
+        _node_json("union", 4, 2, 4, UNION_TEXT),
+        _node_json("id", 1, 1, 3, B_TEXT),
+        _node_json("restriction", 1, 1, 2, f"{B_TEXT} and b >= 1"),
+        _node_json("product-n", 4, 1, 8, f"({UNION_TEXT}) and {B_TEXT} and b >= 1"),
+    ],
+    "warnings": [PINNED_WARNING, DIFFERENCE_WARNING, DIFFERENCE_WARNING],
+}
+
+
+@pytest.fixture
+def structural(tmp_path):
+    for name, text in STRUCTURAL_FILES.items():
+        (tmp_path / name).write_text(text)
+    return tmp_path
+
+
+def structural_argv(root, command, *options):
+    argv = [command, str(root / "rtu.schema"), str(root / "structural.raq")]
+    if command == "dp-run":
+        argv += ["--epsilon", "1"]
+        argv += [f"--data={name}={root / name.lower()}.csv" for name in "RTU"]
+    return argv + list(options)
+
+
+@pytest.mark.parametrize(
+    "options, want",
+    [((), STRUCTURAL_TABLE), (("--format", "json"), json.dumps(STRUCTURAL_JSON, indent=2) + "\n")],
+    ids=["table", "json"],
+)
+def test_analyze_prints_the_whole_report(structural, capsys, options, want):
+    assert main(structural_argv(structural, "analyze", *options)) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (want, "")
+
+
+@pytest.mark.parametrize("command", ["validate", "dp-run"])
+def test_commands_that_print_no_report_format_no_constraint(
+    structural, monkeypatch, capsys, command
+):
+    argv = structural_argv(structural, command)
+    assert main(argv) == 0
+    usual = capsys.readouterr()
+
+    def refuse(c):
+        raise AssertionError("format_constraint called")
+
+    real = raqdp.constraints.format_constraint
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "raqdp"]
+    patched = [m for m in modules if getattr(m, "format_constraint", None) is real]
+    assert {m.__name__ for m in patched} >= {
+        "raqdp", "raqdp.analyzer", "raqdp.cli", "raqdp.constraints", "raqdp.parsing"
+    }
+    for module in patched:
+        monkeypatch.setattr(module, "format_constraint", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr() == usual
+
+
 def test_analyze_takes_no_data_flag(workspace):
     # static analysis must not even accept data files
     with pytest.raises(SystemExit):

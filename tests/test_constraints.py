@@ -227,6 +227,33 @@ def test_aux_attributes_constrain_visible_ones():
     assert b.upper == 1
 
 
+STRING_CASES = """
+relation R { s: string in {"a", "b", "c"}; x: int [0, 9] }
+check { s = "a" and x <= 2 or s = "b" and x >= 4 and x <= 6 or s = "c" and x >= 8 }
+"""
+
+
+@pytest.mark.parametrize(
+    "form, twin, want",
+    [
+        ('s = "b"', 's in {"b"}', Bounds(4, 6)),
+        ('"b" = s', 's in {"b"}', Bounds(4, 6)),
+        ('s != "c"', 's not in {"c"}', Bounds(0, 6)),
+        ('s = "a" and s != "a"', 's in {"a"} and s not in {"a"}', Bounds(empty=True)),
+    ],
+)
+def test_string_comparison_narrows_like_its_membership_twin(form, twin, want):
+    # enum_cap=1 keeps the 30-point grid from being enumerated, so each
+    # branch is narrowed and the string atoms narrow the set of s
+    schema = parse_schemas(STRING_CASES)["R"]
+    base = initial_constraint(schema)
+    got = [
+        attribute_bounds(make_and([base, parse_constraint(text)]), schema, "x", enum_cap=1)
+        for text in (form, twin)
+    ]
+    assert got == [want, want]
+
+
 # ---------------------------------------------------------------------------
 # Normalization properties
 

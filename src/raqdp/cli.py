@@ -8,14 +8,15 @@ file):
   dp-run    noisy release calibrated to the sensitivity bound
   validate  compare the static bound against the brute-force oracle
 
-Exit codes: 0 success, 2 input error, 3 unbounded sensitivity,
-4 oracle infeasible.
+Exit codes: 0 success (also when the reader of standard output has gone),
+2 input error, 3 unbounded sensitivity, 4 oracle infeasible.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -277,11 +278,34 @@ def _check_options(args) -> None:
             raise ValueError(f"--{name.replace('_', '-')} must not be negative, got {value}")
 
 
+def _discard_stdout() -> None:
+    """Point standard output's descriptor, if it has one, at the null device,
+    so the interpreter's last flush of what is still buffered succeeds
+    (the "Note on SIGPIPE" in the `signal` module's documentation)."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # io.UnsupportedOperation: an in-memory stream
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_options(args)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # a closed stdout shows here, not in the interpreter's flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`raqdp analyze S Q | head -1`): not an
+        # input error, although BrokenPipeError is an OSError
+        _discard_stdout()
+        return EXIT_OK
     except RecursionError:
         # parsing, validation and evaluation recurse along the input's nesting
         print("error: the input is nested too deeply", file=sys.stderr)

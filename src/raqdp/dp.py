@@ -5,7 +5,9 @@ Noise is drawn through the inverse CDF: for u uniform on (0, 1),
     z = -b * sign(u - 1/2) * ln(1 - 2|u - 1/2|)
 
 has the Laplace density (1/(2b)) * exp(-|z|/b). Sampling uses numpy's
-seedable PCG64 generator so every run is reproducible from its seed. This is
+seedable PCG64 generator so every run is reproducible from its seed. numpy
+is imported by the functions that draw noise, not by this module, so a
+process that only analyses, evaluates or validates never loads it. This is
 a floating-point mechanism - not hardened against bit-level leakage; the
 answer record carries that note verbatim.
 """
@@ -15,14 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .analyzer import SensitivityReport, global_sensitivity
 from .engine import Relation, answer
 from .errors import UnboundedSensitivityError
 from .extmath import Ext, is_infinite, to_double
 from .query import ValidatedQuery
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RNG_NAME = "pcg64"
 MECHANISM_NOTE = "floating-point mechanism - not hardened"
@@ -67,6 +71,8 @@ class DpAnswer:
 
 
 def make_rng(seed: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -82,6 +88,8 @@ def laplace_sample(rng: np.random.Generator, scale: float) -> float:
 
 def laplace_samples(rng: np.random.Generator, scale: float, n: int) -> np.ndarray:
     """n independent Laplace(0, scale) draws from one stream."""
+    import numpy as np
+
     u = rng.random(n)
     zero = u == 0.0
     while zero.any():
@@ -89,12 +97,6 @@ def laplace_samples(rng: np.random.Generator, scale: float, n: int) -> np.ndarra
         zero = u == 0.0
     half = u - 0.5
     return -scale * np.sign(half) * np.log1p(-2.0 * np.abs(half))
-
-
-def laplace_cdf(x, scale: float):
-    """Analytic CDF of Laplace(0, scale), for distribution tests."""
-    x = np.asarray(x, dtype=float)
-    return np.where(x < 0, 0.5 * np.exp(x / scale), 1 - 0.5 * np.exp(-x / scale))
 
 
 def _release(
@@ -141,5 +143,7 @@ def sample_answers(
     """n noisy releases from one seeded stream, for distribution checks."""
     _, true_value, scale = _release(vq, db, params)
     if scale is None:
+        import numpy as np
+
         return np.full(n, true_value)
     return true_value + laplace_samples(make_rng(params.seed), scale, n)

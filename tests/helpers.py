@@ -7,6 +7,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from raqdp.constraints import (
     DEFAULT_ENUM_CAP,
     Attr,
@@ -338,3 +340,13 @@ def reference_load_csv(schema: ConstrainedSchema, path: str) -> frozenset:
     if violations:
         raise DataError(f"{path}: {len(violations)} invalid row(s)", violations)
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# Reference distribution for the noise tests
+
+
+def laplace_cdf(x, scale: float):
+    """Analytic CDF of Laplace(0, scale), for distribution tests."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x < 0, 0.5 * np.exp(x / scale), 1 - 0.5 * np.exp(-x / scale))

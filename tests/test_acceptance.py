@@ -14,10 +14,17 @@ from fractions import Fraction
 import numpy as np
 import scipy.stats
 
-from helpers import K_SCHEMA_TEXT, random_atom, random_case, random_plan, schema_of
+from helpers import (
+    K_SCHEMA_TEXT,
+    laplace_cdf,
+    random_atom,
+    random_case,
+    random_plan,
+    schema_of,
+)
 from raqdp.analyzer import global_sensitivity, intermediate_sensitivity
 from raqdp.constraints import ConstrainedSchema, make_and
-from raqdp.dp import DpParams, laplace_cdf, laplace_samples, make_rng, sample_answers
+from raqdp.dp import DpParams, laplace_samples, make_rng, sample_answers
 from raqdp.engine import Relation, eval_plan
 from raqdp.errors import ValidationError
 from raqdp.extmath import INF

@@ -868,6 +868,121 @@ def test_input_errors_name_the_field(tmp_path, monkeypatch, capsys, argv, field)
 
 
 # ---------------------------------------------------------------------------
+# a standard output whose reader has gone; numpy only where noise is drawn,
+# each checked on a separate interpreter
+
+
+def _deep_union(depth: int) -> str:
+    """count of ((R) union T) union R ..., `depth` unions deep."""
+    plan = "(R)"
+    for i in range(depth):
+        plan = f"({plan} union {'TR'[i % 2]})"
+    return f"count of {plan}\n"
+
+
+CLOSED_STDOUT_FILES = {
+    **STRUCTURAL_FILES,
+    "count.raq": "count of R\n",
+    # its analyze report is larger than a Linux pipe's 64 KiB buffer
+    "deep.raq": _deep_union(150),
+}
+
+
+def _child_env(unbuffered: bool = False) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(raqdp.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param("run rtu.schema count.raq --data R=r.csv", id="one-line"),
+        pytest.param("analyze rtu.schema deep.raq", id="past-the-pipe-buffer"),
+    ],
+)
+def test_a_closed_stdout_ends_quietly_with_exit_0(tmp_path, argv, unbuffered):
+    for name, text in CLOSED_STDOUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "raqdp.cli", *argv.split()],
+        cwd=tmp_path, env=_child_env(unbuffered),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    # closed before the child has even imported raqdp, so its first write fails
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_stdout_that_refuses_writes_ends_quietly_with_exit_0(tmp_path, monkeypatch):
+    for name, text in CLOSED_STDOUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    argv = ["analyze", "rtu.schema", "deep.raq"]
+    report = io.StringIO()
+    with redirect_stdout(report):
+        assert main(argv) == 0
+    assert len(report.getvalue().encode()) > 1 << 16
+    err = io.StringIO()
+    with redirect_stdout(_ClosedPipe()), redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, "")
+
+
+# Other test modules import numpy, so only a fresh interpreter shows what
+# raqdp itself loads.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+
+import raqdp, raqdp.cli
+
+seen = [["import", None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = raqdp.cli.main(argv)
+    seen.append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps({"seen": seen, "last_out": out.getvalue()}))
+"""
+
+
+def test_numpy_is_loaded_only_when_noise_is_drawn(workspace):
+    for name, text in CLOSED_STDOUT_FILES.items():
+        (workspace / name).write_text(text)
+    people = ["people.schema", "avg.raq", "--data", "People=people.csv"]
+    commands = [
+        ["analyze", "people.schema", "avg.raq"],
+        ["run", *people],
+        ["validate", "rtu.schema", "count.raq"],
+        # the README's release
+        ["dp-run", *people, "--epsilon", "1/2", "--seed", "7"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+        cwd=workspace, env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["seen"] == [
+        ["import", None, False],
+        ["analyze", 0, False],
+        ["run", 0, False],
+        ["validate", 0, False],
+        ["dp-run", 0, True],
+    ]
+    assert json.loads(result["last_out"])["noisy_value"] == 78.79366824746074
+
+
+# ---------------------------------------------------------------------------
 # one validation per command; exit codes over arbitrary argv, in-process
 
 TINY_FILES = {

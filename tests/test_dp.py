@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import laplace_cdf
 from raqdp.dp import (
     DpParams,
     dp_answer,
-    laplace_cdf,
     laplace_sample,
     laplace_samples,
     make_rng,

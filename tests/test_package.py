@@ -1,7 +1,9 @@
-"""The package's public surface: every exported name is importable, and no
-private module-level name is left without a use."""
+"""The package's public surface: every exported name is importable, no
+private module-level name is left without a use, and importing the package
+loads only the standard library."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -63,3 +65,37 @@ def test_every_private_module_name_is_used():
         if total[name] == _references(stmt)[name]
     ]
     assert unused == []
+
+
+def _import_time_statements(body: list):
+    """Every statement that runs when the module is imported: module-level
+    statements and the blocks nested in them, but no function body and no
+    `if TYPE_CHECKING:` branch."""
+    for stmt in body:
+        yield stmt
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "TYPE_CHECKING":
+            yield from _import_time_statements(stmt.orelse)
+            continue
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _import_time_statements(getattr(stmt, field, []))
+
+
+def test_importing_the_package_loads_only_the_standard_library():
+    # numpy is imported where noise is drawn, so analysis never pays for it
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in _import_time_statements(ast.parse(path.read_text()).body):
+            if isinstance(stmt, ast.Import):
+                modules = [alias.name for alias in stmt.names]
+            elif isinstance(stmt, ast.ImportFrom) and stmt.level == 0:
+                modules = [stmt.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}:{stmt.lineno}: {module}"
+                for module in modules
+                if module.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []

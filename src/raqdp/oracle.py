@@ -13,8 +13,10 @@ run once per database: 2^k runs when k of the universe's tuples can be read.
 A database's value is that of its projection onto those tuples, so the
 worst change and its witness are those of the full enumeration. The exact
 values are then put over one common denominator, so each adjacent pair
-costs one integer comparison. The combined universe is capped at
-`DEFAULT_UNIVERSE_CAP` = 12 tuples unless the caller asks for more.
+costs one integer comparison. `brute_lipschitz` takes a node's largest
+output change over the same adjacent pairs (`_steps`). The combined
+universe is capped at `DEFAULT_UNIVERSE_CAP` = 12 tuples unless the caller
+asks for more.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constraints import ConstrainedSchema, initial_constraint, iter_solutions
+from .constraints import ConstrainedSchema, initial_constraint, iter_solutions, solution_count
 from .engine import Relation, compile_plan, compile_query
 from .errors import OracleError
 from .query import Plan, TopQuery, ValidatedQuery, base_relations, plan_children, row_tree_relation
@@ -54,20 +56,21 @@ class Universe:
 
 
 def enumerate_tuples(schema: ConstrainedSchema, cap: int = DEFAULT_UNIVERSE_CAP) -> tuple:
-    """All tuples admissible under the schema's domains and check constraint."""
-    solutions = iter_solutions(initial_constraint(schema), schema, cap=max(cap * 64, 4096))
+    """All tuples admissible under the schema's domains and check constraint,
+    searched for over a grid of at most max(64 * cap, 4096) points."""
+    constraint, budget = initial_constraint(schema), max(cap * 64, 4096)
+    solutions = iter_solutions(constraint, schema, cap=budget)
     if solutions is None:
+        if solution_count(constraint, schema, cap=budget) == "infinite":
+            raise OracleError(f"relation {schema.name!r} has a non-enumerable tuple universe")
         raise OracleError(
-            f"relation {schema.name!r} has a non-enumerable tuple universe"
+            f"relation {schema.name!r} has more than {budget} grid points to search; "
+            "raise --universe-cap"
         )
-    out = []
-    for tup in solutions:
-        out.append(tup)
-        if len(out) > cap:
-            raise OracleError(
-                f"relation {schema.name!r} has more than {cap} admissible tuples"
-            )
-    return tuple(out)
+    out = tuple(itertools.islice(solutions, cap + 1))
+    if len(out) > cap:
+        raise OracleError(f"relation {schema.name!r} has more than {cap} admissible tuples")
+    return out
 
 
 def build_universe(
@@ -210,6 +213,15 @@ def _witness(universe: Universe, combo: tuple[int, ...]) -> dict:
     return {sr.name: _members(sr, mask) for sr, mask in zip(universe.sensitive, combo)}
 
 
+def _steps(outputs: dict, bits: tuple[int, ...]):
+    """(combo, output, later neighbours) for each database of `outputs`, keyed
+    by bitmask vector in `_databases` order, so each adjacent pair inside the
+    read bits `bits` is reached once, from its earlier database."""
+    flips = [[1 << j for j in range(read.bit_length()) if read >> j & 1] for read in bits]
+    for combo, output in outputs.items():
+        yield combo, output, _later_neighbors(combo, flips)
+
+
 def brute_sensitivity(vq: ValidatedQuery, universe: Universe) -> BruteResult:
     """Worst |answer difference| over adjacent databases, by enumeration of
     the databases inside the query's read bits.
@@ -223,11 +235,10 @@ def brute_sensitivity(vq: ValidatedQuery, universe: Universe) -> BruteResult:
     """
     bits = _read_bits(vq.query.body, vq, universe)
     values, scale = _scaled(_database_values(vq, universe, bits))
-    flips = [[1 << j for j in range(read.bit_length()) if read >> j & 1] for read in bits]
     best = 0
     worst = None
-    for combo, value in values.items():
-        for neighbor in _later_neighbors(combo, flips):
+    for combo, value, neighbors in _steps(values, bits):
+        for neighbor in neighbors:
             diff = abs(value - values[neighbor])
             if diff > best:
                 best = diff
@@ -236,30 +247,18 @@ def brute_sensitivity(vq: ValidatedQuery, universe: Universe) -> BruteResult:
     return BruteResult(Fraction(best, scale), witness)
 
 
-def _pair_distance(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Database distance: the largest per-relation symmetric difference."""
-    return max((x ^ y).bit_count() for x, y in zip(a, b))
+def brute_lipschitz(plan: Plan, universe: Universe, vq: ValidatedQuery) -> int:
+    """Largest output symmetric difference over adjacent databases, for
+    `plan`, a node of the validated query `vq`.
 
-
-def brute_lipschitz(plan: Plan, universe: Universe, vq: ValidatedQuery) -> Fraction:
-    """sup over database pairs of (output symmetric difference) / distance,
-    for `plan`, a node of the validated query `vq`.
-
-    Quadratic in the database count. Projecting a pair onto the read bits
-    keeps its outputs' difference and grows no distance, so the supremum
-    over the pairs inside them is the full one.
+    This int equals the supremum over all database pairs of (output symmetric
+    difference) / distance: a pair's distance is the length of a shortest
+    path of adjacent steps, along which symmetric difference obeys the
+    triangle inequality. A pair projected onto the read bits keeps its
+    outputs and stays adjacent or equal, so the pairs inside them suffice.
     """
     run = compile_plan(plan, vq)
     bits = _read_bits(plan, vq, universe)
     outputs = {combo: run(db) for combo, db in _databases(universe, bits)}
-    # the keys are distinct mask vectors, so every distance is at least 1;
-    # ratios are compared by cross-multiplying
-    combos = list(outputs)
-    best, best_distance = 0, 1
-    for i, a in enumerate(combos):
-        out_a = outputs[a]
-        for b in combos[i + 1 :]:
-            d, distance = len(out_a ^ outputs[b]), _pair_distance(a, b)
-            if d * best_distance > best * distance:
-                best, best_distance = d, distance
-    return Fraction(best, best_distance)
+    steps = _steps(outputs, bits)
+    return max((len(out ^ outputs[n]) for _, out, near in steps for n in near), default=0)

@@ -461,6 +461,25 @@ def test_validate_oracle_cap_exits_4(tmp_path, capsys):
     assert "more than 12" in capsys.readouterr().err
 
 
+def test_validate_names_the_cap_to_raise(tmp_path, capsys):
+    # one admissible tuple, but a 100 x 100 grid to search for it
+    schema = write(
+        tmp_path, "s.schema",
+        "relation R { a: int [0, 99]; b: int [0, 99] } check { a * b >= 9800 }",
+    )
+    query = write(tmp_path, "q.raq", "count of R")
+    assert main(["validate", schema, query]) == 4
+    assert capsys.readouterr().err == (
+        "error: relation 'R' has more than 4096 grid points to search; raise --universe-cap\n"
+    )
+    assert main(["validate", schema, query, "--universe-cap", "200"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["verdict"] == "STRICT" and d["oracle"] == "1"
+    real = write(tmp_path, "real.schema", "relation R { x: real [0, 1] }")
+    assert main(["validate", real, query]) == 4
+    assert capsys.readouterr().err == "error: relation 'R' has a non-enumerable tuple universe\n"
+
+
 def test_validate_universe_cap_flag(tmp_path, capsys):
     schema = write(tmp_path, "s.schema", "relation R { a: int [0, 13] }")
     query = write(tmp_path, "q.raq", "count of R")

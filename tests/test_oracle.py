@@ -8,10 +8,13 @@ import pytest
 
 from raqdp.analyzer import global_sensitivity
 from raqdp import oracle
+from raqdp.constraints import ConstrainedSchema
 from raqdp.engine import Relation, compile_query
-from raqdp.errors import EvalError, OracleError
+from raqdp.errors import EvalError, OracleError, ValidationError
 from raqdp.extmath import is_infinite
 from raqdp.oracle import (
+    SensitiveRelation,
+    Universe,
     _database_values,
     _read_bits,
     brute_lipschitz,
@@ -20,10 +23,21 @@ from raqdp.oracle import (
     enumerate_tuples,
 )
 from raqdp.parsing import parse_query, parse_schemas
-from raqdp.query import validate
+from raqdp.query import (
+    AggFn,
+    Difference,
+    Intersection,
+    Product,
+    TopQuery,
+    Union,
+    validate,
+)
 
 from helpers import (
+    K_SCHEMA_TEXT,
     random_case,
+    random_plan,
+    random_schema,
     reference_brute_lipschitz,
     reference_brute_ratio,
     reference_brute_sensitivity,
@@ -162,6 +176,88 @@ def test_lipschitz_bounded_by_static_s():
         s = intermediate_sensitivity(tq.body, memo)
         lip = brute_lipschitz(tq.body, uni, memo)
         assert is_infinite(s) or lip <= s
+
+
+def assert_lipschitz_matches_the_pairwise_judge(tq, universe):
+    """At every node: the adjacent-pair value equals the all-pairs ratio and
+    stays within S; the query's brute force matches the reference."""
+    vq = validate(tq, universe.schemas())
+    for plan, facts in vq.nodes.items():
+        lip = brute_lipschitz(plan, universe, vq)
+        assert type(lip) is int
+        assert lip == reference_brute_lipschitz(plan, universe, vq), plan
+        assert is_infinite(facts.s) or lip <= facts.s, plan
+    assert_matches_reference(tq, universe)
+
+
+def test_lipschitz_matches_the_pairwise_judge_on_one_relation():
+    rng = random.Random(99)
+    for _ in range(40):
+        tq, _, universe = random_case(rng, max_solutions=5, depth=3)
+        assert_lipschitz_matches_the_pairwise_judge(tq, universe)
+
+
+def two_relation_case(rng):
+    """R and T, a random plan over each, joined by a set operator or a product
+    (T's attributes renamed apart for the product), under a count."""
+    k_schema = parse_schemas(K_SCHEMA_TEXT)["K"]
+    context = (("K", Relation(k_schema, frozenset({(Fraction(7),)}))),)
+    while True:
+        r, t = random_schema(rng, "R", 3), random_schema(rng, "T", 3)
+        join = rng.choice([Union, Intersection, Difference, Product])
+        if join is Product:
+            t = ConstrainedSchema("T", tuple((f"b{i}", d) for i, (_, d) in enumerate(t.attributes)))
+        tq = TopQuery(AggFn("count"), join(random_plan(rng, r, 2), random_plan(rng, t, 2)))
+        try:
+            validate(tq, {"R": r, "T": t, "K": k_schema})
+        except ValidationError:
+            continue
+        sensitive = tuple(SensitiveRelation(s.name, s, enumerate_tuples(s)) for s in (r, t))
+        return tq, Universe(sensitive, context)
+
+
+def test_lipschitz_matches_the_pairwise_judge_on_two_relations():
+    rng = random.Random(5)
+    joins = set()
+    for _ in range(20):
+        tq, universe = two_relation_case(rng)
+        joins.add(type(tq.body))
+        assert_lipschitz_matches_the_pairwise_judge(tq, universe)
+    assert joins == {Union, Intersection, Difference, Product}
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "count of (R union T) minus U",
+        "sum(a) of (R intersect T) union (select a >= 1 from U)",
+        "max(a) of R union (T minus U)",
+        "count of group a agg count from ((R union T) union U)",
+        "avg(a) of (select a <= 1 from R) union (T intersect U)",
+    ],
+)
+def test_lipschitz_matches_the_pairwise_judge_on_three_relations(query):
+    text = "relation R { a: int [0, 1] }\nrelation T { a: int [1, 2] }\nrelation U { a: int [0, 2] }"
+    tq, _, universe = universe_for(query, text)
+    assert [sr.name for sr in universe.sensitive] == ["R", "T", "U"]
+    assert_lipschitz_matches_the_pairwise_judge(tq, universe)
+
+
+@pytest.mark.parametrize(
+    "query, s",
+    [
+        ("count of R union T", 2),
+        ("count of (R union T) minus (select a <= 3 from R)", 4),
+        ("count of group a agg count from (R union T)", 4),
+    ],
+)
+def test_lipschitz_of_twelve_tuple_nodes(query, s):
+    text = "relation R { a: int [1, 6] }\nrelation T { a: int [1, 6] }"
+    tq, _, universe = universe_for(query, text)
+    vq = validate(tq, universe.schemas())
+    assert sum(len(sr.universe) for sr in universe.sensitive) == 12
+    assert vq.nodes[tq.body].s == s
+    assert brute_lipschitz(tq.body, universe, vq) == 2
 
 
 # ---------------------------------------------------------------------------

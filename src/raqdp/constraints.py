@@ -11,6 +11,9 @@ Bounds for interval domains come from a hull-consistency narrowing fixpoint
 applied per disjunctive branch; fully enumerable domains take an exact
 enumeration path instead. Solution counts multiply over groups
 of conjuncts with disjoint attributes; the enumeration cap is on the whole grid.
+Enumeration applies the top-level conjuncts that mention a single attribute to
+that attribute's candidate values before it walks the grid; the caps still
+bound the unfiltered grid.
 """
 
 from __future__ import annotations
@@ -1164,13 +1167,36 @@ def _satisfying(c: Constraint, grid: dict[str, list]) -> Iterator[tuple]:
     """The grid's value tuples (laid out as the grid's keys) that satisfy the
     constraint, in grid order.
 
+    Node consistency first (Mackworth 1977): the top-level conjuncts that
+    mention one attribute only are applied, as one compiled test per
+    attribute, to that attribute's candidate values, and the product of the
+    filtered lists is walked testing only the remaining conjuncts. A value
+    that fails its attribute's test is in no solution, so the solutions and
+    their order are those of the whole grid; the caps were taken on the
+    unfiltered grid.
+
     The constraint has passed `check_types` in `_finite_grid`, and the grid
-    holds values as data does (`held_value`), so the compiled test checks no
-    types and runs on int arithmetic wherever the values are integral.
+    holds values as data does (`held_value`), so the compiled tests check no
+    types and run on int arithmetic wherever the values are integral.
     """
+    own: dict[str, list[Constraint]] = {}
+    rest: list[Constraint] = []
+    for conj in c.items if isinstance(c, And) else (c,):
+        attrs = constraint_attrs(conj)
+        if len(attrs) == 1:
+            own.setdefault(attrs.pop(), []).append(conj)
+        else:
+            rest.append(conj)
     # compiled once per grid and not memoized: the memo would keep each
     # analysed constraint alive for no reuse worth its memory
-    return filter(_compile(c, _positions(grid)), itertools.product(*grid.values()))
+    lists = []
+    for a, values in grid.items():
+        if a in own:
+            test = _compile(make_and(own[a]), {a: 0})
+            values = [x for x in values if test((x,))]
+        lists.append(values)
+    points = itertools.product(*lists)
+    return filter(_compile(make_and(rest), _positions(grid)), points) if rest else points
 
 
 def iter_solutions(
@@ -1186,11 +1212,24 @@ def iter_solutions(
 
 
 def _distinct_visible(c: Constraint, grid: dict[str, list], visible: tuple) -> Iterator[tuple]:
-    """The satisfying value tuples projected onto the visible attributes, without repeats."""
+    """The satisfying value tuples projected onto the visible attributes (a
+    subsequence of the grid's keys), without repeats, in grid order.
+
+    The tuples come from `_satisfying`, which tests the single-attribute
+    conjuncts once per candidate value, not once per grid point. With no
+    attribute hidden the grid points are distinct already, and come as they
+    are, without a seen-set."""
+    points = _satisfying(c, grid)
     names = list(grid)
-    positions = [names.index(a) for a in visible]
+    if len(visible) == len(names):
+        return points
+    return _unseen(points, [names.index(a) for a in visible])
+
+
+def _unseen(points: Iterator[tuple], positions: list[int]) -> Iterator[tuple]:
+    """Each point projected onto `positions`, the first time it comes."""
     seen: set[tuple] = set()
-    for values in _satisfying(c, grid):
+    for values in points:
         tup = tuple([values[i] for i in positions])
         if tup not in seen:
             seen.add(tup)
@@ -1281,15 +1320,10 @@ def attribute_bounds(
     if status == "empty":
         return Bounds.make_empty()
     if status == "ok":
-        lo = hi = None
-        i = list(grid).index(attr)
-        for values in _satisfying(c, grid):
-            v = values[i]
-            lo = v if lo is None or v < lo else lo
-            hi = v if hi is None or v > hi else hi
-        if lo is None:
+        column = list(map(operator.itemgetter(list(grid).index(attr)), _satisfying(c, grid)))
+        if not column:
             return Bounds.make_empty()
-        return Bounds(Fraction(lo), Fraction(hi))  # grid values may be int
+        return Bounds(Fraction(min(column)), Fraction(max(column)))  # grid values may be int
     hull = _hull(_branch_boxes(nnf, schema, dnf_cap))
     if hull is None:
         return Bounds.make_empty()

@@ -6,6 +6,7 @@ import csv
 import itertools
 import random
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from raqdp.constraints import (
     Domain,
     InSet,
     Lit,
-    _distinct_visible,
     _finite_grid,
     compile_constraint,
     normalize,
@@ -258,6 +258,22 @@ def reference_brute_lipschitz(plan, universe: Universe, vq: ValidatedQuery) -> F
 # Reference count: the whole-grid loop, one compiled test per grid point
 
 
+def reference_solutions(c, grid: dict[str, list], visible) -> Iterator[tuple]:
+    """Distinct visible solutions in grid order, from the whole-grid loop: every
+    point of the unfiltered grid is tested by the full compiled constraint, and
+    a seen-set over the visible positions drops the repeats."""
+    names = tuple(grid)
+    satisfies = compile_constraint(c, names)
+    positions = [names.index(a) for a in visible]
+    seen: set[tuple] = set()
+    for point in itertools.product(*grid.values()):
+        if satisfies(point):
+            tup = tuple([point[i] for i in positions])
+            if tup not in seen:
+                seen.add(tup)
+                yield tup
+
+
 def reference_solution_count(c, schema: ConstrainedSchema, cap: int = DEFAULT_ENUM_CAP) -> int | str:
     """Distinct visible solutions counted over the whole grid, 'exceeds-cap'
     or 'infinite': every grid point is tested, and the count stops at the
@@ -269,7 +285,7 @@ def reference_solution_count(c, schema: ConstrainedSchema, cap: int = DEFAULT_EN
         return "infinite"
     if status == "too-big":
         return "exceeds-cap"
-    found = itertools.islice(_distinct_visible(c, grid, schema.attr_names()), cap + 1)
+    found = itertools.islice(reference_solutions(c, grid, schema.attr_names()), cap + 1)
     count = sum(1 for _ in found)
     return "exceeds-cap" if count > cap else count
 

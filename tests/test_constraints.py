@@ -13,6 +13,7 @@ from raqdp import constraints
 from raqdp.analyzer import global_sensitivity
 from raqdp.constraints import (
     DEFAULT_ENUM_CAP,
+    EXACT_GRID_BUDGET,
     Attr,
     Bounds,
     Cmp,
@@ -24,6 +25,7 @@ from raqdp.constraints import (
     And,
     Arith,
     Constraint,
+    Iff,
     InSet,
     Not,
     attribute_bounds,
@@ -38,12 +40,12 @@ from raqdp.constraints import (
     normalize,
     solution_count,
 )
-from raqdp.errors import SchemaError, ValidationError
+from raqdp.errors import ParseError, SchemaError, ValidationError
 from raqdp.extmath import INF, NEG_INF
 from raqdp.parsing import parse_constraint, parse_query, parse_schemas
 from raqdp.query import validate
 
-from helpers import reference_solution_count
+from helpers import reference_solution_count, reference_solutions
 
 
 def ints(name, lo, hi):
@@ -633,9 +635,84 @@ def test_component_count_matches_the_whole_grid_loop():
     }
 
 
+def _one_attribute_conjunct(rng: random.Random, attr: str, values: list, features: set) -> Constraint:
+    """A random conjunct over one attribute, drawn from its candidate values,
+    or one over no attribute."""
+    kind = rng.choice(["in", "not in", "!=", "not", "iff", "no attribute"])
+    features.add(kind)
+    pick = [Lit(v if isinstance(v, str) else Fraction(v)) for v in values]
+    some = frozenset(lit.value for lit in rng.sample(pick, rng.randint(1, len(pick))))
+    a = Attr(attr)
+    if kind in ("in", "not in"):
+        return InSet(a, some, negated=kind == "not in")
+    if kind == "!=":
+        return Cmp("!=", a, rng.choice(pick))
+    ordered = "<=" if not isinstance(values[0], str) else "="
+    if kind == "not":
+        return Not(Cmp(rng.choice([ordered, "="]), a, rng.choice(pick)))
+    if kind == "iff":
+        return Iff(Cmp(ordered, a, rng.choice(pick)), Cmp("=", a, rng.choice(pick)))
+    return Cmp(rng.choice(["<=", "="]), Lit(Fraction(rng.randint(0, 2))), Lit(Fraction(1)))
+
+
+def test_solutions_match_the_whole_grid_loop():
+    """iter_solutions yields what the whole-grid loop yields, in its order (the
+    oracle's tuple order, and so its printed witness), solution_count is its
+    length, and attribute_bounds its exact range on grids within the budget."""
+    rng = random.Random(17)
+    features: set = set()
+    checked = ranged = 0
+    while checked < 400:
+        schema_text, query_text = _random_product_case(rng, features)
+        try:
+            schemas = parse_schemas(schema_text)
+            tq = parse_query(query_text)
+            vq = validate(tq, schemas)
+            if rng.random() < 0.4:
+                by = rng.choice(vq.nodes[tq.body].schema.attr_names())
+                # the count column is a real from 0 up, so the pin makes its grid finite
+                grouped = f"group {by} agg count from ({query_text[len('count of '):]})"
+                vq = validate(parse_query(f"count of select count in {{1, 2}} from ({grouped})"), schemas)
+        except (ParseError, SchemaError, ValidationError):  # a check comparing a number with a string
+            continue
+        for schema in [facts.schema for facts in vq.nodes.values()]:
+            status, grid = constraints._finite_grid(normalize(schema.constraint), schema, DEFAULT_ENUM_CAP)
+            if status != "ok":
+                continue
+            if schema.name == "group-aggregate" and schema.aux:
+                features.add("aux from grouping")
+            extra = [
+                _one_attribute_conjunct(rng, a, grid[a], features)
+                for a in rng.sample(list(grid), rng.randint(0, len(grid)))
+            ]
+            numeric = [a for a, values in grid.items() if not isinstance(values[0], str)]
+            if numeric and rng.random() < 0.1:
+                # 'not in' leaves the box as it is, so the grid keeps the values
+                a = rng.choice(numeric)
+                extra.append(InSet(Attr(a), frozenset(map(Fraction, grid[a])), negated=True))
+                features.add("emptied list")
+            c = make_and([schema.constraint, *extra])
+            status, grid = constraints._finite_grid(normalize(c), schema, DEFAULT_ENUM_CAP)
+            want = list(reference_solutions(c, grid, schema.attr_names())) if status == "ok" else []
+            assert list(iter_solutions(c, schema)) == want, (schema_text, query_text, c)
+            assert solution_count(c, schema) == len(want)
+            if status == "ok" and math.prod(map(len, grid.values())) <= EXACT_GRID_BUDGET:
+                for i, (a, dom) in enumerate(schema.attributes):
+                    if dom.is_numeric:
+                        column = [t[i] for t in want]
+                        exact = Bounds(Fraction(min(column)), Fraction(max(column))) if column else Bounds.make_empty()
+                        assert attribute_bounds(c, schema, a) == exact, (schema_text, query_text, c, a)
+                        ranged += 1
+            checked += 1
+    assert ranged > 0
+    assert features >= {
+        "in", "not in", "!=", "not", "iff", "no attribute", "attribute-free atom", "aux",
+        "aux from grouping", "num set", "string set", "pinned real", "emptied list",
+    }
+
+
 def test_product_diameter_counts_each_operand_alone(monkeypatch):
     schemas = parse_schemas("relation A { a: int [0, 999] }\nrelation B { c: int [0, 999] }")
-    vq = validate(parse_query("count of A product B"), schemas)
     compile_ = constraints._compile
     depth = runs = 0
 
@@ -658,7 +735,8 @@ def test_product_diameter_counts_each_operand_alone(monkeypatch):
         return run
 
     monkeypatch.setattr(constraints, "_compile", counting)
-    report = global_sensitivity(vq)
+    # validation counts every node's diameter, so it runs under the counter
+    report = global_sensitivity(validate(parse_query("count of A product B"), schemas))
     assert [r.diam for r in report.nodes] == [1000, 1000, 1_000_000]
     assert report.gs == 1_000_000
     # both operands' grids once for their own nodes and once for the product:

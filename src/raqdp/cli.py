@@ -15,6 +15,7 @@ Exit codes: 0 success (also when the reader of standard output has gone),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,7 +45,17 @@ EXIT_UNBOUNDED = 3
 EXIT_ORACLE = 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Building one costs argparse about a millisecond, more than some
+    commands' own work, and `main` may run many times in one process.
+    Sharing is safe because parsing leaves the parser unchanged: argparse
+    copies the one list default, `--data`'s, before appending to it, and no
+    command changes `args.data`. Callers must not modify the shared parser;
+    `build_parser.__wrapped__()` builds a private one.
+    """
     parser = argparse.ArgumentParser(
         prog="raqdp",
         description="Sensitivity analysis and differentially private execution "

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import raqdp
-from raqdp import query
+from raqdp import cli, query
 from raqdp.cli import _check_options, build_parser, main
 
 PEOPLE_SCHEMA = """
@@ -957,21 +957,39 @@ def test_a_stdout_that_refuses_writes_ends_quietly_with_exit_0(tmp_path, monkeyp
     assert (code, err.getvalue()) == (0, "")
 
 
-# Other test modules import numpy, so only a fresh interpreter shows what
-# raqdp itself loads.
-NUMPY_PROBE = """
-import contextlib, io, json, sys
+# Other test modules import numpy and build parsers, so only a fresh
+# interpreter shows what raqdp itself loads and builds. Each step records
+# [step, exit code, numpy loaded, argument parsers constructed so far].
+LOAD_PROBE = """
+import argparse, contextlib, io, json, sys
+
+parsers = 0
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    global parsers
+    parsers += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
 
 import raqdp, raqdp.cli
 
-seen = [["import", None, "numpy" in sys.modules]]
+seen = [["import", None, "numpy" in sys.modules, parsers]]
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = raqdp.cli.main(argv)
-    seen.append([argv[0], code, "numpy" in sys.modules])
+    seen.append([argv[0], code, "numpy" in sys.modules, parsers])
 print(json.dumps({"seen": seen, "last_out": out.getvalue()}))
 """
+
+
+def _probe(cwd, commands: list) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", LOAD_PROBE, json.dumps(commands)],
+        cwd=cwd, env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_numpy_is_loaded_only_when_noise_is_drawn(workspace):
@@ -985,13 +1003,8 @@ def test_numpy_is_loaded_only_when_noise_is_drawn(workspace):
         # the README's release
         ["dp-run", *people, "--epsilon", "1/2", "--seed", "7"],
     ]
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
-        cwd=workspace, env=_child_env(), capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["seen"] == [
+    result = _probe(workspace, commands)
+    assert [step[:3] for step in result["seen"]] == [
         ["import", None, False],
         ["analyze", 0, False],
         ["run", 0, False],
@@ -999,6 +1012,16 @@ def test_numpy_is_loaded_only_when_noise_is_drawn(workspace):
         ["dp-run", 0, True],
     ]
     assert json.loads(result["last_out"])["noisy_value"] == 78.79366824746074
+
+
+def test_the_parser_is_built_at_the_first_main_call_not_at_import(workspace):
+    commands = [["analyze", "people.schema", "avg.raq"], ["analyze", "people.schema", "avg.raq"]]
+    # one build constructs the top parser and one parser per command
+    assert _probe(workspace, commands)["seen"] == [
+        ["import", None, False, 0],
+        ["analyze", 0, False, 5],
+        ["analyze", 0, False, 5],
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1056,6 +1079,83 @@ def test_sample_count_too_large_to_allocate_exits_2(tiny, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# one argument parser per process, shared by every main call
+
+@pytest.fixture
+def fresh_parser():
+    """Start and end with no parser built, so the test sees the first build."""
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+def test_main_builds_one_parser_for_every_command(tiny, fresh_parser, monkeypatch, capsys):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for command in ("analyze", "run", "dp-run", "validate", "analyze"):
+        assert main(tiny_argv(tiny, command)) == 0
+    assert progs == ["raqdp", "raqdp analyze", "raqdp run", "raqdp dp-run", "raqdp validate"]
+
+
+def test_data_from_one_call_does_not_reach_the_next(tiny, fresh_parser, monkeypatch, capsys):
+    seen = []
+    validate_command = cli._COMMANDS["validate"]
+
+    def recording(args):
+        seen.append(list(args.data))
+        return validate_command(args)
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", recording)
+    with_data = tiny_argv(tiny, "run")
+    assert main(with_data) == 0
+    assert main(tiny_argv(tiny, "validate")) == 0
+    assert main(tiny_argv(tiny, "validate") + with_data[-2:]) == 0
+    assert main(tiny_argv(tiny, "validate")) == 0
+    assert seen == [[], with_data[-1:], []]
+    parser = build_parser()
+    first = parser.parse_args(with_data + with_data[-2:])
+    assert parser.parse_args(tiny_argv(tiny, "validate")).data == []
+    assert first.data == with_data[-1:] * 2
+
+
+@pytest.mark.parametrize("refused", [
+    [], ["analyze"], ["check"], ["analyze", "s", "q", "--data", "R=r.csv"],
+    ["analyze", "s", "q", "--format", "xml"], ["validate", "s", "q", "--universe-cap", "x"],
+], ids=["no-command", "no-files", "unknown-command", "option-of-another-command",
+        "bad-choice", "bad-number"])
+def test_a_refused_call_leaves_the_parser_as_built(tiny, fresh_parser, capsys, refused):
+    argv = tiny_argv(tiny, "validate")
+    first = run_in_process(argv)
+    build_parser.cache_clear()
+    code, out, err = run_in_process(refused)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: raqdp") and "error:" in err
+    with redirect_stderr(io.StringIO()) as fresh_err, pytest.raises(SystemExit):
+        build_parser.__wrapped__().parse_args(refused)
+    assert err == fresh_err.getvalue()
+    assert first[0] == 0 and first[2] == ""
+    assert run_in_process(argv) == first
+
+
+@pytest.mark.parametrize("command", [None, "analyze", "run", "dp-run", "validate"])
+def test_help_of_the_shared_parser_is_that_of_a_fresh_one(tiny, fresh_parser, command):
+    argv = [command, "--help"] if command else ["--help"]
+    for call in (tiny_argv(tiny, command or "analyze"), ["analyze"], argv):
+        run_in_process(call)
+    code, out, err = run_in_process(argv)
+    with redirect_stdout(io.StringIO()) as fresh_out, pytest.raises(SystemExit):
+        build_parser.__wrapped__().parse_args(argv)
+    assert (code, err) == (0, "")
+    assert out == fresh_out.getvalue() and out.startswith(f"usage: raqdp {command or ''}".rstrip())
 
 
 def _is_int(text: str) -> bool:

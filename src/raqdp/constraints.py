@@ -14,6 +14,12 @@ of conjuncts with disjoint attributes; the enumeration cap is on the whole grid.
 Enumeration applies the top-level conjuncts that mention a single attribute to
 that attribute's candidate values before it walks the grid; the caps still
 bound the unfiltered grid.
+Narrowing derives nothing twice: each comparison atom derives its linear form
+(and that form's negation), and each numeric membership atom its attribute
+and sorted candidate values, once, the first time it is applied, and keeps
+them; each schema normalizes and narrows its own constraint once, and a
+node's diameter and its aggregate's range both start from that one NNF and
+structural box.
 """
 
 from __future__ import annotations
@@ -253,12 +259,38 @@ class Cmp:
     left: Term
     right: Term
 
+    # narrowing reads the form on every pass; a cached property keeps it on
+    # the atom and leaves == and hash to the fields
+    @functools.cached_property
+    def _linear(self) -> tuple[dict[str, int | Fraction], int | Fraction] | None:
+        """The comparison as sum(coeffs * x) OP k (`_cmp_linear`)."""
+        return _cmp_linear(self)
+
+    @functools.cached_property
+    def _negated(self) -> tuple[dict[str, int | Fraction], int | Fraction]:
+        """The linear form negated: -sum(coeffs * x) and -k."""
+        coeffs, k = self._linear
+        return {a: -c for a, c in coeffs.items()}, -k
+
 
 @dataclass(frozen=True)
 class InSet:
     term: Term
     values: frozenset
     negated: bool = False
+
+    @functools.cached_property
+    def _linear(self) -> tuple[dict[str, int | Fraction], int | Fraction] | None:
+        """The term's linear form (`linear_form`), derived once."""
+        return linear_form(self.term)
+
+    @functools.cached_property
+    def _solved(self) -> tuple[str, list]:
+        """For a term c * x + k over one numeric attribute x: x, and the values
+        x takes on the set, sorted; derived once."""
+        (a, c), = self._linear[0].items()
+        k = self._linear[1]
+        return a, sorted(_quotient(held_value(v) - k, c) for v in self.values)
 
 
 @dataclass(frozen=True)
@@ -662,6 +694,15 @@ class ConstrainedSchema:
         """The domains' narrowing box, built once; narrowing works on copies of it."""
         return _Box(self)
 
+    @functools.cached_property
+    def _narrowed(self) -> tuple[Constraint, "_Box | None"]:
+        """The constraint's NNF and its structural box (None when empty), built
+        once: a node's diameter and its aggregate's range both start from them.
+        The box is shared, so it is read or copied, never changed in place;
+        in particular it is never the first box given to `_hull`."""
+        nnf = normalize(self.constraint)
+        return nnf, _struct_box(nnf, self)
+
 
 def initial_constraint(schema: ConstrainedSchema) -> Constraint:
     """Domain membership atoms conjoined with the schema's check constraint."""
@@ -705,15 +746,18 @@ class _Box:
     """Per-attribute intervals (numeric) and allowed-value sets (string).
 
     Every endpoint and num-set member is held as `held_value` holds it, or is
-    +-inf; `attribute_bounds` turns endpoints back into Fractions."""
+    +-inf; `attribute_bounds` turns endpoints back into Fractions. `moved`
+    holds the attributes whose interval narrowed since `integer_tighten`
+    last ran; a copy starts with every numeric attribute in it."""
 
-    __slots__ = ("nums", "strs", "numset_members", "int_attrs")
+    __slots__ = ("nums", "strs", "numset_members", "int_attrs", "moved")
 
     def __init__(self, schema: ConstrainedSchema):
         self.nums: dict[str, list] = {}
         self.strs: dict[str, set] = {}
         self.numset_members: dict[str, tuple] = {}
         self.int_attrs: set[str] = set()
+        self.moved: set[str] = set()
         for a, dom in schema.all_domains().items():
             if dom.kind is DomainKind.STR_SET:
                 self.strs[a] = set(dom.members)
@@ -730,6 +774,7 @@ class _Box:
         out.strs = {a: set(v) for a, v in self.strs.items()}
         out.numset_members = self.numset_members
         out.int_attrs = self.int_attrs
+        out.moved = set(self.nums)
         return out
 
     def is_empty(self) -> bool:
@@ -742,6 +787,7 @@ class _Box:
         st = self.nums[attr]
         if value < st[1] or (value == st[1] and strict and not st[3]):
             st[1], st[3] = value, strict
+            self.moved.add(attr)
             return True
         return False
 
@@ -749,12 +795,18 @@ class _Box:
         st = self.nums[attr]
         if value > st[0] or (value == st[0] and strict and not st[2]):
             st[0], st[2] = value, strict
+            self.moved.add(attr)
             return True
         return False
 
     def integer_tighten(self) -> bool:
+        """Round the ends of each int attribute inward and move those of each
+        num-set attribute onto its members, for the attributes that moved
+        since the last call only: tightening again an attribute that has not
+        moved changes nothing."""
+        attrs, self.moved = self.moved, set()
         changed = False
-        for a in self.int_attrs:
+        for a in self.int_attrs.intersection(attrs):
             st = self.nums[a]
             lo, hi = st[0], st[1]
             if not is_infinite(lo):
@@ -767,7 +819,8 @@ class _Box:
                 if new_hi != hi or st[3]:
                     st[1], st[3] = new_hi, False
                     changed = changed or new_hi != hi
-        for a, members in self.numset_members.items():
+        for a in self.numset_members.keys() & attrs:
+            members = self.numset_members[a]
             st = self.nums[a]
             kept = [v for v in members if _within(v, *st)]
             if not kept:
@@ -865,22 +918,22 @@ def _cmp_linear(atom: Cmp) -> tuple[dict[str, int | Fraction], int | Fraction] |
 
 
 def _apply_cmp(box: _Box, atom: Cmp) -> bool | None:
-    linear = _cmp_linear(atom)
+    """Narrow with one comparison. Its linear form and that form's negation
+    are derived once per atom object (`Cmp._linear`, `Cmp._negated`), not on
+    each pass of each `narrow` call."""
+    linear = atom._linear
     # s = t over two string attributes has a linear form but is no arithmetic
     if linear is not None and box.strs.keys().isdisjoint(linear[0]):
-        coeffs, k = linear
         op = atom.op
         if op in ("<=", "<"):
-            return _apply_linear_le(box, coeffs, k, op == "<")
+            return _apply_linear_le(box, *linear, op == "<")
         if op in (">=", ">"):
-            neg = {a: -c for a, c in coeffs.items()}
-            return _apply_linear_le(box, neg, -k, op == ">")
+            return _apply_linear_le(box, *atom._negated, op == ">")
         if op == "=":
-            r1 = _apply_linear_le(box, coeffs, k, False)
+            r1 = _apply_linear_le(box, *linear, False)
             if r1 is None:
                 return None
-            neg = {a: -c for a, c in coeffs.items()}
-            r2 = _apply_linear_le(box, neg, -k, False)
+            r2 = _apply_linear_le(box, *atom._negated, False)
             if r2 is None:
                 return None
             return r1 or r2
@@ -924,16 +977,14 @@ def _apply_inset(box: _Box, atom: InSet) -> bool | None:
         return False
     if atom.negated:
         return False
-    lf = linear_form(term)
+    lf = atom._linear
     if lf is None or len(lf[0]) != 1:
         if lf is not None and not lf[0]:
             return None if lf[1] not in atom.values else False
         return False
-    (a, c), = lf[0].items()
-    k = lf[1]
+    a, vals = atom._solved
     if a not in box.nums:
         return False
-    vals = sorted(_quotient(held_value(v) - k, c) for v in atom.values)
     if not vals:
         return None
     interval = box.interval_of(a)
@@ -947,7 +998,13 @@ def _apply_inset(box: _Box, atom: InSet) -> bool | None:
 
 
 def narrow(atoms, schema: ConstrainedSchema, seed: _Box | None = None) -> _Box | None:
-    """Hull-consistency fixpoint over a conjunction of atoms; None if empty."""
+    """Hull-consistency fixpoint over a conjunction of atoms; None if empty.
+
+    Each pass applies every atom, but an atom derives its linear form (or
+    its sorted candidate values) once, on its first pass, and keeps it; after
+    the first pass only attributes that moved are rounded to integers or
+    members again. A schema's own constraint is narrowed once per node
+    (`ConstrainedSchema._narrowed`)."""
     box = (seed if seed is not None else schema._box).copy()
     box.integer_tighten()
     if box.is_empty():
@@ -971,8 +1028,9 @@ def narrow(atoms, schema: ConstrainedSchema, seed: _Box | None = None) -> _Box |
 # Disjunctive structure
 
 
-def dnf_branches(c: Constraint, cap: int = DEFAULT_DNF_CAP) -> list[list[Constraint]] | None:
-    """Branches of the disjunctive normal form, or None past the branch cap."""
+def dnf_branches(nnf: Constraint, cap: int = DEFAULT_DNF_CAP) -> list[list[Constraint]] | None:
+    """Branches of an NNF constraint's disjunctive normal form, or None past
+    the branch cap."""
 
     def rec(node: Constraint) -> list[list[Constraint]] | None:
         if isinstance(node, BoolConst):
@@ -1001,7 +1059,7 @@ def dnf_branches(c: Constraint, cap: int = DEFAULT_DNF_CAP) -> list[list[Constra
             return acc
         raise TypeError(f"expected negation normal form, found {node!r}")
 
-    return rec(normalize(c))
+    return rec(nnf)
 
 
 def _struct_box(c: Constraint, schema: ConstrainedSchema, seed: _Box | None = None) -> _Box | None:
@@ -1027,16 +1085,6 @@ def _struct_box(c: Constraint, schema: ConstrainedSchema, seed: _Box | None = No
                 return None
         return narrow(atoms, schema, box)
     raise TypeError(f"expected negation normal form, found {c!r}")
-
-
-def _branch_boxes(nnf: Constraint, schema: ConstrainedSchema, dnf_cap: int) -> list[_Box]:
-    """Narrowed boxes of the non-empty DNF branches; past the branch cap, one structural box."""
-    branches = dnf_branches(nnf, dnf_cap)
-    if branches is None:
-        boxes = [_struct_box(nnf, schema)]
-    else:
-        boxes = [narrow(branch, schema) for branch in branches]
-    return [box for box in boxes if box is not None]
 
 
 def _hull(boxes) -> _Box | None:
@@ -1069,16 +1117,15 @@ def _pinned_values(c: Constraint, attr: str) -> frozenset | None:
     if isinstance(c, BoolConst):
         return frozenset() if not c.value else None
     if isinstance(c, Cmp) and c.op == "=":
-        linear = _cmp_linear(c)
+        linear = c._linear
         if linear is not None and set(linear[0]) == {attr}:
             coeffs, k = linear
             return frozenset({_quotient(k, coeffs[attr])})
         return None
     if isinstance(c, InSet) and not c.negated:
-        lf = linear_form(c.term)
+        lf = c._linear
         if lf is not None and set(lf[0]) == {attr}:
-            (_, cc), = lf[0].items()
-            return frozenset(_quotient(held_value(v) - lf[1], cc) for v in c.values)
+            return frozenset(c._solved[1])
         return None
     if isinstance(c, And):
         pin: frozenset | None = None
@@ -1098,22 +1145,31 @@ def _pinned_values(c: Constraint, attr: str) -> frozenset | None:
     return None
 
 
+def _prepared(c: Constraint, schema: ConstrainedSchema) -> tuple[Constraint, _Box | None]:
+    """The constraint's NNF, type-checked, and its structural box (None when
+    empty), where every solver function starts. The schema's own constraint
+    was checked when the schema was built, and is prepared once
+    (`ConstrainedSchema._narrowed`); any other is prepared on each call."""
+    if c is schema.constraint:
+        return schema._narrowed
+    nnf = normalize(c)
+    check_types(nnf, schema.all_domains())
+    return nnf, _struct_box(nnf, schema)
+
+
 def _finite_grid(
-    nnf: Constraint, schema: ConstrainedSchema, cap: int
+    nnf: Constraint, box: _Box | None, schema: ConstrainedSchema, cap: int
 ) -> tuple[str, dict[str, list] | None]:
-    """Candidate value lists per attribute, values held as `held_value` holds them.
+    """Candidate value lists per attribute, values held as `held_value` holds
+    them, from a `_prepared` NNF and box (the box is only read).
 
     Returns (status, grid) with status one of 'ok', 'empty', 'infinite',
     'too-big'. The grid covers all solutions; enumeration still filters by
-    the constraint. Every solver function (`iter_solutions`,
-    `solution_count`, `attribute_bounds`) starts here, so the constraint is
-    type-checked here, once per call.
+    the constraint.
     """
-    domains = schema.all_domains()
-    check_types(nnf, domains)
-    box = _struct_box(nnf, schema)
     if box is None:
         return "empty", None
+    domains = schema.all_domains()
     grid: dict[str, list] = {}
     total = 1
     too_big = False
@@ -1175,7 +1231,7 @@ def _satisfying(c: Constraint, grid: dict[str, list]) -> Iterator[tuple]:
     their order are those of the whole grid; the caps were taken on the
     unfiltered grid.
 
-    The constraint has passed `check_types` in `_finite_grid`, and the grid
+    The constraint has passed `check_types` (`_prepared`), and the grid
     holds values as data does (`held_value`), so the compiled tests check no
     types and run on int arithmetic wherever the values are integral.
     """
@@ -1203,7 +1259,7 @@ def iter_solutions(
     c: Constraint, schema: ConstrainedSchema, cap: int = DEFAULT_ENUM_CAP
 ) -> Iterator[tuple] | None:
     """Iterate distinct visible solution tuples; None when not enumerable."""
-    status, grid = _finite_grid(normalize(c), schema, cap)
+    status, grid = _finite_grid(*_prepared(c, schema), schema, cap)
     if status == "empty":
         return iter(())
     if status != "ok":
@@ -1270,8 +1326,8 @@ def solution_count(
     A grid within the cap is counted per attribute-disjoint group of the
     NNF's conjuncts, each over its own sub-grid, and the counts multiply:
     the solutions are the product of the groups' solutions."""
-    nnf = normalize(c)
-    status, grid = _finite_grid(nnf, schema, cap)
+    nnf, box = _prepared(c, schema)
+    status, grid = _finite_grid(nnf, box, schema, cap)
     if status == "empty":
         return 0
     if status == "infinite":
@@ -1310,13 +1366,14 @@ def attribute_bounds(
     """Sound interval for one numeric attribute over the constraint's solutions.
 
     Exact (closed) bounds via enumeration on small finite grids; otherwise a
-    hull-consistency fixpoint per disjunctive branch, joined across branches.
+    hull-consistency fixpoint per disjunctive branch, joined across branches,
+    and past the branch cap the structural box.
     """
     dom = schema.domain(attr)
     if not dom.is_numeric:
         raise SchemaError(f"attribute {attr!r} is not numeric")
-    nnf = normalize(c)
-    status, grid = _finite_grid(nnf, schema, min(enum_cap, EXACT_GRID_BUDGET))
+    nnf, box = _prepared(c, schema)
+    status, grid = _finite_grid(nnf, box, schema, min(enum_cap, EXACT_GRID_BUDGET))
     if status == "empty":
         return Bounds.make_empty()
     if status == "ok":
@@ -1324,10 +1381,12 @@ def attribute_bounds(
         if not column:
             return Bounds.make_empty()
         return Bounds(Fraction(min(column)), Fraction(max(column)))  # grid values may be int
-    hull = _hull(_branch_boxes(nnf, schema, dnf_cap))
-    if hull is None:
-        return Bounds.make_empty()
-    lo, hi, lo_open, hi_open = hull.interval_of(attr)
+    branches = dnf_branches(nnf, dnf_cap)
+    if branches is not None:
+        box = _hull(narrow(branch, schema) for branch in branches)
+        if box is None:
+            return Bounds.make_empty()
+    lo, hi, lo_open, hi_open = box.interval_of(attr)
     return Bounds(_fraction(lo), _fraction(hi), lo_open, hi_open)
 
 

@@ -59,18 +59,19 @@ FN_KEYWORDS = frozenset({"count", "sum", "max", "min", "avg"})
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<comment>\#[^\n]*)
+      (?P<skip>(?:\s+|\#[^\n]*)+)
     | (?P<num>\d+(?:\.\d+)?)
     | (?P<str>"(?:[^"\\\n]|\\.)*")
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op><=|>=|!=|[{}()\[\],;:=<>+\-*/])
+    | (?P<bad>[\s\S])
     """,
     re.VERBOSE,
 )
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: str  # 'num', 'str', 'ident', 'kw', 'op', 'eof'
     text: str
@@ -80,37 +81,38 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The text's tokens, then an 'eof' token, in one pass of the token regex.
+
+    Whitespace and comments make no token; they only move the line count
+    and the start of the current line, from which each column is taken."""
     tokens: list[Token] = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "num":
+        lexeme = m.group()
+        start = m.start()
+        if kind == "skip":
+            last = lexeme.rfind("\n")
+            if last >= 0:
+                line += lexeme.count("\n")
+                line_start = start + last + 1
+            continue
+        col = start - line_start + 1
+        if kind == "ident":
+            tokens.append(Token("kw" if lexeme in KEYWORDS else "ident", lexeme, lexeme, line, col))
+        elif kind == "op":
+            tokens.append(Token("op", lexeme, lexeme, line, col))
+        elif kind == "num":
             try:
-                value = Fraction(lexeme)
+                value = Fraction(lexeme) if "." in lexeme else Fraction(int(lexeme))
             except ValueError:  # the lexeme is digits: it is past Python's digit limit
                 raise ParseError(str(too_many_digits(lexeme, "number")), line, col) from None
             tokens.append(Token("num", lexeme, value, line, col))
         elif kind == "str":
-            raw = lexeme[1:-1]
-            value = re.sub(r"\\(.)", r"\1", raw)
-            tokens.append(Token("str", lexeme, value, line, col))
-        elif kind == "ident":
-            tk = "kw" if lexeme in KEYWORDS else "ident"
-            tokens.append(Token(tk, lexeme, lexeme, line, col))
-        elif kind == "op":
-            tokens.append(Token("op", lexeme, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
+            tokens.append(Token("str", lexeme, _ESCAPE_RE.sub(r"\1", lexeme[1:-1]), line, col))
         else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", None, line, col))
+            raise ParseError(f"unexpected character {lexeme!r}", line, col)
+    tokens.append(Token("eof", "", None, line, len(text) - line_start + 1))
     return tokens
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import random
+import re
 from fractions import Fraction
 from typing import Iterator
 
@@ -19,20 +20,21 @@ from raqdp.constraints import (
     InSet,
     Lit,
     _finite_grid,
+    _prepared,
     compile_constraint,
-    normalize,
     solution_count,
     initial_constraint,
 )
 from raqdp.engine import Relation, answer, eval_plan
-from raqdp.errors import DataError, ValidationError
+from raqdp.errors import DataError, ParseError, ValidationError
+from raqdp.extmath import too_many_digits
 from raqdp.oracle import (
     BruteResult,
     SensitiveRelation,
     Universe,
     enumerate_tuples,
 )
-from raqdp.parsing import parse_schemas
+from raqdp.parsing import KEYWORDS, parse_schemas
 from raqdp.query import (
     AggFn,
     Difference,
@@ -278,7 +280,7 @@ def reference_solution_count(c, schema: ConstrainedSchema, cap: int = DEFAULT_EN
     """Distinct visible solutions counted over the whole grid, 'exceeds-cap'
     or 'infinite': every grid point is tested, and the count stops at the
     first solution past the cap."""
-    status, grid = _finite_grid(normalize(c), schema, cap)
+    status, grid = _finite_grid(*_prepared(c, schema), schema, cap)
     if status == "empty":
         return 0
     if status == "infinite":
@@ -356,6 +358,57 @@ def reference_load_csv(schema: ConstrainedSchema, path: str) -> frozenset:
     if violations:
         raise DataError(f"{path}: {len(violations)} invalid row(s)", violations)
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# Reference tokenizer: one regex match per lexeme, whitespace and comments
+# included, with the line and column carried from lexeme to lexeme
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<comment>\#[^\n]*)
+    | (?P<num>\d+(?:\.\d+)?)
+    | (?P<str>"(?:[^"\\\n]|\\.)*")
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<op><=|>=|!=|[{}()\[\],;:=<>+\-*/])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text: str) -> list[tuple]:
+    """(kind, text, value, line, col) of every token, then of 'eof'; raises
+    ParseError as `parsing.tokenize` documents it."""
+    tokens: list[tuple] = []
+    pos, line, col = 0, 1, 1
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        lexeme = m.group(0)
+        kind = m.lastgroup
+        if kind == "num":
+            try:
+                value = Fraction(lexeme)
+            except ValueError:  # the lexeme is digits: it is past Python's digit limit
+                raise ParseError(str(too_many_digits(lexeme, "number")), line, col) from None
+            tokens.append(("num", lexeme, value, line, col))
+        elif kind == "str":
+            tokens.append(("str", lexeme, re.sub(r"\\(.)", r"\1", lexeme[1:-1]), line, col))
+        elif kind == "ident":
+            tokens.append(("kw" if lexeme in KEYWORDS else "ident", lexeme, lexeme, line, col))
+        elif kind == "op":
+            tokens.append(("op", lexeme, lexeme, line, col))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(("eof", "", None, line, col))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from raqdp.constraints import (
     make_and,
     make_or,
     normalize,
+    rename_attrs,
     solution_count,
 )
 from raqdp.errors import ParseError, SchemaError, ValidationError
@@ -621,7 +622,7 @@ def test_component_count_matches_the_whole_grid_loop():
             c = schema.constraint
             want = reference_solution_count(c, schema)
             assert solution_count(c, schema) == want, (schema_text, query_text, node)
-            status, grid = constraints._finite_grid(normalize(c), schema, DEFAULT_ENUM_CAP)
+            status, grid = constraints._finite_grid(*constraints._prepared(c, schema), schema, DEFAULT_ENUM_CAP)
             if status == "ok":
                 size = math.prod(len(values) for values in grid.values())
                 assert solution_count(c, schema, size) == want
@@ -676,7 +677,7 @@ def test_solutions_match_the_whole_grid_loop():
         except (ParseError, SchemaError, ValidationError):  # a check comparing a number with a string
             continue
         for schema in [facts.schema for facts in vq.nodes.values()]:
-            status, grid = constraints._finite_grid(normalize(schema.constraint), schema, DEFAULT_ENUM_CAP)
+            status, grid = constraints._finite_grid(*constraints._prepared(schema.constraint, schema), schema, DEFAULT_ENUM_CAP)
             if status != "ok":
                 continue
             if schema.name == "group-aggregate" and schema.aux:
@@ -692,7 +693,7 @@ def test_solutions_match_the_whole_grid_loop():
                 extra.append(InSet(Attr(a), frozenset(map(Fraction, grid[a])), negated=True))
                 features.add("emptied list")
             c = make_and([schema.constraint, *extra])
-            status, grid = constraints._finite_grid(normalize(c), schema, DEFAULT_ENUM_CAP)
+            status, grid = constraints._finite_grid(*constraints._prepared(c, schema), schema, DEFAULT_ENUM_CAP)
             want = list(reference_solutions(c, grid, schema.attr_names())) if status == "ok" else []
             assert list(iter_solutions(c, schema)) == want, (schema_text, query_text, c)
             assert solution_count(c, schema) == len(want)
@@ -709,6 +710,82 @@ def test_solutions_match_the_whole_grid_loop():
         "in", "not in", "!=", "not", "iff", "no attribute", "attribute-free atom", "aux",
         "aux from grouping", "num set", "string set", "pinned real", "emptied list",
     }
+
+
+def test_a_schemas_shared_box_gives_what_a_fresh_copy_gives():
+    """A schema's own constraint is normalized and boxed once, and that box
+    is shared by every diameter and range taken from it. At every node the
+    shared path must give what a structurally equal copy of the constraint
+    (`rename_attrs(c, {})`, prepared afresh on each call) gives, whichever
+    is called first and on a second round. The diameter is also counted
+    under a cap equal to the grid's size, so a widened shared box, whose
+    grid is larger, would read past the cap."""
+    rng = random.Random(29)
+    checked = 0
+    while checked < 150:
+        schema_text, query_text = _random_product_case(rng, set())
+        try:
+            vq = validate(parse_query(query_text), parse_schemas(schema_text))
+        except (ParseError, SchemaError, ValidationError):  # a check comparing a number with a string
+            continue
+        for node in vq.nodes.values():
+            built = node.schema
+            copy = rename_attrs(built.constraint, {})
+            assert copy == built.constraint and copy is not built.constraint
+            status, grid = constraints._finite_grid(*constraints._prepared(copy, built), built, DEFAULT_ENUM_CAP)
+            caps = [DEFAULT_ENUM_CAP] + ([math.prod(map(len, grid.values()))] if status == "ok" else [])
+            calls = [lambda c, s, cap=cap: diameter(c, s, cap) for cap in caps] + [
+                lambda c, s, a=a, e=e, d=d: attribute_bounds(c, s, a, enum_cap=e, dnf_cap=d)
+                for a, dom in built.attributes if dom.is_numeric
+                for e, d in [(DEFAULT_ENUM_CAP, 64), (1, 64), (1, 1)]
+            ]
+            want = [call(copy, built) for call in calls]
+            for order in (calls, calls[::-1]):
+                # a new schema object, so nothing is prepared before the first call
+                schema = ConstrainedSchema(built.name, built.attributes, built.constraint, built.aux)
+                for _ in range(2):
+                    got = [call(schema.constraint, schema) for call in order]
+                    assert got == (want if order is calls else want[::-1]), (schema_text, query_text)
+            checked += 1
+
+
+def test_each_atom_derives_its_linear_form_once(monkeypatch):
+    """Narrowing applies an atom on every pass of every `narrow` call, and
+    the atom derives its linear form the first time only; a difference
+    negates its right side once, in the node's one NNF."""
+    schemas = parse_schemas(
+        'relation R { a: int [-6, 50]; b: num in {-1, 2, 9, 11, 19, 26}; '
+        'c: string in {"amber", "teal", "red", "green"}; d: int [0, 9999] } '
+        'check { a >= b or c = "amber" }'
+    )
+    tq = parse_query('avg(b) of (select a <= 33 from R) minus (select c in {"green"} or a >= 19 from R)')
+    derived: dict[int, list] = {}
+    applied: dict[int, int] = {}
+
+    def counting(derive):
+        def wrapper(atom):
+            derived.setdefault(id(atom), [atom, 0])[1] += 1  # the list keeps the atom, so ids stay unique
+            return derive(atom)
+
+        return wrapper
+
+    apply_atom = constraints._apply_atom
+
+    def counting_apply(box, atom):
+        applied[id(atom)] = applied.get(id(atom), 0) + 1
+        return apply_atom(box, atom)
+
+    monkeypatch.setattr(constraints, "_cmp_linear", counting(constraints._cmp_linear))
+    monkeypatch.setattr(InSet.__dict__["_linear"], "func", counting(InSet.__dict__["_linear"].func))
+    monkeypatch.setattr(constraints, "_apply_atom", counting_apply)
+    validate(tq, schemas)
+    counts = [count for _, count in derived.values()]
+    assert counts and max(counts) == 1
+    kinds = {type(atom) for atom, _ in derived.values()}
+    assert kinds == {Cmp, InSet}
+    # atoms are applied many times over, but each derived its form once
+    assert max(applied[i] for i in derived if i in applied) > 1
+    assert sum(applied.values()) > 3 * len(derived)
 
 
 def test_product_diameter_counts_each_operand_alone(monkeypatch):

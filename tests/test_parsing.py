@@ -1,5 +1,8 @@
 """Parser and printer: schemas, constraints, queries, error positions."""
 
+import ast
+import os
+import random
 import sys
 from fractions import Fraction
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_tokenize
 from raqdp.constraints import Cmp, DomainKind, evaluate, format_constraint
 from raqdp.errors import ParseError, SchemaError
 from raqdp.parsing import (
@@ -14,6 +18,7 @@ from raqdp.parsing import (
     parse_constraint,
     parse_query,
     parse_schemas,
+    tokenize,
 )
 from raqdp.query import (
     AggFn,
@@ -302,3 +307,86 @@ def test_random_query_round_trip(text):
     assert parse_query(printed) == tq
     # printing is a fixed point after one round
     assert format_query(parse_query(printed)) == printed
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer against the lexeme-by-lexeme reference
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+def _lexed(tokenize_, text: str):
+    """Every token's fields (and its value's type), or the ParseError's
+    message, line and column."""
+    try:
+        tokens = tokenize_(text)
+    except ParseError as e:
+        return ("error", str(e), e.line, e.col)
+    rows = [t if isinstance(t, tuple) else (t.kind, t.text, t.value, t.line, t.col) for t in tokens]
+    return [(*row, type(row[2])) for row in rows]
+
+
+def _readme_blocks() -> list[str]:
+    with open(os.path.join(TESTS, os.pardir, "README.md"), encoding="utf-8") as fh:
+        return fh.read().split("```")[1::2]
+
+
+def _test_strings() -> list[str]:
+    """Every string literal in the test modules: their schema, constraint and
+    query texts among them."""
+    out = []
+    for name in sorted(os.listdir(TESTS)):
+        if name.endswith(".py"):
+            with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            out += [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    return out
+
+
+_PIECES = (
+    "relation", "R", "check", "count", "of", "select", "from", "a_1", "_x", "in", "not", "iff",
+    "0", "42", "007", "3.25", "1.0", "<=", ">=", "!=", "=", "<", ">", "{", "}", "(", ")", "[", "]",
+    ",", ";", ":", "+", "-", "*", "/", '"Ann"', '"a\\"b"', '"back\\\\slash"', '"\\q"', '""',
+)
+_SPACES = (" ", "  ", "\t", "\n", "\r\n", "\n\n", "\n \t\n", "\x0b", "\u00a0", "\u2028")
+
+
+def _random_text(rng: random.Random, limit: int) -> str:
+    """Pieces with whitespace, comments, tabs, CRLF line ends, escaped
+    strings, an occasional number past the digit limit, and now and then a
+    character no token starts with, mostly late in the text."""
+    parts = []
+    for i in range(rng.randint(1, 40)):
+        r = rng.random()
+        if r < 0.004:
+            parts.append("9" * (limit + rng.randint(1, 3)) + rng.choice(["", ".5"]))
+        elif r < 0.008:
+            parts.append("1." + "0" * (limit + 1))
+        elif r < 0.07:
+            parts.append("# note " + rng.choice(["", "x <= 1", '"q"', "\t#"]) + rng.choice(["\n", "\r\n"]))
+        elif r < 0.14 and i > 5:
+            parts.append(rng.choice(["$", "@", "!", ".", "é", "\"", "'", "\x00"]))
+        else:
+            parts.append(rng.choice(_PIECES))
+        parts.append(rng.choice(_SPACES) if rng.random() < 0.6 else "")
+    return "".join(parts)
+
+
+def test_tokenize_matches_the_reference_loop():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
+    rng = random.Random(1913)
+    texts = _readme_blocks() + _test_strings() + [_random_text(rng, limit) for _ in range(600)]
+    errors = 0
+    for text in texts:
+        got = _lexed(tokenize, text)
+        assert got == _lexed(reference_tokenize, text), text[:200]
+        errors += got[0] == "error"
+    assert 0 < errors < len(texts)
+
+
+def test_unexpected_character_on_a_later_line():
+    text = "relation R {\r\n\ta: int [0, 3]  # range\n\n} check { a @ 1 }"
+    assert _lexed(tokenize, text) == _lexed(reference_tokenize, text)
+    with pytest.raises(ParseError) as e:
+        parse_schemas(text)
+    assert (str(e.value), e.value.line, e.value.col) == ("unexpected character '@' (line 4, col 13)", 4, 13)

@@ -247,8 +247,8 @@ def _compile_agg(fn: AggFn, schema: ConstrainedSchema, bounds: Bounds | None = N
     def agg(tuples) -> Fraction:
         if not tuples:
             return empty
-        total = Fraction(fold([t[idx] for t in tuples]))
-        return total / len(tuples) if kind == "avg" else total
+        total = fold([t[idx] for t in tuples])
+        return Fraction(total, len(tuples)) if kind == "avg" else Fraction(total)
 
     return agg
 

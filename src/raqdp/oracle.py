@@ -9,20 +9,27 @@ relation changes); fixed context relations never change.
 Only the universe tuples the query can read are enumerated (`_read_bits`):
 the tuples that its row-filtering trees keep, all of them where a relation
 is read unfiltered. The query is compiled once (`engine.compile_query`) and
-run once per database: 2^k runs when k of the universe's tuples can be read.
-A database's value is that of its projection onto those tuples, so the
-worst change and its witness are those of the full enumeration. The exact
-values are then put over one common denominator, so each adjacent pair
-costs one integer comparison. `brute_lipschitz` takes a node's largest
-output change over the same adjacent pairs (`_steps`). The combined
-universe is capped at `DEFAULT_UNIVERSE_CAP` = 12 tuples unless the caller
-asks for more.
+run once per database: N = 2^k runs when k of the universe's tuples can be
+read, k_i of them in sensitive relation i. A database's value is that of its
+projection onto those tuples, so the worst change and its witness are those
+of the full enumeration.
+
+The exact values are put over one common denominator into a flat list of
+integers indexed by the packed read bits (`_databases`). A database's closed
+neighbourhood is the product of one closed neighbourhood per relation, so
+`brute_sensitivity` takes every database's neighbourhood max and min in one
+pass per relation, a slice copy per read bit: N * sum(k_i + 1) comparisons
+instead of one per adjacent pair, N * prod(k_i + 1). `brute_lipschitz`,
+whose symmetric difference does not split per relation, walks the adjacent
+pairs of the same table (`_steps`). The combined universe is capped at
+`DEFAULT_UNIVERSE_CAP` = 12 tuples unless the caller asks for more.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,115 +142,121 @@ def _read_bits(plan: Plan, vq: ValidatedQuery, universe: Universe) -> tuple[int,
     return tuple(bits)
 
 
-def _submasks(bits: int):
-    """Every mask inside `bits`, in increasing order."""
-    mask = 0
-    yield mask
-    while mask != bits:
-        mask = (mask - bits) & bits
-        yield mask
+def _read_tuples(universe: Universe, bits: tuple[int, ...]) -> list[list]:
+    """Each sensitive relation's universe tuples inside its read bits, in
+    universe order."""
+    return [
+        [t for j, t in enumerate(sr.universe) if read >> j & 1]
+        for sr, read in zip(universe.sensitive, bits)
+    ]
 
 
-def _databases(universe: Universe, bits: tuple[int, ...]):
-    """Every admissible database inside the read bits `bits`, with its bitmask
-    vector, in increasing order of the vectors.
+def _databases(universe: Universe, kept: list[list]):
+    """Every admissible database inside the read tuples `kept`, in increasing
+    order of its packed index: the i-th database yielded has index i.
 
-    Bit j of the i-th mask says whether tuple j of sensitive relation i is
-    present. Each relation is built once per mask: the first relation's mask
-    changes only between blocks of the product, so each of its relations is
-    built when reached; the others recur in every block, so their lists are
-    built once.
+    A packed index holds one bit per read tuple. Relation i's mask over its
+    read tuples sits in its bits, relation 0 in the most significant ones, so
+    the order is that of the masks' product. Each relation is built once per
+    mask.
     """
-    base = universe.context_db()
-    if not universe.sensitive:  # every relation is context: one database
-        yield (), base
-        return
     names = [sr.name for sr in universe.sensitive]
-    first, *rest = [_relations(sr, read) for sr, read in zip(universe.sensitive, bits)]
-    rest = [list(option) for option in rest]
-    for head in first:
-        for tail in itertools.product(*rest):
-            chosen = (head, *tail)
-            db = dict(base)
-            db.update((name, relation) for name, (_, relation) in zip(names, chosen))
-            yield tuple(mask for mask, _ in chosen), db
+    options = [
+        [
+            Relation(sr.schema, frozenset(t for j, t in enumerate(tuples) if mask >> j & 1))
+            for mask in range(1 << len(tuples))
+        ]
+        for sr, tuples in zip(universe.sensitive, kept)
+    ]
+    base = universe.context_db()
+    for chosen in itertools.product(*options):
+        db = dict(zip(names, chosen))
+        db.update(base)
+        yield db
 
 
-def _relations(sr: SensitiveRelation, read: int):
-    """(mask, relation) for every mask inside `read`, in increasing order."""
-    for mask in _submasks(read):
-        yield mask, Relation(sr.schema, frozenset(_members(sr, mask)))
+def _flips(kept: list[list]) -> list[list[int]]:
+    """Each relation's read tuples as single bits of the packed index, lowest
+    first; the last relation holds the lowest bits."""
+    flips, offset = [], 0
+    for tuples in reversed(kept):
+        flips.append([1 << (offset + j) for j in range(len(tuples))])
+        offset += len(tuples)
+    return flips[::-1]
 
 
-def _members(sr: SensitiveRelation, mask: int) -> list:
-    return [t for j, t in enumerate(sr.universe) if mask >> j & 1]
+def _steps(flips: list[list[int]]) -> list[int]:
+    """The masks that move a packed index x one adjacency step: toggle at most
+    one read bit per relation, and at least one in all.
 
-
-def _database_values(vq: ValidatedQuery, universe: Universe, bits: tuple[int, ...]) -> dict:
-    """Exact query value for every database inside `bits`, keyed by bitmask vector."""
-    value = compile_query(vq)
-    return {combo: value(db) for combo, db in _databases(universe, bits)}
-
-
-def _scaled(values: dict) -> tuple[dict, int]:
-    """The values over their least common denominator: (numerators, denominator)."""
-    scale = math.lcm(*(v.denominator for v in values.values()))
-    return {combo: v.numerator * (scale // v.denominator) for combo, v in values.items()}, scale
-
-
-def _later_neighbors(combo: tuple[int, ...], flips: list[list[int]]) -> list:
-    """The databases one step away (toggle at most one read bit per relation)
-    that `_databases` yields after `combo`; `flips` holds each relation's
-    read bits as single-bit masks, lowest first.
-
-    With one relation these are the masks with one more read bit set. With
-    more, they keep the order of the product of each relation's options:
-    keep the mask, then toggle its read bits, lowest first. The product
-    yields the same list for one relation too, but building it directly is
-    measurably faster (`BENCH_oracle.json`, "one_relation_branch").
+    They follow the product of each relation's options (keep its mask, then
+    toggle its read bits, lowest first), which is the order `_databases`
+    yields the neighbours in; x ^ step > x picks those yielded after x.
     """
-    if len(combo) == 1:
-        (mask,) = combo
-        return [(mask | bit,) for bit in flips[0] if not mask & bit]
-    options = [[mask] + [mask ^ bit for bit in bits] for mask, bits in zip(combo, flips)]
-    return [neighbor for neighbor in itertools.product(*options) if neighbor > combo]
+    return [sum(step) for step in itertools.product(*([0, *bits] for bits in flips))][1:]
 
 
-def _witness(universe: Universe, combo: tuple[int, ...]) -> dict:
-    return {sr.name: _members(sr, mask) for sr, mask in zip(universe.sensitive, combo)}
+def _flipped(values: list, bit: int) -> list:
+    """values[x ^ bit] at every index x of `values`, whose length is a
+    multiple of 2 * bit, by slice copies: 2 * bit strided slices when those
+    are few, else len / bit blocks."""
+    n, span = len(values), 2 * bit
+    out = [None] * n
+    if bit * span <= n:
+        for low in range(bit):
+            out[low::span] = values[low + bit::span]
+            out[low + bit::span] = values[low::span]
+    else:
+        for start in range(0, n, span):
+            out[start:start + bit] = values[start + bit:start + span]
+            out[start + bit:start + span] = values[start:start + bit]
+    return out
 
 
-def _steps(outputs: dict, bits: tuple[int, ...]):
-    """(combo, output, later neighbours) for each database of `outputs`, keyed
-    by bitmask vector in `_databases` order, so each adjacent pair inside the
-    read bits `bits` is reached once, from its earlier database."""
-    flips = [[1 << j for j in range(read.bit_length()) if read >> j & 1] for read in bits]
-    for combo, output in outputs.items():
-        yield combo, output, _later_neighbors(combo, flips)
+def _witness(universe: Universe, kept: list[list], flips: list[list[int]], index: int) -> dict:
+    """The database at packed index `index`, as each sensitive relation's tuple list."""
+    return {
+        sr.name: [t for t, bit in zip(tuples, bits) if index & bit]
+        for sr, tuples, bits in zip(universe.sensitive, kept, flips)
+    }
 
 
 def brute_sensitivity(vq: ValidatedQuery, universe: Universe) -> BruteResult:
     """Worst |answer difference| over adjacent databases, by enumeration of
     the databases inside the query's read bits.
 
-    Each adjacent pair is compared once, from its earlier database in
-    `_databases` order, in integers over the values' common denominator. The
-    witness is the first pair, in that order, that reaches the worst change.
-    It is the witness of the full enumeration too: projecting a pair onto
-    the read bits keeps its values and moves its earlier database no later,
-    and neighbours that differ only in unread bits differ by 0.
+    The values are put over their common denominator in a list indexed by
+    the packed read bits. A database's closed neighbourhood is the product of
+    one closed neighbourhood per relation, so one pass per relation, each
+    taking the max (and min) over that relation's toggled bits, gives every
+    database's neighbourhood max (min): N * sum(k_i + 1) comparisons for N
+    databases, not N * prod(k_i + 1). The worst change is the largest gap
+    between a value and its neighbourhood's extremes.
+
+    The witness is the first adjacent pair, in `_databases` order, that
+    reaches the worst change: c, the first database with a gap that large,
+    and c's first later neighbour that far from it (no earlier one is, or it
+    would precede c). It is the witness of the full enumeration too:
+    projecting a pair onto the read bits keeps its values and moves its
+    earlier database no later, and neighbours that differ only in unread
+    bits differ by 0.
     """
-    bits = _read_bits(vq.query.body, vq, universe)
-    values, scale = _scaled(_database_values(vq, universe, bits))
-    best = 0
-    worst = None
-    for combo, value, neighbors in _steps(values, bits):
-        for neighbor in neighbors:
-            diff = abs(value - values[neighbor])
-            if diff > best:
-                best = diff
-                worst = combo, neighbor
-    witness = None if worst is None else tuple(_witness(universe, c) for c in worst)
+    kept = _read_tuples(universe, _read_bits(vq.query.body, vq, universe))
+    exact = list(map(compile_query(vq), _databases(universe, kept)))
+    scale = math.lcm(*(v.denominator for v in exact))
+    values = [v.numerator * (scale // v.denominator) for v in exact]
+    flips = _flips(kept)
+    hi = lo = values
+    for bits in filter(None, flips):
+        hi = list(map(max, hi, *(_flipped(hi, bit) for bit in bits)))
+        lo = list(map(min, lo, *(_flipped(lo, bit) for bit in bits)))
+    gaps = list(map(max, map(operator.sub, hi, values), map(operator.sub, values, lo)))
+    best = max(gaps)
+    witness = None
+    if best:
+        c = gaps.index(best)
+        n = next(c ^ s for s in _steps(flips) if c ^ s > c and abs(values[c] - values[c ^ s]) == best)
+        witness = _witness(universe, kept, flips, c), _witness(universe, kept, flips, n)
     return BruteResult(Fraction(best, scale), witness)
 
 
@@ -256,9 +269,14 @@ def brute_lipschitz(plan: Plan, universe: Universe, vq: ValidatedQuery) -> int:
     path of adjacent steps, along which symmetric difference obeys the
     triangle inequality. A pair projected onto the read bits keeps its
     outputs and stays adjacent or equal, so the pairs inside them suffice.
+    Symmetric difference does not split per relation, so each adjacent pair
+    is compared once, from its earlier database.
     """
     run = compile_plan(plan, vq)
-    bits = _read_bits(plan, vq, universe)
-    outputs = {combo: run(db) for combo, db in _databases(universe, bits)}
-    steps = _steps(outputs, bits)
-    return max((len(out ^ outputs[n]) for _, out, near in steps for n in near), default=0)
+    kept = _read_tuples(universe, _read_bits(plan, vq, universe))
+    outputs = list(map(run, _databases(universe, kept)))
+    steps = _steps(_flips(kept))
+    return max(
+        (len(out ^ outputs[x ^ s]) for x, out in enumerate(outputs) for s in steps if x ^ s > x),
+        default=0,
+    )

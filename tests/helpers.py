@@ -41,6 +41,7 @@ from raqdp.query import (
     GroupAggregate,
     Id,
     Intersection,
+    Product,
     ProductOne,
     Projection,
     Restriction,
@@ -182,6 +183,84 @@ def random_case(rng: random.Random, max_solutions: int = 6, depth: int = 4):
             (("K", Relation(k_schema, frozenset({(Fraction(7),)}))),),
         )
         return tq, schemas, universe
+
+
+def _small_schema(rng: random.Random, name: str, attrs: tuple[str, ...], budget: int) -> ConstrainedSchema:
+    """A schema over `attrs` whose universe has 1..budget tuples."""
+    while True:
+        widths = [rng.randint(1, budget) for _ in attrs]
+        schema = ConstrainedSchema(name, tuple(
+            (a, random_domain(rng, w)) for a, w in zip(attrs, widths)
+        ))
+        n = solution_count(initial_constraint(schema), schema)
+        if isinstance(n, int) and 1 <= n <= budget:
+            return schema
+
+
+def multi_relation_case(rng: random.Random, max_tuples: int = 6):
+    """A (query, universe) pair over two or three sensitive relations, at most
+    `max_tuples` universe tuples in all, and the one-row context K.
+
+    The body is a set operation over restrictions of relations that share
+    their attributes, the product of two such (attributes renamed apart), or
+    a one-sided product whose one-row side is K or a sensitive relation (which
+    raises on a database without exactly one such tuple). A leaf may read
+    none of its relation's tuples (R minus R). The aggregate is any kind.
+    """
+    k_schema = schema_of(K_SCHEMA_TEXT)["K"]
+    context = (("K", Relation(k_schema, frozenset({(Fraction(7),)}))),)
+    while True:
+        names = ["R", "T", "U"][: rng.choice([2, 2, 3])]
+        budget = max_tuples // len(names)
+        shape = rng.choice(["set", "set", "set", "product", "product", "product-k", "product-one"])
+        # names[:split] take attributes b0, b1, the others a0, a1
+        split = {"product": rng.randrange(1, len(names)), "product-one": 1}.get(shape, 0)
+        width = 2 if budget >= 4 and rng.random() < 0.3 else 1
+        schemas = {
+            n: _small_schema(rng, n, tuple(f"{'ab'[i < split]}{j}" for j in range(width)), budget)
+            for i, n in enumerate(names)
+        }
+
+        def leaf(name):
+            r = rng.random()
+            if r < 0.1:
+                return Difference(Id(name), Id(name))
+            if r < 0.55:
+                return Restriction(random_atom(rng, schemas[name]), Id(name))
+            return Id(name)
+
+        def combine(group):
+            plan = leaf(group[0])
+            for name in group[1:]:
+                cls = rng.choice([Union, Intersection, Difference])
+                plan = cls(plan, leaf(name)) if rng.random() < 0.5 else cls(leaf(name), plan)
+            return plan
+
+        if shape == "set":
+            body = combine(names)
+        elif shape == "product":
+            body = Product(combine(names[:split]), combine(names[split:]))
+        elif shape == "product-k":
+            body = ProductOne(Id("K"), combine(names))
+        else:
+            body = ProductOne(leaf(names[0]), combine(names[1:]))
+        schemas["K"] = k_schema
+        try:
+            out = output_schema(body, schemas)
+        except ValidationError:
+            continue
+        kind = rng.choice(AGG_KINDS)
+        numeric = [a for a in out.attr_names() if out.domain(a).is_numeric]
+        fn = AggFn(kind, rng.choice(numeric)) if kind != "count" and numeric else AggFn("count")
+        tq = TopQuery(fn, body)
+        try:
+            validate(tq, schemas)
+        except ValidationError:
+            continue
+        sensitive = tuple(
+            SensitiveRelation(n, schemas[n], enumerate_tuples(schemas[n])) for n in names
+        )
+        return tq, Universe(sensitive, context)
 
 
 # ---------------------------------------------------------------------------

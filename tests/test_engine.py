@@ -12,7 +12,7 @@ from raqdp.constraints import compile_constraint
 from raqdp.engine import Relation, answer, apply_agg, eval_plan, load_csv
 from raqdp.errors import DataError, EvalError
 from raqdp.parsing import parse_query, parse_schemas
-from raqdp.query import AggFn, validate
+from raqdp.query import AggFn, default_aggregate, validate
 
 PEOPLE_TEXT = """
 relation People {
@@ -178,6 +178,32 @@ def test_avg_is_sum_over_count_when_nonempty():
     s = apply_agg(AggFn("sum", "a"), rel)
     c = apply_agg(AggFn("count"), rel)
     assert apply_agg(AggFn("avg", "a"), rel) == s / c
+
+
+def sum_over_count(fn: AggFn, cells: list, empty: Fraction) -> Fraction:
+    """The aggregate with avg as Fraction(total) / count, normalised twice."""
+    if not cells:
+        return empty
+    if fn.kind == "count":
+        return Fraction(len(cells))
+    total = Fraction({"max": max, "min": min, "sum": sum, "avg": sum}[fn.kind](cells))
+    return total / len(cells) if fn.kind == "avg" else total
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [[1, 4, 2, 7, 3, 8], [Fraction(1, 2), Fraction(4, 3), Fraction(-5, 6), 2], []],
+    ids=["int", "fraction", "empty"],
+)
+def test_every_aggregate_matches_the_fraction_expression(cells):
+    schemas = parse_schemas("relation R { a: real [-10, 10] }")
+    bounds = validate(parse_query("avg(a) of R"), schemas).bounds
+    rel = Relation(schemas["R"], frozenset((c,) for c in cells))
+    for kind in ("count", "sum", "max", "min", "avg"):
+        fn = AggFn(kind, None if kind == "count" else "a")
+        got = apply_agg(fn, rel, bounds)
+        want = sum_over_count(fn, [c for (c,) in rel.tuples], default_aggregate(fn, bounds))
+        assert got == want and type(got) is Fraction, kind
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Brute-force ground truth and its agreement with the static bound."""
 
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,8 +17,9 @@ from raqdp.extmath import is_infinite
 from raqdp.oracle import (
     SensitiveRelation,
     Universe,
-    _database_values,
+    _databases,
     _read_bits,
+    _read_tuples,
     brute_lipschitz,
     brute_sensitivity,
     build_universe,
@@ -28,19 +31,23 @@ from raqdp.query import (
     Difference,
     Intersection,
     Product,
+    ProductOne,
     TopQuery,
     Union,
     validate,
 )
 
 from helpers import (
+    AGG_KINDS,
     K_SCHEMA_TEXT,
+    multi_relation_case,
     random_case,
     random_plan,
     random_schema,
     reference_brute_lipschitz,
     reference_brute_ratio,
     reference_brute_sensitivity,
+    reference_databases,
 )
 
 
@@ -325,9 +332,66 @@ def test_brute_matches_the_reference_over_a_common_denominator():
     # are compared over a denominator of 6
     tq, schemas, universe = universe_for("avg(a) of R", "relation R { a: int [0, 3] }")
     vq = validate(tq, schemas)
-    values = _database_values(vq, universe, _read_bits(vq.query.body, vq, universe))
-    assert math.lcm(*(v.denominator for v in values.values())) == 6
+    kept = _read_tuples(universe, _read_bits(vq.query.body, vq, universe))
+    values = list(map(compile_query(vq), _databases(universe, kept)))
+    assert math.lcm(*(v.denominator for v in values)) == 6
     assert_matches_reference(tq, universe)
+
+
+def test_a_sixteen_tuple_universe_at_an_explicit_cap():
+    # 2^16 databases, all read
+    text = "relation R { a: int [1, 8] }\nrelation T { a: int [1, 8] }"
+    tq, _, universe = universe_for("avg(a) of R union T", text, cap=16)
+    res = brute_sensitivity(validate(tq, universe.schemas()), universe)
+    assert res.value == 7
+    assert res.witness == ({"R": [], "T": [(1,)]}, {"R": [(8,)], "T": []})
+
+
+def outcome(run):
+    """run()'s result, or the type and message of the EvalError it raises."""
+    try:
+        return run()
+    except EvalError as e:
+        return type(e), str(e)
+
+
+def adjacent_pairs_at(vq, universe, change) -> int:
+    """How many adjacent pairs of databases the answer differs by `change` across."""
+    value = compile_query(vq)
+    values = {combo: value(db) for combo, db in reference_databases(universe)}
+    return sum(
+        abs(values[a] - values[b]) == change
+        for a, b in itertools.combinations(values, 2)
+        if all(bin(x ^ y).count("1") <= 1 for x, y in zip(a, b))
+    )
+
+
+def test_brute_matches_the_reference_on_multi_relation_cases():
+    # the neighbourhood passes against the plain pair search: value, witness
+    # and first error; many tied count pairs pin which pair is the witness
+    rng = random.Random(2718)
+    seen = Counter()
+    for _ in range(150):
+        tq, universe = multi_relation_case(rng)
+        vq = validate(tq, universe.schemas())
+        got = outcome(lambda: brute_sensitivity(vq, universe))
+        assert got == outcome(lambda: reference_brute_sensitivity(vq, universe)), tq
+        lip = outcome(lambda: brute_lipschitz(tq.body, universe, vq))
+        assert lip == outcome(lambda: reference_brute_lipschitz(tq.body, universe, vq)), tq
+        seen[len(universe.sensitive)] += 1
+        seen[type(tq.body)] += 1
+        seen[tq.fn.kind] += 1
+        seen["unread relation"] += 0 in _read_bits(tq.body, vq, universe)
+        if isinstance(got, tuple):
+            seen["error"] += 1
+            continue
+        assert type(got.value) is Fraction
+        if tq.fn.kind == "count" and got.value:
+            seen["tied count"] += adjacent_pairs_at(vq, universe, got.value) > 1
+    assert seen[2] and seen[3]
+    assert all(seen[op] for op in (Union, Intersection, Difference, Product, ProductOne))
+    assert all(seen[kind] for kind in AGG_KINDS)
+    assert seen["unread relation"] and seen["error"] and seen["tied count"] >= 10, seen
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from .analyzer import (
     TopRecord,
     aggregation_delta,
     global_sensitivity,
-    intermediate_sensitivity,
 )
 from .constraints import (
     Attr,
@@ -123,7 +122,6 @@ __all__ = [
     "format_query",
     "global_sensitivity",
     "initial_constraint",
-    "intermediate_sensitivity",
     "iter_solutions",
     "laplace_sample",
     "laplace_samples",

@@ -72,12 +72,6 @@ class SensitivityReport:
         }
 
 
-def intermediate_sensitivity(plan: Plan, vq: ValidatedQuery) -> Ext:
-    """The bound S on how many output tuples of `plan`, a node of the
-    validated query, one changed input row can change."""
-    return vq.nodes[plan].s
-
-
 def aggregation_delta(fn: AggFn, bounds: Bounds | None) -> Ext:
     """Worst-case change of the aggregate when one tuple enters or leaves."""
     if fn.kind == "count":

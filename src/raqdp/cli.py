@@ -123,7 +123,8 @@ def _load(args, *, all_data: bool = True):
     validate the query once with the user's caps.
 
     With `all_data`, every base relation of the query needs a --data file.
-    Returns (schemas, validated query, database).
+    Returns (validated query, database): the validated query carries every
+    schema the command reads, the oracle's included.
     """
     schemas = parse_schemas(_read(args.schema))
     tq = parse_query(_read(args.query))
@@ -133,7 +134,7 @@ def _load(args, *, all_data: bool = True):
     if all_data and missing:
         raise ValueError(f"no --data for relation(s): {', '.join(missing)}")
     vq = validate(tq, schemas, enum_cap=args.enum_cap, dnf_cap=args.dnf_cap)
-    return schemas, vq, db
+    return vq, db
 
 
 def _json_value(v):
@@ -168,14 +169,14 @@ def _print_report(report: SensitivityReport, fmt: str) -> None:
 
 
 def cmd_analyze(args) -> int:
-    _, vq, _ = _load(args, all_data=False)
+    vq, _ = _load(args, all_data=False)
     report = global_sensitivity(vq)
     _print_report(report, args.format)
     return EXIT_UNBOUNDED if is_infinite(report.gs) else EXIT_OK
 
 
 def cmd_run(args) -> int:
-    _, vq, db = _load(args)
+    vq, db = _load(args)
     trace: list | None = [] if args.trace else None
     value = answer(vq, db, trace=trace)
     if args.format == "json":
@@ -193,7 +194,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_dp_run(args) -> int:
-    _, vq, db = _load(args)
+    vq, db = _load(args)
     params = DpParams(parse_rational(args.epsilon, "epsilon"), args.seed)
     if args.samples is not None:
         draws = sample_answers(vq, db, params, args.samples)
@@ -218,9 +219,9 @@ def cmd_dp_run(args) -> int:
 
 def cmd_validate(args) -> int:
     # relations without --data form the oracle's enumerated universe
-    schemas, vq, context = _load(args, all_data=False)
+    vq, context = _load(args, all_data=False)
     report = global_sensitivity(vq)
-    universe = build_universe(vq.query, schemas, context, cap=args.universe_cap)
+    universe = build_universe(vq, context, cap=args.universe_cap)
     brute = brute_sensitivity(vq, universe)
     if brute.value > report.gs:
         verdict = "VIOLATION"

@@ -408,11 +408,6 @@ _CMP = {
 }
 
 
-def evaluate(c: Constraint, asg: dict) -> bool:
-    """Whether the assignment (name -> value) satisfies the type-checked constraint."""
-    return compile_constraint(c, tuple(asg))(tuple(asg.values()))
-
-
 @functools.lru_cache(maxsize=16)
 def compile_constraint(c: Constraint, names: tuple[str, ...]) -> Callable[[tuple], bool]:
     """The constraint as a test of value tuples laid out as `names`.
@@ -1159,21 +1154,21 @@ def _prepared(c: Constraint, schema: ConstrainedSchema) -> tuple[Constraint, _Bo
 
 def _finite_grid(
     nnf: Constraint, box: _Box | None, schema: ConstrainedSchema, cap: int
-) -> tuple[str, dict[str, list] | None]:
+) -> dict[str, list] | str:
     """Candidate value lists per attribute, values held as `held_value` holds
-    them, from a `_prepared` NNF and box (the box is only read).
+    them, from a `_prepared` NNF and box (the box is only read). The grid
+    covers all solutions; enumeration still filters by the constraint.
 
-    Returns (status, grid) with status one of 'ok', 'empty', 'infinite',
-    'too-big'. The grid covers all solutions; enumeration still filters by
-    the constraint.
+    When there is no grid of at most `cap` points, the reason instead:
+    'infinite' if some attribute's values cannot be listed, else
+    'exceeds-cap'. An empty box, or an attribute left with no candidate
+    value, gives a grid of empty lists, whatever the attribute order.
     """
-    if box is None:
-        return "empty", None
     domains = schema.all_domains()
+    if box is None:
+        return {a: [] for a in domains}
     grid: dict[str, list] = {}
-    total = 1
-    too_big = False
-    infinite = False
+    reason = None
     for a, dom in domains.items():
         if dom.kind is DomainKind.STR_SET:
             values = sorted(box.strs[a])
@@ -1183,12 +1178,10 @@ def _finite_grid(
         elif dom.kind is DomainKind.INT_RANGE:
             lo, hi, _, _ = box.interval_of(a)
             lo_i, hi_i = math.ceil(lo), math.floor(hi)
-            count = max(0, hi_i - lo_i + 1)
-            if count > cap:
-                too_big = True
-                values = []
-            else:
-                values = list(range(lo_i, hi_i + 1))
+            if hi_i - lo_i + 1 > cap:
+                reason = reason or "exceeds-cap"
+                continue
+            values = list(range(lo_i, hi_i + 1))
         else:  # REAL_RANGE
             lo, hi, lo_open, hi_open = box.interval_of(a)
             if lo == hi and not lo_open and not hi_open:
@@ -1196,27 +1189,20 @@ def _finite_grid(
             else:
                 pinned = _pinned_values(nnf, a)
                 if pinned is None:
-                    infinite = True
-                    values = []
-                else:
-                    test = dom.member_test()
-                    values = sorted(
-                        v
-                        for v in pinned
-                        if test(v) and _within(v, lo, hi, lo_open, hi_open)
-                    )
-        if not infinite and not too_big:
-            if not values:
-                return "empty", None
-            total *= len(values)
-            if total > cap:
-                too_big = True
+                    reason = "infinite"
+                    continue
+                test = dom.member_test()
+                values = sorted(
+                    v
+                    for v in pinned
+                    if test(v) and _within(v, lo, hi, lo_open, hi_open)
+                )
+        if not values:
+            return {a: [] for a in domains}
         grid[a] = values
-    if infinite:
-        return "infinite", None
-    if too_big:
-        return "too-big", None
-    return "ok", grid
+    if reason is None and math.prod(map(len, grid.values())) > cap:
+        reason = "exceeds-cap"
+    return reason or grid
 
 
 def _satisfying(c: Constraint, grid: dict[str, list]) -> Iterator[tuple]:
@@ -1259,12 +1245,8 @@ def iter_solutions(
     c: Constraint, schema: ConstrainedSchema, cap: int = DEFAULT_ENUM_CAP
 ) -> Iterator[tuple] | None:
     """Iterate distinct visible solution tuples; None when not enumerable."""
-    status, grid = _finite_grid(*_prepared(c, schema), schema, cap)
-    if status == "empty":
-        return iter(())
-    if status != "ok":
-        return None
-    return _distinct_visible(c, grid, schema.attr_names())
+    grid = _finite_grid(*_prepared(c, schema), schema, cap)
+    return None if isinstance(grid, str) else _distinct_visible(c, grid, schema.attr_names())
 
 
 def _distinct_visible(c: Constraint, grid: dict[str, list], visible: tuple) -> Iterator[tuple]:
@@ -1327,13 +1309,9 @@ def solution_count(
     NNF's conjuncts, each over its own sub-grid, and the counts multiply:
     the solutions are the product of the groups' solutions."""
     nnf, box = _prepared(c, schema)
-    status, grid = _finite_grid(nnf, box, schema, cap)
-    if status == "empty":
-        return 0
-    if status == "infinite":
-        return "infinite"
-    if status == "too-big":
-        return "exceeds-cap"
+    grid = _finite_grid(nnf, box, schema, cap)
+    if isinstance(grid, str):
+        return grid
     total = 1
     for attrs, conj in _components(nnf, grid):
         shown = tuple(a for a in attrs if a in schema.attr_names())
@@ -1373,10 +1351,8 @@ def attribute_bounds(
     if not dom.is_numeric:
         raise SchemaError(f"attribute {attr!r} is not numeric")
     nnf, box = _prepared(c, schema)
-    status, grid = _finite_grid(nnf, box, schema, min(enum_cap, EXACT_GRID_BUDGET))
-    if status == "empty":
-        return Bounds.make_empty()
-    if status == "ok":
+    grid = _finite_grid(nnf, box, schema, min(enum_cap, EXACT_GRID_BUDGET))
+    if not isinstance(grid, str):
         column = list(map(operator.itemgetter(list(grid).index(attr)), _satisfying(c, grid)))
         if not column:
             return Bounds.make_empty()

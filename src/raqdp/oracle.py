@@ -4,7 +4,10 @@ The ground truth the static analyzer is judged against: consider every
 database over the admissible tuple universes, evaluate the query exactly,
 and take the worst change across adjacent databases. An adjacency step may
 add or remove at most one tuple in each sensitive relation (at least one
-relation changes); fixed context relations never change.
+relation changes); fixed context relations never change. Everything is
+read from the validated query: a sensitive relation's universe is the
+solutions of its leaf's schema, which validation has already normalized
+and narrowed (`build_universe`).
 
 Only the universe tuples the query can read are enumerated (`_read_bits`):
 the tuples that its row-filtering trees keep, all of them where a relation
@@ -33,10 +36,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constraints import ConstrainedSchema, initial_constraint, iter_solutions, solution_count
+from .constraints import ConstrainedSchema, iter_solutions, solution_count
 from .engine import Relation, compile_plan, compile_query
 from .errors import OracleError
-from .query import Plan, TopQuery, ValidatedQuery, base_relations, plan_children, row_tree_relation
+from .query import Id, Plan, ValidatedQuery, base_relations, plan_children, row_tree_relation
 
 DEFAULT_UNIVERSE_CAP = 12
 
@@ -53,22 +56,19 @@ class Universe:
     sensitive: tuple[SensitiveRelation, ...]
     context: tuple[tuple[str, Relation], ...] = ()
 
-    def schemas(self) -> dict[str, ConstrainedSchema]:
-        out = {sr.name: sr.schema for sr in self.sensitive}
-        out.update({name: rel.schema for name, rel in self.context})
-        return out
-
     def context_db(self) -> dict[str, Relation]:
         return {name: rel for name, rel in self.context}
 
 
 def enumerate_tuples(schema: ConstrainedSchema, cap: int = DEFAULT_UNIVERSE_CAP) -> tuple:
-    """All tuples admissible under the schema's domains and check constraint,
-    searched for over a grid of at most max(64 * cap, 4096) points."""
-    constraint, budget = initial_constraint(schema), max(cap * 64, 4096)
-    solutions = iter_solutions(constraint, schema, cap=budget)
+    """All tuples admissible under the schema's constraint, searched for over
+    a grid of at most max(64 * cap, 4096) points. The domains bound that
+    grid, so the constraint need not restate them. `build_universe` passes a
+    query leaf's schema, whose constraint validation has already prepared."""
+    budget = max(cap * 64, 4096)
+    solutions = iter_solutions(schema.constraint, schema, cap=budget)
     if solutions is None:
-        if solution_count(constraint, schema, cap=budget) == "infinite":
+        if solution_count(schema.constraint, schema, cap=budget) == "infinite":
             raise OracleError(f"relation {schema.name!r} has a non-enumerable tuple universe")
         raise OracleError(
             f"relation {schema.name!r} has more than {budget} grid points to search; "
@@ -81,29 +81,25 @@ def enumerate_tuples(schema: ConstrainedSchema, cap: int = DEFAULT_UNIVERSE_CAP)
 
 
 def build_universe(
-    tq: TopQuery,
-    schemas: dict[str, ConstrainedSchema],
+    vq: ValidatedQuery,
     context: dict[str, Relation] | None = None,
     cap: int = DEFAULT_UNIVERSE_CAP,
 ) -> Universe:
-    """Universe for the query: data-backed relations are fixed context."""
+    """Universe for the validated query: data-backed relations are fixed
+    context, and every other relation it reads is enumerated from its leaf."""
     context = context or {}
-    names = sorted(base_relations(tq.body))
     sensitive = []
     total = 0
-    for name in names:
-        if name in context:
-            continue
-        if name not in schemas:
-            raise OracleError(f"no schema for relation {name!r}")
-        tuples = enumerate_tuples(schemas[name], cap)
+    for name in sorted(base_relations(vq.query.body) - set(context)):
+        schema = vq.nodes[Id(name)].schema
+        tuples = enumerate_tuples(schema, cap)
         total += len(tuples)
         if total > cap:
             raise OracleError(
                 f"combined tuple universe exceeds the cap of {cap}; "
                 "fix more relations as context data"
             )
-        sensitive.append(SensitiveRelation(name, schemas[name], tuples))
+        sensitive.append(SensitiveRelation(name, schema, tuples))
     return Universe(tuple(sensitive), tuple(sorted(context.items())))
 
 

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constraints import (
-    _CMP_COMPLEMENT,
+    _negate_nnf,
     TRUE,
     FALSE,
     Arith,
     Attr,
+    BoolConst,
     Cmp,
     ConstrainedSchema,
     Constraint,
@@ -239,14 +240,8 @@ class _Parser:
         if self.accept_kw("not"):
             inner = self.not_expr()
             # complement atoms right away so `not (a = b)` round-trips
-            if isinstance(inner, Cmp):
-                return Cmp(_CMP_COMPLEMENT[inner.op], inner.left, inner.right)
-            if isinstance(inner, InSet):
-                return InSet(inner.term, inner.values, not inner.negated)
-            if inner == TRUE:
-                return FALSE
-            if inner == FALSE:
-                return TRUE
+            if isinstance(inner, (Cmp, InSet, BoolConst)):
+                return _negate_nnf(inner)
             if isinstance(inner, Not):
                 return inner.arg
             return Not(inner)

@@ -58,6 +58,11 @@ def schema_of(text: str) -> dict[str, ConstrainedSchema]:
     return parse_schemas(text)
 
 
+def holds(c, asg: dict) -> bool:
+    """Whether the assignment (name -> value) satisfies the constraint."""
+    return compile_constraint(c, tuple(asg))(tuple(asg.values()))
+
+
 def output_schema(plan, schemas: dict[str, ConstrainedSchema]) -> ConstrainedSchema:
     """The output schema of a bare plan, validated as the body of a count."""
     return validate(TopQuery(AggFn("count"), plan), schemas).nodes[plan].schema
@@ -198,8 +203,9 @@ def _small_schema(rng: random.Random, name: str, attrs: tuple[str, ...], budget:
 
 
 def multi_relation_case(rng: random.Random, max_tuples: int = 6):
-    """A (query, universe) pair over two or three sensitive relations, at most
-    `max_tuples` universe tuples in all, and the one-row context K.
+    """A (query, schemas, universe) triple over two or three sensitive
+    relations, at most `max_tuples` universe tuples in all, and the one-row
+    context K.
 
     The body is a set operation over restrictions of relations that share
     their attributes, the product of two such (attributes renamed apart), or
@@ -260,7 +266,7 @@ def multi_relation_case(rng: random.Random, max_tuples: int = 6):
         sensitive = tuple(
             SensitiveRelation(n, schemas[n], enumerate_tuples(schemas[n])) for n in names
         )
-        return tq, Universe(sensitive, context)
+        return tq, schemas, Universe(sensitive, context)
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +365,9 @@ def reference_solution_count(c, schema: ConstrainedSchema, cap: int = DEFAULT_EN
     """Distinct visible solutions counted over the whole grid, 'exceeds-cap'
     or 'infinite': every grid point is tested, and the count stops at the
     first solution past the cap."""
-    status, grid = _finite_grid(*_prepared(c, schema), schema, cap)
-    if status == "empty":
-        return 0
-    if status == "infinite":
-        return "infinite"
-    if status == "too-big":
-        return "exceeds-cap"
+    grid = _finite_grid(*_prepared(c, schema), schema, cap)
+    if isinstance(grid, str):
+        return grid
     found = itertools.islice(reference_solutions(c, grid, schema.attr_names()), cap + 1)
     count = sum(1 for _ in found)
     return "exceeds-cap" if count > cap else count

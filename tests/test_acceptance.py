@@ -22,7 +22,7 @@ from helpers import (
     random_plan,
     schema_of,
 )
-from raqdp.analyzer import global_sensitivity, intermediate_sensitivity
+from raqdp.analyzer import global_sensitivity
 from raqdp.constraints import ConstrainedSchema, make_and
 from raqdp.dp import DpParams, laplace_samples, make_rng, sample_answers
 from raqdp.engine import Relation, eval_plan
@@ -271,7 +271,7 @@ def test_strictness_suite():
                 context = {
                     "K": Relation(schemas["K"], frozenset({(Fraction(7),)}))
                 }
-            universe = build_universe(tq, schemas, context)
+            universe = build_universe(vq, context)
             brute = brute_sensitivity(vq, universe)
             label = f"{op} / {query_text}"
             assert report.gs == Fraction(expected), label
@@ -304,9 +304,9 @@ def test_diameter_caps_amplification():
                 memo = validate(tq, schemas)
             except ValidationError:
                 continue
-            s = intermediate_sensitivity(plan, memo)
+            s = memo.nodes[plan].s
             assert s <= 6, format_plan(plan)
-            universe = build_universe(tq, schemas, context)
+            universe = build_universe(memo, context)
             assert brute_lipschitz(plan, universe, memo) <= s, format_plan(plan)
             checked += 1
 
@@ -316,9 +316,9 @@ def test_diameter_caps_amplification():
         )
         tq = parse_query("count of R product T")
         memo = validate(tq, pair)
-        s = intermediate_sensitivity(tq.body, memo)
+        s = memo.nodes[tq.body].s
         assert s == Fraction(12)  # min(inf, 6 * 2 solutions)
-        universe = build_universe(tq, pair)
+        universe = build_universe(memo)
         assert brute_lipschitz(tq.body, universe, memo) <= s
 
 

@@ -7,7 +7,6 @@ import pytest
 from raqdp.analyzer import (
     aggregation_delta,
     global_sensitivity,
-    intermediate_sensitivity,
 )
 from raqdp.constraints import Bounds
 from raqdp.errors import ValidationError
@@ -210,8 +209,7 @@ def test_intermediate_sensitivity_exposed():
     schemas = parse_schemas("relation R { a: int [0, 1] }")
     plan = parse_query("count of R union R").body
     memo = validate(TopQuery(AggFn("count"), plan), schemas)
-    s = intermediate_sensitivity(plan, memo)
-    assert s == 2  # min(2 * 1, diam = 2)
+    assert memo.nodes[plan].s == 2  # min(2 * 1, diam = 2)
     # the shared leaf is one node of the plan, reported once per occurrence
     rep = global_sensitivity(memo)
     assert [n.op for n in rep.nodes] == ["id", "id", "union"]

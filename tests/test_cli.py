@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import raqdp
-from raqdp import cli, query
+from raqdp import cli, constraints, query
 from raqdp.cli import _check_options, build_parser, main
+from raqdp.constraints import diameter, iter_solutions, solution_count
+from raqdp.parsing import parse_schemas
 
 PEOPLE_SCHEMA = """
 relation People {
@@ -573,6 +575,65 @@ relation W { n: num in {1, 3}; k: int [0, 1] }
 )
 def test_validate_union_of_operands_with_different_domains(tmp_path, query, want):
     assert validate_result(tmp_path, MIXED_DOMAINS, query) == want
+
+
+def cli_result(argv) -> tuple[int, str]:
+    """The exit code and standard output of one CLI call."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "other", ["x: real [0, 10]", "x: int [0, 10000000]"], ids=["infinite", "exceeds-cap"]
+)
+def test_an_attribute_with_no_candidate_value_empties_the_grid_in_any_order(tmp_path, other):
+    # e's pinned values 1 and 3 both lie outside its box [2, 5/2], so R is
+    # empty whether x, which cannot be listed within the cap, comes first or not
+    check = "check { (e = 1 or e = 3) and e >= 2 and e <= 5/2 }"
+    query = write(tmp_path, "q.raq", "count of R")
+    seen = []
+    for attrs in ((other, "e: real [0, 10]"), ("e: real [0, 10]", other)):
+        text = f"relation R {{ {'; '.join(attrs)} }} {check}"
+        schema = parse_schemas(text)["R"]
+        c = schema.constraint
+        solutions = iter_solutions(c, schema)
+        path = write(tmp_path, "r.schema", text)
+        code, out = cli_result(["analyze", path, query, "--format", "json"])
+        gs = json.loads(out)["gs"] if code == 0 else code
+        code, out = cli_result(["validate", path, query, "--format", "json"])
+        verdict = json.loads(out)["verdict"] if code == 0 else code
+        seen.append((
+            solution_count(c, schema),
+            diameter(c, schema),
+            solutions if solutions is None else list(solutions),
+            gs,
+            verdict,
+        ))
+    assert seen == [(0, 0, [], "0", "STRICT")] * 2
+
+
+def test_validate_prepares_each_leaf_once(tmp_path, monkeypatch):
+    # the oracle enumerates each leaf from the constraint validation prepared,
+    # so validate builds no structural box that analyze does not build
+    schema = write(
+        tmp_path, "s.schema", "relation R { a: int [0, 2] }\nrelation T { a: int [1, 3] }"
+    )
+    query = write(tmp_path, "q.raq", "count of R union T")
+    boxes = {}
+    built = constraints._struct_box
+    for command in ("analyze", "validate"):
+        calls = []
+
+        def counted(*args, calls=calls):
+            calls.append(args)
+            return built(*args)
+
+        monkeypatch.setattr(constraints, "_struct_box", counted)
+        assert cli_result([command, schema, query])[0] == 0
+        boxes[command] = len(calls)
+    assert boxes["validate"] == boxes["analyze"] > 0
 
 
 def test_unknown_data_relation_exits_2(workspace, capsys):

@@ -31,7 +31,6 @@ from raqdp.constraints import (
     attribute_bounds,
     constraint_attrs,
     diameter,
-    evaluate,
     format_constraint,
     initial_constraint,
     iter_solutions,
@@ -46,7 +45,7 @@ from raqdp.extmath import INF, NEG_INF
 from raqdp.parsing import parse_constraint, parse_query, parse_schemas
 from raqdp.query import validate
 
-from helpers import reference_solution_count, reference_solutions
+from helpers import holds, reference_solution_count, reference_solutions
 
 
 def ints(name, lo, hi):
@@ -110,7 +109,7 @@ def brute_solutions(schema, constraint):
     names = schema.attr_names()
     out = set()
     for point in itertools.product(*axes):
-        if evaluate(constraint, dict(zip(names, point))):
+        if holds(constraint, dict(zip(names, point))):
             out.add(point)
     return out
 
@@ -288,7 +287,7 @@ def test_normalize_preserves_solution_set(text):
     n = normalize(c)
     for point in itertools.product(range(4), range(3)):
         env = dict(zip(("a", "b"), (Fraction(v) for v in point)))
-        assert evaluate(c, env) == evaluate(n, env)
+        assert holds(c, env) == holds(n, env)
 
 
 @given(constraint_texts())
@@ -298,7 +297,7 @@ def test_format_parse_round_trip_preserves_meaning(text):
     again = parse_constraint(format_constraint(c))
     for point in itertools.product(range(4), range(3)):
         env = dict(zip(("a", "b"), (Fraction(v) for v in point)))
-        assert evaluate(c, env) == evaluate(again, env)
+        assert holds(c, env) == holds(again, env)
 
 
 def test_make_and_or_flattening():
@@ -622,8 +621,8 @@ def test_component_count_matches_the_whole_grid_loop():
             c = schema.constraint
             want = reference_solution_count(c, schema)
             assert solution_count(c, schema) == want, (schema_text, query_text, node)
-            status, grid = constraints._finite_grid(*constraints._prepared(c, schema), schema, DEFAULT_ENUM_CAP)
-            if status == "ok":
+            grid = constraints._finite_grid(*constraints._prepared(c, schema), schema, DEFAULT_ENUM_CAP)
+            if isinstance(grid, dict) and all(grid.values()):
                 size = math.prod(len(values) for values in grid.values())
                 assert solution_count(c, schema, size) == want
                 assert solution_count(c, schema, size - 1) == "exceeds-cap"
@@ -677,8 +676,8 @@ def test_solutions_match_the_whole_grid_loop():
         except (ParseError, SchemaError, ValidationError):  # a check comparing a number with a string
             continue
         for schema in [facts.schema for facts in vq.nodes.values()]:
-            status, grid = constraints._finite_grid(*constraints._prepared(schema.constraint, schema), schema, DEFAULT_ENUM_CAP)
-            if status != "ok":
+            grid = constraints._finite_grid(*constraints._prepared(schema.constraint, schema), schema, DEFAULT_ENUM_CAP)
+            if isinstance(grid, str) or not all(grid.values()):
                 continue
             if schema.name == "group-aggregate" and schema.aux:
                 features.add("aux from grouping")
@@ -693,11 +692,12 @@ def test_solutions_match_the_whole_grid_loop():
                 extra.append(InSet(Attr(a), frozenset(map(Fraction, grid[a])), negated=True))
                 features.add("emptied list")
             c = make_and([schema.constraint, *extra])
-            status, grid = constraints._finite_grid(*constraints._prepared(c, schema), schema, DEFAULT_ENUM_CAP)
-            want = list(reference_solutions(c, grid, schema.attr_names())) if status == "ok" else []
+            grid = constraints._finite_grid(*constraints._prepared(c, schema), schema, DEFAULT_ENUM_CAP)
+            ok = isinstance(grid, dict) and all(grid.values())
+            want = list(reference_solutions(c, grid, schema.attr_names())) if ok else []
             assert list(iter_solutions(c, schema)) == want, (schema_text, query_text, c)
             assert solution_count(c, schema) == len(want)
-            if status == "ok" and math.prod(map(len, grid.values())) <= EXACT_GRID_BUDGET:
+            if ok and math.prod(map(len, grid.values())) <= EXACT_GRID_BUDGET:
                 for i, (a, dom) in enumerate(schema.attributes):
                     if dom.is_numeric:
                         column = [t[i] for t in want]
@@ -732,8 +732,9 @@ def test_a_schemas_shared_box_gives_what_a_fresh_copy_gives():
             built = node.schema
             copy = rename_attrs(built.constraint, {})
             assert copy == built.constraint and copy is not built.constraint
-            status, grid = constraints._finite_grid(*constraints._prepared(copy, built), built, DEFAULT_ENUM_CAP)
-            caps = [DEFAULT_ENUM_CAP] + ([math.prod(map(len, grid.values()))] if status == "ok" else [])
+            grid = constraints._finite_grid(*constraints._prepared(copy, built), built, DEFAULT_ENUM_CAP)
+            ok = isinstance(grid, dict) and all(grid.values())
+            caps = [DEFAULT_ENUM_CAP] + ([math.prod(map(len, grid.values()))] if ok else [])
             calls = [lambda c, s, cap=cap: diameter(c, s, cap) for cap in caps] + [
                 lambda c, s, a=a, e=e, d=d: attribute_bounds(c, s, a, enum_cap=e, dnf_cap=d)
                 for a, dom in built.attributes if dom.is_numeric

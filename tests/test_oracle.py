@@ -52,9 +52,9 @@ from helpers import (
 
 
 def universe_for(query_text, schema_text, context=None, cap=12):
-    tq = parse_query(query_text)
-    schemas = parse_schemas(schema_text)
-    return tq, schemas, build_universe(tq, schemas, context, cap=cap)
+    """The query validated against the parsed schemas, and its universe."""
+    vq = validate(parse_query(query_text), parse_schemas(schema_text))
+    return vq, build_universe(vq, context, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +91,11 @@ def test_context_relations_are_not_enumerated():
     schemas = parse_schemas(
         "relation S { a: int [0, 1] }\nrelation T { a: int [0, 50] }"
     )
-    tq = parse_query("count of S intersect T")
+    vq = validate(parse_query("count of S intersect T"), schemas)
     t_rel = Relation.from_rows(schemas["T"], [[Fraction(1)]])
-    uni = build_universe(tq, schemas, context={"T": t_rel})
+    uni = build_universe(vq, context={"T": t_rel})
     assert [sr.name for sr in uni.sensitive] == ["S"]
-    res = brute_sensitivity(validate(tq, uni.schemas()), uni)
+    res = brute_sensitivity(vq, uni)
     assert res.value == 1
 
 
@@ -104,15 +104,15 @@ def test_context_relations_are_not_enumerated():
 
 
 def test_count_brute_is_one():
-    tq, _, uni = universe_for("count of R", "relation R { a: int [0, 2] }")
-    res = brute_sensitivity(validate(tq, uni.schemas()), uni)
+    vq, uni = universe_for("count of R", "relation R { a: int [0, 2] }")
+    res = brute_sensitivity(vq, uni)
     assert res.value == 1
     assert res.witness is not None
 
 
 def test_sum_brute_is_extreme_magnitude():
-    tq, _, uni = universe_for("sum(a) of R", "relation R { a: int [-4, 2] }")
-    res = brute_sensitivity(validate(tq, uni.schemas()), uni)
+    vq, uni = universe_for("sum(a) of R", "relation R { a: int [-4, 2] }")
+    res = brute_sensitivity(vq, uni)
     assert res.value == 4  # adding or removing the tuple (-4,)
     before, after = res.witness
     diff = set(map(tuple, before["R"])) ^ set(map(tuple, after["R"]))
@@ -120,26 +120,26 @@ def test_sum_brute_is_extreme_magnitude():
 
 
 def test_max_brute_spans_the_range():
-    tq, _, uni = universe_for("max(a) of R", "relation R { a: int [0, 10] }")
-    assert brute_sensitivity(validate(tq, uni.schemas()), uni).value == 10
+    vq, uni = universe_for("max(a) of R", "relation R { a: int [0, 10] }")
+    assert brute_sensitivity(vq, uni).value == 10
 
 
 def test_avg_brute_is_half_range():
-    tq, _, uni = universe_for("avg(a) of R", "relation R { a: num in {0, 5, 10} }")
-    assert brute_sensitivity(validate(tq, uni.schemas()), uni).value == 5
+    vq, uni = universe_for("avg(a) of R", "relation R { a: num in {0, 5, 10} }")
+    assert brute_sensitivity(vq, uni).value == 5
 
 
 def test_empty_default_drives_min_sensitivity():
     # min over empty relation defaults to the range supremum; inserting the
     # smallest tuple then swings the answer across the whole range
-    tq, _, uni = universe_for("min(a) of R", "relation R { a: num in {0, 5, 10} }")
-    assert brute_sensitivity(validate(tq, uni.schemas()), uni).value == 10
+    vq, uni = universe_for("min(a) of R", "relation R { a: num in {0, 5, 10} }")
+    assert brute_sensitivity(vq, uni).value == 10
 
 
 def test_union_witness_changes_both_relations():
     text = "relation R { a: int [0, 2] }\nrelation T { a: int [3, 5] }"
-    tq, _, uni = universe_for("count of R union T", text)
-    res = brute_sensitivity(validate(tq, uni.schemas()), uni)
+    vq, uni = universe_for("count of R union T", text)
+    res = brute_sensitivity(vq, uni)
     assert res.value == 2
     before, after = res.witness
     assert before["R"] != after["R"] and before["T"] != after["T"]
@@ -153,8 +153,9 @@ def test_adjacent_equals_ratio_on_random_cases():
     rng = random.Random(424242)
     for _ in range(25):
         tq, schemas, uni = random_case(rng, max_solutions=4, depth=3)
-        adjacent = brute_sensitivity(validate(tq, uni.schemas()), uni).value
-        ratio = reference_brute_ratio(validate(tq, uni.schemas()), uni)
+        vq = validate(tq, schemas)
+        adjacent = brute_sensitivity(vq, uni).value
+        ratio = reference_brute_ratio(vq, uni)
         assert adjacent == ratio
 
 
@@ -163,50 +164,48 @@ def test_adjacent_equals_ratio_on_random_cases():
 
 
 def test_lipschitz_of_identity_is_one():
-    tq, schemas, uni = universe_for("count of R", "relation R { a: int [0, 2] }")
-    assert brute_lipschitz(tq.body, uni, validate(tq, uni.schemas())) == 1
+    vq, uni = universe_for("count of R", "relation R { a: int [0, 2] }")
+    assert brute_lipschitz(vq.query.body, uni, vq) == 1
 
 
 def test_lipschitz_union_reaches_two():
     text = "relation R { a: int [0, 2] }\nrelation T { a: int [3, 5] }"
-    tq, schemas, uni = universe_for("count of R union T", text)
-    assert brute_lipschitz(tq.body, uni, validate(tq, uni.schemas())) == 2
+    vq, uni = universe_for("count of R union T", text)
+    assert brute_lipschitz(vq.query.body, uni, vq) == 2
 
 
 def test_lipschitz_bounded_by_static_s():
-    from raqdp.analyzer import intermediate_sensitivity
-
     rng = random.Random(31415)
     for _ in range(15):
         tq, schemas, uni = random_case(rng, max_solutions=4, depth=3)
         memo = validate(tq, schemas)
-        s = intermediate_sensitivity(tq.body, memo)
+        s = memo.nodes[tq.body].s
         lip = brute_lipschitz(tq.body, uni, memo)
         assert is_infinite(s) or lip <= s
 
 
-def assert_lipschitz_matches_the_pairwise_judge(tq, universe):
+def assert_lipschitz_matches_the_pairwise_judge(vq, universe):
     """At every node: the adjacent-pair value equals the all-pairs ratio and
     stays within S; the query's brute force matches the reference."""
-    vq = validate(tq, universe.schemas())
     for plan, facts in vq.nodes.items():
         lip = brute_lipschitz(plan, universe, vq)
         assert type(lip) is int
         assert lip == reference_brute_lipschitz(plan, universe, vq), plan
         assert is_infinite(facts.s) or lip <= facts.s, plan
-    assert_matches_reference(tq, universe)
+    assert_matches_reference(vq, universe)
 
 
 def test_lipschitz_matches_the_pairwise_judge_on_one_relation():
     rng = random.Random(99)
     for _ in range(40):
-        tq, _, universe = random_case(rng, max_solutions=5, depth=3)
-        assert_lipschitz_matches_the_pairwise_judge(tq, universe)
+        tq, schemas, universe = random_case(rng, max_solutions=5, depth=3)
+        assert_lipschitz_matches_the_pairwise_judge(validate(tq, schemas), universe)
 
 
 def two_relation_case(rng):
     """R and T, a random plan over each, joined by a set operator or a product
-    (T's attributes renamed apart for the product), under a count."""
+    (T's attributes renamed apart for the product), under a count: the query
+    validated against R, T and K, and its universe."""
     k_schema = parse_schemas(K_SCHEMA_TEXT)["K"]
     context = (("K", Relation(k_schema, frozenset({(Fraction(7),)}))),)
     while True:
@@ -216,20 +215,20 @@ def two_relation_case(rng):
             t = ConstrainedSchema("T", tuple((f"b{i}", d) for i, (_, d) in enumerate(t.attributes)))
         tq = TopQuery(AggFn("count"), join(random_plan(rng, r, 2), random_plan(rng, t, 2)))
         try:
-            validate(tq, {"R": r, "T": t, "K": k_schema})
+            vq = validate(tq, {"R": r, "T": t, "K": k_schema})
         except ValidationError:
             continue
         sensitive = tuple(SensitiveRelation(s.name, s, enumerate_tuples(s)) for s in (r, t))
-        return tq, Universe(sensitive, context)
+        return vq, Universe(sensitive, context)
 
 
 def test_lipschitz_matches_the_pairwise_judge_on_two_relations():
     rng = random.Random(5)
     joins = set()
     for _ in range(20):
-        tq, universe = two_relation_case(rng)
-        joins.add(type(tq.body))
-        assert_lipschitz_matches_the_pairwise_judge(tq, universe)
+        vq, universe = two_relation_case(rng)
+        joins.add(type(vq.query.body))
+        assert_lipschitz_matches_the_pairwise_judge(vq, universe)
     assert joins == {Union, Intersection, Difference, Product}
 
 
@@ -245,9 +244,9 @@ def test_lipschitz_matches_the_pairwise_judge_on_two_relations():
 )
 def test_lipschitz_matches_the_pairwise_judge_on_three_relations(query):
     text = "relation R { a: int [0, 1] }\nrelation T { a: int [1, 2] }\nrelation U { a: int [0, 2] }"
-    tq, _, universe = universe_for(query, text)
+    vq, universe = universe_for(query, text)
     assert [sr.name for sr in universe.sensitive] == ["R", "T", "U"]
-    assert_lipschitz_matches_the_pairwise_judge(tq, universe)
+    assert_lipschitz_matches_the_pairwise_judge(vq, universe)
 
 
 @pytest.mark.parametrize(
@@ -260,11 +259,10 @@ def test_lipschitz_matches_the_pairwise_judge_on_three_relations(query):
 )
 def test_lipschitz_of_twelve_tuple_nodes(query, s):
     text = "relation R { a: int [1, 6] }\nrelation T { a: int [1, 6] }"
-    tq, _, universe = universe_for(query, text)
-    vq = validate(tq, universe.schemas())
+    vq, universe = universe_for(query, text)
     assert sum(len(sr.universe) for sr in universe.sensitive) == 12
-    assert vq.nodes[tq.body].s == s
-    assert brute_lipschitz(tq.body, universe, vq) == 2
+    assert vq.nodes[vq.query.body].s == s
+    assert brute_lipschitz(vq.query.body, universe, vq) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +282,9 @@ def test_static_bound_dominates_brute_on_random_cases():
 def test_avg_over_an_enumerated_universe_stays_exact():
     # the empty database takes avg's default, the midpoint 3/2 of a's range
     # [0, 3]: exact only while attribute_bounds returns Fraction endpoints
-    tq, _, universe = universe_for("avg(a) of R", "relation R { a: int [0, 3] }")
-    brute = brute_sensitivity(validate(tq, universe.schemas()), universe)
-    ratio = reference_brute_ratio(validate(tq, universe.schemas()), universe)
+    vq, universe = universe_for("avg(a) of R", "relation R { a: int [0, 3] }")
+    brute = brute_sensitivity(vq, universe)
+    ratio = reference_brute_ratio(vq, universe)
     assert brute.value == ratio == Fraction(3, 2)
     assert type(brute.value) is Fraction and type(ratio) is Fraction
 
@@ -295,8 +293,7 @@ def test_avg_over_an_enumerated_universe_stays_exact():
 # The integer neighbour loop against the Fraction reference
 
 
-def assert_matches_reference(tq, universe):
-    vq = validate(tq, universe.schemas())
+def assert_matches_reference(vq, universe):
     got = brute_sensitivity(vq, universe)
     want = reference_brute_sensitivity(vq, universe)
     assert got.value == want.value and type(got.value) is Fraction
@@ -306,8 +303,8 @@ def assert_matches_reference(tq, universe):
 def test_brute_matches_the_reference_on_random_cases():
     rng = random.Random(20121)
     for _ in range(30):
-        tq, _, universe = random_case(rng)
-        assert_matches_reference(tq, universe)
+        tq, schemas, universe = random_case(rng)
+        assert_matches_reference(validate(tq, schemas), universe)
 
 
 @pytest.mark.parametrize(
@@ -322,27 +319,26 @@ def test_brute_matches_the_reference_on_random_cases():
 )
 def test_brute_matches_the_reference_on_two_relations(query):
     text = "relation R { a: int [0, 2] }\nrelation T { a: int [1, 3] }"
-    tq, _, universe = universe_for(query, text)
+    vq, universe = universe_for(query, text)
     assert len(universe.sensitive) == 2
-    assert_matches_reference(tq, universe)
+    assert_matches_reference(vq, universe)
 
 
 def test_brute_matches_the_reference_over_a_common_denominator():
     # averages of subsets of {0, 1, 2, 3} include 1/2 and 4/3, so the values
     # are compared over a denominator of 6
-    tq, schemas, universe = universe_for("avg(a) of R", "relation R { a: int [0, 3] }")
-    vq = validate(tq, schemas)
+    vq, universe = universe_for("avg(a) of R", "relation R { a: int [0, 3] }")
     kept = _read_tuples(universe, _read_bits(vq.query.body, vq, universe))
     values = list(map(compile_query(vq), _databases(universe, kept)))
     assert math.lcm(*(v.denominator for v in values)) == 6
-    assert_matches_reference(tq, universe)
+    assert_matches_reference(vq, universe)
 
 
 def test_a_sixteen_tuple_universe_at_an_explicit_cap():
     # 2^16 databases, all read
     text = "relation R { a: int [1, 8] }\nrelation T { a: int [1, 8] }"
-    tq, _, universe = universe_for("avg(a) of R union T", text, cap=16)
-    res = brute_sensitivity(validate(tq, universe.schemas()), universe)
+    vq, universe = universe_for("avg(a) of R union T", text, cap=16)
+    res = brute_sensitivity(vq, universe)
     assert res.value == 7
     assert res.witness == ({"R": [], "T": [(1,)]}, {"R": [(8,)], "T": []})
 
@@ -372,8 +368,8 @@ def test_brute_matches_the_reference_on_multi_relation_cases():
     rng = random.Random(2718)
     seen = Counter()
     for _ in range(150):
-        tq, universe = multi_relation_case(rng)
-        vq = validate(tq, universe.schemas())
+        tq, schemas, universe = multi_relation_case(rng)
+        vq = validate(tq, schemas)
         got = outcome(lambda: brute_sensitivity(vq, universe))
         assert got == outcome(lambda: reference_brute_sensitivity(vq, universe)), tq
         lip = outcome(lambda: brute_lipschitz(tq.body, universe, vq))
@@ -407,11 +403,10 @@ def full_bits(universe):
     return tuple((1 << len(sr.universe)) - 1 for sr in universe.sensitive)
 
 
-def assert_projection_changes_nothing(tq, universe):
-    vq = validate(tq, universe.schemas())
-    assert_matches_reference(tq, universe)
-    assert brute_lipschitz(tq.body, universe, vq) == reference_brute_lipschitz(
-        tq.body, universe, vq
+def assert_projection_changes_nothing(vq, universe):
+    assert_matches_reference(vq, universe)
+    assert brute_lipschitz(vq.query.body, universe, vq) == reference_brute_lipschitz(
+        vq.query.body, universe, vq
     )
 
 
@@ -442,21 +437,20 @@ def test_read_bits_match_the_full_enumeration(query, schema_text):
     context = None
     if "K" in query:
         context = {"K": Relation(parse_schemas(_K)["K"], frozenset({(Fraction(7),)}))}
-    tq, _, universe = universe_for(query, schema_text, context)
-    vq = validate(tq, universe.schemas())
-    bits = _read_bits(tq.body, vq, universe)
+    vq, universe = universe_for(query, schema_text, context)
+    bits = _read_bits(vq.query.body, vq, universe)
     assert bits != full_bits(universe) and all(bits)
-    assert_projection_changes_nothing(tq, universe)
+    assert_projection_changes_nothing(vq, universe)
 
 
 def test_read_bits_match_the_full_enumeration_on_random_cases():
     rng = random.Random(20260)
     projected = 0
     for _ in range(30):
-        tq, _, universe = random_case(rng, max_solutions=5)
-        vq = validate(tq, universe.schemas())
+        tq, schemas, universe = random_case(rng, max_solutions=5)
+        vq = validate(tq, schemas)
         projected += _read_bits(tq.body, vq, universe) != full_bits(universe)
-        assert_projection_changes_nothing(tq, universe)
+        assert_projection_changes_nothing(vq, universe)
     assert projected >= 5
 
 
@@ -464,15 +458,14 @@ def test_read_bits_raise_the_first_error_of_the_full_enumeration():
     # the one-row side is sensitive, so a database without exactly one R
     # tuple cannot be evaluated
     text = "relation R { r: int [0, 2] }\nrelation T { a: int [0, 2] }"
-    tq, _, universe = universe_for("count of R product1 (select a >= 1 from T)", text)
-    vq = validate(tq, universe.schemas())
-    assert _read_bits(tq.body, vq, universe) == (0b111, 0b110)
+    vq, universe = universe_for("count of R product1 (select a >= 1 from T)", text)
+    assert _read_bits(vq.query.body, vq, universe) == (0b111, 0b110)
     with pytest.raises(EvalError) as want:
         reference_brute_sensitivity(vq, universe)
     assert str(want.value) == "one-sided product requires exactly one tuple, found 0"
     for run in (
         lambda: brute_sensitivity(vq, universe),
-        lambda: brute_lipschitz(tq.body, universe, vq),
+        lambda: brute_lipschitz(vq.query.body, universe, vq),
     ):
         with pytest.raises(EvalError) as got:
             run()
@@ -516,17 +509,17 @@ def test_the_oracle_runs_the_query_once_per_readable_database(
         return run
 
     monkeypatch.setattr(oracle, "compile_query", counted)
-    tq, _, universe = universe_for(query, schema_text)
-    brute_sensitivity(validate(tq, universe.schemas()), universe)
+    vq, universe = universe_for(query, schema_text)
+    brute_sensitivity(vq, universe)
     assert count == runs
 
 
 def test_a_universe_of_context_relations_only_is_one_database():
-    tq, schemas, _ = universe_for("sum(a) of select a >= 1 from R", "relation R { a: int [0, 2] }")
+    schemas = parse_schemas("relation R { a: int [0, 2] }")
+    vq = validate(parse_query("sum(a) of select a >= 1 from R"), schemas)
     data = {"R": Relation.from_rows(schemas["R"], [[Fraction(1)], [Fraction(2)]])}
-    universe = build_universe(tq, schemas, data)
-    vq = validate(tq, schemas)
-    assert universe.sensitive == () and _read_bits(tq.body, vq, universe) == ()
+    universe = build_universe(vq, data)
+    assert universe.sensitive == () and _read_bits(vq.query.body, vq, universe) == ()
     assert brute_sensitivity(vq, universe) == reference_brute_sensitivity(vq, universe)
     assert brute_sensitivity(vq, universe).value == 0
-    assert brute_lipschitz(tq.body, universe, vq) == 0
+    assert brute_lipschitz(vq.query.body, universe, vq) == 0

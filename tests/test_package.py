@@ -1,6 +1,6 @@
 """The package's public surface: every exported name is importable, no
-private module-level name is left without a use, and importing the package
-loads only the standard library."""
+private or unexported module-level name is left without a use, and
+importing the package loads only the standard library."""
 
 import ast
 import sys
@@ -53,18 +53,41 @@ def _private_definitions(tree: ast.Module):
                 yield stmt, name
 
 
-def test_every_private_module_name_is_used():
-    # a helper that nothing calls: its only reference is its own definition
-    # (a recursive function's calls to itself do not count)
+def _unused(definitions) -> list[str]:
+    """'module: name' for every (statement, name) that `definitions` yields
+    from a module whose only reference is its own definition (a recursive
+    function's calls to itself do not count)."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     total = sum((_references(tree) for tree in trees.values()), Counter())
-    unused = [
+    return [
         f"{module}: {name}"
         for module, tree in trees.items()
-        for stmt, name in _private_definitions(tree)
+        for stmt, name in definitions(tree)
         if total[name] == _references(stmt)[name]
     ]
-    assert unused == []
+
+
+def test_every_private_module_name_is_used():
+    # a helper that nothing calls
+    assert _unused(_private_definitions) == []
+
+
+def _unexported_definitions(tree: ast.Module):
+    """(statement, name) for every module-level public function or class
+    that the package does not export."""
+    for stmt in tree.body:
+        if (
+            isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_")
+            and stmt.name not in raqdp.__all__
+        ):
+            yield stmt, stmt.name
+
+
+def test_every_unexported_public_module_name_is_used():
+    # a function or class that the package neither exports nor calls serves
+    # only the tests
+    assert _unused(_unexported_definitions) == []
 
 
 def _import_time_statements(body: list):

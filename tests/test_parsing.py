@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_tokenize
-from raqdp.constraints import Cmp, DomainKind, evaluate, format_constraint
+from helpers import holds, reference_tokenize
+from raqdp.constraints import Cmp, DomainKind, format_constraint
 from raqdp.errors import ParseError, SchemaError
 from raqdp.parsing import (
     format_query,
@@ -129,21 +129,21 @@ def test_not_equal_folds_to_complement():
     again = parse_constraint(text)
     for v in (1, 2, 3):
         env = {"a": Fraction(v)}
-        assert evaluate(c, env) == evaluate(again, env) == (v != 2)
+        assert holds(c, env) == holds(again, env) == (v != 2)
 
 
 def test_membership_and_negation():
     c = parse_constraint('Name in {"x", "y"}')
-    assert evaluate(c, {"Name": "x"}) and not evaluate(c, {"Name": "z"})
+    assert holds(c, {"Name": "x"}) and not holds(c, {"Name": "z"})
     n = parse_constraint('not (Name in {"x"})')
-    assert evaluate(n, {"Name": "z"})
+    assert holds(n, {"Name": "z"})
 
 
 def test_not_in_is_negated_membership():
     c = parse_constraint('Name not in {"x", "y"}')
     assert c == parse_constraint('not (Name in {"x", "y"})')
     assert format_constraint(c) == 'not (Name in {"x", "y"})'
-    assert evaluate(c, {"Name": "z"}) and not evaluate(c, {"Name": "x"})
+    assert holds(c, {"Name": "z"}) and not holds(c, {"Name": "x"})
     assert parse_constraint("a + 1 not in {2, 3}") == parse_constraint("not (a + 1 in {2, 3})")
     with pytest.raises(ParseError):
         parse_constraint("a not = 1")
@@ -156,7 +156,7 @@ def test_iff_and_precedence():
         for b in range(-1, 3):
             env = {"a": Fraction(a), "b": Fraction(b)}
             want = ((a <= 1) or ((b <= 1) and (a >= 0))) == (b >= 0)
-            assert evaluate(c, env) == want
+            assert holds(c, env) == want
 
 
 def test_arithmetic_terms():
@@ -165,21 +165,21 @@ def test_arithmetic_terms():
     for a in range(0, 4):
         for b in range(0, 4):
             env = {"a": Fraction(a), "b": Fraction(b)}
-            assert evaluate(c, env) == (2 * a + b - 1 <= Fraction(a, 2) + 3)
+            assert holds(c, env) == (2 * a + b - 1 <= Fraction(a, 2) + 3)
 
 
 def test_aggregate_names_usable_as_attributes():
     # count/sum/... are contextual keywords, legal as attribute names
     c = parse_constraint("count >= 0 and sum <= 10")
-    assert evaluate(c, {"count": Fraction(1), "sum": Fraction(5)})
+    assert holds(c, {"count": Fraction(1), "sum": Fraction(5)})
     s = parse_schemas("relation G { count: int [0, 5]; avg: real [0, 1] }")["G"]
     assert s.attr_names() == ("count", "avg")
 
 
 def test_parenthesized_arithmetic_vs_grouping():
     c = parse_constraint("(a + 1) * 2 <= 6 and (a <= 1 or a >= 3)")
-    assert evaluate(c, {"a": Fraction(1)})
-    assert not evaluate(c, {"a": Fraction(2)})
+    assert holds(c, {"a": Fraction(1)})
+    assert not holds(c, {"a": Fraction(2)})
 
 
 # ---------------------------------------------------------------------------

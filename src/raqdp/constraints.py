@@ -20,6 +20,8 @@ and sorted candidate values, once, the first time it is applied, and keeps
 them; each schema normalizes and narrows its own constraint once, and a
 node's diameter and its aggregate's range both start from that one NNF and
 structural box.
+Constraints are tested by generated Python source (`Codegen`): one
+expression per constraint over a tuple layout, compiled once per source text.
 """
 
 from __future__ import annotations
@@ -129,18 +131,6 @@ class Domain:
             return lambda v: v.__class__ in _NUMBER_CLASSES and v in members
         lo, hi = self.lower, self.upper
         return lambda v: v.__class__ in _NUMBER_CLASSES and lo <= v <= hi
-
-    def column_test(self) -> Callable[[list], bool]:
-        """all_in(column): whether every value of a non-empty column lies in the
-        domain, as `member_test` would find one by one, the column given as CSV
-        text for a string set and as `int`s for a numeric domain."""
-        if self.kind is DomainKind.STR_SET:
-            return frozenset(self.members).issuperset
-        if self.kind is DomainKind.NUM_SET:
-            test = self.member_test()
-            return lambda column: all(map(test, column))
-        lo, hi = held_value(self.lower), held_value(self.upper)
-        return lambda column: lo <= min(column) and max(column) <= hi
 
     def contains(self, value) -> bool:
         return self.member_test()(held_value(value))
@@ -399,96 +389,140 @@ def _negate_nnf(c: Constraint) -> Constraint:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: a constraint compiled once into a test of value tuples
+# Evaluation: constraints compiled to Python source
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_CMP = {
-    "<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt,
-    "=": operator.eq, "!=": operator.ne,
-}
+# Python precedence levels of generated expressions, loosest first (a name, a
+# cell or a call binds tighter than all): an operand whose level is below what
+# its place needs is parenthesized, so a left-associative chain such as
+# a + b + c is emitted without parentheses.
+_OR, _AND, _NOT, _COMPARE, _SUM, _PRODUCT = range(1, 7)
+# every operator the generated source may hold, looked up by the
+# constraint's own operator: no other operator text reaches `compile`
+_COMPARISON_OPS = {"<=": "<=", ">=": ">=", "<": "<", ">": ">", "=": "==", "!=": "!="}
+_TERM_OPS = {"+": (" + ", _SUM), "-": (" - ", _SUM), "*": (" * ", _PRODUCT)}
+# The deepest expression one generated function holds: a subtree below it is
+# a generated function of its own, which the outer source calls, so deep
+# input never meets Python's parser limits (200 nested parentheses).
+_MAX_DEPTH = 40
 
 
-@functools.lru_cache(maxsize=16)
-def compile_constraint(c: Constraint, names: tuple[str, ...]) -> Callable[[tuple], bool]:
-    """The constraint as a test of value tuples laid out as `names`.
+class Codegen:
+    """One generated Python function: its source text and the constants the
+    text names k0, k1, ... in the order they were bound.
 
-    and/or short-circuit left to right, and an attribute missing from `names`
-    raises KeyError when reached. Types are not checked here: a constraint is
-    type-checked (`check_types`) when its schema is built, when a predicate
-    is validated and when a solver function takes it, so no comparison tests
-    its operands for strings. Memoized, because the same constraint is
-    compiled again: `load_csv` and its row checker (`engine._row_checker`)
-    each compile the relation's check constraint, and the oracle's
-    `_read_bits` compiles the row-tree predicates that compiling the query
-    then compiles again. Over perfbench's 300 validate calls at seed 1 the memo
-    hits 1,071 times and misses 306; a release hits it about 4 times, and
-    `analyze` compiles nothing.
+    `params` is the parameter list of the generated tests (such as "v"), and
+    `cells` the source text of each attribute over them (such as "v[2]").
+    Attributes become those cells; every literal, value set and missing
+    attribute's name is bound as a constant, never written into the source,
+    so values stay exact and no schema or query text reaches `compile`.
+    Sources are compiled once each (`_factory`), so constraints of one shape
+    over one layout share one code object.
     """
-    return _compile(c, _positions(names))
+
+    def __init__(self, params: str, cells: dict[str, str]):
+        self.params = params
+        self.cells = cells
+        self.consts: list = []
+
+    @classmethod
+    def row(cls, names: tuple[str, ...]) -> "Codegen":
+        """The layout of a value tuple `v` laid out as `names`."""
+        return cls("v", _row_cells(names))
+
+    def const(self, value) -> str:
+        """The name that the source reads `value` by."""
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
+    def test(self, c: Constraint) -> str:
+        """The constraint as an expression over the layout, true exactly when
+        the constraint holds. and/or short-circuit left to right; an
+        attribute missing from the layout raises KeyError when reached."""
+        return self._emit(c, 0, 0)
+
+    def function(self, body: str):
+        """The function that `body`, Python lines defining `_f`, defines,
+        with the constants bound."""
+        params = _constant_names(len(self.consts))
+        lines = body.replace("\n", "\n    ")
+        return _factory(f"def _make({params}):\n    {lines}\n    return _f\n")(*self.consts)
+
+    def _emit(self, node, need: int, depth: int) -> str:
+        """The node's expression, parenthesized when its level is below `need`;
+        `depth` counts the operators that enclose it in this function."""
+        kind = node.__class__
+        if kind is Attr:
+            cell = self.cells.get(node.name)
+            return cell if cell is not None else f"{{}}[{self.const(node.name)}]"
+        if kind is Lit:
+            return self.const(held_value(node.value))
+        if kind is BoolConst:
+            return "True" if node.value else "False"
+        if depth == _MAX_DEPTH:
+            sub = Codegen(self.params, self.cells)
+            test = sub.function(f"_f = lambda {self.params}: {sub._emit(node, 0, 0)}")
+            return f"{self.const(test)}({self.params})"
+        depth += 1
+        if kind is Cmp:
+            level, op = _COMPARE, _COMPARISON_OPS[node.op]
+            left, right = self._emit(node.left, _SUM, depth), self._emit(node.right, _SUM, depth)
+            text = f"{left} {op} {right}"
+        elif kind is And or kind is Or:
+            if not node.items:
+                return "True" if kind is And else "False"
+            op, level = (" and ", _AND) if kind is And else (" or ", _OR)
+            text = op.join([self._emit(x, level + 1, depth) for x in node.items])
+        elif kind is Arith:
+            op, level = _TERM_OPS[node.op]
+            left, right = self._emit(node.left, level, depth), self._emit(node.right, level + 1, depth)
+            text = left + op + right
+        elif kind is InSet:
+            level = _COMPARE
+            op = " not in " if node.negated else " in "
+            values = self.const(frozenset(map(held_value, node.values)))
+            text = self._emit(node.term, _SUM, depth) + op + values
+        elif kind is Not:
+            level = _NOT
+            text = "not " + self._emit(node.arg, _NOT, depth)
+        elif kind is Iff:
+            level = _COMPARE  # == on two truth values; a comparison operand is parenthesized
+            left, right = self._emit(node.left, _SUM, depth), self._emit(node.right, _SUM, depth)
+            text = f"{left} == {right}"
+        else:
+            raise TypeError(f"not a constraint: {node!r}")
+        return f"({text})" if level < need else text
 
 
-def _positions(names) -> dict[str, int]:
-    return {a: i for i, a in enumerate(names)}
+@functools.lru_cache(maxsize=64)
+def _row_cells(names: tuple[str, ...]) -> dict[str, str]:
+    """Each attribute's cell in a value tuple `v` laid out as `names` (read only)."""
+    return {a: f"v[{i}]" for i, a in enumerate(names)}
 
 
-def _compile(c: Constraint, index: dict[str, int]) -> Callable[[tuple], bool]:
-    if isinstance(c, BoolConst):
-        value = c.value
-        return lambda v: value
-    if isinstance(c, Cmp):
-        return _binary(_CMP[c.op], _compile_term(c.left, index), _compile_term(c.right, index))
-    if isinstance(c, InSet):
-        term, values = _compile_term(c.term, index), frozenset(map(held_value, c.values))
-        if c.negated:
-            return lambda v: term(v) not in values
-        return lambda v: term(v) in values
-    if isinstance(c, Not):
-        arg = _compile(c.arg, index)
-        return lambda v: not arg(v)
-    if isinstance(c, (And, Or)):
-        items = tuple(_compile(x, index) for x in c.items)
-        if isinstance(c, And):
-
-            def conj(v):
-                for item in items:
-                    if not item(v):
-                        return False
-                return True
-
-            return conj
-
-        def disj(v):
-            for item in items:
-                if item(v):
-                    return True
-            return False
-
-        return disj
-    if isinstance(c, Iff):
-        left, right = _compile(c.left, index), _compile(c.right, index)
-        return lambda v: left(v) == right(v)
-    raise TypeError(f"not a constraint: {c!r}")
+@functools.lru_cache(maxsize=64)
+def _constant_names(n: int) -> str:
+    """The parameter list k0, ..., k(n-1)."""
+    return ", ".join(f"k{i}" for i in range(n))
 
 
-def _compile_term(t: Term, index: dict[str, int]) -> Callable[[tuple], object]:
-    """The term as a function of a value tuple."""
-    if isinstance(t, Lit):
-        value = held_value(t.value)
-        return lambda v: value
-    if isinstance(t, Attr):
-        if t.name in index:
-            return operator.itemgetter(index[t.name])
-        name = t.name
-
-        def missing(v):
-            raise KeyError(name)
-
-        return missing
-    return _binary(_ARITH[t.op], _compile_term(t.left, index), _compile_term(t.right, index))
+@functools.lru_cache(maxsize=256)
+def _factory(source: str):
+    """The function that a generated source defines, compiled once per source
+    text. The cache holds code, not constants: those are the arguments."""
+    namespace: dict = {}
+    exec(compile(source, "<constraint>", "exec"), namespace)
+    return namespace["_make"]
 
 
-def _binary(op, left, right) -> Callable[[tuple], object]:
-    return lambda v: op(left(v), right(v))
+def compile_constraint(c: Constraint, names: tuple[str, ...]) -> Callable[[tuple], bool]:
+    """The constraint as a test of value tuples laid out as `names` (`Codegen`).
+
+    Types are not checked here: a constraint is type-checked (`check_types`)
+    when its schema is built, when a predicate is validated and when a solver
+    function takes it, so no comparison tests its operands for strings.
+    """
+    gen = Codegen.row(names)
+    return gen.function(f"_f = lambda v: {gen.test(c)}")
 
 
 def constraint_attrs(c: Constraint) -> set[str]:
@@ -1210,8 +1244,8 @@ def _satisfying(c: Constraint, grid: dict[str, list]) -> Iterator[tuple]:
     constraint, in grid order.
 
     Node consistency first (Mackworth 1977): the top-level conjuncts that
-    mention one attribute only are applied, as one compiled test per
-    attribute, to that attribute's candidate values, and the product of the
+    mention one attribute only are applied, as one generated comprehension
+    per attribute, to that attribute's candidate values, and the product of the
     filtered lists is walked testing only the remaining conjuncts. A value
     that fails its attribute's test is in no solution, so the solutions and
     their order are those of the whole grid; the caps were taken on the
@@ -1229,16 +1263,15 @@ def _satisfying(c: Constraint, grid: dict[str, list]) -> Iterator[tuple]:
             own.setdefault(attrs.pop(), []).append(conj)
         else:
             rest.append(conj)
-    # compiled once per grid and not memoized: the memo would keep each
-    # analysed constraint alive for no reuse worth its memory
     lists = []
     for a, values in grid.items():
         if a in own:
-            test = _compile(make_and(own[a]), {a: 0})
-            values = [x for x in values if test((x,))]
+            gen = Codegen("x", {a: "x"})
+            test = gen.test(make_and(own[a]))
+            values = gen.function(f"_f = lambda values: [x for x in values if {test}]")(values)
         lists.append(values)
     points = itertools.product(*lists)
-    return filter(_compile(make_and(rest), _positions(grid)), points) if rest else points
+    return filter(compile_constraint(make_and(rest), tuple(grid)), points) if rest else points
 
 
 def iter_solutions(

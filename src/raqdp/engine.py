@@ -4,15 +4,17 @@ Relations are frozen sets of value tuples; every value is an exact rational
 or a string, held as `constraints.held_value` holds it: an integral value is
 an `int` (equal and hash-equal to its `Fraction`), as in the solution grids
 of static analysis; so are the aggregate columns of product-agg and grouping.
-Loading validates each row against the schema's domains (`Domain.member_test`)
-and compiled check constraint, so evaluation can assume constraint-valid
-inputs. A CSV file is read in chunks of rows, each tested a column at a time
-in loops the interpreter runs in C; a chunk that fails that test is loaded
-again row by row, the one path that words violations. Types are checked when
-a schema is built and when a query is validated, never per row.
+Loading validates each row against the schema's domains and check
+constraint, so evaluation can assume constraint-valid inputs. A CSV file is
+read in chunks of rows, each through one loop generated as Python source for
+the schema (`constraints.Codegen`) that converts the cells and tests the
+domains and the check constraint; a chunk that fails it is loaded again row by
+row, the one path that words violations. Types are checked when a schema is
+built and when a query is validated, never per row.
 
 A plan is compiled once (`compile_plan`, `compile_query`) into a function of
-databases; `eval_plan` and `answer` compile and run it once.
+databases; `eval_plan` and `answer` compile and run it once. Each restriction
+is one generated comprehension over its source's tuples.
 """
 
 from __future__ import annotations
@@ -24,9 +26,16 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Union as TUnion
 
-from .constraints import Bounds, ConstrainedSchema, compile_constraint, held_value
+from .constraints import (
+    Bounds,
+    Codegen,
+    ConstrainedSchema,
+    Domain,
+    compile_constraint,
+    held_value,
+)
 from .errors import DataError, EvalError
-from .extmath import too_many_digits
+from .extmath import is_infinite, too_many_digits
 from .query import (
     AggFn,
     Difference,
@@ -84,11 +93,13 @@ def _number_parser(attr: str):
             return int(text)
         except ValueError:
             pass
+        error = too_many_digits(text, f"{attr} = {text[:20]!r}...")
+        if error:
+            raise error
         try:
             return held_value(Fraction(text))
         except (ValueError, ZeroDivisionError):
-            error = too_many_digits(text, f"{attr} = {text[:20]!r}...")
-            raise error or ValueError(f"{attr} = {text!r} is not a number") from None
+            raise ValueError(f"{attr} = {text!r} is not a number") from None
 
     return parse
 
@@ -111,13 +122,61 @@ def _row_checker(schema: ConstrainedSchema):
             if not test(v):
                 if v.__class__ not in (int, Fraction, str):
                     return f"row {label}: unsupported value {v!r} for {a}"
-                return f"row {label}: {a} = {v} outside its domain"
+                return f"row {label}: {a} = {_shown(v)} outside its domain"
         return None if satisfies(cells) else f"row {label}: violates the check constraint"
 
     return check
 
 
-_CHUNK = 256  # rows per bulk test: its lists stay in cache and add little to peak memory
+def _shown(v) -> str:
+    """A value as a violation echoes it: its first 20 characters and `...`
+    when it is longer."""
+    text = str(v)
+    return text if len(text) <= 20 else text[:20] + "..."
+
+
+_CHUNK = 256  # rows per generated chunk test: small chunks add little to peak memory
+
+
+def _chunk_loader(schema: ConstrainedSchema):
+    """load(rows): the tuples of a chunk of CSV rows when every row in it is
+    valid, else None; blank rows are skipped.
+
+    One generated loop (`Codegen`) unpacks each row into its cells, turns each
+    numeric cell into an `int` and strips each string cell, and tests each
+    cell's domain and then the check constraint on the cells. A wrong number
+    of fields, or a numeric cell that `int` does not read, ends the loop too.
+    """
+    names = schema.attr_names()
+    cells = [f"c{i}" for i in range(len(names))]
+    gen = Codegen(", ".join(cells), dict(zip(names, cells)))
+    domains = [schema.domain(a) for a in names]
+    tests = [_domain_test(gen, c, d) for c, d in zip(cells, domains)]
+    test = " and ".join([*tests, f"({gen.test(schema.constraint)})"])
+    convert = "".join(
+        f"\n            {c} = " + (f"int({c})" if d.is_numeric else f"{c}.strip()")
+        for c, d in zip(cells, domains)
+    )
+    row = ", ".join(cells) + ","
+    return gen.function(f"""def _f(rows):
+    out = []
+    try:
+        for {row} in filter(None, rows):{convert}
+            if not ({test}):
+                return None
+            out.append(({row}))
+    except ValueError:
+        return None
+    return out""")
+
+
+def _domain_test(gen: Codegen, cell: str, domain: Domain) -> str:
+    """The test that `cell`, an `int` or stripped string, lies in `domain`."""
+    if domain.members:
+        return f"{cell} in {gen.const(frozenset(map(held_value, domain.members)))}"
+    lo = "" if is_infinite(domain.lower) else f"{gen.const(held_value(domain.lower))} <= "
+    hi = "" if is_infinite(domain.upper) else f" <= {gen.const(held_value(domain.upper))}"
+    return f"{lo}{cell}{hi}" if lo or hi else "True"
 
 
 def load_csv(schema: ConstrainedSchema, path: str) -> Relation:
@@ -129,43 +188,26 @@ def load_csv(schema: ConstrainedSchema, path: str) -> Relation:
     numbers count blank rows, which are skipped. A UTF-8 byte-order mark is
     skipped.
 
-    The file is read `_CHUNK` rows at a time. A chunk is tested a column at a
-    time, in loops the interpreter runs in C: each numeric column must parse
-    by `int`, each column must lie in its domain (`Domain.column_test`), and
-    then each row must satisfy the check constraint. A chunk that fails any
-    of these, such as one with a cell like `3.0`, is loaded again row by row
-    (`_row_checker`), the one path that words violations.
+    The file is read `_CHUNK` rows at a time, and each chunk goes through one
+    loop generated for the schema (`_chunk_loader`): every row must have the
+    schema's arity, each numeric cell must read as an `int`, and the cells
+    must lie in their domains and satisfy the check constraint. A chunk that
+    fails any of these, such as one with a cell like `3.0`, is loaded again
+    row by row (`_row_checker`), the one path that words violations. The
+    rows gather in a set that the relation's frozenset copies: a frozenset
+    built from a list instead would keep a hash table twice the size.
     """
     names = schema.attr_names()
-    domains = [schema.domain(a) for a in names]
-    parsers = [_number_parser(a) if d.is_numeric else str for a, d in zip(names, domains)]
-    columns = [(d.is_numeric, d.column_test()) for d in domains]
-    satisfies = compile_constraint(schema.constraint, names)
-    check = _row_checker(schema)
+    parsers = [_number_parser(a) if schema.domain(a).is_numeric else str for a in names]
+    load = _chunk_loader(schema)
+    check = None  # built when a chunk is first loaded row by row
     out = set()
     not_numbers: list[str] = []
     violations: list[str] = []
 
-    def bulk(chunk: list) -> list | None:
-        """The chunk's tuples when every row in it is valid, else None."""
-        rows = list(filter(None, chunk))  # without blank rows
-        if set(map(len, rows)) != {len(names)}:
-            return None
-        cols = []
-        for (numeric, all_in), texts in zip(columns, zip(*rows)):
-            values = list(map(str.strip, texts))
-            if numeric:
-                try:
-                    values = list(map(int, values))
-                except ValueError:
-                    return None
-            if not all_in(values):
-                return None
-            cols.append(values)
-        tuples = list(zip(*cols))
-        return tuples if all(map(satisfies, tuples)) else None
-
     def by_row(chunk: list, first: int) -> None:
+        nonlocal check
+        check = check or _row_checker(schema)
         for label, row in enumerate(chunk, first):
             if not row:
                 continue
@@ -193,7 +235,7 @@ def load_csv(schema: ConstrainedSchema, path: str) -> Relation:
             )
         done = 0
         while chunk := _csv_chunk(reader, path, _CHUNK):
-            tuples = bulk(chunk)
+            tuples = load(chunk)
             if tuples is None:
                 by_row(chunk, done + 1)
             else:
@@ -300,9 +342,9 @@ def _compile_node(plan: Plan, vq: ValidatedQuery, trace: list | None):
         op = _BINARY[type(plan)]
         return lambda db: op(left(db), right(db))
     if isinstance(plan, Restriction):
-        source = sub(plan.source)
-        test = compile_constraint(plan.predicate, vq.nodes[plan.source].schema.attr_names())
-        return lambda db: frozenset(filter(test, source(db)))
+        gen = Codegen.row(vq.nodes[plan.source].schema.attr_names())
+        test, source = gen.test(plan.predicate), gen.const(sub(plan.source))
+        return gen.function(f"_f = lambda db: frozenset([v for v in {source}(db) if {test}])")
     if isinstance(plan, Projection):
         source = sub(plan.source)
         cells = _cells(vq.nodes[plan.source].schema, plan.attrs)

@@ -10,6 +10,7 @@ them). Floats proper appear at reporting and noise-sampling time only.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 
@@ -39,22 +40,39 @@ def parse_rational(text: str, name: str) -> Fraction:
     """Parse 'p/q', integer, or decimal text into an exact Fraction; text that
     is not a number, or has too many digits, raises a ValueError naming `name`."""
     s = text.strip()
+    error = too_many_digits(s, name)
+    if error:
+        raise error
     try:
         if "/" in s:
             num, _, den = s.partition("/")
             return Fraction(int(num.strip()), int(den.strip()))
         return Fraction(s)  # Fraction accepts '3' and '1.5' exactly
     except (ValueError, ZeroDivisionError):
-        raise too_many_digits(s, name) or ValueError(f"{name} is not a number: {s[:20]!r}") from None
+        raise ValueError(f"{name} is not a number: {s[:20]!r}") from None
+
+
+# Number text in exponent form, as `Fraction` reads it: the mantissa's
+# integer and decimal digits, and the exponent.
+_EXPONENT_FORM = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(\d*(?:_\d+)*)(?:\.(\d*(?:_\d+)*))?e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE
+)
 
 
 def too_many_digits(text: str, name: str) -> ValueError | None:
-    """The error for number text with more decimal digits than Python turns
-    into an int (`sys.get_int_max_str_digits`), naming `name`; else None."""
+    """The error for number text whose value needs more decimal digits than
+    Python turns into an int (`sys.get_int_max_str_digits`), naming `name`;
+    else None. Exponent form counts the mantissa's digits plus the size of
+    the exponent, so `1e5000` (5,001 digits) is refused before `Fraction`
+    builds it."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (before 3.10.7)
-    if limit and sum(map(str.isdecimal, text)) > limit:
-        return ValueError(f"{name} has more than {limit} digits")
-    return None
+    if not limit:
+        return None
+    digits = sum(map(str.isdecimal, text))
+    if digits <= limit and (form := _EXPONENT_FORM.fullmatch(text)):
+        whole, decimal, exponent = form.groups()
+        digits = sum(map(str.isdecimal, whole + (decimal or ""))) + abs(int(exponent))
+    return ValueError(f"{name} has more than {limit} digits") if digits > limit else None
 
 
 def to_double(x: Ext, name: str) -> float:

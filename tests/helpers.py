@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import operator
 import random
 import re
 from fractions import Fraction
@@ -13,15 +14,22 @@ import numpy as np
 
 from raqdp.constraints import (
     DEFAULT_ENUM_CAP,
+    And,
+    Arith,
     Attr,
+    BoolConst,
     Cmp,
     ConstrainedSchema,
     Domain,
+    Iff,
     InSet,
     Lit,
+    Not,
+    Or,
     _finite_grid,
     _prepared,
     compile_constraint,
+    held_value,
     solution_count,
     initial_constraint,
 )
@@ -61,6 +69,89 @@ def schema_of(text: str) -> dict[str, ConstrainedSchema]:
 def holds(c, asg: dict) -> bool:
     """Whether the assignment (name -> value) satisfies the constraint."""
     return compile_constraint(c, tuple(asg))(tuple(asg.values()))
+
+
+# ---------------------------------------------------------------------------
+# Reference compiler: a constraint as a tree of closures, one call per
+# operator per tested tuple (the compiler that generated source replaced)
+
+_REFERENCE_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_REFERENCE_CMP = {
+    "<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt,
+    "=": operator.eq, "!=": operator.ne,
+}
+
+
+def reference_compile(c, names):
+    """The constraint as a test of value tuples laid out as `names`: and/or
+    short-circuit left to right, and an attribute missing from `names` raises
+    KeyError when reached."""
+    return _reference_test(c, {a: i for i, a in enumerate(names)})
+
+
+def _reference_test(c, index):
+    if isinstance(c, BoolConst):
+        value = c.value
+        return lambda v: value
+    if isinstance(c, Cmp):
+        return _reference_binary(
+            _REFERENCE_CMP[c.op], _reference_term(c.left, index), _reference_term(c.right, index)
+        )
+    if isinstance(c, InSet):
+        term, values = _reference_term(c.term, index), frozenset(map(held_value, c.values))
+        if c.negated:
+            return lambda v: term(v) not in values
+        return lambda v: term(v) in values
+    if isinstance(c, Not):
+        arg = _reference_test(c.arg, index)
+        return lambda v: not arg(v)
+    if isinstance(c, (And, Or)):
+        items = tuple(_reference_test(x, index) for x in c.items)
+        if isinstance(c, And):
+
+            def conj(v):
+                for item in items:
+                    if not item(v):
+                        return False
+                return True
+
+            return conj
+
+        def disj(v):
+            for item in items:
+                if item(v):
+                    return True
+            return False
+
+        return disj
+    if isinstance(c, Iff):
+        left, right = _reference_test(c.left, index), _reference_test(c.right, index)
+        return lambda v: left(v) == right(v)
+    raise TypeError(f"not a constraint: {c!r}")
+
+
+def _reference_term(t, index):
+    if isinstance(t, Lit):
+        value = held_value(t.value)
+        return lambda v: value
+    if isinstance(t, Attr):
+        if t.name in index:
+            return operator.itemgetter(index[t.name])
+        name = t.name
+
+        def missing(v):
+            raise KeyError(name)
+
+        return missing
+    if isinstance(t, Arith):
+        return _reference_binary(
+            _REFERENCE_ARITH[t.op], _reference_term(t.left, index), _reference_term(t.right, index)
+        )
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _reference_binary(op, left, right):
+    return lambda v: op(left(v), right(v))
 
 
 def output_schema(plan, schemas: dict[str, ConstrainedSchema]) -> ConstrainedSchema:
@@ -347,10 +438,11 @@ def reference_brute_lipschitz(plan, universe: Universe, vq: ValidatedQuery) -> F
 
 def reference_solutions(c, grid: dict[str, list], visible) -> Iterator[tuple]:
     """Distinct visible solutions in grid order, from the whole-grid loop: every
-    point of the unfiltered grid is tested by the full compiled constraint, and
-    a seen-set over the visible positions drops the repeats."""
+    point of the unfiltered grid is tested by the whole constraint, compiled by
+    `reference_compile`, and a seen-set over the visible positions drops the
+    repeats."""
     names = tuple(grid)
-    satisfies = compile_constraint(c, names)
+    satisfies = reference_compile(c, names)
     positions = [names.index(a) for a in visible]
     seen: set[tuple] = set()
     for point in itertools.product(*grid.values()):
@@ -396,13 +488,14 @@ def reference_load_csv(schema: ConstrainedSchema, path: str) -> frozenset:
     are stripped, and a numeric cell is read as `int` or `Fraction` reads it
     (an int when integral). A row's violation is its first cell that is not a
     number (among the schema's arity of cells), else a wrong number of
-    fields, else its first cell outside its domain (`Domain.member_test`),
+    fields, else its first cell outside its domain (`Domain.member_test`;
+    a value longer than 20 characters is cut to its first 20 and `...`),
     else the check constraint; not-a-number rows are listed first. Cells
     past the digit limit are not covered."""
     names = schema.attr_names()
     domains = [schema.domain(a) for a in names]
     tests = [d.member_test() for d in domains]
-    satisfies = compile_constraint(schema.constraint, names)
+    satisfies = reference_compile(schema.constraint, names)
     out, not_numbers, violations = set(), [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -430,7 +523,9 @@ def reference_load_csv(schema: ConstrainedSchema, path: str) -> frozenset:
             continue
         outside = [(a, v) for a, test, v in zip(names, tests, cells) if not test(v)]
         if outside:
-            violations.append(f"row {i}: {outside[0][0]} = {outside[0][1]} outside its domain")
+            shown = str(outside[0][1])
+            shown = shown if len(shown) <= 20 else shown[:20] + "..."
+            violations.append(f"row {i}: {outside[0][0]} = {shown} outside its domain")
         elif not satisfies(cells):
             violations.append(f"row {i}: violates the check constraint")
         else:

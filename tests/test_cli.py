@@ -765,6 +765,16 @@ def test_numbers_past_the_digit_limit_exit_2_and_say_where(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: epsilon has more than {limit} digits\n"
 
 
+def test_exponent_option_values_past_the_digit_limit_exit_2(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    schema = write(tmp_path, "s.schema", "relation R { x: real [0, 9] }")
+    query = write(tmp_path, "q.raq", "sum(x) of R")
+    data = write(tmp_path, "r.csv", "x\n1\n")
+    for epsilon in ("1e5000", "1e20000000", f" 1E-{limit} "):
+        assert main(["dp-run", schema, query, "--data", f"R={data}", "--epsilon", epsilon]) == 2
+        assert capsys.readouterr().err == f"error: epsilon has more than {limit} digits\n"
+
+
 @pytest.mark.parametrize("text", ["abc", "1/0", "1/x", "2/-0"])
 def test_number_options_that_are_not_numbers_name_the_option(tmp_path, capsys, text):
     schema = write(tmp_path, "s.schema", "relation R { x: real [0, 9] }")
@@ -1310,3 +1320,57 @@ def test_any_argv_ends_in_a_documented_exit_code(tiny_argvs, data):
         assert out == ""
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+# ---------------------------------------------------------------------------
+# Terms nested past Python's parser limits, in restrictions and check constraints
+
+
+def _nested_term(shape: str) -> str:
+    """A 400-term chain a + a + ... + a, or the 199-deep a - (a - (... - (a - b)))."""
+    if shape == "chain":
+        return " + ".join(["a"] * 400)
+    term = "a - b"
+    for _ in range(198):
+        term = f"a - ({term})"
+    return term
+
+
+NESTED_ROWS = [(i % 11, i % 7) for i in range(300)]  # 77 distinct rows
+
+
+def _nested_csv(tmp_path, name, rows, extra=""):
+    return write(tmp_path, name, "a,b\n" + "".join(f"{a},{b}\n" for a, b in rows) + extra)
+
+
+@pytest.mark.parametrize(
+    "shape, predicate, check, holds, bad, answer, loaded",
+    [
+        # 400 a <= 2000 keeps a <= 5, and the check 400 a <= 2400 keeps a <= 6
+        ("chain", "{} <= 2000", "{} <= 2400", lambda a, b: a <= 6, "10,0", "42\n", "49\n"),
+        # the deep term is a - b: the predicate keeps a <= b, the check a - b >= -3
+        ("deep", "{} <= 0", "{} >= -3", lambda a, b: a - b >= -3, "0,6", "28\n", "71\n"),
+    ],
+    ids=["chain", "deep"],
+)
+def test_terms_nested_past_the_parser_limits_answer(
+    tmp_path, shape, predicate, check, holds, bad, answer, loaded
+):
+    term = _nested_term(shape)
+    data = _nested_csv(tmp_path, "r.csv", NESTED_ROWS)
+    plain = write(tmp_path, "plain.schema", "relation R { a: int [0, 10]; b: int [0, 10] }")
+    query = write(tmp_path, "select.raq", f"count of select {predicate.format(term)} from R")
+    assert cli_result(["run", plain, query, "--data", f"R={data}"]) == (0, answer)
+    checked = write(tmp_path, "checked.schema",
+                    f"relation R {{ a: int [0, 10]; b: int [0, 10] }} check {{ {check.format(term)} }}")
+    count = write(tmp_path, "count.raq", "count of R")
+    valid = [row for row in NESTED_ROWS if holds(*row)]
+    # every chunk whole, then a chunk loaded again row by row for its "3.0"
+    for extra in ("", "3.0,3\n"):
+        data = _nested_csv(tmp_path, "valid.csv", valid, extra)
+        assert cli_result(["run", checked, count, "--data", f"R={data}"]) == (0, loaded)
+    data = _nested_csv(tmp_path, "bad.csv", valid, f"3.0,3\n{bad}\n")
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert main(["run", checked, count, "--data", f"R={data}"]) == 2
+    assert err.getvalue().endswith(f"  row {len(valid) + 2}: violates the check constraint\n")

@@ -29,6 +29,7 @@ from raqdp.constraints import (
     InSet,
     Not,
     attribute_bounds,
+    compile_constraint,
     constraint_attrs,
     diameter,
     format_constraint,
@@ -45,7 +46,13 @@ from raqdp.extmath import INF, NEG_INF
 from raqdp.parsing import parse_constraint, parse_query, parse_schemas
 from raqdp.query import validate
 
-from helpers import holds, reference_solution_count, reference_solutions
+from helpers import (
+    holds,
+    random_case,
+    reference_compile,
+    reference_solution_count,
+    reference_solutions,
+)
 
 
 def ints(name, lo, hi):
@@ -277,6 +284,107 @@ def constraint_texts(draw):
             return f"not ({expr(depth - 1)})"
         return f"({expr(depth - 1)}) {form} ({expr(depth - 1)})"
     return expr(draw(st.integers(min_value=0, max_value=3)))
+
+
+# ---------------------------------------------------------------------------
+# Generated tests against the closure compiler they replaced
+
+
+def _outcome(test, point):
+    """A test's value on a point, or the class and arguments of what it raised."""
+    try:
+        return test(point)
+    except Exception as e:  # compared, not handled
+        return type(e), e.args
+
+
+@st.composite
+def term_texts(draw, depth=3):
+    """Random arithmetic over a and b, parenthesized at random."""
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(["a", "b", "2", "1/2", "3"]))
+    left, right = draw(term_texts(depth - 1)), draw(term_texts(depth - 1))
+    op = draw(st.sampled_from(["+", "-", "*"]))
+    wrap = draw(st.sampled_from(["{}", "({})"]))
+    return f"{wrap.format(left)} {op} {wrap.format(right)}"
+
+
+@st.composite
+def atom_constraint_texts(draw):
+    """Boolean combinations that also hold comparisons of random terms."""
+    atoms = [draw(constraint_texts())]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        op = draw(st.sampled_from(["<=", ">=", "<", ">", "=", "!="]))
+        atoms.append(f"{draw(term_texts())} {op} {draw(term_texts())}")
+    atoms.append(f"{draw(term_texts())} in {{0, 1/2, 2}}")
+    joins = [draw(st.sampled_from([" and ", " or ", " iff "])) for _ in atoms[1:]]
+    return "(" + atoms[0] + ")" + "".join(f"{j}({a})" for j, a in zip(joins, atoms[1:]))
+
+
+@given(
+    st.one_of(constraint_texts(), atom_constraint_texts()),
+    st.sampled_from([("a", "b"), ("b", "a"), ("a",), ("b",), ()]),
+)
+@settings(max_examples=300, deadline=None)
+def test_generated_tests_match_the_closure_compiler(text, names):
+    # the same truth values, and the same exceptions: KeyError for an
+    # attribute missing from the layout only when the test reaches it
+    c = parse_constraint(text)
+    points = list(itertools.product([0, Fraction(1, 2), 2, 3], repeat=len(names)))
+    for form in (c, normalize(c)):
+        got, want = compile_constraint(form, names), reference_compile(form, names)
+        assert [_outcome(got, p) for p in points] == [_outcome(want, p) for p in points]
+
+
+def test_generated_tests_and_solutions_match_the_closure_compiler_on_random_grids():
+    rng = random.Random(2212)
+    for case in range(60):
+        tq, schemas, _ = random_case(rng, max_solutions=8, depth=3)
+        vq = validate(tq, schemas)
+        for node, facts in vq.nodes.items():
+            schema = facts.schema
+            c = schema.constraint
+            grid = constraints._finite_grid(*constraints._prepared(c, schema), schema, 64)
+            if isinstance(grid, str):
+                continue
+            names = tuple(grid)
+            points = list(itertools.product(*grid.values()))
+            # the node's constraint, and a restriction's predicate over its grid
+            for form in [c, getattr(node, "predicate", c)]:
+                got, want = compile_constraint(form, names), reference_compile(form, names)
+                outcomes = [_outcome(got, p) for p in points]
+                assert outcomes == [_outcome(want, p) for p in points], (case, node)
+            visible = schema.attr_names()
+            assert list(iter_solutions(c, schema)) == list(reference_solutions(c, grid, visible))
+
+
+def test_constraints_of_one_shape_share_one_code_object():
+    names = ("a", "b")
+    three, seven = (compile_constraint(parse_constraint(f"a <= {k}"), names) for k in (3, 7))
+    assert three.__code__ is seven.__code__
+    assert (three((3, 0)), three((4, 0)), seven((7, 0)), seven((8, 0))) == (True, False, True, False)
+    # each literal is a constant of its own, even when two are equal
+    twice = compile_constraint(parse_constraint("a <= 3 and b <= 3"), names)
+    other = compile_constraint(parse_constraint("a <= 1 and b <= 2"), names)
+    assert twice.__code__ is other.__code__
+    # the cache of compiled sources is bounded
+    assert constraints._factory.cache_info().maxsize is not None
+
+
+def test_deep_terms_are_split_into_generated_functions(monkeypatch):
+    sources = []
+    factory = constraints._factory
+    monkeypatch.setattr(constraints, "_factory", lambda source: sources.append(source) or factory(source))
+    chain = " + ".join(["a"] * 400)
+    deep = "a"
+    for _ in range(199):
+        deep = f"a - ({deep})"
+    tests = [compile_constraint(parse_constraint(t), ("a",)) for t in (f"{chain} <= 2000", f"{deep} <= 0")]
+    assert [t((5,)) for t in tests] == [True, True]
+    assert [t((6,)) for t in tests] == [False, True]
+    # no source nests more than the parser allows; the chain is emitted flat
+    assert max(source.count("(") for source in sources) < 100
+    assert any("v[0] + v[0] + v[0]" in source for source in sources)
 
 
 @given(constraint_texts())
@@ -791,28 +899,22 @@ def test_each_atom_derives_its_linear_form_once(monkeypatch):
 
 def test_product_diameter_counts_each_operand_alone(monkeypatch):
     schemas = parse_schemas("relation A { a: int [0, 999] }\nrelation B { c: int [0, 999] }")
-    compile_ = constraints._compile
-    depth = runs = 0
+    function = constraints.Codegen.function
+    runs = 0
 
-    def counting(c, index):
-        # counts the runs of each outermost compiled test, not of its parts
-        nonlocal depth
-        depth += 1
-        try:
-            test = compile_(c, index)
-        finally:
-            depth -= 1
-        if depth:
-            return test
+    def counting(gen, body):
+        # counts the candidate values a per-attribute filter is given (a
+        # list) and the grid points a row test is called on (one tuple each)
+        test = function(gen, body)
 
-        def run(values):
+        def run(arg):
             nonlocal runs
-            runs += 1
-            return test(values)
+            runs += len(arg) if isinstance(arg, list) else 1
+            return test(arg)
 
         return run
 
-    monkeypatch.setattr(constraints, "_compile", counting)
+    monkeypatch.setattr(constraints.Codegen, "function", counting)
     # validation counts every node's diameter, so it runs under the counter
     report = global_sensitivity(validate(parse_query("count of A product B"), schemas))
     assert [r.diam for r in report.nodes] == [1000, 1000, 1_000_000]

@@ -1,13 +1,17 @@
 """Evaluation semantics: the reference tables, CSV loading, identities."""
 
+import csv
+import io
 import itertools
 import random
+import re
 import sys
+import tokenize
 from fractions import Fraction
 
 import pytest
 
-from raqdp import engine
+from raqdp import constraints, engine
 from raqdp.constraints import compile_constraint
 from raqdp.engine import Relation, answer, apply_agg, eval_plan, load_csv
 from raqdp.errors import DataError, EvalError
@@ -582,10 +586,14 @@ CHUNK_SCHEMA = """relation R {
   k: int [0, 20];
   x: real [-5, 5];
   m: num in {0, 1/2, 3, 1000};
-  s: string in {"a", "b", "c"}
+  s: string in {"a", "b", "c"};
+  y: real [-inf, 4];
+  z: real [-2, inf];
+  n: num in {-3, 7/2, 10}
 } check { %s }"""
 CHUNK_CHECKS = ["k >= x", "k != 7 and m <= 3", 's = "a" or k <= 10', "not (k = 3)", "true",
-                "k - 2 * x >= m - 3 and s != \"c\""]
+                "k - 2 * x >= m - 3 and s != \"c\"", "y <= k and n != 10", "z >= x or n = -3"]
+CHUNK_STRING = 3  # the one string column; the others are numeric
 
 
 def _cell_texts(v) -> list[str]:
@@ -600,35 +608,44 @@ def _cell_texts(v) -> list[str]:
 # as a row breaks it in many ways).
 BAD_ROWS = [(0, "zz"), (1, "1/0"), (2, ""), (0, "nan"), (0, "21"), (0, "-1"), (0, "3/2"),
             (1, "6"), (1, "-11/2"), (2, "2"), (2, "1e2"), (3, "d"), (3, " "),
-            ("long", "1"), ("long", "zz"), ("short", 1), ("short", 3)] + [("check", None)] * 3
+            (4, "5"), (4, "inf"), (5, "-3"), (6, "0"), (6, "7/3"), ("long", "1"), ("long", "zz"), ("short", 1), ("short", 3)] + [("check", None)] * 3
 
 
 def _chunked_csv_case(rng: random.Random, check: str, chunk: int, bad_rows=None):
     """A seeded CSV of two or more `chunk`-row chunks (two or three at the
     real chunk size) of valid rows, blank lines and duplicates. In about half
-    the chunks, one row in twenty is spelled unusually or has a fraction for
-    x or m, which keeps its column off the plain `int` path; the other rows
-    hold ints, so that the other chunks take it. With `bad_rows`, an iterator
+    the chunks, one row in twenty is spelled unusually or has a fraction in
+    a numeric column, which keeps its chunk off the plain `int` path; the
+    other rows hold ints, some padded with spaces, so that the other chunks
+    take it. With `bad_rows`, an iterator
     over `BAD_ROWS`, each chunk holds one bad row, often its first or last,
     so that no other bad row hides it."""
     schema = parse_schemas(CHUNK_SCHEMA % check)["R"]
     satisfies = compile_constraint(schema.constraint, schema.attr_names())
     xs = [-5, Fraction(-5, 2), Fraction(-1, 4), 0, Fraction(1, 2), 3, 5]
     ms = [0, Fraction(1, 2), 3, 1000]
+    ys = [-10**6, Fraction(-7, 3), 0, 4]
+    zs = [-2, 0, Fraction(5, 2), 10**6]
+    ns = [-3, Fraction(7, 2), 10]
     pools = {(odd, valid): [] for odd in (False, True) for valid in (False, True)}
-    for _ in range(400):
-        values = (rng.randint(0, 20), rng.choice(xs), rng.choice(ms), rng.choice("abc"))
+    for _ in range(600):
+        values = (rng.randint(0, 20), rng.choice(xs), rng.choice(ms), rng.choice("abc"),
+                  rng.choice(ys), rng.choice(zs), rng.choice(ns))
         valid = satisfies(values)
         pools[True, valid].append(values)
-        if values[1].__class__ is int and values[2].__class__ is int:
+        if all(v.__class__ is not Fraction for v in values):
             pools[False, valid].append(values)
 
     def row(valid: bool = True, odd: float = 0.0) -> list[str]:
         if rng.random() >= odd:
-            return [str(v) for v in rng.choice(pools[False, valid] or pools[False, True])]
+            values = rng.choice(pools[False, valid] or pools[False, True])
+            pad = ["{}", " {}", "{} ", " {} "]
+            return [str(v) if i == CHUNK_STRING else rng.choice(pad).format(v) for i, v in enumerate(values)]
         values = rng.choice(pools[True, valid] or pools[True, True])
-        texts = [rng.choice(_cell_texts(v)) for v in values[:3]]
-        return texts + [rng.choice([values[3], f" {values[3]} ", f"\x1c{values[3]}"])]
+        return [
+            rng.choice([v, f" {v} ", f"\x1c{v}"] if i == CHUNK_STRING else _cell_texts(v))
+            for i, v in enumerate(values)
+        ]
 
     def bad(where, text) -> list[str]:
         if where == "check":
@@ -652,7 +669,7 @@ def _chunked_csv_case(rng: random.Random, check: str, chunk: int, bad_rows=None)
         last = min(len(lines), first + chunk) - 1
         lines[rng.choice([first, last, rng.randint(first, last)])] = bad(*next(bad_rows))
     bom = "\ufeff" if rng.random() < 0.3 else ""
-    return schema, bom + "k,x,m,s\n" + "".join(",".join(t) + "\n" for t in lines)
+    return schema, bom + "k,x,m,s,y,z,n\n" + "".join(",".join(t) + "\n" for t in lines)
 
 
 def _load_outcome(load, schema, path):
@@ -680,6 +697,72 @@ def test_chunked_load_matches_the_row_by_row_reference(tmp_path, monkeypatch, ch
         assert got == _load_outcome(reference_load_csv, schema, path), case
         refused += isinstance(got, tuple)
     assert refused == cases // 2
+
+
+# ---------------------------------------------------------------------------
+# Generated source: only generated names, positions and fixed operators
+
+HOSTILE_SCHEMA = r"""relation R {
+  a: int [0, 9];
+  s: string in {"it's", "back\\slash", "q\"uote", "__import__('os')"}
+} check { s != "__import__('os')" or a <= 3 }"""
+
+# every name a generated source may hold besides the constants k0, k1, ...
+# and the loader's cells c0, c1, ...
+GENERATED_NAMES = {
+    "def", "return", "lambda", "and", "or", "not", "in", "for", "if", "try", "except",
+    "True", "False", "None", "_make", "_f", "v", "x", "db", "rows", "values", "out", "append",
+    "filter", "int", "strip", "ValueError", "frozenset",
+}
+GENERATED_OPS = {"(", ")", "[", "]", "{", "}", ":", ",", ".", "=",
+                 "==", "!=", "<=", ">=", "<", ">", "+", "-", "*"}
+
+
+def _foreign_tokens(source: str) -> list[str]:
+    """The tokens of a generated source that are not generated names, tuple
+    positions or fixed operators."""
+    out = []
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            ok = tok.string in GENERATED_NAMES or re.fullmatch(r"[kc]\d+", tok.string)
+        elif tok.type == tokenize.NUMBER:
+            ok = tok.string.isdigit()
+        elif tok.type == tokenize.OP:
+            ok = tok.string in GENERATED_OPS
+        else:
+            ok = tok.type in (tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
+                              tokenize.DEDENT, tokenize.ENDMARKER)
+        if not ok:
+            out.append(tok.string)
+    return out
+
+
+def test_no_schema_or_query_text_reaches_compile(tmp_path, monkeypatch):
+    sources = []
+    factory = constraints._factory
+    monkeypatch.setattr(constraints, "_factory", lambda source: sources.append(source) or factory(source))
+    schemas = parse_schemas(HOSTILE_SCHEMA)
+    schema = schemas["R"]
+    hostile = "__import__('os')"
+    rows = [(a, s) for a in range(10) for s in schema.domain("s").members if s != hostile or a <= 3]
+
+    def path_of(extra, name):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([("a", "s"), *rows, *extra])
+        return write_csv(tmp_path, out.getvalue(), name)
+
+    # whole chunks, and a chunk loaded again row by row for its "3.0"
+    assert load_csv(schema, path_of([], "chunk.csv")).tuples == frozenset(rows)
+    assert load_csv(schema, path_of([("3.0", hostile)], "rows.csv")).tuples == frozenset(rows)
+    with pytest.raises(DataError) as refused:
+        load_csv(schema, path_of([(5, hostile)], "bad.csv"))
+    assert refused.value.violations == [f"row {len(rows) + 1}: violates the check constraint"]
+    db = {"R": load_csv(schema, path_of([], "chunk.csv"))}
+    query = parse_query("count of select s in {\"__import__('os')\", \"it's\"} or a * 2 > 15 from R")
+    assert answer(validate(query, schemas), db) == 4 + 10 + 2 * 2
+    assert any("filter(None, rows)" in source for source in sources)  # the chunk loader
+    assert any("(db) if" in source for source in sources)  # the restriction
+    assert [tok for source in sources for tok in _foreign_tokens(source)] == []
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +821,25 @@ def test_release_shapes_match_plain_python(tmp_path):
 
     as_fractions = [(Fraction(i), n, Fraction(w), Fraction(h)) for i, n, w, h in people]
     assert Relation.from_rows(schemas["People"], as_fractions).tuples == db["People"].tuples
+
+
+def test_exponent_cells_past_the_digit_limit_are_refused_before_they_are_built(tmp_path):
+    # 1e20000000 would take Fraction half a minute to build, and 1e5000 could
+    # not be printed: the digits written plus the exponent's size are counted
+    limit = sys.get_int_max_str_digits()
+    schemas = parse_schemas("relation R { x: real [-inf, inf]; y: real [0, 10] }")
+    cells = ["1e20000000", "1e5000", "-2.5E+9000", f"1e-{limit}", f"1e{limit - 1}", "0"]
+    data = write_csv(tmp_path, "x,y\n" + "".join(f"{x},1\n" for x in cells) + "0,1e400\n0,11\n")
+    with pytest.raises(DataError) as exc:
+        load_csv(schemas["R"], data)
+    assert exc.value.violations == [
+        f"row {i}: x = {text!r}... has more than {limit} digits" for i, text in enumerate(cells[:4], 1)
+    ] + [
+        "row 7: y = 10000000000000000000... outside its domain",  # 401 digits, cut
+        "row 8: y = 11 outside its domain",  # short values print whole
+    ]
+    data = write_csv(tmp_path, "x,y\n" + "".join(f"{x},1\n" for x in cells[4:]))
+    assert load_csv(schemas["R"], data).tuples == {(10 ** (limit - 1), 1), (0, 1)}
 
 
 def test_csv_cell_past_the_digit_limit_says_so_briefly(tmp_path):

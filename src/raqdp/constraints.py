@@ -11,9 +11,9 @@ Bounds for interval domains come from a hull-consistency narrowing fixpoint
 applied per disjunctive branch; fully enumerable domains take an exact
 enumeration path instead. Solution counts multiply over groups
 of conjuncts with disjoint attributes; the enumeration cap is on the whole grid.
-Enumeration applies the top-level conjuncts that mention a single attribute to
-that attribute's candidate values before it walks the grid; the caps still
-bound the unfiltered grid.
+Enumeration is one generated walk per grid, which tests each top-level
+conjunct as soon as its loops bind its attributes (`_solutions`); the caps
+still bound the unfiltered grid.
 Narrowing derives nothing twice: each comparison atom derives its linear form
 (and that form's negation), and each numeric membership atom its attribute
 and sorted candidate values, once, the first time it is applied, and keeps
@@ -21,7 +21,8 @@ them; each schema normalizes and narrows its own constraint once, and a
 node's diameter and its aggregate's range both start from that one NNF and
 structural box.
 Constraints are tested by generated Python source (`Codegen`): one
-expression per constraint over a tuple layout, compiled once per source text.
+expression per constraint over a tuple layout, or one walk per grid,
+compiled once per source text.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -427,7 +427,7 @@ class Codegen:
     @classmethod
     def row(cls, names: tuple[str, ...]) -> "Codegen":
         """The layout of a value tuple `v` laid out as `names`."""
-        return cls("v", _row_cells(names))
+        return cls("v", _cells(names, "v[{}]"))
 
     def const(self, value) -> str:
         """The name that the source reads `value` by."""
@@ -441,8 +441,8 @@ class Codegen:
         return self._emit(c, 0, 0)
 
     def function(self, body: str):
-        """The function that `body`, Python lines defining `_f`, defines,
-        with the constants bound."""
+        """What `body`, Python lines defining `_f`, binds `_f` to (a test, or
+        a walk's generator), with the constants bound."""
         params = _constant_names(len(self.consts))
         lines = body.replace("\n", "\n    ")
         return _factory(f"def _make({params}):\n    {lines}\n    return _f\n")(*self.consts)
@@ -494,9 +494,10 @@ class Codegen:
 
 
 @functools.lru_cache(maxsize=64)
-def _row_cells(names: tuple[str, ...]) -> dict[str, str]:
-    """Each attribute's cell in a value tuple `v` laid out as `names` (read only)."""
-    return {a: f"v[{i}]" for i, a in enumerate(names)}
+def _cells(names: tuple[str, ...], form: str) -> dict[str, str]:
+    """Each attribute's cell, `form` filled in with its position in `names`
+    (read only): "v[{}]" for a value tuple `v`, "c{}" for a walk's loops."""
+    return {a: form.format(i) for i, a in enumerate(names)}
 
 
 @functools.lru_cache(maxsize=64)
@@ -1239,72 +1240,68 @@ def _finite_grid(
     return reason or grid
 
 
-def _satisfying(c: Constraint, grid: dict[str, list]) -> Iterator[tuple]:
-    """The grid's value tuples (laid out as the grid's keys) that satisfy the
-    constraint, in grid order.
-
-    Node consistency first (Mackworth 1977): the top-level conjuncts that
-    mention one attribute only are applied, as one generated comprehension
-    per attribute, to that attribute's candidate values, and the product of the
-    filtered lists is walked testing only the remaining conjuncts. A value
-    that fails its attribute's test is in no solution, so the solutions and
-    their order are those of the whole grid; the caps were taken on the
-    unfiltered grid.
-
-    The constraint has passed `check_types` (`_prepared`), and the grid
-    holds values as data does (`held_value`), so the compiled tests check no
-    types and run on int arithmetic wherever the values are integral.
+def _solutions(c: Constraint, grid: dict[str, list], visible: tuple) -> Iterator[tuple]:
+    """The grid's points that satisfy the constraint, projected onto the
+    visible attributes (a subsequence of the grid's keys), each the first
+    time it comes, in `itertools.product` order: one generated walk
+    (`_walk_source`) that tests each top-level conjunct as soon as its
+    attributes are bound (Haralick and Elliott 1980). A value or partial
+    point that fails a conjunct is in no solution, so the solutions are the
+    whole grid's, and the caps were taken on the unfiltered grid. The walk
+    checks no types: the constraint has passed `check_types` (`_prepared`).
     """
-    own: dict[str, list[Constraint]] = {}
-    rest: list[Constraint] = []
+    names = tuple(grid)
+    gen = Codegen("", _cells(names, "c{}"))
+    gen.consts = list(grid.values())  # k0, k1, ... in grid order
+    tests = []
     for conj in c.items if isinstance(c, And) else (c,):
         attrs = constraint_attrs(conj)
-        if len(attrs) == 1:
-            own.setdefault(attrs.pop(), []).append(conj)
-        else:
-            rest.append(conj)
-    lists = []
-    for a, values in grid.items():
-        if a in own:
-            gen = Codegen("x", {a: "x"})
-            test = gen.test(make_and(own[a]))
-            values = gen.function(f"_f = lambda values: [x for x in values if {test}]")(values)
-        lists.append(values)
-    points = itertools.product(*lists)
-    return filter(compile_constraint(make_and(rest), tuple(grid)), points) if rest else points
+        depth = max(map(names.index, attrs), default=-1)
+        # `_emit` calls a subterm it splits off with the variables bound where it runs
+        single = len(attrs) == 1
+        gen.params = f"c{depth}" if single else ", ".join([f"c{i}" for i in range(depth + 1)])
+        tests.append((depth, single, gen._emit(conj, _AND + 1, 0)))
+    return gen.function(_walk_source(names, visible, tuple(tests)))
+
+
+@functools.lru_cache(maxsize=256)
+def _walk_source(names: tuple[str, ...], visible: tuple[str, ...], tests: tuple) -> str:
+    """The source of a walk over candidate lists k0, k1, ... (`_solutions`),
+    assembled once per shape. Each test is (its deepest attribute's position
+    or -1, whether it mentions one attribute, its text). A single-attribute
+    test filters its attribute's list when the walk is built (node
+    consistency, Mackworth 1977); the walk is one generator expression, in
+    which an attribute-free test or an emptied list ends it before the loops,
+    and every other test runs in the shallowest loop that binds its attributes.
+    """
+    own: dict[int, list[str]] = {}
+    deep: dict[int, list[str]] = {-1: []}
+    for depth, single, text in tests:
+        (own if single else deep).setdefault(depth, []).append(text)
+    lines = [f"k{i} = [c{i} for c{i} in k{i} if {' and '.join(texts)}]" for i, texts in own.items()]
+    deep[-1] += [f"k{i}" for i in own]
+    clauses = []
+    for i in range(-1, len(names)):
+        clauses.append(f"for c{i} in k{i}" if i >= 0 else "for _ in [()]")
+        if deep.get(i):
+            clauses.append(f"if {' and '.join(deep[i])}")
+    point = "(" + "".join([f"c{names.index(a)}, " for a in visible]) + ")"
+    if len(visible) < len(names):  # a projection repeats points: keep each one's first time
+        lines.append("seen = set()")
+        clauses.append(f"for point in [{point}] if point not in seen and not seen.add(point)")
+        point = "point"
+    lines.append(f"_f = ({point} {' '.join(clauses)})")
+    return "\n".join(lines)
 
 
 def iter_solutions(
     c: Constraint, schema: ConstrainedSchema, cap: int = DEFAULT_ENUM_CAP
-) -> Iterator[tuple] | None:
-    """Iterate distinct visible solution tuples; None when not enumerable."""
+) -> Iterator[tuple] | str:
+    """Iterate the distinct visible solution tuples in grid order
+    (`_solutions`); when the grid cannot be enumerated within the cap, the
+    reason instead: 'infinite' or 'exceeds-cap' (`_finite_grid`)."""
     grid = _finite_grid(*_prepared(c, schema), schema, cap)
-    return None if isinstance(grid, str) else _distinct_visible(c, grid, schema.attr_names())
-
-
-def _distinct_visible(c: Constraint, grid: dict[str, list], visible: tuple) -> Iterator[tuple]:
-    """The satisfying value tuples projected onto the visible attributes (a
-    subsequence of the grid's keys), without repeats, in grid order.
-
-    The tuples come from `_satisfying`, which tests the single-attribute
-    conjuncts once per candidate value, not once per grid point. With no
-    attribute hidden the grid points are distinct already, and come as they
-    are, without a seen-set."""
-    points = _satisfying(c, grid)
-    names = list(grid)
-    if len(visible) == len(names):
-        return points
-    return _unseen(points, [names.index(a) for a in visible])
-
-
-def _unseen(points: Iterator[tuple], positions: list[int]) -> Iterator[tuple]:
-    """Each point projected onto `positions`, the first time it comes."""
-    seen: set[tuple] = set()
-    for values in points:
-        tup = tuple([values[i] for i in positions])
-        if tup not in seen:
-            seen.add(tup)
-            yield tup
+    return grid if isinstance(grid, str) else _solutions(c, grid, schema.attr_names())
 
 
 def _components(nnf: Constraint, names) -> list[tuple[list[str], Constraint]]:
@@ -1339,8 +1336,8 @@ def solution_count(
     """Exact count of distinct visible solutions, 'exceeds-cap', or 'infinite'.
 
     A grid within the cap is counted per attribute-disjoint group of the
-    NNF's conjuncts, each over its own sub-grid, and the counts multiply:
-    the solutions are the product of the groups' solutions."""
+    NNF's conjuncts, by one walk (`_solutions`) over its own sub-grid, and
+    the counts multiply: the solutions are the product of the groups'."""
     nnf, box = _prepared(c, schema)
     grid = _finite_grid(nnf, box, schema, cap)
     if isinstance(grid, str):
@@ -1348,7 +1345,7 @@ def solution_count(
     total = 1
     for attrs, conj in _components(nnf, grid):
         shown = tuple(a for a in attrs if a in schema.attr_names())
-        found = _distinct_visible(conj, {a: grid[a] for a in attrs}, shown)
+        found = _solutions(conj, {a: grid[a] for a in attrs}, shown)
         # a group with no visible attribute counts 1 once it has a solution
         count = sum(1 for _ in itertools.islice(found, None if shown else 1))
         if count == 0:
@@ -1386,7 +1383,7 @@ def attribute_bounds(
     nnf, box = _prepared(c, schema)
     grid = _finite_grid(nnf, box, schema, min(enum_cap, EXACT_GRID_BUDGET))
     if not isinstance(grid, str):
-        column = list(map(operator.itemgetter(list(grid).index(attr)), _satisfying(c, grid)))
+        column = [v for v, in _solutions(c, grid, (attr,))]
         if not column:
             return Bounds.make_empty()
         return Bounds(Fraction(min(column)), Fraction(max(column)))  # grid values may be int

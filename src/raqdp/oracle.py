@@ -36,7 +36,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constraints import ConstrainedSchema, iter_solutions, solution_count
+from .constraints import ConstrainedSchema, iter_solutions
 from .engine import Relation, compile_plan, compile_query
 from .errors import OracleError
 from .query import Id, Plan, ValidatedQuery, base_relations, plan_children, row_tree_relation
@@ -61,15 +61,16 @@ class Universe:
 
 
 def enumerate_tuples(schema: ConstrainedSchema, cap: int = DEFAULT_UNIVERSE_CAP) -> tuple:
-    """All tuples admissible under the schema's constraint, searched for over
-    a grid of at most max(64 * cap, 4096) points. The domains bound that
-    grid, so the constraint need not restate them. `build_universe` passes a
-    query leaf's schema, whose constraint validation has already prepared."""
+    """All tuples admissible under the schema's constraint, in grid order, from
+    one walk (`iter_solutions`) over a grid of at most max(64 * cap, 4096)
+    points; when there is none, its reason picks the error. The domains bound
+    that grid. `build_universe` passes a query leaf's schema, which
+    validation has already prepared."""
     budget = max(cap * 64, 4096)
     solutions = iter_solutions(schema.constraint, schema, cap=budget)
-    if solutions is None:
-        if solution_count(schema.constraint, schema, cap=budget) == "infinite":
-            raise OracleError(f"relation {schema.name!r} has a non-enumerable tuple universe")
+    if solutions == "infinite":
+        raise OracleError(f"relation {schema.name!r} has a non-enumerable tuple universe")
+    if isinstance(solutions, str):
         raise OracleError(
             f"relation {schema.name!r} has more than {budget} grid points to search; "
             "raise --universe-cap"

@@ -607,7 +607,7 @@ def test_an_attribute_with_no_candidate_value_empties_the_grid_in_any_order(tmp_
         seen.append((
             solution_count(c, schema),
             diameter(c, schema),
-            solutions if solutions is None else list(solutions),
+            solutions if isinstance(solutions, str) else list(solutions),
             gs,
             verdict,
         ))

@@ -387,6 +387,83 @@ def test_deep_terms_are_split_into_generated_functions(monkeypatch):
     assert any("v[0] + v[0] + v[0]" in source for source in sources)
 
 
+def _exact_ranges(schema, solutions) -> dict:
+    """Each numeric attribute's exact range over the solutions."""
+    out = {}
+    for i, (a, dom) in enumerate(schema.attributes):
+        if dom.is_numeric:
+            column = [t[i] for t in solutions]
+            out[a] = Bounds(Fraction(min(column)), Fraction(max(column))) if column else Bounds.make_empty()
+    return out
+
+
+def _check_against_the_whole_grid_loop(schema):
+    """iter_solutions, solution_count and attribute_bounds against the
+    whole-grid loop; returns the solutions."""
+    c = schema.constraint
+    grid = constraints._finite_grid(*constraints._prepared(c, schema), schema, DEFAULT_ENUM_CAP)
+    want = list(reference_solutions(c, grid, schema.attr_names()))
+    assert list(iter_solutions(c, schema)) == want
+    assert solution_count(c, schema) == len(want)
+    assert {a: attribute_bounds(c, schema, a) for a in _exact_ranges(schema, want)} == _exact_ranges(schema, want)
+    return want
+
+
+def test_deep_terms_inside_a_walk_match_the_whole_grid_loop():
+    # each conjunct holds a term deep enough to be split into generated
+    # functions of its own, which the walk calls with the loop variables bound
+    # where the conjunct is tested: a's own filter, the loop that binds b, and
+    # the loop that binds d
+    one, two = "a", "b"
+    for i in range(199):
+        one = f"a - ({one})"  # 0
+        two = f"{'ab'[i % 2]} - ({two})"  # 100 * (a - b)
+    chain = " + ".join(["a", "b", "d", "b"] * 100)
+    check = f"{one} + a != 1 and {two} != 0 and {chain} <= 900"
+    schema = parse_schemas(f"relation R {{ a: int [0, 3]; b: int [0, 3]; d: int [0, 4] }} check {{ {check} }}")["R"]
+    want = _check_against_the_whole_grid_loop(schema)
+    assert want == [
+        (a, b, d)
+        for a, b, d in itertools.product(range(4), range(4), range(5))
+        if a != 1 and a != b and 100 * a + 200 * b + 100 * d <= 900
+    ]
+
+
+def test_a_walk_over_more_attributes_than_python_nests_loops():
+    # a walk over 24 attributes, each linked to the next two: one nested for
+    # statement per attribute would pass the 20 blocks Python compiles
+    decls = "; ".join(f"a{i}: int [0, {i % 2}]" for i in range(24))
+    chain = " and ".join(f"a{i} <= a{i + 1} + a{i + 2}" for i in range(22))
+    schema = parse_schemas(f"relation R {{ {decls} }} check {{ {chain} and a0 + a23 >= 1 }}")["R"]
+    assert len(_check_against_the_whole_grid_loop(schema)) > 1
+
+
+def test_a_walk_is_built_once(monkeypatch):
+    # single-attribute conjuncts filter inside the one generated walk, rather
+    # than each in a function of its own
+    schema = parse_schemas(
+        "relation R { a: int [0, 3]; b: int [0, 3]; d: int [0, 4]; e: int [0, 2] }"
+        " check { a <= b and a != 1 and b >= 1 and d != 2 }"
+    )["R"]
+    c = schema.constraint
+    function = constraints.Codegen.function
+    builds = 0
+
+    def counting(gen, body):
+        nonlocal builds
+        builds += 1
+        return function(gen, body)
+
+    monkeypatch.setattr(constraints.Codegen, "function", counting)
+    assert len(list(iter_solutions(c, schema))) == 6 * 4 * 3
+    assert builds == 1
+    # one walk per attribute-disjoint group: {a, b}, {d} and {e}
+    assert solution_count(c, schema) == 6 * 4 * 3
+    assert builds == 1 + 3
+    assert attribute_bounds(c, schema, "a") == Bounds(Fraction(0), Fraction(3))
+    assert builds == 1 + 3 + 1
+
+
 @given(constraint_texts())
 @settings(max_examples=200, deadline=None)
 def test_normalize_preserves_solution_set(text):
@@ -476,7 +553,7 @@ def test_narrowing_divides_without_floats(text, values, bounds):
     c = make_and([initial_constraint(schema), parse_constraint(text)])
     solutions = iter_solutions(c, schema)
     if values is None:
-        assert solutions is None
+        assert solutions == "infinite"
     else:
         solutions = list(solutions)
         assert solutions == [(v, y) for v in values for y in (0, 1)]
@@ -899,22 +976,16 @@ def test_each_atom_derives_its_linear_form_once(monkeypatch):
 
 def test_product_diameter_counts_each_operand_alone(monkeypatch):
     schemas = parse_schemas("relation A { a: int [0, 999] }\nrelation B { c: int [0, 999] }")
-    function = constraints.Codegen.function
+    walk = constraints._solutions
     runs = 0
 
-    def counting(gen, body):
-        # counts the candidate values a per-attribute filter is given (a
-        # list) and the grid points a row test is called on (one tuple each)
-        test = function(gen, body)
+    def counting(c, grid, visible):
+        # counts the unfiltered grid points each walk is given
+        nonlocal runs
+        runs += math.prod(map(len, grid.values()))
+        return walk(c, grid, visible)
 
-        def run(arg):
-            nonlocal runs
-            runs += len(arg) if isinstance(arg, list) else 1
-            return test(arg)
-
-        return run
-
-    monkeypatch.setattr(constraints.Codegen, "function", counting)
+    monkeypatch.setattr(constraints, "_solutions", counting)
     # validation counts every node's diameter, so it runs under the counter
     report = global_sensitivity(validate(parse_query("count of A product B"), schemas))
     assert [r.diam for r in report.nodes] == [1000, 1000, 1_000_000]

@@ -708,11 +708,12 @@ HOSTILE_SCHEMA = r"""relation R {
 } check { s != "__import__('os')" or a <= 3 }"""
 
 # every name a generated source may hold besides the constants k0, k1, ...
-# and the loader's cells c0, c1, ...
+# and the loader's cells and the walk's loop variables c0, c1, ...
 GENERATED_NAMES = {
     "def", "return", "lambda", "and", "or", "not", "in", "for", "if", "try", "except",
-    "True", "False", "None", "_make", "_f", "v", "x", "db", "rows", "values", "out", "append",
+    "True", "False", "None", "_make", "_f", "v", "db", "rows", "out", "append",
     "filter", "int", "strip", "ValueError", "frozenset",
+    "_", "seen", "set", "add", "point",
 }
 GENERATED_OPS = {"(", ")", "[", "]", "{", "}", ":", ",", ".", "=",
                  "==", "!=", "<=", ">=", "<", ">", "+", "-", "*"}
@@ -762,6 +763,7 @@ def test_no_schema_or_query_text_reaches_compile(tmp_path, monkeypatch):
     assert answer(validate(query, schemas), db) == 4 + 10 + 2 * 2
     assert any("filter(None, rows)" in source for source in sources)  # the chunk loader
     assert any("(db) if" in source for source in sources)  # the restriction
+    assert any("for _ in [()]" in source for source in sources)  # a grid walk, from validation
     assert [tok for source in sources for tok in _foreign_tokens(source)] == []
 
 

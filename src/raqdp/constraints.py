@@ -1316,14 +1316,13 @@ def _components(nnf: Constraint, names) -> list[tuple[list[str], Constraint]]:
             a = root[a]
         return a
 
-    conjuncts = nnf.items if isinstance(nnf, And) else (nnf,)
-    for conj in conjuncts:
-        heads = sorted({find(a) for a in constraint_attrs(conj)})
+    conjuncts = [(c, constraint_attrs(c)) for c in (nnf.items if isinstance(nnf, And) else (nnf,))]
+    for _, attrs in conjuncts:
+        heads = sorted({find(a) for a in attrs})
         for a in heads:
             root[a] = heads[0]
     groups: dict[object, tuple[list[str], list[Constraint]]] = {}
-    for conj in conjuncts:
-        attrs = constraint_attrs(conj)
+    for conj, attrs in conjuncts:
         groups.setdefault(find(min(attrs)) if attrs else conj, ([], []))[1].append(conj)
     for a in names:
         groups.setdefault(find(a), ([], []))[0].append(a)
@@ -1342,9 +1341,9 @@ def solution_count(
     grid = _finite_grid(nnf, box, schema, cap)
     if isinstance(grid, str):
         return grid
-    total = 1
+    total, visible = 1, set(schema.attr_names())
     for attrs, conj in _components(nnf, grid):
-        shown = tuple(a for a in attrs if a in schema.attr_names())
+        shown = tuple(a for a in attrs if a in visible)
         found = _solutions(conj, {a: grid[a] for a in attrs}, shown)
         # a group with no visible attribute counts 1 once it has a solution
         count = sum(1 for _ in itertools.islice(found, None if shown else 1))

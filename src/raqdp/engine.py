@@ -6,10 +6,10 @@ an `int` (equal and hash-equal to its `Fraction`), as in the solution grids
 of static analysis; so are the aggregate columns of product-agg and grouping.
 Loading validates each row against the schema's domains and check
 constraint, so evaluation can assume constraint-valid inputs. A CSV file is
-read in chunks of rows, each through one loop generated as Python source for
-the schema (`constraints.Codegen`) that converts the cells and tests the
-domains and the check constraint; a chunk that fails it is loaded again row by
-row, the one path that words violations. Types are checked when a schema is
+read in one pass, through one loop generated as Python source for the schema
+(`constraints.Codegen`) that converts the cells and tests the domains and the
+check constraint; a row that fails it is read again on its own, the one path
+that reads fractions and words violations. Types are checked when a schema is
 built and when a query is validated, never per row.
 
 A plan is compiled once (`compile_plan`, `compile_query`) into a function of
@@ -23,7 +23,6 @@ import csv
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable, Union as TUnion
 
 from .constraints import (
@@ -135,17 +134,15 @@ def _shown(v) -> str:
     return text if len(text) <= 20 else text[:20] + "..."
 
 
-_CHUNK = 256  # rows per generated chunk test: small chunks add little to peak memory
-
-
-def _chunk_loader(schema: ConstrainedSchema):
-    """load(rows): the tuples of a chunk of CSV rows when every row in it is
-    valid, else None; blank rows are skipped.
+def _csv_loader(schema: ConstrainedSchema):
+    """load(rows, bad): the tuples of the valid rows among CSV `rows`, which
+    are numbered from 1; blank rows are skipped, and every other row goes to
+    bad(label, row).
 
     One generated loop (`Codegen`) unpacks each row into its cells, turns each
     numeric cell into an `int` and strips each string cell, and tests each
     cell's domain and then the check constraint on the cells. A wrong number
-    of fields, or a numeric cell that `int` does not read, ends the loop too.
+    of fields, or a numeric cell that `int` does not read, refuses the row too.
     """
     names = schema.attr_names()
     cells = [f"c{i}" for i in range(len(names))]
@@ -157,16 +154,19 @@ def _chunk_loader(schema: ConstrainedSchema):
         f"\n            {c} = " + (f"int({c})" if d.is_numeric else f"{c}.strip()")
         for c, d in zip(cells, domains)
     )
-    row = ", ".join(cells) + ","
-    return gen.function(f"""def _f(rows):
+    unpacked = ", ".join(cells) + ","
+    return gen.function(f"""def _f(rows, bad):
     out = []
-    try:
-        for {row} in filter(None, rows):{convert}
-            if not ({test}):
-                return None
-            out.append(({row}))
-    except ValueError:
-        return None
+    for label, row in enumerate(rows, 1):
+        try:
+            {unpacked} = row{convert}
+            if {test}:
+                out.append(({unpacked}))
+                continue
+        except ValueError:
+            pass
+        if row:
+            bad(label, row)
     return out""")
 
 
@@ -188,73 +188,57 @@ def load_csv(schema: ConstrainedSchema, path: str) -> Relation:
     numbers count blank rows, which are skipped. A UTF-8 byte-order mark is
     skipped.
 
-    The file is read `_CHUNK` rows at a time, and each chunk goes through one
-    loop generated for the schema (`_chunk_loader`): every row must have the
-    schema's arity, each numeric cell must read as an `int`, and the cells
-    must lie in their domains and satisfy the check constraint. A chunk that
-    fails any of these, such as one with a cell like `3.0`, is loaded again
-    row by row (`_row_checker`), the one path that words violations. The
-    rows gather in a set that the relation's frozenset copies: a frozenset
-    built from a list instead would keep a hash table twice the size.
+    Every data row goes through one loop generated for the schema
+    (`_csv_loader`): the row must have the schema's arity, each numeric cell
+    must read as an `int`, and the cells must lie in their domains and satisfy
+    the check constraint. A row that fails any of these, such as one with a
+    cell like `3.0`, is read again on its own (`_number_parser`, then
+    `_row_checker`), the one path that reads fractions and words violations;
+    both are built at the first such row. The rows gather in a set that the
+    relation's frozenset copies: a frozenset built from a list instead would
+    keep a hash table twice the size.
     """
     names = schema.attr_names()
-    parsers = [_number_parser(a) if schema.domain(a).is_numeric else str for a in names]
-    load = _chunk_loader(schema)
-    check = None  # built when a chunk is first loaded row by row
+    parsers = check = None  # built when a row is first refused
     out = set()
     not_numbers: list[str] = []
     violations: list[str] = []
 
-    def by_row(chunk: list, first: int) -> None:
-        nonlocal check
-        check = check or _row_checker(schema)
-        for label, row in enumerate(chunk, first):
-            if not row:
-                continue
-            try:
-                cells = tuple([parse(text.strip()) for parse, text in zip(parsers, row)])
-            except ValueError as e:
-                not_numbers.append(f"row {label}: {e}")
-                continue
-            if len(row) > len(names):
-                cells = tuple(row)  # whole, so that the arity test refuses it
-            problem = check(label, cells)
-            if problem:
-                violations.append(problem)
-            else:
-                out.add(cells)
+    def bad(label: int, row: list) -> None:
+        nonlocal parsers, check
+        if check is None:
+            parsers = [_number_parser(a) if schema.domain(a).is_numeric else str for a in names]
+            check = _row_checker(schema)
+        try:
+            cells = tuple([parse(text.strip()) for parse, text in zip(parsers, row)])
+        except ValueError as e:
+            not_numbers.append(f"row {label}: {e}")
+            return
+        if len(row) > len(names):
+            cells = tuple(row)  # whole, so that the arity test refuses it
+        problem = check(label, cells)
+        if problem:
+            violations.append(problem)
+        else:
+            out.add(cells)
 
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = _csv_chunk(reader, path, 1)
-        if not header:
-            raise DataError(f"{path}: empty file", [])
-        if [h.strip() for h in header[0]] != list(names):
-            raise DataError(
-                f"{path}: header {header[0]} does not match schema attributes {list(names)}", []
-            )
-        done = 0
-        while chunk := _csv_chunk(reader, path, _CHUNK):
-            tuples = load(chunk)
-            if tuples is None:
-                by_row(chunk, done + 1)
-            else:
-                out.update(tuples)
-            done += len(chunk)
+        try:
+            header = next(reader, None)  # a blank header line is [], not None
+            if header is None:
+                raise DataError(f"{path}: empty file", [])
+            if [h.strip() for h in header] != list(names):
+                raise DataError(
+                    f"{path}: header {header} does not match schema attributes {list(names)}", []
+                )
+            out.update(_csv_loader(schema)(reader, bad))
+        except csv.Error as e:
+            raise DataError(f"{path}: line {reader.line_num}: {e}", []) from None
     violations = not_numbers + violations
     if violations:
         raise DataError(f"{path}: {len(violations)} invalid row(s)", violations)
     return Relation(schema, frozenset(out))
-
-
-def _csv_chunk(reader, path: str, size: int) -> list:
-    """The reader's next `size` rows (fewer at the end of the file); a row the
-    csv module cannot read, such as one with a cell over its field size
-    limit, is a DataError naming its line."""
-    try:
-        return list(islice(reader, size))
-    except csv.Error as e:
-        raise DataError(f"{path}: line {reader.line_num}: {e}", []) from None
 
 
 def value_key(v: Value):

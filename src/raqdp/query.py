@@ -457,11 +457,7 @@ class _SchemaBuilder:
             self._check_pinned(plan, plan.right)
         else:
             left, right = plan.left, plan.right
-        sl = self.schema_of(left)
-        sr = self.schema_of(right)
-        overlap = set(sl.attr_names()) & set(sr.attr_names())
-        if overlap:
-            raise ValidationError(f"product operands share attributes {sorted(overlap)}")
+        sl, sr = self._operand_schemas(left, right)
         sl = _rename_aux_conflicts(sl, set(sr.attr_names()))
         sr = _rename_aux_conflicts(sr, set(sl.attr_names()) | _aux_names(sl))
         return ConstrainedSchema(
@@ -471,6 +467,14 @@ class _SchemaBuilder:
             sl.aux + sr.aux,
         )
 
+    def _operand_schemas(self, left: Plan, right: Plan):
+        """The schemas of a product's operands, which share no attribute."""
+        sl, sr = self.schema_of(left), self.schema_of(right)
+        overlap = set(sl.attr_names()) & set(sr.attr_names())
+        if overlap:
+            raise ValidationError(f"product operands share attributes {sorted(overlap)}")
+        return sl, sr
+
     def _check_pinned(self, plan: Plan, pinned: Plan) -> None:
         """Warn when a restricted product's pinned side is not a base relation."""
         if not isinstance(pinned, Id):
@@ -478,11 +482,7 @@ class _SchemaBuilder:
 
     def _product_agg(self, plan: ProductAgg):
         self._check_pinned(plan, plan.right)
-        sl = self.schema_of(plan.left)
-        sr = self.schema_of(plan.right)
-        overlap = set(sl.attr_names()) & set(sr.attr_names())
-        if overlap:
-            raise ValidationError(f"product operands share attributes {sorted(overlap)}")
+        sl, sr = self._operand_schemas(plan.left, plan.right)
         fn = plan.fn
         col = agg_attr_name(fn)
         if col in sl.attr_names():

@@ -368,6 +368,42 @@ def test_dp_run_samples_mode(workspace, capsys):
     assert len(d["samples"]) == 50
 
 
+def test_dp_run_samples_table_prints_one_float_per_line(workspace, capsys):
+    argv = ["dp-run", str(workspace / "people.schema"), str(workspace / "avg.raq"),
+            "--data", f"People={workspace / 'people.csv'}",
+            "--epsilon", "1", "--seed", "3", "--samples", "3", "--format", "table"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert all(line == repr(float(line)) for line in lines)
+
+
+REFUSED_QUERY_SCHEMA = """relation R { a: int [0, 9]; b: int [0, 9]; count: int [0, 3] }
+relation T { a: int [0, 9]; c: int [0, 9] }
+relation U { d: int [0, 9] }"""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("count of project a, a from R", "duplicate attributes in projection"),
+        ("count of project zz from R", "projection of unknown attributes ['zz']"),
+        ("count of R productagg max(c) T", "product operands share attributes ['a']"),
+        ("count of R productagg count U",
+         "aggregate column 'count' collides with a left-operand attribute"),
+        ("count of group a, a agg count from R", "duplicate grouping attributes"),
+    ],
+    ids=["duplicate-projection", "unknown-projection", "productagg-shared",
+         "productagg-column", "duplicate-grouping"],
+)
+def test_analyze_refuses_a_malformed_plan_with_one_line(tmp_path, capsys, text, message):
+    schema = write(tmp_path, "r.schema", REFUSED_QUERY_SCHEMA)
+    query = write(tmp_path, "q.raq", text)
+    assert main(["analyze", schema, query]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_dp_run_statically_empty_release_prints_every_line(tmp_path, capsys):
     # gs is 0, so no noise is drawn and no sampler value is pinned
     schema = write(tmp_path, "s.schema", "relation R { a: int [0, 5] } check { a > 9 }")
@@ -1365,7 +1401,7 @@ def test_terms_nested_past_the_parser_limits_answer(
                     f"relation R {{ a: int [0, 10]; b: int [0, 10] }} check {{ {check.format(term)} }}")
     count = write(tmp_path, "count.raq", "count of R")
     valid = [row for row in NESTED_ROWS if holds(*row)]
-    # every chunk whole, then a chunk loaded again row by row for its "3.0"
+    # every row in the generated loop, then a row read again on its own for its "3.0"
     for extra in ("", "3.0,3\n"):
         data = _nested_csv(tmp_path, "valid.csv", valid, extra)
         assert cli_result(["run", checked, count, "--data", f"R={data}"]) == (0, loaded)

@@ -475,7 +475,18 @@ def test_load_csv_refuses_a_cell_over_the_field_limit(tmp_path):
         load_csv(schemas["R"], str(path))
 
 
-@pytest.mark.parametrize("before", [engine._CHUNK, 2 * engine._CHUNK + 300])
+def test_load_csv_tells_an_empty_file_from_a_blank_header_line(tmp_path):
+    schema = parse_schemas("relation R { a: int [0, 9] }")["R"]
+    for text, message in [("", "empty file"),
+                          ("\na\n1\n", "header [] does not match schema attributes ['a']")]:
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as exc:
+            load_csv(schema, str(path))
+        assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("before", [256, 812])
 def test_load_csv_names_the_line_of_an_over_limit_cell_past_the_first_chunk(tmp_path, before):
     schemas = parse_schemas("relation R { a: int [0, 9] }")
     path = tmp_path / "r.csv"
@@ -580,7 +591,7 @@ def test_aggregate_columns_hold_integral_values_as_int():
 
 
 # ---------------------------------------------------------------------------
-# Chunked CSV load against a plain row-by-row reference
+# The generated CSV loop against a plain row-by-row reference
 
 CHUNK_SCHEMA = """relation R {
   k: int [0, 20];
@@ -611,15 +622,13 @@ BAD_ROWS = [(0, "zz"), (1, "1/0"), (2, ""), (0, "nan"), (0, "21"), (0, "-1"), (0
             (4, "5"), (4, "inf"), (5, "-3"), (6, "0"), (6, "7/3"), ("long", "1"), ("long", "zz"), ("short", 1), ("short", 3)] + [("check", None)] * 3
 
 
-def _chunked_csv_case(rng: random.Random, check: str, chunk: int, bad_rows=None):
-    """A seeded CSV of two or more `chunk`-row chunks (two or three at the
-    real chunk size) of valid rows, blank lines and duplicates. In about half
-    the chunks, one row in twenty is spelled unusually or has a fraction in
-    a numeric column, which keeps its chunk off the plain `int` path; the
-    other rows hold ints, some padded with spaces, so that the other chunks
-    take it. With `bad_rows`, an iterator
-    over `BAD_ROWS`, each chunk holds one bad row, often its first or last,
-    so that no other bad row hides it."""
+def _chunked_csv_case(rng: random.Random, check: str, block: int, bad_rows=None):
+    """A seeded CSV of two or more `block`-row blocks of valid rows, blank
+    lines and duplicates. In about half the blocks, one row in twenty is
+    spelled unusually or has a fraction in a numeric column, which keeps it
+    off the plain `int` path; the other rows hold ints, some padded with
+    spaces, which take it. With `bad_rows`, an iterator over `BAD_ROWS`, each
+    block holds one bad row, often its first or last."""
     schema = parse_schemas(CHUNK_SCHEMA % check)["R"]
     satisfies = compile_constraint(schema.constraint, schema.attr_names())
     xs = [-5, Fraction(-5, 2), Fraction(-1, 4), 0, Fraction(1, 2), 3, 5]
@@ -658,15 +667,15 @@ def _chunked_csv_case(rng: random.Random, check: str, chunk: int, bad_rows=None)
         texts[where] = text
         return texts
 
-    n = rng.randint(chunk + 1, 2 * chunk + 200)
-    odd = [rng.choice([0.0, 0.05]) for _ in range(n // chunk + 1)]
-    lines = [row(odd=odd[i // chunk]) for i in range(n)]
+    n = rng.randint(block + 1, 2 * block + 200)
+    odd = [rng.choice([0.0, 0.05]) for _ in range(n // block + 1)]
+    lines = [row(odd=odd[i // block]) for i in range(n)]
     for _ in range(rng.randint(0, 5)):
         lines[rng.randrange(n)] = list(rng.choice(lines))  # a duplicate row
     for _ in range(rng.randint(0, 3)):
         lines.insert(rng.randrange(n), [])  # a blank line
-    for first in range(0, len(lines), chunk) if bad_rows else ():
-        last = min(len(lines), first + chunk) - 1
+    for first in range(0, len(lines), block) if bad_rows else ():
+        last = min(len(lines), first + block) - 1
         lines[rng.choice([first, last, rng.randint(first, last)])] = bad(*next(bad_rows))
     bom = "\ufeff" if rng.random() < 0.3 else ""
     return schema, bom + "k,x,m,s,y,z,n\n" + "".join(",".join(t) + "\n" for t in lines)
@@ -680,12 +689,11 @@ def _load_outcome(load, schema, path):
         return str(e), e.violations
 
 
-@pytest.mark.parametrize("chunk, cases", [(engine._CHUNK, 48), (8, 48)])
-def test_chunked_load_matches_the_row_by_row_reference(tmp_path, monkeypatch, chunk, cases):
-    """At the real chunk size, and at 8 rows, where a file has many chunks."""
+@pytest.mark.parametrize("chunk, cases", [(256, 48), (8, 48)])
+def test_chunked_load_matches_the_row_by_row_reference(tmp_path, chunk, cases):
+    """Files of 256-row blocks, and of 8-row blocks, where bad rows are dense."""
     from helpers import reference_load_csv
 
-    monkeypatch.setattr(engine, "_CHUNK", chunk)
     rng = random.Random(131_313 + chunk)
     bad_rows = itertools.cycle(rng.sample(BAD_ROWS, len(BAD_ROWS)))
     refused = 0
@@ -697,6 +705,25 @@ def test_chunked_load_matches_the_row_by_row_reference(tmp_path, monkeypatch, ch
         assert got == _load_outcome(reference_load_csv, schema, path), case
         refused += isinstance(got, tuple)
     assert refused == cases // 2
+
+
+def test_load_csv_reads_again_only_the_rows_the_generated_loop_refuses(tmp_path, monkeypatch):
+    """A `3.0` cell and a cell padded with U+001C, which `int` does not strip,
+    send their own rows to the row-by-row check, and no other row."""
+    checked = []
+    row_checker = engine._row_checker
+
+    def counting_checker(schema):
+        check = row_checker(schema)
+        return lambda label, cells: checked.append(label) or check(label, cells)
+
+    monkeypatch.setattr(engine, "_row_checker", counting_checker)
+    schema = parse_schemas("relation R { a: int [0, 999]; b: int [0, 9] }")["R"]
+    lines = [f"{i},{i % 10}" for i in range(1000)]
+    lines[103], lines[700] = "103,3.0", "\x1c700,0"
+    path = write_csv(tmp_path, "a,b\n" + "".join(line + "\n" for line in lines))
+    assert load_csv(schema, path).tuples == {(i, i % 10) for i in range(1000)}
+    assert checked == [104, 701]
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +739,8 @@ HOSTILE_SCHEMA = r"""relation R {
 GENERATED_NAMES = {
     "def", "return", "lambda", "and", "or", "not", "in", "for", "if", "try", "except",
     "True", "False", "None", "_make", "_f", "v", "db", "rows", "out", "append",
-    "filter", "int", "strip", "ValueError", "frozenset",
+    "enumerate", "label", "row", "int", "strip", "continue", "ValueError", "pass", "bad",
+    "frozenset",
     "_", "seen", "set", "add", "point",
 }
 GENERATED_OPS = {"(", ")", "[", "]", "{", "}", ":", ",", ".", "=",
@@ -752,7 +780,7 @@ def test_no_schema_or_query_text_reaches_compile(tmp_path, monkeypatch):
         csv.writer(out, lineterminator="\n").writerows([("a", "s"), *rows, *extra])
         return write_csv(tmp_path, out.getvalue(), name)
 
-    # whole chunks, and a chunk loaded again row by row for its "3.0"
+    # the generated loop alone, and a row read again on its own for its "3.0"
     assert load_csv(schema, path_of([], "chunk.csv")).tuples == frozenset(rows)
     assert load_csv(schema, path_of([("3.0", hostile)], "rows.csv")).tuples == frozenset(rows)
     with pytest.raises(DataError) as refused:
@@ -761,7 +789,7 @@ def test_no_schema_or_query_text_reaches_compile(tmp_path, monkeypatch):
     db = {"R": load_csv(schema, path_of([], "chunk.csv"))}
     query = parse_query("count of select s in {\"__import__('os')\", \"it's\"} or a * 2 > 15 from R")
     assert answer(validate(query, schemas), db) == 4 + 10 + 2 * 2
-    assert any("filter(None, rows)" in source for source in sources)  # the chunk loader
+    assert any("enumerate(rows, 1)" in source for source in sources)  # the CSV loop
     assert any("(db) if" in source for source in sources)  # the restriction
     assert any("for _ in [()]" in source for source in sources)  # a grid walk, from validation
     assert [tok for source in sources for tok in _foreign_tokens(source)] == []

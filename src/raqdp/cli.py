@@ -197,12 +197,17 @@ def cmd_dp_run(args) -> int:
     vq, db = _load(args)
     params = DpParams(parse_rational(args.epsilon, "epsilon"), args.seed)
     if args.samples is not None:
-        draws = sample_answers(vq, db, params, args.samples)
+        try:
+            draws = sample_answers(vq, db, params, args.samples)
+        except (MemoryError, OverflowError):  # raised before the first draw
+            raise ValueError(
+                f"--samples {args.samples} is more draws than memory can hold"
+            ) from None
         if args.format == "json":
-            print(json.dumps({"samples": [float(x) for x in draws]}))
+            print(json.dumps({"samples": draws}))
         else:
             for x in draws:
-                print(float(x))
+                print(x)
         return EXIT_OK
     result = dp_answer(vq, db, params)
     if args.format == "json":
@@ -262,7 +267,6 @@ _COMMANDS = {
 # One row per exit code: the exception classes that end a command with it.
 # An exact value beyond double range is a ValueError that names its field
 # (extmath.to_double); OverflowError stays for any other float overflow.
-# A count too large to allocate, such as `--samples 10**15`, is a MemoryError.
 _EXIT_CODES = (
     ((ParseError, SchemaError, ValidationError, EvalError, DataError,
       OSError, ValueError, ZeroDivisionError, OverflowError, MemoryError), EXIT_INPUT),

@@ -1240,22 +1240,28 @@ def _finite_grid(
     return reason or grid
 
 
-def _solutions(c: Constraint, grid: dict[str, list], visible: tuple) -> Iterator[tuple]:
-    """The grid's points that satisfy the constraint, projected onto the
-    visible attributes (a subsequence of the grid's keys), each the first
-    time it comes, in `itertools.product` order: one generated walk
-    (`_walk_source`) that tests each top-level conjunct as soon as its
-    attributes are bound (Haralick and Elliott 1980). A value or partial
-    point that fails a conjunct is in no solution, so the solutions are the
-    whole grid's, and the caps were taken on the unfiltered grid. The walk
-    checks no types: the constraint has passed `check_types` (`_prepared`).
+def _conjuncts(c: Constraint) -> list[tuple[Constraint, set[str]]]:
+    """The constraint's top-level conjuncts, each with its attributes."""
+    return [(conj, constraint_attrs(conj)) for conj in (c.items if isinstance(c, And) else (c,))]
+
+
+def _solutions(
+    conjuncts: list[tuple[Constraint, set[str]]], grid: dict[str, list], visible: tuple
+) -> Iterator[tuple]:
+    """The grid's points that satisfy every conjunct (`_conjuncts`), projected
+    onto the visible attributes (a subsequence of the grid's keys), each the
+    first time it comes, in `itertools.product` order: one generated walk
+    (`_walk_source`) that tests each conjunct as soon as its attributes are
+    bound (Haralick and Elliott 1980). A value or partial point that fails a
+    conjunct is in no solution, so the solutions are the whole grid's, and
+    the caps were taken on the unfiltered grid. The walk checks no types:
+    the constraint has passed `check_types` (`_prepared`).
     """
     names = tuple(grid)
     gen = Codegen("", _cells(names, "c{}"))
     gen.consts = list(grid.values())  # k0, k1, ... in grid order
     tests = []
-    for conj in c.items if isinstance(c, And) else (c,):
-        attrs = constraint_attrs(conj)
+    for conj, attrs in conjuncts:
         depth = max(map(names.index, attrs), default=-1)
         # `_emit` calls a subterm it splits off with the variables bound where it runs
         single = len(attrs) == 1
@@ -1301,14 +1307,15 @@ def iter_solutions(
     (`_solutions`); when the grid cannot be enumerated within the cap, the
     reason instead: 'infinite' or 'exceeds-cap' (`_finite_grid`)."""
     grid = _finite_grid(*_prepared(c, schema), schema, cap)
-    return grid if isinstance(grid, str) else _solutions(c, grid, schema.attr_names())
+    return grid if isinstance(grid, str) else _solutions(_conjuncts(c), grid, schema.attr_names())
 
 
-def _components(nnf: Constraint, names) -> list[tuple[list[str], Constraint]]:
+def _components(nnf: Constraint, names) -> list[tuple[list[str], list]]:
     """The NNF's top-level conjuncts in attribute-disjoint groups (a union-find),
-    each as (its attributes in `names` order, their conjunction). An attribute
-    no conjunct mentions is a group alone, and so is a conjunct that mentions
-    none; those come first, so a false one ends a count early."""
+    each as (its attributes in `names` order, its conjuncts as `_conjuncts`
+    gives them). An attribute no conjunct mentions is a group alone, and so is
+    a conjunct that mentions none; those come first, so a false one ends a
+    count early."""
     root = {a: a for a in names}
 
     def find(a: str) -> str:
@@ -1316,17 +1323,17 @@ def _components(nnf: Constraint, names) -> list[tuple[list[str], Constraint]]:
             a = root[a]
         return a
 
-    conjuncts = [(c, constraint_attrs(c)) for c in (nnf.items if isinstance(nnf, And) else (nnf,))]
+    conjuncts = _conjuncts(nnf)
     for _, attrs in conjuncts:
         heads = sorted({find(a) for a in attrs})
         for a in heads:
             root[a] = heads[0]
-    groups: dict[object, tuple[list[str], list[Constraint]]] = {}
+    groups: dict[object, tuple[list[str], list]] = {}
     for conj, attrs in conjuncts:
-        groups.setdefault(find(min(attrs)) if attrs else conj, ([], []))[1].append(conj)
+        groups.setdefault(find(min(attrs)) if attrs else conj, ([], []))[1].append((conj, attrs))
     for a in names:
         groups.setdefault(find(a), ([], []))[0].append(a)
-    return sorted(((a, make_and(c)) for a, c in groups.values()), key=lambda g: bool(g[0]))
+    return sorted(groups.values(), key=lambda g: bool(g[0]))
 
 
 def solution_count(
@@ -1342,9 +1349,9 @@ def solution_count(
     if isinstance(grid, str):
         return grid
     total, visible = 1, set(schema.attr_names())
-    for attrs, conj in _components(nnf, grid):
+    for attrs, conjuncts in _components(nnf, grid):
         shown = tuple(a for a in attrs if a in visible)
-        found = _solutions(conj, {a: grid[a] for a in attrs}, shown)
+        found = _solutions(conjuncts, {a: grid[a] for a in attrs}, shown)
         # a group with no visible attribute counts 1 once it has a solution
         count = sum(1 for _ in itertools.islice(found, None if shown else 1))
         if count == 0:
@@ -1382,7 +1389,7 @@ def attribute_bounds(
     nnf, box = _prepared(c, schema)
     grid = _finite_grid(nnf, box, schema, min(enum_cap, EXACT_GRID_BUDGET))
     if not isinstance(grid, str):
-        column = [v for v, in _solutions(c, grid, (attr,))]
+        column = [v for v, in _solutions(_conjuncts(c), grid, (attr,))]
         if not column:
             return Bounds.make_empty()
         return Bounds(Fraction(min(column)), Fraction(max(column)))  # grid values may be int

@@ -4,12 +4,15 @@ Noise is drawn through the inverse CDF: for u uniform on (0, 1),
 
     z = -b * sign(u - 1/2) * ln(1 - 2|u - 1/2|)
 
-has the Laplace density (1/(2b)) * exp(-|z|/b). Sampling uses numpy's
-seedable PCG64 generator so every run is reproducible from its seed. numpy
-is imported by the functions that draw noise, not by this module, so a
-process that only analyses, evaluates or validates never loads it. This is
-a floating-point mechanism - not hardened against bit-level leakage; the
-answer record carries that note verbatim.
+has the Laplace density (1/(2b)) * exp(-|z|/b). u comes from a seeded
+PCG64 stream (O'Neill 2014: a 128-bit linear congruential generator whose
+output permutation is XSL-RR), written here in Python integers so that a
+release loads only the standard library. The stream reproduces numpy's
+`Generator(PCG64(seed)).random()` bit for bit, seeding included
+(`SeedSequence`), so every run is reproducible from its seed and a
+release record names its generator "pcg64". This is a floating-point
+mechanism - not hardened against bit-level leakage; the answer record
+carries that note verbatim.
 """
 
 from __future__ import annotations
@@ -17,16 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .analyzer import SensitivityReport, global_sensitivity
 from .engine import Relation, answer
 from .errors import UnboundedSensitivityError
 from .extmath import Ext, is_infinite, to_double
 from .query import ValidatedQuery
-
-if TYPE_CHECKING:
-    import numpy as np
 
 RNG_NAME = "pcg64"
 MECHANISM_NOTE = "floating-point mechanism - not hardened"
@@ -70,13 +69,85 @@ class DpAnswer:
         }
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    import numpy as np
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
-    return np.random.Generator(np.random.PCG64(seed))
+
+def _seed_pool(seed: int) -> list[int]:
+    """numpy's `SeedSequence(seed).pool`: the seed's 32-bit words, lowest
+    first, hash-mixed into four 32-bit words."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    words = [seed & _M32]
+    while seed := seed >> 32:
+        words.append(seed & _M32)
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:  # a seed of 2^128 or more
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
 
 
-def laplace_sample(rng: np.random.Generator, scale: float) -> float:
+def _pool_state(pool: list[int]) -> list[int]:
+    """numpy's `SeedSequence.generate_state(4, np.uint64)`: eight hashed
+    32-bit words, paired into 64-bit words low half first."""
+    hash_const, out = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * hash_const & _M32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class _Pcg64:
+    """numpy's PCG64 bit generator, seeded as `PCG64(seed)` seeds it, with
+    `random()` returning what `numpy.random.Generator.random()` returns."""
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, seed: int):
+        w0, w1, w2, w3 = _pool_state(_seed_pool(seed))
+        self.inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+        # PCG's srandom: from state 0 take a step (giving inc), add the
+        # initial state, take another step
+        self.state = ((self.inc + (w0 << 64 | w1)) * _PCG_MULT + self.inc) & _M128
+
+    def random(self) -> float:
+        """A double uniform on [0, 1): the top 53 bits of the next output."""
+        self.state = state = (self.state * _PCG_MULT + self.inc) & _M128
+        rot = state >> 122
+        x = (state >> 64 ^ state) & _M64
+        return (((x >> rot | x << 64 - rot) & _M64) >> 11) * 2.0**-53
+
+
+def make_rng(seed: int) -> _Pcg64:
+    """The noise stream seeded by `seed` (a non-negative integer)."""
+    return _Pcg64(seed)
+
+
+def laplace_sample(rng: _Pcg64, scale: float) -> float:
     """One Laplace(0, scale) draw via the inverse CDF."""
     u = rng.random()
     while u == 0.0:  # keep u in the open interval (0, 1)
@@ -86,17 +157,9 @@ def laplace_sample(rng: np.random.Generator, scale: float) -> float:
     return -scale * math.copysign(1.0, half) * math.log1p(-2.0 * abs(half))
 
 
-def laplace_samples(rng: np.random.Generator, scale: float, n: int) -> np.ndarray:
+def laplace_samples(rng: _Pcg64, scale: float, n: int) -> list[float]:
     """n independent Laplace(0, scale) draws from one stream."""
-    import numpy as np
-
-    u = rng.random(n)
-    zero = u == 0.0
-    while zero.any():
-        u[zero] = rng.random(int(zero.sum()))
-        zero = u == 0.0
-    half = u - 0.5
-    return -scale * np.sign(half) * np.log1p(-2.0 * np.abs(half))
+    return [laplace_sample(rng, scale) for _ in range(n)]
 
 
 def _release(
@@ -139,11 +202,15 @@ def dp_answer(vq: ValidatedQuery, db: dict[str, Relation], params: DpParams) -> 
 
 def sample_answers(
     vq: ValidatedQuery, db: dict[str, Relation], params: DpParams, n: int
-) -> np.ndarray:
-    """n noisy releases from one seeded stream, for distribution checks."""
+) -> list[float]:
+    """n noisy releases from one seeded stream, for distribution checks; the
+    first is `dp_answer`'s release at the same seed. The list is allocated
+    before the first draw, so a count too large to hold fails at once
+    (MemoryError, or OverflowError past the index range)."""
     _, true_value, scale = _release(vq, db, params)
-    if scale is None:
-        import numpy as np
-
-        return np.full(n, true_value)
-    return true_value + laplace_samples(make_rng(params.seed), scale, n)
+    draws = [true_value] * n
+    if scale is not None:
+        rng = make_rng(params.seed)
+        for i in range(n):
+            draws[i] += laplace_sample(rng, scale)
+    return draws

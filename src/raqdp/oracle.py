@@ -155,16 +155,16 @@ def _databases(universe: Universe, kept: list[list]):
     A packed index holds one bit per read tuple. Relation i's mask over its
     read tuples sits in its bits, relation 0 in the most significant ones, so
     the order is that of the masks' product. Each relation is built once per
-    mask.
+    mask, its tuple sets by doubling: the sets with bit j are those without
+    it, each with tuple j added, appended in mask order.
     """
     names = [sr.name for sr in universe.sensitive]
-    options = [
-        [
-            Relation(sr.schema, frozenset(t for j, t in enumerate(tuples) if mask >> j & 1))
-            for mask in range(1 << len(tuples))
-        ]
-        for sr, tuples in zip(universe.sensitive, kept)
-    ]
+    options = []
+    for sr, tuples in zip(universe.sensitive, kept):
+        sets = [frozenset()]
+        for t in tuples:
+            sets += [s | {t} for s in sets]
+        options.append([Relation(sr.schema, s) for s in sets])
     base = universe.context_db()
     for chosen in itertools.product(*options):
         db = dict(zip(names, chosen))

@@ -337,8 +337,8 @@ def test_empirical_privacy_histogram():
 
         n = 10**6
         vq = validate(tq, schemas)
-        a = sample_answers(vq, db_small, DpParams(Fraction(eps), 101), n)
-        b = sample_answers(vq, db_big, DpParams(Fraction(eps), 202), n)
+        a = np.asarray(sample_answers(vq, db_small, DpParams(Fraction(eps), 101), n))
+        b = np.asarray(sample_answers(vq, db_big, DpParams(Fraction(eps), 202), n))
 
         scale = 1.0 / eps
         lo, hi = 2 - 5 * scale, 3 + 5 * scale
@@ -361,7 +361,7 @@ def test_empirical_privacy_histogram():
 
 def test_laplace_distribution():
     with criterion(8, "noise mean/variance/KS within pinned tolerances"):
-        x = laplace_samples(make_rng(20240816), 1.0, 10**6)
+        x = np.asarray(laplace_samples(make_rng(20240816), 1.0, 10**6))
         assert abs(float(x.mean())) < 0.01
         assert abs(float(x.var()) - 2.0) < 0.05
         stat = scipy.stats.kstest(x, lambda t: laplace_cdf(t, 1.0))

@@ -994,8 +994,8 @@ def test_input_errors_name_the_field(tmp_path, monkeypatch, capsys, argv, field)
 
 
 # ---------------------------------------------------------------------------
-# a standard output whose reader has gone; numpy only where noise is drawn,
-# each checked on a separate interpreter
+# a standard output whose reader has gone; no command loads numpy, each
+# checked on a separate interpreter
 
 
 def _deep_union(depth: int) -> str:
@@ -1099,7 +1099,7 @@ def _probe(cwd, commands: list) -> dict:
     return json.loads(proc.stdout)
 
 
-def test_numpy_is_loaded_only_when_noise_is_drawn(workspace):
+def test_no_command_loads_numpy(workspace):
     for name, text in CLOSED_STDOUT_FILES.items():
         (workspace / name).write_text(text)
     people = ["people.schema", "avg.raq", "--data", "People=people.csv"]
@@ -1107,6 +1107,7 @@ def test_numpy_is_loaded_only_when_noise_is_drawn(workspace):
         ["analyze", "people.schema", "avg.raq"],
         ["run", *people],
         ["validate", "rtu.schema", "count.raq"],
+        ["dp-run", *people, "--epsilon", "1/2", "--seed", "7", "--samples", "3"],
         # the README's release
         ["dp-run", *people, "--epsilon", "1/2", "--seed", "7"],
     ]
@@ -1116,7 +1117,8 @@ def test_numpy_is_loaded_only_when_noise_is_drawn(workspace):
         ["analyze", 0, False],
         ["run", 0, False],
         ["validate", 0, False],
-        ["dp-run", 0, True],
+        ["dp-run", 0, False],
+        ["dp-run", 0, False],
     ]
     assert json.loads(result["last_out"])["noisy_value"] == 78.79366824746074
 
@@ -1180,12 +1182,13 @@ def test_each_command_validates_once(tiny, monkeypatch, capsys, command, options
 
 
 def test_sample_count_too_large_to_allocate_exits_2(tiny, capsys):
-    # 10^15 float64 draws need 8 PB, past any address space, so numpy refuses
-    # the allocation before it takes any memory
-    assert main(tiny_argv(tiny, "dp-run", "--samples", str(10**15))) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    # a list of 10^15 draws needs 8 PB, past any address space, so it is
+    # refused before it takes any memory; 10^30 is past the index range
+    for count in (10**15, 10**30):
+        assert main(tiny_argv(tiny, "dp-run", "--samples", str(count))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --samples {count} is more draws than memory can hold\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1294,7 +1297,7 @@ _COUNTS = (st.integers(0, 4) | st.integers(min_value=0, max_value=10**30)).map(s
 def _values(option: str, root):
     """Values for an option: mostly ones it accepts, else anything."""
     if option == "--samples":
-        # a sample count that numpy could actually grant would allocate it
+        # a sample count that memory could actually hold would be drawn
         anything = st.integers(min_value=-(10**30), max_value=1000).map(str) | _WORDS.filter(
             lambda text: not _is_int(text)
         )

@@ -993,3 +993,19 @@ def test_product_diameter_counts_each_operand_alone(monkeypatch):
     # both operands' grids once for their own nodes and once for the product:
     # the whole product grid is 10^6 points
     assert runs <= 4_000
+
+
+def test_a_count_derives_each_conjuncts_attributes_once(monkeypatch):
+    schema = parse_schemas("relation R { a0: num in {1, 3/2, 4, 7} } check { a0 <= 4 }")["R"]
+    derive = constraints.constraint_attrs
+    calls = 0
+
+    def counting(c):
+        nonlocal calls
+        calls += 1
+        return derive(c)
+
+    monkeypatch.setattr(constraints, "constraint_attrs", counting)
+    # the grouping (`_components`) derives them, and the walk reuses them
+    assert {solution_count(schema.constraint, schema) for _ in range(20_000)} == {3}
+    assert calls == 20_000

@@ -27,9 +27,15 @@ class TopRecord:
     delta_f: Ext
 
 
+def _double(x: Ext, name: str) -> float | None:
+    """x as a double, or None (JSON null) when x is infinite: JSON has no
+    infinity."""
+    return None if is_infinite(x) else to_double(x, name)
+
+
 def _exact(key: str, x: Ext) -> dict:
     """A number as exact text under `key` and as a double under `key`_float."""
-    return {key: format_ext(x), f"{key}_float": to_double(x, key)}
+    return {key: format_ext(x), f"{key}_float": _double(x, key)}
 
 
 @dataclass(frozen=True)
@@ -50,8 +56,8 @@ class SensitivityReport:
             top["bounds"] = {
                 "lo": format_ext(b.lower),
                 "hi": format_ext(b.upper),
-                "lo_float": to_double(b.lower, "bounds.lo"),
-                "hi_float": to_double(b.upper, "bounds.hi"),
+                "lo_float": _double(b.lower, "bounds.lo"),
+                "hi_float": _double(b.upper, "bounds.hi"),
             }
         else:
             top["bounds"] = None

@@ -310,47 +310,29 @@ _CMP_COMPLEMENT = {"<=": ">", ">=": "<", "<": ">=", ">": "<=", "=": "!=", "!=": 
 
 
 def make_and(items) -> Constraint:
-    flat: list[Constraint] = []
-    for c in items:
-        if c == TRUE:
-            continue
-        if c == FALSE:
-            return FALSE
-        if isinstance(c, And):
-            flat.extend(c.items)
-        else:
-            flat.append(c)
-    if not flat:
-        return TRUE
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+    return _flat(items, And, TRUE, FALSE)
 
 
 def make_or(items) -> Constraint:
+    return _flat(items, Or, FALSE, TRUE)
+
+
+def _flat(items, cls, unit: BoolConst, zero: BoolConst) -> Constraint:
+    """The `cls` (And or Or) of `items`, nested ones flattened: `unit` items
+    are dropped, a `zero` item is the result, and one item stands alone."""
     flat: list[Constraint] = []
     for c in items:
-        if c == FALSE:
+        if c == unit:
             continue
-        if c == TRUE:
-            return TRUE
-        if isinstance(c, Or):
+        if c == zero:
+            return zero
+        if isinstance(c, cls):
             flat.extend(c.items)
         else:
             flat.append(c)
-    if not flat:
-        return FALSE
     if len(flat) == 1:
         return flat[0]
-    return Or(tuple(flat))
-
-
-def conjoin(a: Constraint, b: Constraint) -> Constraint:
-    return make_and([a, b])
-
-
-def disjoin(a: Constraint, b: Constraint) -> Constraint:
-    return make_or([a, b])
+    return cls(tuple(flat)) if flat else unit
 
 
 def normalize(c: Constraint) -> Constraint:
@@ -862,10 +844,6 @@ class _Box:
                     st[0], st[1], st[2], st[3] = kept[0], kept[-1], False, False
         return changed
 
-    def interval_of(self, attr: str) -> tuple[Ext, Ext, bool, bool]:
-        lo, hi, lo_open, hi_open = self.nums[attr]
-        return lo, hi, lo_open, hi_open
-
     def intersect(self, other: "_Box") -> None:
         for a, st in self.nums.items():
             o = other.nums[a]
@@ -890,7 +868,7 @@ def _sum_extreme(coeffs: dict[str, int | Fraction], box: _Box, skip: str, minimu
     for a, c in coeffs.items():
         if a == skip:
             continue
-        lo, hi, lo_open, hi_open = box.interval_of(a)
+        lo, hi, lo_open, hi_open = box.nums[a]
         want_low = (c > 0) == minimum
         end, is_open = (lo, lo_open) if want_low else (hi, hi_open)
         if is_infinite(end):
@@ -1017,7 +995,7 @@ def _apply_inset(box: _Box, atom: InSet) -> bool | None:
         return False
     if not vals:
         return None
-    interval = box.interval_of(a)
+    interval = box.nums[a]
     inside = [v for v in vals if _within(v, *interval)]
     if not inside:
         box.nums[a][0], box.nums[a][1] = 1, 0
@@ -1092,22 +1070,22 @@ def dnf_branches(nnf: Constraint, cap: int = DEFAULT_DNF_CAP) -> list[list[Const
     return rec(nnf)
 
 
-def _struct_box(c: Constraint, schema: ConstrainedSchema, seed: _Box | None = None) -> _Box | None:
+def _struct_box(c: Constraint, schema: ConstrainedSchema) -> _Box | None:
     """Sound per-attribute box for an NNF constraint without full DNF expansion."""
     if isinstance(c, BoolConst):
         if not c.value:
             return None
-        return narrow([], schema, seed)
+        return narrow([], schema)
     if isinstance(c, (Cmp, InSet)):
-        return narrow([c], schema, seed)
+        return narrow([c], schema)
     if isinstance(c, Or):
-        return _hull(_struct_box(child, schema, seed) for child in c.items)
+        return _hull(_struct_box(child, schema) for child in c.items)
     if isinstance(c, And):
         atoms = [x for x in c.items if isinstance(x, (Cmp, InSet, BoolConst))]
         complexes = [x for x in c.items if not isinstance(x, (Cmp, InSet, BoolConst))]
-        box = (seed if seed is not None else schema._box).copy()
+        box = schema._box.copy()
         for child in complexes:
-            sub = _struct_box(child, schema, seed)
+            sub = _struct_box(child, schema)
             if sub is None:
                 return None
             box.intersect(sub)
@@ -1208,17 +1186,17 @@ def _finite_grid(
         if dom.kind is DomainKind.STR_SET:
             values = sorted(box.strs[a])
         elif dom.kind is DomainKind.NUM_SET:
-            interval = box.interval_of(a)
+            interval = box.nums[a]
             values = [v for v in box.numset_members[a] if _within(v, *interval)]
         elif dom.kind is DomainKind.INT_RANGE:
-            lo, hi, _, _ = box.interval_of(a)
+            lo, hi, _, _ = box.nums[a]
             lo_i, hi_i = math.ceil(lo), math.floor(hi)
             if hi_i - lo_i + 1 > cap:
                 reason = reason or "exceeds-cap"
                 continue
             values = list(range(lo_i, hi_i + 1))
         else:  # REAL_RANGE
-            lo, hi, lo_open, hi_open = box.interval_of(a)
+            lo, hi, lo_open, hi_open = box.nums[a]
             if lo == hi and not lo_open and not hi_open:
                 values = [lo]
             else:
@@ -1398,7 +1376,7 @@ def attribute_bounds(
         box = _hull(narrow(branch, schema) for branch in branches)
         if box is None:
             return Bounds.make_empty()
-    lo, hi, lo_open, hi_open = box.interval_of(attr)
+    lo, hi, lo_open, hi_open = box.nums[attr]
     return Bounds(_fraction(lo), _fraction(hi), lo_open, hi_open)
 
 

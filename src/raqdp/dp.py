@@ -10,7 +10,9 @@ output permutation is XSL-RR), written here in Python integers so that a
 release loads only the standard library. The stream reproduces numpy's
 `Generator(PCG64(seed)).random()` bit for bit, seeding included
 (`SeedSequence`), so every run is reproducible from its seed and a
-release record names its generator "pcg64". This is a floating-point
+release record names its generator "pcg64". A release and a run of
+`--samples` are drawn by one loop (`_release`), so the first of n draws is
+the release at the same seed. This is a floating-point
 mechanism - not hardened against bit-level leakage; the answer record
 carries that note verbatim.
 """
@@ -51,10 +53,10 @@ class DpAnswer:
     gs_used: Ext
     epsilon: Fraction
     seed: int
-    rng_name: str = RNG_NAME
-    note: str = MECHANISM_NOTE
-    true_value_withheld: bool = True
     warnings: tuple = ()
+    rng_name = RNG_NAME
+    note = MECHANISM_NOTE
+    true_value_withheld = True
 
     def to_json_dict(self) -> dict:
         return {
@@ -163,9 +165,11 @@ def laplace_samples(rng: _Pcg64, scale: float, n: int) -> list[float]:
 
 
 def _release(
-    vq: ValidatedQuery, db: dict[str, Relation], params: DpParams
-) -> tuple[SensitivityReport, float, float | None]:
-    """The report, the exact answer and the noise scale (None when gs is 0)."""
+    vq: ValidatedQuery, db: dict[str, Relation], params: DpParams, n: int
+) -> tuple[SensitivityReport, list[float]]:
+    """The report and n releases from one seeded stream (no noise when gs is
+    0), in a list allocated before the first draw, so a count too large to
+    hold fails at once (MemoryError, or OverflowError past the index range)."""
     report = global_sensitivity(vq)
     if is_infinite(report.gs):
         raise UnboundedSensitivityError(
@@ -173,24 +177,25 @@ def _release(
         )
     true_value = to_double(answer(vq, db), "answer")
     if report.gs == 0:
-        return report, true_value, None
+        return report, [true_value] * n
     scale = to_double(report.gs, "gs") / to_double(params.epsilon, "epsilon")
     if math.isinf(scale):
         raise ValueError("the noise scale gs/epsilon is too large for double precision")
-    return report, true_value, scale
+    draws = [true_value] * n
+    rng = make_rng(params.seed)
+    for i in range(n):
+        draws[i] += laplace_sample(rng, scale)
+    return report, draws
 
 
 def dp_answer(vq: ValidatedQuery, db: dict[str, Relation], params: DpParams) -> DpAnswer:
     """Evaluate the validated query exactly, then release it with calibrated noise."""
-    report, true_value, scale = _release(vq, db, params)
+    report, (noisy,) = _release(vq, db, params, 1)
     warnings = list(report.warnings)
-    if scale is None:
+    if report.gs == 0:
         warnings.append(
             "sensitivity is zero; the exact answer is released without noise"
         )
-        noisy = true_value
-    else:
-        noisy = true_value + laplace_sample(make_rng(params.seed), scale)
     return DpAnswer(
         noisy_value=noisy,
         gs_used=report.gs,
@@ -204,13 +209,5 @@ def sample_answers(
     vq: ValidatedQuery, db: dict[str, Relation], params: DpParams, n: int
 ) -> list[float]:
     """n noisy releases from one seeded stream, for distribution checks; the
-    first is `dp_answer`'s release at the same seed. The list is allocated
-    before the first draw, so a count too large to hold fails at once
-    (MemoryError, or OverflowError past the index range)."""
-    _, true_value, scale = _release(vq, db, params)
-    draws = [true_value] * n
-    if scale is not None:
-        rng = make_rng(params.seed)
-        for i in range(n):
-            draws[i] += laplace_sample(rng, scale)
-    return draws
+    first is `dp_answer`'s release at the same seed."""
+    return _release(vq, db, params, n)[1]

@@ -3,13 +3,15 @@
 Relations are frozen sets of value tuples; every value is an exact rational
 or a string, held as `constraints.held_value` holds it: an integral value is
 an `int` (equal and hash-equal to its `Fraction`), as in the solution grids
-of static analysis; so are the aggregate columns of product-agg and grouping.
-Loading validates each row against the schema's domains and check
+of static analysis; so are the aggregate columns of product-agg and grouping,
+and the value `compile_query` returns (`answer` and `apply_agg` make it a
+`Fraction`). Loading validates each row against the schema's domains and check
 constraint, so evaluation can assume constraint-valid inputs. A CSV file is
 read in one pass, through one loop generated as Python source for the schema
 (`constraints.Codegen`) that converts the cells and tests the domains and the
-check constraint; a row that fails it is read again on its own, the one path
-that reads fractions and words violations. Types are checked when a schema is
+check constraint; the rows that fail it are read again by the row check of
+`Relation.from_rows` (`_checked`), the one path that reads fractions and
+words violations. Types are checked when a schema is
 built and when a query is validated, never per row.
 
 A plan is compiled once (`compile_plan`, `compile_query`) into a function of
@@ -23,13 +25,15 @@ import csv
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union as TUnion
+from typing import Iterable
 
 from .constraints import (
     Bounds,
     Codegen,
     ConstrainedSchema,
     Domain,
+    _held_number,
+    _quotient,
     compile_constraint,
     held_value,
 )
@@ -53,9 +57,6 @@ from .query import (
     default_aggregate,
 )
 
-Value = TUnion[int, Fraction, str]
-
-
 @dataclass(frozen=True)
 class Relation:
     schema: ConstrainedSchema
@@ -66,21 +67,14 @@ class Relation:
 
     @classmethod
     def from_rows(cls, schema: ConstrainedSchema, rows: Iterable) -> "Relation":
-        check = _row_checker(schema)
-        out = set()
-        violations: list[str] = []
-        for i, row in enumerate(rows):
-            cells = tuple(map(held_value, row))
-            problem = check(i + 1, cells)
-            if problem:
-                violations.append(problem)
-            else:
-                out.add(cells)
+        """The relation of `rows`, numbered from 1; each invalid row is worded (`_checked`)."""
+        cells = ((i, tuple(map(held_value, row))) for i, row in enumerate(rows, 1))
+        tuples, violations = _checked(schema, cells)
         if violations:
             raise DataError(
                 f"{len(violations)} invalid row(s) for relation {schema.name!r}", violations
             )
-        return cls(schema, frozenset(out))
+        return cls(schema, frozenset(tuples))
 
 
 def _number_parser(attr: str):
@@ -127,6 +121,20 @@ def _row_checker(schema: ConstrainedSchema):
     return check
 
 
+def _checked(schema: ConstrainedSchema, rows: Iterable) -> tuple[set, list[str]]:
+    """The valid tuples of (label, cells) `rows` and the violation lines of
+    the others (`_row_checker`), in row order."""
+    check = _row_checker(schema)
+    tuples, violations = set(), []
+    for label, cells in rows:
+        problem = check(label, cells)
+        if problem:
+            violations.append(problem)
+        else:
+            tuples.add(cells)
+    return tuples, violations
+
+
 def _shown(v) -> str:
     """A value as a violation echoes it: its first 20 characters and `...`
     when it is longer."""
@@ -137,7 +145,7 @@ def _shown(v) -> str:
 def _csv_loader(schema: ConstrainedSchema):
     """load(rows, bad): the tuples of the valid rows among CSV `rows`, which
     are numbered from 1; blank rows are skipped, and every other row goes to
-    bad(label, row).
+    bad((label, row)).
 
     One generated loop (`Codegen`) unpacks each row into its cells, turns each
     numeric cell into an `int` and strips each string cell, and tests each
@@ -166,7 +174,7 @@ def _csv_loader(schema: ConstrainedSchema):
         except ValueError:
             pass
         if row:
-            bad(label, row)
+            bad((label, row))
     return out""")
 
 
@@ -191,37 +199,15 @@ def load_csv(schema: ConstrainedSchema, path: str) -> Relation:
     Every data row goes through one loop generated for the schema
     (`_csv_loader`): the row must have the schema's arity, each numeric cell
     must read as an `int`, and the cells must lie in their domains and satisfy
-    the check constraint. A row that fails any of these, such as one with a
-    cell like `3.0`, is read again on its own (`_number_parser`, then
-    `_row_checker`), the one path that reads fractions and words violations;
-    both are built at the first such row. The rows gather in a set that the
+    the check constraint. The rows that fail any of these, such as one with a
+    cell like `3.0`, are collected and read again: their numbers are parsed
+    (`_number_parser`), then the row check of `Relation.from_rows`
+    (`_checked`) words their violations. The rows gather in a set that the
     relation's frozenset copies: a frozenset built from a list instead would
     keep a hash table twice the size.
     """
     names = schema.attr_names()
-    parsers = check = None  # built when a row is first refused
-    out = set()
-    not_numbers: list[str] = []
-    violations: list[str] = []
-
-    def bad(label: int, row: list) -> None:
-        nonlocal parsers, check
-        if check is None:
-            parsers = [_number_parser(a) if schema.domain(a).is_numeric else str for a in names]
-            check = _row_checker(schema)
-        try:
-            cells = tuple([parse(text.strip()) for parse, text in zip(parsers, row)])
-        except ValueError as e:
-            not_numbers.append(f"row {label}: {e}")
-            return
-        if len(row) > len(names):
-            cells = tuple(row)  # whole, so that the arity test refuses it
-        problem = check(label, cells)
-        if problem:
-            violations.append(problem)
-        else:
-            out.add(cells)
-
+    refused: list[tuple[int, list]] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -232,21 +218,31 @@ def load_csv(schema: ConstrainedSchema, path: str) -> Relation:
                 raise DataError(
                     f"{path}: header {header} does not match schema attributes {list(names)}", []
                 )
-            out.update(_csv_loader(schema)(reader, bad))
+            out = set(_csv_loader(schema)(reader, refused.append))
         except csv.Error as e:
             raise DataError(f"{path}: line {reader.line_num}: {e}", []) from None
-    violations = not_numbers + violations
+    violations: list[str] = []
+    if refused:
+        parsers = [_number_parser(a) if schema.domain(a).is_numeric else str for a in names]
+        parsed = []
+        for label, row in refused:
+            try:
+                cells = tuple([parse(text.strip()) for parse, text in zip(parsers, row)])
+            except ValueError as e:
+                violations.append(f"row {label}: {e}")
+                continue
+            # a row too long is checked whole, so that the arity test refuses it
+            parsed.append((label, tuple(row) if len(row) > len(names) else cells))
+        tuples, problems = _checked(schema, parsed)
+        out.update(tuples)
+        violations += problems
     if violations:
         raise DataError(f"{path}: {len(violations)} invalid row(s)", violations)
     return Relation(schema, frozenset(out))
 
 
-def value_key(v: Value):
-    return (1, v) if isinstance(v, str) else (0, v)
-
-
 def tuple_key(t: tuple):
-    return tuple(value_key(v) for v in t)
+    return tuple((1, v) if isinstance(v, str) else (0, v) for v in t)
 
 
 # ---------------------------------------------------------------------------
@@ -256,25 +252,23 @@ def tuple_key(t: tuple):
 def apply_agg(fn: AggFn, relation: Relation, bounds: Bounds | None = None) -> Fraction:
     """Totalized aggregation: an empty input takes the default for the
     aggregated attribute's value range `bounds` (see `default_aggregate`)."""
-    return _compile_agg(fn, relation.schema, bounds)(relation.tuples)
+    return Fraction(_compile_agg(fn, relation.schema, bounds)(relation.tuples))
 
 
 def _compile_agg(fn: AggFn, schema: ConstrainedSchema, bounds: Bounds | None = None):
-    """agg(tuples): `apply_agg` over tuples laid out as `schema`.
-
-    Cells may be int: each result is made a Fraction once, at the end.
-    """
-    empty = default_aggregate(fn, bounds)
+    """agg(tuples): `apply_agg` over tuples laid out as `schema`, held as
+    `held_value` holds a cell (an int when integral), as the cells are."""
     if fn.kind == "count":
-        return lambda tuples: Fraction(len(tuples)) if tuples else empty
+        return len  # the default count of an empty input is 0 too
+    empty = held_value(default_aggregate(fn, bounds))
     idx, kind = schema.index(fn.attr), fn.kind
     fold = {"max": max, "min": min, "sum": sum, "avg": sum}[kind]
 
-    def agg(tuples) -> Fraction:
+    def agg(tuples):
         if not tuples:
             return empty
         total = fold([t[idx] for t in tuples])
-        return Fraction(total, len(tuples)) if kind == "avg" else Fraction(total)
+        return _quotient(total, len(tuples)) if kind == "avg" else _held_number(total)
 
     return agg
 
@@ -358,7 +352,7 @@ def _compile_node(plan: Plan, vq: ValidatedQuery, trace: list | None):
         agg = _compile_agg(plan.fn, vq.nodes[plan.right].schema, vq.nodes[plan].bounds)
 
         def product_agg(db) -> frozenset:
-            value = (held_value(agg(right(db))),)
+            value = (agg(right(db)),)
             return frozenset(l + value for l in left(db))
 
         return product_agg
@@ -373,7 +367,7 @@ def _compile_node(plan: Plan, vq: ValidatedQuery, trace: list | None):
             for t in source(db):
                 groups.setdefault(key(t), []).append(t)
             return frozenset(
-                k + tuple(held_value(agg(ts)) for agg in aggs) for k, ts in groups.items()
+                k + tuple(agg(ts) for agg in aggs) for k, ts in groups.items()
             )
 
         return group
@@ -401,15 +395,14 @@ _BINARY = {
 }
 
 
-def eval_plan(
-    plan: Plan, db: dict[str, Relation], vq: ValidatedQuery, *, trace: list | None = None
-) -> Relation:
+def eval_plan(plan: Plan, db: dict[str, Relation], vq: ValidatedQuery) -> Relation:
     """The output over `db` of `plan`, a node of the validated query `vq`."""
-    return Relation(vq.nodes[plan].schema, compile_plan(plan, vq, trace)(db))
+    return Relation(vq.nodes[plan].schema, compile_plan(plan, vq)(db))
 
 
 def compile_query(vq: ValidatedQuery, trace: list | None = None):
-    """value(db): the exact value of the query's top-level aggregation over `db`."""
+    """value(db): the exact value of the query's top-level aggregation over
+    `db`, an int when it is integral, else a Fraction (`_compile_agg`)."""
     body = compile_plan(vq.query.body, vq, trace)
     agg = _compile_agg(vq.query.fn, vq.nodes[vq.query.body].schema, vq.bounds)
     return lambda db: agg(body(db))
@@ -417,4 +410,4 @@ def compile_query(vq: ValidatedQuery, trace: list | None = None):
 
 def answer(vq: ValidatedQuery, db: dict[str, Relation], *, trace: list | None = None) -> Fraction:
     """The exact value of the query's top-level aggregation."""
-    return compile_query(vq, trace)(db)
+    return Fraction(compile_query(vq, trace)(db))

@@ -17,8 +17,10 @@ read, k_i of them in sensitive relation i. A database's value is that of its
 projection onto those tuples, so the worst change and its witness are those
 of the full enumeration.
 
-The exact values are put over one common denominator into a flat list of
-integers indexed by the packed read bits (`_databases`). A database's closed
+The exact values, ints where integral (`engine.compile_query`), are put
+over one common denominator into a flat list of integers indexed by the
+packed read bits (`_databases`); when every value is an int, the list is
+theirs as it is. A database's closed
 neighbourhood is the product of one closed neighbourhood per relation, so
 `brute_sensitivity` takes every database's neighbourhood max and min in one
 pass per relation, a slice copy per read bit: N * sum(k_i + 1) comparisons
@@ -55,9 +57,6 @@ class SensitiveRelation:
 class Universe:
     sensitive: tuple[SensitiveRelation, ...]
     context: tuple[tuple[str, Relation], ...] = ()
-
-    def context_db(self) -> dict[str, Relation]:
-        return {name: rel for name, rel in self.context}
 
 
 def enumerate_tuples(schema: ConstrainedSchema, cap: int = DEFAULT_UNIVERSE_CAP) -> tuple:
@@ -165,7 +164,7 @@ def _databases(universe: Universe, kept: list[list]):
         for t in tuples:
             sets += [s | {t} for s in sets]
         options.append([Relation(sr.schema, s) for s in sets])
-    base = universe.context_db()
+    base = dict(universe.context)
     for chosen in itertools.product(*options):
         db = dict(zip(names, chosen))
         db.update(base)
@@ -240,8 +239,8 @@ def brute_sensitivity(vq: ValidatedQuery, universe: Universe) -> BruteResult:
     """
     kept = _read_tuples(universe, _read_bits(vq.query.body, vq, universe))
     exact = list(map(compile_query(vq), _databases(universe, kept)))
-    scale = math.lcm(*(v.denominator for v in exact))
-    values = [v.numerator * (scale // v.denominator) for v in exact]
+    scale = math.lcm(*(v.denominator for v in exact if v.__class__ is not int))
+    values = exact if scale == 1 else [v.numerator * (scale // v.denominator) for v in exact]
     flips = _flips(kept)
     hi = lo = values
     for bits in filter(None, flips):

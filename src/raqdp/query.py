@@ -19,6 +19,7 @@ from .constraints import (
     DEFAULT_DNF_CAP,
     DEFAULT_ENUM_CAP,
     EXACT_GRID_BUDGET,
+    FALSE,
     Attr,
     Bounds,
     Cmp,
@@ -30,12 +31,11 @@ from .constraints import (
     Not,
     attribute_bounds,
     check_types,
-    conjoin,
     constraint_attrs,
     diameter,
-    disjoin,
     initial_constraint,
     make_and,
+    make_or,
     rename_attrs,
 )
 from .errors import SchemaError, ValidationError
@@ -389,10 +389,10 @@ class _SchemaBuilder:
             # shared hidden names are sound under a disjunction (each side
             # quantifies its own witnesses), so no renaming here
             aux = _merge_aux(sl.aux, sr.aux)
-            constraint = disjoin(sl.constraint, sr.constraint)
+            constraint = make_or([sl.constraint, sr.constraint])
             return ConstrainedSchema("union", attrs, constraint, aux)
         sr = _rename_aux_conflicts(sr, _aux_names(sl))
-        constraint = conjoin(sl.constraint, sr.constraint)
+        constraint = make_and([sl.constraint, sr.constraint])
         return ConstrainedSchema("intersection", attrs, constraint, sl.aux + sr.aux)
 
     def _difference(self, plan: Difference):
@@ -405,25 +405,25 @@ class _SchemaBuilder:
             # left constraint (a sound superset) and warn.
             self.warnings[plan] = _DIFFERENCE_FALLBACK
             return ConstrainedSchema("difference", sl.attributes, sl.constraint, sl.aux)
-        constraint = conjoin(sl.constraint, Not(sr.constraint))
+        constraint = make_and([sl.constraint, Not(sr.constraint)])
         return ConstrainedSchema("difference", sl.attributes, constraint, sl.aux)
 
     # -- unary operators
 
     def _restriction(self, plan: Restriction):
         ss = self.schema_of(plan.source)
-        refs = constraint_attrs(plan.predicate)
-        unknown = refs - set(ss.attr_names())
+        unknown = constraint_attrs(plan.predicate) - set(ss.attr_names())
         if unknown:
             raise ValidationError(
                 f"restriction predicate references unknown attributes {sorted(unknown)}"
             )
-        try:
-            check_types(plan.predicate, {a: ss.domain(a) for a in ss.attr_names()})
+        constraint = make_and([ss.constraint, plan.predicate])
+        try:  # the schema type-checks the predicate, unless the FALSE source drops it
+            if constraint == FALSE:
+                check_types(plan.predicate, ss.all_domains())
+            return ConstrainedSchema(ss.name, ss.attributes, constraint, ss.aux)
         except SchemaError as e:
             raise ValidationError(f"restriction predicate: {e}") from None
-        constraint = conjoin(ss.constraint, plan.predicate)
-        return ConstrainedSchema(ss.name, ss.attributes, constraint, ss.aux)
 
     def _projection(self, plan: Projection):
         ss = self.schema_of(plan.source)
@@ -463,7 +463,7 @@ class _SchemaBuilder:
         return ConstrainedSchema(
             "product",
             sl.attributes + sr.attributes,
-            conjoin(sl.constraint, sr.constraint),
+            make_and([sl.constraint, sr.constraint]),
             sl.aux + sr.aux,
         )
 
@@ -499,12 +499,12 @@ class _SchemaBuilder:
         default = default_aggregate(fn, bounds)
         # either the aggregate came from a non-empty operand (witness + range
         # atoms) or the operand was empty and the column holds the default
-        value_c = disjoin(
-            make_and([c_right] + atoms), Cmp("=", Attr(col), Lit(default))
+        value_c = make_or(
+            [make_and([c_right] + atoms), Cmp("=", Attr(col), Lit(default))]
         )
         attrs = sl.attributes + ((col, _agg_domain(fn)),)
         return ConstrainedSchema(
-            "product-agg", attrs, conjoin(sl.constraint, value_c), sl.aux + right_pairs
+            "product-agg", attrs, make_and([sl.constraint, value_c]), sl.aux + right_pairs
         )
 
     def _group_agg(self, plan: GroupAggregate):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import operator
 import random
 import re
+import sqlite3
 from fractions import Fraction
 from typing import Iterator
 
@@ -56,6 +58,8 @@ from raqdp.query import (
     TopQuery,
     Union,
     ValidatedQuery,
+    agg_attr_name,
+    plan_children,
     validate,
 )
 
@@ -534,6 +538,118 @@ def reference_load_csv(schema: ConstrainedSchema, path: str) -> frozenset:
     if violations:
         raise DataError(f"{path}: {len(violations)} invalid row(s)", violations)
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# SQLite as an independent judge of evaluation: a plan translated to SQL over
+# tables that hold the database's tuples. Set semantics come from DISTINCT and
+# the compound operators; every value is an integer or a string, which SQLite
+# compares and sums exactly. An average is compared as its SUM and COUNT.
+
+
+def _sql_name(name: str) -> str:
+    return '"' + name.replace('"', '""') + '"'
+
+
+def _sql_value(v) -> str:
+    if isinstance(v, str):
+        return "'" + v.replace("'", "''") + "'"
+    v = held_value(v)
+    if not isinstance(v, int):
+        raise NotImplementedError(f"SQLite holds no exact rational like {v}")
+    return str(v)
+
+
+def _sql_term(t) -> str:
+    if isinstance(t, Attr):
+        return _sql_name(t.name)
+    if isinstance(t, Lit):
+        return _sql_value(t.value)
+    return f"({_sql_term(t.left)} {t.op} {_sql_term(t.right)})"
+
+
+def sql_test(c) -> str:
+    """A constraint as an SQL condition."""
+    if isinstance(c, BoolConst):
+        return "1" if c.value else "0"
+    if isinstance(c, Cmp):
+        op = "<>" if c.op == "!=" else c.op
+        return f"({_sql_term(c.left)} {op} {_sql_term(c.right)})"
+    if isinstance(c, InSet):
+        if not c.values:
+            return "1" if c.negated else "0"
+        values = ", ".join(map(_sql_value, c.values))
+        return f"({_sql_term(c.term)} {'NOT IN' if c.negated else 'IN'} ({values}))"
+    if isinstance(c, Not):
+        return f"(NOT {sql_test(c.arg)})"
+    if isinstance(c, (And, Or)):
+        joiner = " AND " if isinstance(c, And) else " OR "
+        return "(" + joiner.join(sql_test(x) for x in c.items) + ")"
+    return f"({sql_test(c.left)} = {sql_test(c.right)})"  # Iff
+
+
+def _sql_aggregate(kind: str, attr: str | None) -> str:
+    return "COUNT(*)" if kind == "count" else f"{kind.upper()}({_sql_name(attr)})"
+
+
+def plan_sql(plan, vq: ValidatedQuery) -> str:
+    """A SELECT of the distinct output tuples of `plan`, a node of `vq`, with
+    the columns of its output schema, over one table per base relation.
+    Group-level `avg` raises NotImplementedError: its rational values are not
+    exact in SQLite."""
+    sub = lambda p: f"({plan_sql(p, vq)})"
+    if isinstance(plan, Id):
+        cols = ", ".join(map(_sql_name, vq.nodes[plan].schema.attr_names()))
+        return f"SELECT DISTINCT {cols} FROM {_sql_name(plan.relation)}"
+    if isinstance(plan, Restriction):
+        return f"SELECT * FROM {sub(plan.source)} WHERE {sql_test(plan.predicate)}"
+    if isinstance(plan, Projection):
+        return f"SELECT DISTINCT {', '.join(map(_sql_name, plan.attrs))} FROM {sub(plan.source)}"
+    if isinstance(plan, (Union, Intersection, Difference)):
+        op = {Union: "UNION", Intersection: "INTERSECT", Difference: "EXCEPT"}[type(plan)]
+        return f"SELECT * FROM {sub(plan.left)} {op} SELECT * FROM {sub(plan.right)}"
+    if isinstance(plan, (Product, ProductOne)):
+        left, right = plan_children(plan)
+        return f"SELECT * FROM {sub(left)} CROSS JOIN {sub(right)}"
+    if isinstance(plan, GroupAggregate):
+        cols = [_sql_name(g) for g in plan.group_attrs]
+        for fn in plan.fns:
+            if fn.kind == "avg":
+                raise NotImplementedError("group-level avg")
+            cols.append(f"{_sql_aggregate(fn.kind, fn.attr)} AS {_sql_name(agg_attr_name(fn))}")
+        groups = ", ".join(map(_sql_name, plan.group_attrs))
+        return f"SELECT {', '.join(cols)} FROM {sub(plan.source)} GROUP BY {groups}"
+    raise NotImplementedError(f"no SQL for {type(plan).__name__}")
+
+
+def sqlite_database(db: dict[str, Relation]) -> sqlite3.Connection:
+    """An in-memory SQLite database with one untyped table per relation, so
+    that each value keeps its storage class (no type affinity)."""
+    con = sqlite3.connect(":memory:")
+    for name, rel in db.items():
+        cols = rel.schema.attr_names()
+        con.execute(f"CREATE TABLE {_sql_name(name)} ({', '.join(map(_sql_name, cols))})")
+        marks = ", ".join("?" * len(cols))
+        rows = [tuple(held_value(v) for v in t) for t in rel.tuples]
+        con.executemany(f"INSERT INTO {_sql_name(name)} VALUES ({marks})", rows)
+    return con
+
+
+def sqlite_answer(vq: ValidatedQuery, db: dict[str, Relation]):
+    """What SQLite says of the query over `db`: None when some one-sided
+    product's one-row side holds other than one row, else the body's tuples
+    and the top aggregate over them (the SUM for avg, None for count)."""
+    with contextlib.closing(sqlite_database(db)) as con:
+        for node in vq.nodes:
+            if isinstance(node, ProductOne):
+                (n,), = con.execute(f"SELECT COUNT(*) FROM ({plan_sql(node.single, vq)})")
+                if n != 1:
+                    return None
+        body = plan_sql(vq.query.body, vq)
+        fn = vq.query.fn
+        kind = "sum" if fn.kind == "avg" else fn.kind
+        (aggregate,), = con.execute(f"SELECT {_sql_aggregate(kind, fn.attr)} FROM ({body})")
+        return set(con.execute(body)), None if kind == "count" else aggregate
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,40 @@ def test_analyze_unbounded_exits_3(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["gs"] == "inf"
 
 
+def _strict_json(text: str):
+    """JSON as RFC 8259 has it: NaN, Infinity and -Infinity are refused."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_outputs_parse_strictly(workspace, tmp_path):
+    schema = write(tmp_path, "w.schema", "relation W { w: real [-inf, inf]; k: int [0, 3] }")
+    unbounded = write(tmp_path, "w.raq", "sum(w) of select w >= 0 from W")
+    people = [str(workspace / "people.schema"), str(workspace / "avg.raq")]
+    data = ["--data", f"People={workspace / 'people.csv'}"]
+    calls = {
+        "analyze": (["analyze", schema, unbounded], 3),
+        "analyze people": (["analyze", *people], 0),
+        "run": (["run", *people, *data, "--trace"], 0),
+        "dp-run": (["dp-run", *people, *data, "--epsilon", "1", "--seed", "3"], 0),
+        "dp-run samples": (["dp-run", *people, *data, "--epsilon", "1", "--samples", "3"], 0),
+        "validate": (["validate", write(tmp_path, "k.schema", "relation K { k: int [0, 3] }"),
+                      write(tmp_path, "k.raq", "sum(k) of K")], 0),
+        "validate people": (["validate", *people, *data], 0),
+    }
+    outputs = {}
+    for name, (argv, code) in calls.items():
+        got, out = cli_result([*argv, "--format", "json"])
+        assert got == code, name
+        outputs[name] = _strict_json(out)
+    report = outputs["analyze"]
+    assert (report["gs"], report["gs_float"]) == ("inf", None)
+    assert report["top"]["bounds"] == {"lo": "0", "hi": "inf", "lo_float": 0.0, "hi_float": None}
+    assert [n["diam_float"] for n in report["nodes"]] == [None, None]
+
+
 def test_parse_error_exits_2(tmp_path, capsys):
     schema = write(tmp_path, "s.schema", "relation R { a: int [0, 2] }")
     query = write(tmp_path, "q.raq", "count of")

@@ -349,6 +349,30 @@ def test_from_rows_enforces_check_constraint():
         Relation.from_rows(schemas["R"], [(Fraction(5), Fraction(3))])
 
 
+def test_from_rows_and_load_csv_word_the_same_violations_in_order(tmp_path):
+    # one row check serves both: the same bad rows give the same lines
+    schema = parse_schemas(
+        'relation R { a: int [0, 9]; s: string in {"x", "y"} } check { a <= 5 or s = "x" }'
+    )["R"]
+    rows = [(3, "x"), (12, "x"), (7, "y"), (1, "z"), (1,), (1, "x", 2), (Fraction(1, 2), "x"),
+            (4, "x"), (9, "y"), (0, "y" * 25)]
+    with pytest.raises(DataError) as from_rows:
+        Relation.from_rows(schema, rows)
+    text = "a,s\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+    with pytest.raises(DataError) as loaded:
+        load_csv(schema, write_csv(tmp_path, text))
+    assert from_rows.value.violations == loaded.value.violations == [
+        "row 2: a = 12 outside its domain",
+        "row 3: violates the check constraint",
+        "row 4: s = z outside its domain",
+        "row 5: expected 2 values, got 1",
+        "row 6: expected 2 values, got 3",
+        "row 7: a = 1/2 outside its domain",
+        "row 9: violates the check constraint",
+        "row 10: s = yyyyyyyyyyyyyyyyyyyy... outside its domain",
+    ]
+
+
 def test_load_csv(tmp_path):
     schemas = parse_schemas(PEOPLE_TEXT)
     path = tmp_path / "people.csv"
@@ -588,6 +612,71 @@ def test_aggregate_columns_hold_integral_values_as_int():
             assert [type(v) for v in row] == [
                 int if Fraction(v).denominator == 1 else Fraction for v in row], text
         assert type(run_answer(text, schemas, db)) is Fraction
+
+
+def test_compiled_query_holds_its_value_as_int_unless_it_is_not_integral():
+    from raqdp.engine import compile_query
+
+    schemas = parse_schemas("relation R { a: int [0, 9]; b: int [0, 9] }")
+    db = {"R": Relation.from_rows(schemas["R"], [(1, 2), (3, 2), (4, 5)])}
+    expected = {
+        "count of R": 3, "sum(a) of R": 8, "max(a) of R": 4, "min(a) of R": 1,
+        "avg(b) of R": 3, "avg(a) of R": Fraction(8, 3), "avg(a) of select a <= 3 from R": 2,
+        "count of select a >= 8 from R": 0, "avg(a) of select a >= 8 from R": Fraction(17, 2),
+        "avg(b) of select a >= 8 from R": Fraction(9, 2), "max(b) of select a >= 8 from R": 0,
+        "sum(avg_a) of group b agg avg(a) from R": 6,
+    }
+    for text, want in expected.items():
+        vq = validate(parse_query(text), schemas)
+        got = compile_query(vq)(db)
+        assert got == want, text
+        assert type(got) is (int if Fraction(want).denominator == 1 else Fraction), text
+        assert type(answer(vq, db)) is Fraction, text
+
+
+def test_answers_agree_with_sqlite():
+    """SQLite, a second evaluator, judges `eval_plan` and `answer` over random
+    plans and databases: the body's tuples exactly, and the top aggregate
+    exactly, an average as its SUM over its COUNT. A one-sided product raises
+    exactly when SQLite counts other than one row on its one-row side. Cases
+    with a group-level avg are skipped: its values are rationals, which SQLite
+    holds as doubles."""
+    from helpers import multi_relation_case, random_case, sqlite_answer
+
+    rng = random.Random(2027)
+    compared = raised = skipped = 0
+    for i in range(400):
+        tq, schemas, universe = (random_case if i % 2 else multi_relation_case)(rng)
+        vq = validate(tq, schemas)
+        for _ in range(3):
+            db = dict(universe.context)
+            for sr in universe.sensitive:
+                db[sr.name] = Relation(sr.schema, frozenset(
+                    t for t in sr.universe if rng.random() < 0.5))
+            try:
+                said = sqlite_answer(vq, db)
+            except NotImplementedError:
+                skipped += 1
+                break
+            if said is None:
+                with pytest.raises(EvalError):
+                    answer(vq, db)
+                raised += 1
+                continue
+            rows, aggregate = said
+            assert eval_plan(tq.body, db, vq).tuples == rows, tq
+            fn = tq.fn
+            if not rows:
+                want = default_aggregate(fn, vq.bounds)
+            elif fn.kind == "count":
+                want = len(rows)
+            elif fn.kind == "avg":
+                want = Fraction(aggregate, len(rows))
+            else:
+                want = aggregate
+            assert answer(vq, db) == want, tq
+            compared += 1
+    assert compared >= 1000 and raised >= 15 and skipped <= 40, (compared, raised, skipped)
 
 
 # ---------------------------------------------------------------------------

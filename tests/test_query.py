@@ -88,6 +88,19 @@ def test_restriction_rejects_type_mismatch():
         validate(tq, schemas)
 
 
+@pytest.mark.parametrize("source", [
+    "People", "select false from People", "select Weight >= 1 from select false from People",
+])
+def test_restriction_predicate_is_type_checked_whatever_its_source(source):
+    # the output schema type-checks the conjunction, which drops the
+    # predicate when the source's constraint is false
+    schemas = schemas_of(PEOPLE)
+    tq = parse_query(f"count of select Name <= 3 from {source}")
+    with pytest.raises(ValidationError) as exc:
+        validate(tq, schemas)
+    assert str(exc.value) == "restriction predicate: ordered comparison <= requires numeric operands"
+
+
 def test_projection_moves_dropped_attrs_to_aux():
     schemas = schemas_of(PEOPLE)
     plan = parse_query(

@@ -11,7 +11,10 @@ read in one pass, through one loop generated as Python source for the schema
 (`constraints.Codegen`) that converts the cells and tests the domains and the
 check constraint; the rows that fail it are read again by the row check of
 `Relation.from_rows` (`_checked`), the one path that reads fractions and
-words violations. Types are checked when a schema is
+words violations. The loop turns a string cell into its domain's own member
+object, so a loaded relation holds one `str` per value, not one per cell; its
+frozenset, like product-agg's output, is copied from a dict, so its hash
+table is sized once (`_frozen`). Types are checked when a schema is
 built and when a query is validated, never per row.
 
 A plan is compiled once (`compile_plan`, `compile_query`) into a function of
@@ -55,6 +58,7 @@ from .query import (
     Union,
     ValidatedQuery,
     default_aggregate,
+    row_tree_relation,
 )
 
 @dataclass(frozen=True)
@@ -148,9 +152,10 @@ def _csv_loader(schema: ConstrainedSchema):
     bad((label, row)).
 
     One generated loop (`Codegen`) unpacks each row into its cells, turns each
-    numeric cell into an `int` and strips each string cell, and tests each
-    cell's domain and then the check constraint on the cells. A wrong number
-    of fields, or a numeric cell that `int` does not read, refuses the row too.
+    numeric cell into an `int` and each stripped string cell into its domain's
+    member object (None outside the domain), and tests each cell's domain and
+    then the check constraint on the cells. A wrong number of fields, or a
+    numeric cell that `int` does not read, refuses the row too.
     """
     names = schema.attr_names()
     cells = [f"c{i}" for i in range(len(names))]
@@ -158,10 +163,14 @@ def _csv_loader(schema: ConstrainedSchema):
     domains = [schema.domain(a) for a in names]
     tests = [_domain_test(gen, c, d) for c, d in zip(cells, domains)]
     test = " and ".join([*tests, f"({gen.test(schema.constraint)})"])
-    convert = "".join(
-        f"\n            {c} = " + (f"int({c})" if d.is_numeric else f"{c}.strip()")
-        for c, d in zip(cells, domains)
-    )
+
+    def converted(c: str, d: Domain) -> str:
+        if d.is_numeric:
+            return f"int({c})"
+        # the member's own object, so the relation holds one str per value
+        return f"{gen.const({m: m for m in d.members}.get)}({c}.strip())"
+
+    convert = "".join(f"\n            {c} = {converted(c, d)}" for c, d in zip(cells, domains))
     unpacked = ", ".join(cells) + ","
     return gen.function(f"""def _f(rows, bad):
     out = []
@@ -179,7 +188,7 @@ def _csv_loader(schema: ConstrainedSchema):
 
 
 def _domain_test(gen: Codegen, cell: str, domain: Domain) -> str:
-    """The test that `cell`, an `int` or stripped string, lies in `domain`."""
+    """The test that `cell`, an `int`, a string or None, lies in `domain`."""
     if domain.members:
         return f"{cell} in {gen.const(frozenset(map(held_value, domain.members)))}"
     lo = "" if is_infinite(domain.lower) else f"{gen.const(held_value(domain.lower))} <= "
@@ -202,9 +211,8 @@ def load_csv(schema: ConstrainedSchema, path: str) -> Relation:
     the check constraint. The rows that fail any of these, such as one with a
     cell like `3.0`, are collected and read again: their numbers are parsed
     (`_number_parser`), then the row check of `Relation.from_rows`
-    (`_checked`) words their violations. The rows gather in a set that the
-    relation's frozenset copies: a frozenset built from a list instead would
-    keep a hash table twice the size.
+    (`_checked`) words their violations. The rows gather in one list that
+    the relation's frozenset is built from once (`_frozen`).
     """
     names = schema.attr_names()
     refused: list[tuple[int, list]] = []
@@ -218,7 +226,7 @@ def load_csv(schema: ConstrainedSchema, path: str) -> Relation:
                 raise DataError(
                     f"{path}: header {header} does not match schema attributes {list(names)}", []
                 )
-            out = set(_csv_loader(schema)(reader, refused.append))
+            out = _csv_loader(schema)(reader, refused.append)
         except csv.Error as e:
             raise DataError(f"{path}: line {reader.line_num}: {e}", []) from None
     violations: list[str] = []
@@ -234,11 +242,16 @@ def load_csv(schema: ConstrainedSchema, path: str) -> Relation:
             # a row too long is checked whole, so that the arity test refuses it
             parsed.append((label, tuple(row) if len(row) > len(names) else cells))
         tuples, problems = _checked(schema, parsed)
-        out.update(tuples)
+        out += tuples
         violations += problems
     if violations:
         raise DataError(f"{path}: {len(violations)} invalid row(s)", violations)
-    return Relation(schema, frozenset(out))
+    return Relation(schema, _frozen(out))
+
+
+def _frozen(rows) -> frozenset:
+    # copied from a dict, the table is sized once for its length; grown, up to twice that
+    return frozenset(dict.fromkeys(rows))
 
 
 def tuple_key(t: tuple):
@@ -277,7 +290,9 @@ def _compile_agg(fn: AggFn, schema: ConstrainedSchema, bounds: Bounds | None = N
 # Plan evaluation: a plan compiled once into a function of databases
 
 
-def compile_plan(plan: Plan, vq: ValidatedQuery, trace: list | None = None):
+def compile_plan(
+    plan: Plan, vq: ValidatedQuery, trace: list | None = None, *, kept: dict | None = None
+):
     """run(db): the output tuples over `db`, a frozenset, of `plan`, a node
     of the validated query `vq`.
 
@@ -288,8 +303,14 @@ def compile_plan(plan: Plan, vq: ValidatedQuery, trace: list | None = None):
     it finishes: children before their parent, in the order the node
     evaluates them, which is left before right and `single` before
     `source`, but the right operand first for product-n and product-agg.
+
+    `kept` maps row-filtering trees (`row_tree_relation`) to tuple sets. Such
+    a tree over relation R, unless it is R's bare leaf, is not compiled: it
+    reads db[R]'s tuples inside its set, one set intersection, which is its
+    output whenever the set is its output over a superset of db[R] (the
+    oracle's universe). Its subtree appends no trace.
     """
-    run = _compile_node(plan, vq, trace)
+    run = _compile_node(plan, vq, trace, kept)
     if trace is None:
         return run
     name = vq.nodes[plan].op
@@ -302,9 +323,9 @@ def compile_plan(plan: Plan, vq: ValidatedQuery, trace: list | None = None):
     return traced
 
 
-def _compile_node(plan: Plan, vq: ValidatedQuery, trace: list | None):
+def _compile_node(plan: Plan, vq: ValidatedQuery, trace: list | None, kept: dict | None):
     def sub(child):
-        return compile_plan(child, vq, trace)
+        return compile_plan(child, vq, trace, kept=kept)
 
     if isinstance(plan, Id):
         name = plan.relation
@@ -315,6 +336,9 @@ def _compile_node(plan: Plan, vq: ValidatedQuery, trace: list | None):
             return frozenset(db[name].tuples)
 
         return read
+    if kept and plan in kept:
+        name, rows = row_tree_relation(plan), kept[plan]
+        return lambda db: db[name].tuples & rows
     if isinstance(plan, (Union, Intersection, Difference, Product)):
         left, right = sub(plan.left), sub(plan.right)
         op = _BINARY[type(plan)]
@@ -353,7 +377,7 @@ def _compile_node(plan: Plan, vq: ValidatedQuery, trace: list | None):
 
         def product_agg(db) -> frozenset:
             value = (agg(right(db)),)
-            return frozenset(l + value for l in left(db))
+            return _frozen(l + value for l in left(db))
 
         return product_agg
     if isinstance(plan, GroupAggregate):
@@ -400,10 +424,11 @@ def eval_plan(plan: Plan, db: dict[str, Relation], vq: ValidatedQuery) -> Relati
     return Relation(vq.nodes[plan].schema, compile_plan(plan, vq)(db))
 
 
-def compile_query(vq: ValidatedQuery, trace: list | None = None):
+def compile_query(vq: ValidatedQuery, trace: list | None = None, *, kept: dict | None = None):
     """value(db): the exact value of the query's top-level aggregation over
-    `db`, an int when it is integral, else a Fraction (`_compile_agg`)."""
-    body = compile_plan(vq.query.body, vq, trace)
+    `db`, an int when it is integral, else a Fraction (`_compile_agg`);
+    `kept` as in `compile_plan`."""
+    body = compile_plan(vq.query.body, vq, trace, kept=kept)
     agg = _compile_agg(vq.query.fn, vq.nodes[vq.query.body].schema, vq.bounds)
     return lambda db: agg(body(db))
 

@@ -11,8 +11,10 @@ and narrowed (`build_universe`).
 
 Only the universe tuples the query can read are enumerated (`_read_bits`):
 the tuples that its row-filtering trees keep, all of them where a relation
-is read unfiltered. The query is compiled once (`engine.compile_query`) and
-run once per database: N = 2^k runs when k of the universe's tuples can be
+is read unfiltered. Each such tree is run once, over its universe
+(`_row_trees`); the query is compiled once (`engine.compile_query`) with
+those outputs, so a tree reads a database as one set intersection, and run
+once per database: N = 2^k runs when k of the universe's tuples can be
 read, k_i of them in sensitive relation i. A database's value is that of its
 projection onto those tuples, so the worst change and its witness are those
 of the full enumeration.
@@ -109,32 +111,52 @@ class BruteResult:
     witness: tuple[dict, dict] | None  # worst adjacent pair, name -> tuple list
 
 
-def _read_bits(plan: Plan, vq: ValidatedQuery, universe: Universe) -> tuple[int, ...]:
-    """One bitmask per sensitive relation: the universe tuples that `plan`'s
-    output can depend on.
+def _row_trees(plan: Plan, vq: ValidatedQuery, universe: Universe) -> dict[Plan, frozenset]:
+    """Each row-filtering tree of `plan` over a sensitive relation R
+    (`row_tree_relation`), outermost ones only, mapped to its output over R's
+    universe U, found by running it once.
 
-    A row-filtering tree over a sensitive relation R (`row_tree_relation`)
-    outputs S ∩ tree(U) over any subset S of R's universe U, so it reads the
-    tuples it keeps over U, found by running it once. A row tree over a
-    context relation reads nothing; any other node reads what its children
-    read. Every node is a deterministic function of its children's outputs,
-    so a database's value, or the error it raises, is that of its
-    projection onto the read bits.
+    Such a tree outputs S ∩ tree(U) over any subset S of U, so a query
+    compiled with these sets (`compile_query`'s `kept`) outputs what it does
+    compiled without them. A row tree over a context relation is left out.
     """
-    index = {sr.name: i for i, sr in enumerate(universe.sensitive)}
-    bits = [0] * len(universe.sensitive)
+    universes = {sr.name: sr for sr in universe.sensitive}
+    trees = {}
 
     def visit(node: Plan) -> None:
         name = row_tree_relation(node)
         if name is None:
             for child in plan_children(node):
                 visit(child)
-        elif name in index:
-            sr = universe.sensitive[index[name]]
-            kept = compile_plan(node, vq)({name: Relation(sr.schema, frozenset(sr.universe))})
-            bits[index[name]] |= sum(1 << j for j, t in enumerate(sr.universe) if t in kept)
+        elif name in universes:
+            sr = universes[name]
+            db = {name: Relation(sr.schema, frozenset(sr.universe))}
+            trees[node] = compile_plan(node, vq)(db)
 
     visit(plan)
+    return trees
+
+
+def _read_bits(
+    plan: Plan, vq: ValidatedQuery, universe: Universe, trees: dict | None = None
+) -> tuple[int, ...]:
+    """One bitmask per sensitive relation: the universe tuples that `plan`'s
+    output can depend on, from its row trees (`_row_trees`, unless given).
+
+    A row-filtering tree over a sensitive relation reads the tuples it keeps
+    over the universe (`_row_trees`). A row tree over a context relation
+    reads nothing; any other node reads what its children read. Every node
+    is a deterministic function of its children's outputs, so a database's
+    value, or the error it raises, is that of its projection onto the read
+    bits.
+    """
+    if trees is None:
+        trees = _row_trees(plan, vq, universe)
+    index = {sr.name: i for i, sr in enumerate(universe.sensitive)}
+    bits = [0] * len(universe.sensitive)
+    for node, kept in trees.items():
+        i = index[row_tree_relation(node)]
+        bits[i] |= sum(1 << j for j, t in enumerate(universe.sensitive[i].universe) if t in kept)
     return tuple(bits)
 
 
@@ -237,8 +259,9 @@ def brute_sensitivity(vq: ValidatedQuery, universe: Universe) -> BruteResult:
     earlier database no later, and neighbours that differ only in unread
     bits differ by 0.
     """
-    kept = _read_tuples(universe, _read_bits(vq.query.body, vq, universe))
-    exact = list(map(compile_query(vq), _databases(universe, kept)))
+    trees = _row_trees(vq.query.body, vq, universe)
+    kept = _read_tuples(universe, _read_bits(vq.query.body, vq, universe, trees))
+    exact = list(map(compile_query(vq, kept=trees), _databases(universe, kept)))
     scale = math.lcm(*(v.denominator for v in exact if v.__class__ is not int))
     values = exact if scale == 1 else [v.numerator * (scale // v.denominator) for v in exact]
     flips = _flips(kept)
@@ -268,8 +291,9 @@ def brute_lipschitz(plan: Plan, universe: Universe, vq: ValidatedQuery) -> int:
     Symmetric difference does not split per relation, so each adjacent pair
     is compared once, from its earlier database.
     """
-    run = compile_plan(plan, vq)
-    kept = _read_tuples(universe, _read_bits(plan, vq, universe))
+    trees = _row_trees(plan, vq, universe)
+    run = compile_plan(plan, vq, kept=trees)
+    kept = _read_tuples(universe, _read_bits(plan, vq, universe, trees))
     outputs = list(map(run, _databases(universe, kept)))
     steps = _steps(_flips(kept))
     return max(

@@ -7,13 +7,14 @@ import random
 import re
 import sys
 import tokenize
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from raqdp import constraints, engine
 from raqdp.constraints import compile_constraint
-from raqdp.engine import Relation, answer, apply_agg, eval_plan, load_csv
+from raqdp.engine import Relation, answer, apply_agg, compile_plan, eval_plan, load_csv
 from raqdp.errors import DataError, EvalError
 from raqdp.parsing import parse_query, parse_schemas
 from raqdp.query import AggFn, default_aggregate, validate
@@ -970,3 +971,66 @@ def test_csv_cell_past_the_digit_limit_says_so_briefly(tmp_path):
     (line,) = exc.value.violations
     assert line.startswith("row 1: x = '1000") and line.endswith(f"has more than {limit} digits")
     assert len(line) < 80
+
+
+# ---------------------------------------------------------------------------
+# Memory: one str object per string value, hash tables sized once
+
+NAMES_TEXT = """relation People {
+  Id: int [0, 99999];
+  Name: string in {"Ann", "Bob", "Cy", "Dee"};
+  Weight: int [0, 150];
+  Height: int [0, 200]
+} check { Weight <= Height }
+relation Dept { DId: int [0, 99]; Budget: int [0, 1000] }
+"""
+
+
+def people_csv(tmp_path, n: int, pads=("",)) -> str:
+    """n distinct People rows, each Name cell wrapped in a pad drawn from `pads`."""
+    rng = random.Random(n)
+    lines = []
+    for i in range(n):
+        pad = rng.choice(pads)
+        height = rng.randint(0, 200)
+        lines.append(f"{i},{pad}{rng.choice('Ann Bob Cy Dee'.split())}{pad},"
+                     f"{rng.randint(0, min(150, height))},{height}\n")
+    return write_csv(tmp_path, "Id,Name,Weight,Height\n" + "".join(lines), "people.csv")
+
+
+def test_loaded_string_cells_are_their_domains_member_objects(tmp_path):
+    schema = parse_schemas(NAMES_TEXT)["People"]
+    members = schema.domain("Name").members
+    people = load_csv(schema, people_csv(tmp_path, 1000, pads=("", " ", "  ")))
+    names = [t[1] for t in people.tuples]
+    assert len(names) == 1000
+    assert all(any(name is m for m in members) for name in names)
+    assert len(set(map(id, names))) <= 4
+
+
+def test_a_product_agg_output_keeps_a_hash_table_sized_once():
+    schemas = parse_schemas(NAMES_TEXT)
+    rows = [(i, "Ann", i % 151, 200) for i in range(20_000)]
+    db = {
+        "People": Relation(schemas["People"], frozenset(rows)),
+        "Dept": Relation(schemas["Dept"], frozenset({(1, 5)})),
+    }
+    vq = validate(parse_query("avg(Weight) of People productagg max(Budget) Dept"), schemas)
+    out = compile_plan(vq.query.body, vq)(db)
+    assert len(out) == 20_000
+    assert sys.getsizeof(out) == sys.getsizeof(frozenset(set(out)))
+
+
+def test_load_csv_peaks_at_little_more_than_the_relation_it_keeps(tmp_path):
+    schema = parse_schemas(NAMES_TEXT)["People"]
+    path = people_csv(tmp_path, 20_000)
+    load_csv(schema, path)  # the first load compiles the generated loop
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        people = load_csv(schema, path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(people) == 20_000
+    assert peak - base <= 1.4 * (kept - base), (peak - base, kept - base)

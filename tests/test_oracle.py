@@ -10,7 +10,7 @@ import pytest
 
 from raqdp.analyzer import global_sensitivity
 from raqdp import oracle
-from raqdp.constraints import ConstrainedSchema
+from raqdp.constraints import Codegen, ConstrainedSchema
 from raqdp.engine import Relation, compile_query
 from raqdp.errors import EvalError, OracleError, ValidationError
 from raqdp.extmath import is_infinite
@@ -498,8 +498,8 @@ def test_the_oracle_runs_the_query_once_per_readable_database(
 ):
     count = 0
 
-    def counted(vq):
-        value = compile_query(vq)
+    def counted(vq, **kw):
+        value = compile_query(vq, **kw)
 
         def run(db):
             nonlocal count
@@ -512,6 +512,39 @@ def test_the_oracle_runs_the_query_once_per_readable_database(
     vq, universe = universe_for(query, schema_text)
     brute_sensitivity(vq, universe)
     assert count == runs
+
+
+@pytest.mark.parametrize(
+    "query, builds",
+    [
+        pytest.param("sum(a) of select a <= 3 from R", 1, id="select"),
+        pytest.param("count of select a >= 1 from (select a <= 3 from R)", 2, id="nested"),
+        pytest.param(
+            "count of (select a <= 3 from R) product (select b >= 1 from T)", 2, id="two-trees"
+        ),
+        pytest.param(
+            "count of (select a <= 3 from R) product (select k = 7 from K)", 2, id="context"
+        ),
+    ],
+)
+def test_the_oracle_builds_each_row_tree_once(monkeypatch, query, builds):
+    # a sensitive row tree is run once over its universe, and the query then
+    # reads its output; a row tree over context data is built with the query
+    text = _K + "relation R { a: int [0, 5] }\nrelation T { b: int [0, 2] }"
+    context = {"K": Relation(parse_schemas(_K)["K"], frozenset({(7,)}))}
+    vq, universe = universe_for(query, text, context if "K" in query else None)
+    count = 0
+    function = Codegen.function
+
+    def counted(self, body):
+        nonlocal count
+        count += 1
+        return function(self, body)
+
+    monkeypatch.setattr(Codegen, "function", counted)
+    got = brute_sensitivity(vq, universe)
+    assert count == builds
+    assert got == reference_brute_sensitivity(vq, universe)
 
 
 def test_a_universe_of_context_relations_only_is_one_database():

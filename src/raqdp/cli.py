@@ -87,7 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, data=True, fmt_default="json")
     sp.add_argument("--epsilon", required=True,
                     help="privacy parameter (rational, e.g. 1, 1/2, 0.25)")
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit unsigned)")
+    sp.add_argument("--seed", type=int, default=None,
+                    help="seed (64-bit unsigned) for a reproducible release, whose noise "
+                         "anyone who knows the seed can recompute; without it the noise "
+                         "comes from the operating system")
     sp.add_argument("--samples", type=int, default=None, metavar="N",
                     help="emit N noisy draws instead of one answer")
 
@@ -203,6 +206,8 @@ def cmd_dp_run(args) -> int:
             raise ValueError(
                 f"--samples {args.samples} is more draws than memory can hold"
             ) from None
+        print(f"warning: the {args.samples} draws together cost epsilon "
+              f"{args.samples * params.epsilon} (sequential composition)", file=sys.stderr)
         if args.format == "json":
             print(json.dumps({"samples": draws}))
         else:
@@ -215,7 +220,8 @@ def cmd_dp_run(args) -> int:
     else:
         print(f"noisy answer: {result.noisy_value}")
         print(f"gs: {format_ext(result.gs_used)}   epsilon: {result.epsilon}   "
-              f"seed: {result.seed}   rng: {result.rng_name}")
+              f"seed: {'none' if result.seed is None else result.seed}   "
+              f"rng: {result.rng_name}")
         print(f"note: {result.note}")
         for w in result.warnings:
             print(f"warning: {w}")

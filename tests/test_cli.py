@@ -18,6 +18,7 @@ import raqdp
 from raqdp import cli, constraints, query
 from raqdp.cli import _check_options, build_parser, main
 from raqdp.constraints import diameter, iter_solutions, solution_count
+from raqdp.dp import laplace_sample, make_rng
 from raqdp.parsing import parse_schemas
 
 PEOPLE_SCHEMA = """
@@ -169,7 +170,8 @@ def structural(tmp_path):
 def structural_argv(root, command, *options):
     argv = [command, str(root / "rtu.schema"), str(root / "structural.raq")]
     if command == "dp-run":
-        argv += ["--epsilon", "1"]
+        # seeded, so that two releases print the same bytes
+        argv += ["--epsilon", "1", "--seed", "1"]
         argv += [f"--data={name}={root / name.lower()}.csv" for name in "RTU"]
     return argv + list(options)
 
@@ -373,7 +375,7 @@ def test_dp_run_deterministic_json(workspace, capsys):
     assert first["gs_used"] == 50.0
     assert first["epsilon"] == 0.5
     assert first["true_value_withheld"] is True
-    assert first["rng"] == "pcg64"
+    assert first["rng"] == "mt19937"
 
 
 def test_dp_run_unbounded_exits_3(tmp_path, capsys):
@@ -396,10 +398,38 @@ def test_dp_run_rejects_bad_epsilon(workspace, capsys):
 def test_dp_run_samples_mode(workspace, capsys):
     argv = ["dp-run", str(workspace / "people.schema"), str(workspace / "avg.raq"),
             "--data", f"People={workspace / 'people.csv'}",
-            "--epsilon", "1", "--seed", "3", "--samples", "50"]
+            "--epsilon", "1/2", "--seed", "3", "--samples", "50"]
     assert main(argv) == 0
-    d = json.loads(capsys.readouterr().out)
-    assert len(d["samples"]) == 50
+    captured = capsys.readouterr()
+    assert len(json.loads(captured.out)["samples"]) == 50
+    assert captured.err == (
+        "warning: the 50 draws together cost epsilon 25 (sequential composition)\n"
+    )
+
+
+def test_dp_run_seeded_record_gives_the_exact_answer_back_and_warns(workspace, capsys):
+    argv = ["dp-run", str(workspace / "people.schema"), str(workspace / "avg.raq"),
+            "--data", f"People={workspace / 'people.csv'}", "--epsilon", "1/2", "--seed", "7"]
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    noise = laplace_sample(make_rng(record["seed"]), record["gs_used"] / record["epsilon"])
+    assert record["noisy_value"] - noise == pytest.approx(50.0, abs=1e-9)  # the answer
+    assert record["warnings"] == [
+        "the noise can be recomputed from the seed, so the release is private"
+        " only while the seed stays secret"
+    ]
+
+
+def test_dp_run_unseeded_releases_differ_and_carry_no_seed(workspace, capsys):
+    argv = ["dp-run", str(workspace / "people.schema"), str(workspace / "avg.raq"),
+            "--data", f"People={workspace / 'people.csv'}", "--epsilon", "1/2"]
+    records = []
+    for _ in range(2):
+        assert main(argv) == 0
+        records.append(json.loads(capsys.readouterr().out))
+    assert records[0]["noisy_value"] != records[1]["noisy_value"]
+    for record in records:
+        assert (record["seed"], record["rng"], record["warnings"]) == (None, "os.urandom", [])
 
 
 def test_dp_run_samples_table_prints_one_float_per_line(workspace, capsys):
@@ -448,7 +478,7 @@ def test_dp_run_statically_empty_release_prints_every_line(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5
     assert lines[0] == "noisy answer: 0.0"
-    assert lines[1].startswith("gs: 0   epsilon: 1   seed: 0   rng: ")
+    assert lines[1] == "gs: 0   epsilon: 1   seed: none   rng: os.urandom"
     assert lines[2].startswith("note: ")
     assert lines[3:] == [
         "warning: query is statically empty: the propagated constraint is unsatisfiable",
@@ -471,7 +501,7 @@ def test_readme_quick_tour(workspace, capsys):
     )
     assert main(["dp-run", *base, "--epsilon", "1/2", "--seed", "7"]) == 0
     d = json.loads(capsys.readouterr().out)
-    assert d["noisy_value"] == 78.79366824746074
+    assert d["noisy_value"] == 6.561912619244303
     assert d["gs_used"] == 50.0
 
 
@@ -485,7 +515,7 @@ def test_readme_library_use(workspace, monkeypatch):
     namespace: dict = {}
     exec(snippet, namespace)
     assert namespace["report"].gs == 50
-    assert namespace["ans"].noisy_value == 78.79366824746074
+    assert namespace["ans"].noisy_value == 6.561912619244303
 
 
 # ---------------------------------------------------------------------------
@@ -1154,7 +1184,7 @@ def test_no_command_loads_numpy(workspace):
         ["dp-run", 0, False],
         ["dp-run", 0, False],
     ]
-    assert json.loads(result["last_out"])["noisy_value"] == 78.79366824746074
+    assert json.loads(result["last_out"])["noisy_value"] == 6.561912619244303
 
 
 def test_the_parser_is_built_at_the_first_main_call_not_at_import(workspace):

@@ -206,8 +206,9 @@ def cmd_dp_run(args) -> int:
             raise ValueError(
                 f"--samples {args.samples} is more draws than memory can hold"
             ) from None
-        print(f"warning: the {args.samples} draws together cost epsilon "
-              f"{args.samples * params.epsilon} (sequential composition)", file=sys.stderr)
+        if global_sensitivity(vq).gs != 0:  # else every draw is the exact answer, and costs nothing
+            print(f"warning: the {args.samples} draws together cost epsilon "
+                  f"{args.samples * params.epsilon} (sequential composition)", file=sys.stderr)
         if args.format == "json":
             print(json.dumps({"samples": draws}))
         else:

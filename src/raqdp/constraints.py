@@ -17,9 +17,9 @@ still bound the unfiltered grid.
 Narrowing derives nothing twice: each comparison atom derives its linear form
 (and that form's negation), and each numeric membership atom its attribute
 and sorted candidate values, once, the first time it is applied, and keeps
-them; each schema normalizes and narrows its own constraint once, and a
-node's diameter and its aggregate's range both start from that one NNF and
-structural box.
+them; each schema normalizes its own constraint once, and narrows it at most
+once, only when its domains' grid is too big to walk (`_grid`); a node's
+diameter and its aggregate's range share both.
 Constraints are tested by generated Python source (`Codegen`): one
 expression per constraint over a tuple layout, or one walk per grid,
 compiled once per source text.
@@ -707,13 +707,17 @@ class ConstrainedSchema:
         return _Box(self)
 
     @functools.cached_property
+    def _nnf(self) -> Constraint:
+        """The constraint's NNF, built once and apart from its box."""
+        return normalize(self.constraint)
+
+    @functools.cached_property
     def _narrowed(self) -> tuple[Constraint, "_Box | None"]:
         """The constraint's NNF and its structural box (None when empty), built
-        once: a node's diameter and its aggregate's range both start from them.
+        once, and only for a grid too big to walk from its domains (`_grid`).
         The box is shared, so it is read or copied, never changed in place;
         in particular it is never the first box given to `_hull`."""
-        nnf = normalize(self.constraint)
-        return nnf, _struct_box(nnf, self)
+        return self._nnf, _struct_box(self._nnf, self)
 
 
 def initial_constraint(schema: ConstrainedSchema) -> Constraint:
@@ -1011,8 +1015,8 @@ def narrow(atoms, schema: ConstrainedSchema, seed: _Box | None = None) -> _Box |
     Each pass applies every atom, but an atom derives its linear form (or
     its sorted candidate values) once, on its first pass, and keeps it; after
     the first pass only attributes that moved are rounded to integers or
-    members again. A schema's own constraint is narrowed once per node
-    (`ConstrainedSchema._narrowed`)."""
+    members again. A schema's own constraint is narrowed at most once per
+    node, and only when its domains' grid is too big to walk (`_grid`)."""
     box = (seed if seed is not None else schema._box).copy()
     box.integer_tighten()
     if box.is_empty():
@@ -1153,23 +1157,73 @@ def _pinned_values(c: Constraint, attr: str) -> frozenset | None:
     return None
 
 
-def _prepared(c: Constraint, schema: ConstrainedSchema) -> tuple[Constraint, _Box | None]:
-    """The constraint's NNF, type-checked, and its structural box (None when
-    empty), where every solver function starts. The schema's own constraint
-    was checked when the schema was built, and is prepared once
-    (`ConstrainedSchema._narrowed`); any other is prepared on each call."""
+def _checked_nnf(c: Constraint, schema: ConstrainedSchema) -> Constraint:
+    """The constraint's NNF, type-checked. The schema's own constraint was
+    checked when the schema was built, and is normalized once
+    (`ConstrainedSchema._nnf`); any other is normalized and checked on each call."""
     if c is schema.constraint:
-        return schema._narrowed
+        return schema._nnf
     nnf = normalize(c)
     check_types(nnf, schema.all_domains())
+    return nnf
+
+
+def _prepared(c: Constraint, schema: ConstrainedSchema) -> tuple[Constraint, _Box | None]:
+    """The constraint's NNF, type-checked (`_checked_nnf`), and its structural
+    box (None when empty), built only for a grid too big to walk from its
+    domains (`_grid`); the schema's own is prepared once
+    (`ConstrainedSchema._narrowed`), any other on each call."""
+    if c is schema.constraint:
+        return schema._narrowed
+    nnf = _checked_nnf(c, schema)
     return nnf, _struct_box(nnf, schema)
+
+
+def _domain_grid(schema: ConstrainedSchema, cap: int) -> dict[str, list] | None:
+    """Every domain's own values, in the order `_finite_grid` lists a box's,
+    when all domains are finite and their grid has at most `cap` points;
+    else None. A `real` domain is never listed here."""
+    domains = schema.all_domains()
+    size = 1
+    for dom in domains.values():
+        if dom.kind is DomainKind.REAL_RANGE:
+            return None
+        size *= int(dom.upper - dom.lower) + 1 if dom.kind is DomainKind.INT_RANGE else len(dom.members)
+    if size > cap:
+        return None
+    grid: dict[str, list] = {}
+    for a, dom in domains.items():
+        if dom.kind is DomainKind.INT_RANGE:
+            grid[a] = list(range(int(dom.lower), int(dom.upper) + 1))
+        else:  # members are sorted; a number is held as the box holds it
+            grid[a] = list(dom.members if dom.kind is DomainKind.STR_SET else map(held_value, dom.members))
+    return grid
+
+
+def _grid(c: Constraint, schema: ConstrainedSchema, cap: int) -> tuple[Constraint, dict[str, list] | str]:
+    """The constraint's NNF, type-checked, and the candidate lists that
+    `solution_count`, `attribute_bounds` and `iter_solutions` walk (or
+    `_finite_grid`'s reason there are none within `cap`).
+
+    When the domains' own grid has at most min(cap, EXACT_GRID_BUDGET)
+    points, the lists are the domains' (`_domain_grid`) and no box is built:
+    narrowing only drops values that lie in no solution, and the walk tests
+    every conjunct, so it finds the same solutions in the same order, and
+    the narrowed grid would fit the cap too. Otherwise the lists come from
+    the structural box (`_prepared`, `_finite_grid`)."""
+    grid = _domain_grid(schema, min(cap, EXACT_GRID_BUDGET))
+    if grid is not None:
+        return _checked_nnf(c, schema), grid
+    nnf, box = _prepared(c, schema)
+    return nnf, _finite_grid(nnf, box, schema, cap)
 
 
 def _finite_grid(
     nnf: Constraint, box: _Box | None, schema: ConstrainedSchema, cap: int
 ) -> dict[str, list] | str:
     """Candidate value lists per attribute, values held as `held_value` holds
-    them, from a `_prepared` NNF and box (the box is only read). The grid
+    them, from a `_prepared` NNF and box (the box is only read), for a grid
+    too big to walk from its domains (`_grid`). The grid
     covers all solutions; enumeration still filters by the constraint.
 
     When there is no grid of at most `cap` points, the reason instead:
@@ -1283,8 +1337,8 @@ def iter_solutions(
 ) -> Iterator[tuple] | str:
     """Iterate the distinct visible solution tuples in grid order
     (`_solutions`); when the grid cannot be enumerated within the cap, the
-    reason instead: 'infinite' or 'exceeds-cap' (`_finite_grid`)."""
-    grid = _finite_grid(*_prepared(c, schema), schema, cap)
+    reason instead: 'infinite' or 'exceeds-cap' (`_grid`)."""
+    grid = _grid(c, schema, cap)[1]
     return grid if isinstance(grid, str) else _solutions(_conjuncts(c), grid, schema.attr_names())
 
 
@@ -1319,11 +1373,11 @@ def solution_count(
 ) -> int | str:
     """Exact count of distinct visible solutions, 'exceeds-cap', or 'infinite'.
 
-    A grid within the cap is counted per attribute-disjoint group of the
-    NNF's conjuncts, by one walk (`_solutions`) over its own sub-grid, and
-    the counts multiply: the solutions are the product of the groups'."""
-    nnf, box = _prepared(c, schema)
-    grid = _finite_grid(nnf, box, schema, cap)
+    A grid within the cap (`_grid`: the domains' own when small, else a
+    narrowed one) is counted per attribute-disjoint group of the NNF's
+    conjuncts, by one walk (`_solutions`) over its own sub-grid, and the
+    counts multiply: the solutions are the product of the groups'."""
+    nnf, grid = _grid(c, schema, cap)
     if isinstance(grid, str):
         return grid
     total, visible = 1, set(schema.attr_names())
@@ -1357,22 +1411,24 @@ def attribute_bounds(
 ) -> Bounds:
     """Sound interval for one numeric attribute over the constraint's solutions.
 
-    Exact (closed) bounds via enumeration on small finite grids; otherwise a
+    Exact (closed) bounds via enumeration on small finite grids (`_grid`,
+    which builds no box for a grid walked from its domains); otherwise a
     hull-consistency fixpoint per disjunctive branch, joined across branches,
     and past the branch cap the structural box.
     """
     dom = schema.domain(attr)
     if not dom.is_numeric:
         raise SchemaError(f"attribute {attr!r} is not numeric")
-    nnf, box = _prepared(c, schema)
-    grid = _finite_grid(nnf, box, schema, min(enum_cap, EXACT_GRID_BUDGET))
+    nnf, grid = _grid(c, schema, min(enum_cap, EXACT_GRID_BUDGET))
     if not isinstance(grid, str):
         column = [v for v, in _solutions(_conjuncts(c), grid, (attr,))]
         if not column:
             return Bounds.make_empty()
         return Bounds(Fraction(min(column)), Fraction(max(column)))  # grid values may be int
     branches = dnf_branches(nnf, dnf_cap)
-    if branches is not None:
+    if branches is None:
+        box = _prepared(c, schema)[1]
+    else:
         box = _hull(narrow(branch, schema) for branch in branches)
         if box is None:
             return Bounds.make_empty()

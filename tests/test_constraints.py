@@ -48,6 +48,7 @@ from raqdp.query import validate
 
 from helpers import (
     holds,
+    multi_relation_case,
     random_case,
     reference_compile,
     reference_solution_count,
@@ -895,6 +896,66 @@ def test_solutions_match_the_whole_grid_loop():
         "in", "not in", "!=", "not", "iff", "no attribute", "attribute-free atom", "aux",
         "aux from grouping", "num set", "string set", "pinned real", "emptied list",
     }
+
+
+def _narrowed_walk(c: Constraint, schema: ConstrainedSchema, cap: int) -> list | str:
+    """The visible solutions, in order, of the grid narrowed to the
+    constraint's structural box (`_finite_grid` over `_prepared`), or the
+    reason it does not fit the cap: what every solver function walked
+    before small grids were taken straight from their domains."""
+    grid = constraints._finite_grid(*constraints._prepared(c, schema), schema, cap)
+    if isinstance(grid, str):
+        return grid
+    return list(constraints._solutions(constraints._conjuncts(c), grid, schema.attr_names()))
+
+
+def _assert_walks_agree(c: Constraint, schema: ConstrainedSchema, cap: int) -> bool:
+    """iter_solutions, solution_count and attribute_bounds under `cap` give
+    what the narrowed grid gives; True when the ranges were exact."""
+    want = _narrowed_walk(c, schema, cap)
+    got = iter_solutions(c, schema, cap)
+    assert (got if isinstance(got, str) else list(got)) == want
+    assert solution_count(c, schema, cap) == (want if isinstance(want, str) else len(want))
+    exact = _narrowed_walk(c, schema, min(cap, EXACT_GRID_BUDGET))
+    if isinstance(exact, str):
+        return False
+    for i, (a, dom) in enumerate(schema.attributes):
+        if dom.is_numeric:
+            column = [t[i] for t in exact]
+            bounds = Bounds(Fraction(min(column)), Fraction(max(column))) if column else Bounds.make_empty()
+            assert attribute_bounds(c, schema, a, enum_cap=cap) == bounds
+    return True
+
+
+def test_small_grids_walked_from_their_domains_give_what_the_narrowed_grid_gives():
+    """A grid of at most EXACT_GRID_BUDGET points is walked straight from its
+    domains, and only a bigger one is narrowed first. Narrowing drops only
+    values that lie in no solution, so over the schemas of random cases and
+    every node schema of their plans, for the schema's own constraint and an
+    equal copy, each solver function gives what the narrowed grid gives:
+    under the default cap, under a cap below the domains' grid but not
+    below the narrowed grid, which must not read as past the cap, and under
+    one just below the narrowed grid, which must."""
+    rng = random.Random(31)
+    pruned = capped = ranged = 0
+    for draw in range(80):
+        tq, schemas, _ = (random_case if draw % 2 else multi_relation_case)(rng)
+        vq = validate(tq, schemas)
+        for schema in [*schemas.values(), *(facts.schema for facts in vq.nodes.values())]:
+            domains = constraints._domain_grid(schema, DEFAULT_ENUM_CAP)
+            for c in (schema.constraint, rename_attrs(schema.constraint, {})):
+                caps = [DEFAULT_ENUM_CAP]
+                grid = constraints._finite_grid(*constraints._prepared(c, schema), schema, DEFAULT_ENUM_CAP)
+                if domains is not None and isinstance(grid, dict):
+                    size = math.prod(map(len, grid.values()))
+                    whole = math.prod(map(len, domains.values()))
+                    pruned += size < whole <= EXACT_GRID_BUDGET
+                    if 0 < size < whole:
+                        caps += [rng.randint(size, whole - 1), size - 1]
+                        capped += 1
+                for cap in caps:
+                    ranged += _assert_walks_agree(c, schema, cap)
+    assert min(pruned, capped, ranged) > 50
 
 
 def test_a_schemas_shared_box_gives_what_a_fresh_copy_gives():

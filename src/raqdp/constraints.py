@@ -22,11 +22,14 @@ once, only when its domains' grid is too big to walk (`_grid`); a node's
 diameter and its aggregate's range share both.
 Constraints are tested by generated Python source (`Codegen`): one
 expression per constraint over a tuple layout, or one walk per grid,
-compiled once per source text.
+compiled once per source text; a grid that no conjunct tests is
+`itertools.product` over its lists.
+Each constraint node renders its text once and keeps it (`format_constraint`).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -234,8 +237,18 @@ def term_attrs(term: Term) -> set[str]:
 # Constraints
 
 
+class _Rendered:
+    """A constraint node, whose text (`format_constraint`) is rendered the
+    first time it is asked for and kept, as `Cmp._linear` keeps its form;
+    == and hash stay the dataclass fields'."""
+
+    @functools.cached_property
+    def _text(self) -> str:
+        return _render(self)
+
+
 @dataclass(frozen=True)
-class BoolConst:
+class BoolConst(_Rendered):
     value: bool
 
 
@@ -244,7 +257,7 @@ FALSE = BoolConst(False)
 
 
 @dataclass(frozen=True)
-class Cmp:
+class Cmp(_Rendered):
     op: str  # '<=', '>=', '<', '>', '=', '!='
     left: Term
     right: Term
@@ -264,7 +277,7 @@ class Cmp:
 
 
 @dataclass(frozen=True)
-class InSet:
+class InSet(_Rendered):
     term: Term
     values: frozenset
     negated: bool = False
@@ -284,22 +297,22 @@ class InSet:
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Rendered):
     arg: "Constraint"
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Rendered):
     items: tuple["Constraint", ...]
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Rendered):
     items: tuple["Constraint", ...]
 
 
 @dataclass(frozen=True)
-class Iff:
+class Iff(_Rendered):
     left: "Constraint"
     right: "Constraint"
 
@@ -628,12 +641,23 @@ def _fmt_values(values: frozenset) -> str:
 
 
 def format_constraint(c: Constraint) -> str:
-    def wrap(child: Constraint, strength: int) -> str:
-        # strength: 3 = need atom-level, 2 = inside and, 1 = inside or
-        text = format_constraint(child)
-        rank = {Iff: 0, Or: 1, And: 2}.get(type(child), 3)
-        return f"({text})" if rank < strength else text
+    """The constraint in the input grammar. Each node renders its text once,
+    from its children's kept texts, and keeps it (`_Rendered`): `make_and`
+    splices a child's items into its parent, so a report that prints every
+    node's constraint renders each atom once, not once per node above it."""
+    if not isinstance(c, _Rendered):
+        raise TypeError(f"not a constraint: {c!r}")
+    return c._text
 
+
+# how loosely each composite binds; an atom or a `not` binds tightest (3)
+_BINDING = {Iff: 0, Or: 1, And: 2}
+
+
+def _render(c: Constraint) -> str:
+    """One node's text (`format_constraint`), from its children's kept texts.
+    Each child is read in this frame, so rendering takes two frames per
+    level of nesting."""
     if isinstance(c, BoolConst):
         return "true" if c.value else "false"
     if isinstance(c, Cmp):
@@ -643,15 +667,22 @@ def format_constraint(c: Constraint) -> str:
     if isinstance(c, InSet):
         base = f"{format_term(c.term)} in {_fmt_values(c.values)}"
         return f"not ({base})" if c.negated else base
+    # strength: what a child's place needs, 3 an atom's, 2 inside and, 1 inside or
     if isinstance(c, Not):
-        return f"not {wrap(c.arg, 3)}"
-    if isinstance(c, And):
-        return " and ".join(wrap(x, 2) for x in c.items)
-    if isinstance(c, Or):
-        return " or ".join(wrap(x, 1) for x in c.items)
-    if isinstance(c, Iff):
-        return f"{wrap(c.left, 1)} iff {wrap(c.right, 1)}"
-    raise TypeError(f"not a constraint: {c!r}")
+        children, strength, sep = (c.arg,), 3, ""
+    elif isinstance(c, And):
+        children, strength, sep = c.items, 2, " and "
+    elif isinstance(c, Or):
+        children, strength, sep = c.items, 1, " or "
+    else:  # Iff
+        children, strength, sep = (c.left, c.right), 1, " iff "
+    texts = []
+    for child in children:
+        if not isinstance(child, _Rendered):
+            raise TypeError(f"not a constraint: {child!r}")
+        text = child._text
+        texts.append(f"({text})" if _BINDING.get(child.__class__, 3) < strength else text)
+    return "not " + texts[0] if isinstance(c, Not) else sep.join(texts)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +795,10 @@ class _Box:
     Every endpoint and num-set member is held as `held_value` holds it, or is
     +-inf; `attribute_bounds` turns endpoints back into Fractions. `moved`
     holds the attributes whose interval narrowed since `integer_tighten`
-    last ran; a copy starts with every numeric attribute in it."""
+    last ran, and a copy keeps its source's: every box outside `narrow`'s
+    loop (a schema's domain box, a narrowed box, a hull of narrowed boxes)
+    has every attribute outside `moved` rounded already, so rounding those
+    again would change nothing."""
 
     __slots__ = ("nums", "strs", "numset_members", "int_attrs", "moved")
 
@@ -790,7 +824,7 @@ class _Box:
         out.strs = {a: set(v) for a, v in self.strs.items()}
         out.numset_members = self.numset_members
         out.int_attrs = self.int_attrs
-        out.moved = set(self.nums)
+        out.moved = set(self.moved)
         return out
 
     def is_empty(self) -> bool:
@@ -836,9 +870,8 @@ class _Box:
                     st[1], st[3] = new_hi, False
                     changed = changed or new_hi != hi
         for a in self.numset_members.keys() & attrs:
-            members = self.numset_members[a]
             st = self.nums[a]
-            kept = [v for v in members if _within(v, *st)]
+            kept = _inside(self.numset_members[a], *st)
             if not kept:
                 st[0], st[1] = 1, 0  # mark empty
                 changed = True
@@ -860,6 +893,14 @@ class _Box:
 def _within(v, lo: Ext, hi: Ext, lo_open: bool, hi_open: bool) -> bool:
     """Whether v lies between lo and hi, each end open or closed as flagged."""
     return (v > lo or (v == lo and not lo_open)) and (v < hi or (v == hi and not hi_open))
+
+
+def _inside(values, lo: Ext, hi: Ext, lo_open: bool, hi_open: bool):
+    """The slice of sorted, distinct `values` that lies between lo and hi,
+    each end open or closed as flagged (`_within`): one bisection per end."""
+    start = (bisect.bisect_right if lo_open else bisect.bisect_left)(values, lo)
+    stop = (bisect.bisect_left if hi_open else bisect.bisect_right)(values, hi)
+    return values[start:stop]
 
 
 def _sum_extreme(coeffs: dict[str, int | Fraction], box: _Box, skip: str, minimum: bool) -> tuple[Ext, bool] | None:
@@ -891,6 +932,10 @@ def _apply_linear_le(box: _Box, coeffs: dict[str, int | Fraction], bound: int | 
     if not coeffs:
         ok = 0 < bound if strict else 0 <= bound
         return None if not ok else False
+    if len(coeffs) == 1:  # c * x <= bound: the other variables' least sum is 0, from no open end
+        (a, c), = coeffs.items()
+        limit = _quotient(bound, c)
+        return box.tighten_upper(a, limit, strict) if c > 0 else box.tighten_lower(a, limit, strict)
     changed = False
     for a, c in coeffs.items():
         rest = _sum_extreme(coeffs, box, skip=a, minimum=True)
@@ -999,8 +1044,7 @@ def _apply_inset(box: _Box, atom: InSet) -> bool | None:
         return False
     if not vals:
         return None
-    interval = box.nums[a]
-    inside = [v for v in vals if _within(v, *interval)]
+    inside = _inside(vals, *box.nums[a])
     if not inside:
         box.nums[a][0], box.nums[a][1] = 1, 0
         return True
@@ -1013,10 +1057,13 @@ def narrow(atoms, schema: ConstrainedSchema, seed: _Box | None = None) -> _Box |
     """Hull-consistency fixpoint over a conjunction of atoms; None if empty.
 
     Each pass applies every atom, but an atom derives its linear form (or
-    its sorted candidate values) once, on its first pass, and keeps it; after
-    the first pass only attributes that moved are rounded to integers or
-    members again. A schema's own constraint is narrowed at most once per
-    node, and only when its domains' grid is too big to walk (`_grid`)."""
+    its sorted candidate values) once, on its first pass, and keeps it. A
+    form over one attribute tightens it directly, and the sorted values
+    inside an interval are one bisect slice (`_inside`). Only attributes
+    that moved are rounded to integers or members: first those in the given
+    box's `moved` set, then those each pass narrowed. A schema's own
+    constraint is narrowed at most once per node, and only when its domains'
+    grid is too big to walk (`_grid`)."""
     box = (seed if seed is not None else schema._box).copy()
     box.integer_tighten()
     if box.is_empty():
@@ -1230,25 +1277,26 @@ def _finite_grid(
     'infinite' if some attribute's values cannot be listed, else
     'exceeds-cap'. An empty box, or an attribute left with no candidate
     value, gives a grid of empty lists, whatever the attribute order.
+    Each attribute's candidates are counted, and the grid tested against
+    the cap, before any list is built.
     """
     domains = schema.all_domains()
     if box is None:
         return {a: [] for a in domains}
-    grid: dict[str, list] = {}
+    candidates: dict[str, object] = {}  # a sized collection per attribute, listed at the end
     reason = None
     for a, dom in domains.items():
         if dom.kind is DomainKind.STR_SET:
-            values = sorted(box.strs[a])
+            values = box.strs[a]
         elif dom.kind is DomainKind.NUM_SET:
-            interval = box.nums[a]
-            values = [v for v in box.numset_members[a] if _within(v, *interval)]
+            values = _inside(box.numset_members[a], *box.nums[a])
         elif dom.kind is DomainKind.INT_RANGE:
             lo, hi, _, _ = box.nums[a]
             lo_i, hi_i = math.ceil(lo), math.floor(hi)
             if hi_i - lo_i + 1 > cap:
                 reason = reason or "exceeds-cap"
                 continue
-            values = list(range(lo_i, hi_i + 1))
+            values = range(lo_i, hi_i + 1)
         else:  # REAL_RANGE
             lo, hi, lo_open, hi_open = box.nums[a]
             if lo == hi and not lo_open and not hi_open:
@@ -1266,14 +1314,19 @@ def _finite_grid(
                 )
         if not values:
             return {a: [] for a in domains}
-        grid[a] = values
-    if reason is None and math.prod(map(len, grid.values())) > cap:
+        candidates[a] = values
+    if reason is None and math.prod(map(len, candidates.values())) > cap:
         reason = "exceeds-cap"
-    return reason or grid
+    if reason is not None:
+        return reason
+    return {a: sorted(v) if v.__class__ is set else list(v) for a, v in candidates.items()}
 
 
 def _conjuncts(c: Constraint) -> list[tuple[Constraint, set[str]]]:
-    """The constraint's top-level conjuncts, each with its attributes."""
+    """The constraint's top-level conjuncts, each with its attributes; `true`
+    has none."""
+    if isinstance(c, BoolConst) and c.value:
+        return []
     return [(conj, constraint_attrs(conj)) for conj in (c.items if isinstance(c, And) else (c,))]
 
 
@@ -1288,7 +1341,13 @@ def _solutions(
     conjunct is in no solution, so the solutions are the whole grid's, and
     the caps were taken on the unfiltered grid. The walk checks no types:
     the constraint has passed `check_types` (`_prepared`).
+
+    With no conjunct and no empty list, the solutions are `itertools.product`
+    over the visible lists: every list holds distinct values, so the first
+    time each projected point comes is the product's order.
     """
+    if not conjuncts and all(grid.values()):
+        return itertools.product(*[grid[a] for a in visible])
     names = tuple(grid)
     gen = Codegen("", _cells(names, "c{}"))
     gen.consts = list(grid.values())  # k0, k1, ... in grid order

@@ -1,14 +1,16 @@
 """Text formats: schema declarations, constraints, and queries.
 
-Hand-rolled recursive descent over a regex tokenizer. The only
-non-LL(1) spot is a parenthesis that may open either a grouped constraint
-or a grouped arithmetic term; a bounded backtrack disambiguates.
+Hand-rolled recursive descent over a regex tokenizer. `tokenize` takes one
+regex match per token, the whitespace and comments before it included, and
+gives plain (kind, text, value, line, col) tuples; the parser tests operators
+and keywords by their text alone (`_Parser`). The only non-LL(1) spot is a
+parenthesis that may open either a grouped constraint or a grouped
+arithmetic term; a bounded backtrack disambiguates.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .constraints import (
@@ -58,124 +60,133 @@ KEYWORDS = frozenset(
 # aggregation names double as attribute names outside function position
 FN_KEYWORDS = frozenset({"count", "sum", "max", "min", "avg"})
 
+# One match per token: the whitespace and comments before it, then the token.
+# Every position matches, because the last two alternatives take the end of
+# the text and any other character.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<skip>(?:\s+|\#[^\n]*)+)
+    \s*(?:\#[^\n]*\s*)*
+    (?:
+      (?P<op><=|>=|!=|[{}()\[\],;:=<>+\-*/])
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<num>\d+(?:\.\d+)?)
     | (?P<str>"(?:[^"\\\n]|\\.)*")
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op><=|>=|!=|[{}()\[\],;:=<>+\-*/])
-    | (?P<bad>[\s\S])
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
 _ESCAPE_RE = re.compile(r"\\(.)")
 
-
-@dataclass(slots=True)
-class Token:
-    kind: str  # 'num', 'str', 'ident', 'kw', 'op', 'eof'
-    text: str
-    value: object
-    line: int
-    col: int
+_COMPARISON_OPS = frozenset({"<=", ">=", "!=", "<", ">", "="})
+# what may follow a parenthesized arithmetic term, but never a grouped constraint
+_AFTER_TERM = frozenset({"+", "-", "*", "/", "in"}) | _COMPARISON_OPS
 
 
-def tokenize(text: str) -> list[Token]:
-    """The text's tokens, then an 'eof' token, in one pass of the token regex.
+def tokenize(text: str) -> list[tuple]:
+    """The text's tokens as (kind, text, value, line, col) tuples, then an
+    'eof' token, one match of the token regex each. Kind is 'num', 'str',
+    'ident', 'kw', 'op' or 'eof'; value is a number's Fraction (one per
+    distinct lexeme), a string's unescaped text, or else the text itself.
 
-    Whitespace and comments make no token; they only move the line count
-    and the start of the current line, from which each column is taken."""
-    tokens: list[Token] = []
+    Whitespace and comments make no token. No token holds a newline, so the
+    line and column come from a running index of the next newline."""
+    tokens: list[tuple] = []
+    numbers: dict[str, Fraction] = {}
     line, line_start = 1, 0
+    next_newline = text.find("\n")
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
-        start = m.start()
-        if kind == "skip":
-            last = lexeme.rfind("\n")
-            if last >= 0:
-                line += lexeme.count("\n")
-                line_start = start + last + 1
-            continue
+        start = m.start(kind)
+        while 0 <= next_newline < start:
+            line += 1
+            line_start = next_newline + 1
+            next_newline = text.find("\n", line_start)
         col = start - line_start + 1
-        if kind == "ident":
-            tokens.append(Token("kw" if lexeme in KEYWORDS else "ident", lexeme, lexeme, line, col))
-        elif kind == "op":
-            tokens.append(Token("op", lexeme, lexeme, line, col))
+        lexeme = m[kind]
+        if kind == "op":
+            tokens.append(("op", lexeme, lexeme, line, col))
+        elif kind == "ident":
+            tokens.append(("kw" if lexeme in KEYWORDS else "ident", lexeme, lexeme, line, col))
         elif kind == "num":
-            try:
-                value = Fraction(lexeme) if "." in lexeme else Fraction(int(lexeme))
-            except ValueError:  # the lexeme is digits: it is past Python's digit limit
-                raise ParseError(str(too_many_digits(lexeme, "number")), line, col) from None
-            tokens.append(Token("num", lexeme, value, line, col))
+            value = numbers.get(lexeme)
+            if value is None:
+                try:
+                    value = Fraction(lexeme) if "." in lexeme else Fraction(int(lexeme))
+                except ValueError:  # the lexeme is digits: it is past Python's digit limit
+                    raise ParseError(str(too_many_digits(lexeme, "number")), line, col) from None
+                numbers[lexeme] = value
+            tokens.append(("num", lexeme, value, line, col))
         elif kind == "str":
-            tokens.append(Token("str", lexeme, _ESCAPE_RE.sub(r"\1", lexeme[1:-1]), line, col))
+            tokens.append(("str", lexeme, _ESCAPE_RE.sub(r"\1", lexeme[1:-1]), line, col))
+        elif kind == "eof":
+            break
         else:
             raise ParseError(f"unexpected character {lexeme!r}", line, col)
-    tokens.append(Token("eof", "", None, line, len(text) - line_start + 1))
+    tokens.append(("eof", "", None, line, col))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over `tokenize`'s tuples. An operator's or keyword's
+    text belongs to no other kind of token (an identifier with a keyword's
+    text is a keyword, a string's text keeps its quotes), so operators and
+    keywords are tested by text alone, in the parallel list `texts`."""
+
     def __init__(self, text: str):
         self.tokens = tokenize(text)
+        self.texts = [t[1] for t in self.tokens]
         self.i = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.tokens[self.i]
 
-    def advance(self) -> Token:
+    def kind(self) -> str:
+        return self.tokens[self.i][0]
+
+    def advance(self) -> tuple:
         tok = self.tokens[self.i]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.i += 1
         return tok
 
-    def error(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        shown = tok.text or "end of input"
-        raise ParseError(f"{message} (found {shown!r})", tok.line, tok.col)
+    def error(self, message: str, tok: tuple | None = None):
+        _, text, _, line, col = tok or self.peek()
+        raise ParseError(f"{message} (found {text or 'end of input'!r})", line, col)
 
     def at_op(self, *texts: str) -> bool:
-        t = self.peek()
-        return t.kind == "op" and t.text in texts
+        return self.texts[self.i] in texts
 
-    def at_kw(self, *words: str) -> bool:
-        t = self.peek()
-        return t.kind == "kw" and t.text in words
+    at_kw = at_op
 
     def accept_op(self, text: str) -> bool:
-        if self.at_op(text):
-            self.advance()
+        if self.texts[self.i] == text:
+            self.i += 1
             return True
         return False
 
-    def accept_kw(self, word: str) -> bool:
-        if self.at_kw(word):
-            self.advance()
-            return True
-        return False
+    accept_kw = accept_op
 
     def expect_op(self, text: str) -> None:
         if not self.accept_op(text):
             self.error(f"expected {text!r}")
 
-    def expect_kw(self, word: str) -> None:
-        if not self.accept_kw(word):
-            self.error(f"expected {word!r}")
+    expect_kw = expect_op
 
     def expect_ident(self, what: str) -> str:
-        t = self.peek()
-        if t.kind != "ident":
+        if self.kind() != "ident":
             self.error(f"expected {what}")
-        self.advance()
-        return t.text
+        return self.advance()[1]
+
+    def _at_attr(self) -> bool:
+        """Whether the next token names an attribute: an identifier, or an
+        aggregation keyword outside function position."""
+        return self.kind() == "ident" or self.texts[self.i] in FN_KEYWORDS
 
     def attr_name(self) -> str:
-        t = self.peek()
-        if t.kind == "ident" or (t.kind == "kw" and t.text in FN_KEYWORDS):
-            self.advance()
-            return t.text
+        if self._at_attr():
+            return self.advance()[1]
         self.error("expected an attribute name")
 
     # ------------------------------------------------------------------
@@ -183,23 +194,23 @@ class _Parser:
 
     def signed_number(self) -> Fraction:
         negative = self.accept_op("-")
-        if self.peek().kind != "num":
+        if self.kind() != "num":
             self.error("expected a number")
         value = self.rational()
         return -value if negative else value
 
     def rational(self) -> Fraction:
         """A number token, divided by a directly following `/ number` if any."""
-        value = self.advance().value
+        value = self.advance()[2]
         if self.at_op("/"):
             save = self.i
             self.advance()
             d = self.peek()
-            if d.kind == "num":
+            if d[0] == "num":
                 self.advance()
-                if d.value == 0:
+                if d[2] == 0:
                     self.error("zero denominator", d)
-                value = value / d.value
+                value = value / d[2]
             else:
                 self.i = save
         return value
@@ -258,7 +269,7 @@ class _Parser:
                 self.advance()
                 inner = self.constraint()
                 self.expect_op(")")
-                if not self.at_op("+", "-", "*", "/", "<=", ">=", "<", ">", "=", "!=") and not self.at_kw("in"):
+                if self.texts[self.i] not in _AFTER_TERM:
                     return inner
             except ParseError:
                 pass
@@ -269,9 +280,10 @@ class _Parser:
             return InSet(left, frozenset(self.value_set()), negated=True)
         if self.accept_kw("in"):
             return InSet(left, frozenset(self.value_set()))
-        for op in ("<=", ">=", "!=", "<", ">", "="):
-            if self.accept_op(op):
-                return Cmp(op, left, self.arith())
+        op = self.texts[self.i]
+        if op in _COMPARISON_OPS:
+            self.i += 1
+            return Cmp(op, left, self.arith())
         self.error("expected a comparison operator or 'in'")
 
     def value_set(self) -> list:
@@ -283,16 +295,14 @@ class _Parser:
         return values
 
     def set_value(self):
-        t = self.peek()
-        if t.kind == "str":
-            self.advance()
-            return t.value
+        if self.kind() == "str":
+            return self.advance()[2]
         return self.signed_number()
 
     def arith(self):
         left = self.arith_term()
         while self.at_op("+", "-"):
-            op = self.advance().text
+            op = self.advance()[1]
             left = Arith(op, left, self.arith_term())
         return left
 
@@ -304,12 +314,11 @@ class _Parser:
         return left
 
     def factor(self):
-        t = self.peek()
-        if t.kind == "num":
+        kind = self.kind()
+        if kind == "num":
             return Lit(self.rational())
-        if t.kind == "str":
-            self.advance()
-            return Lit(t.value)
+        if kind == "str":
+            return Lit(self.advance()[2])
         if self.accept_op("-"):
             inner = self.factor()
             if isinstance(inner, Lit) and not isinstance(inner.value, str):
@@ -319,9 +328,8 @@ class _Parser:
             inner = self.arith()
             self.expect_op(")")
             return inner
-        if t.kind == "ident" or (t.kind == "kw" and t.text in FN_KEYWORDS):
-            self.advance()
-            return Attr(t.text)
+        if self._at_attr():
+            return Attr(self.advance()[1])
         self.error("expected a value, attribute, or parenthesized term")
 
     # ------------------------------------------------------------------
@@ -329,7 +337,7 @@ class _Parser:
 
     def schema_file(self) -> dict[str, ConstrainedSchema]:
         schemas: dict[str, ConstrainedSchema] = {}
-        while self.peek().kind != "eof":
+        while self.kind() != "eof":
             schema = self.relation_decl()
             if schema.name in schemas:
                 self.error(f"relation {schema.name!r} declared twice")
@@ -353,11 +361,11 @@ class _Parser:
             self.expect_op("{")
             check = self.constraint()
             self.expect_op("}")
-        tok = self.peek()
+        _, _, _, line, col = self.peek()
         try:
             return ConstrainedSchema(name, tuple(attrs), check)
         except Exception as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from exc
+            raise ParseError(str(exc), line, col) from exc
 
     def attr_decl(self) -> tuple[str, Domain]:
         name = self.attr_name()
@@ -407,7 +415,7 @@ class _Parser:
         fn = self.fn_spec()
         self.expect_kw("of")
         body = self.plan()
-        if self.peek().kind != "eof":
+        if self.kind() != "eof":
             self.error("trailing input after the query")
         return TopQuery(fn, body)
 
@@ -436,11 +444,11 @@ class _Parser:
             elif self.accept_kw("product1"):
                 left = ProductOne(left, self.unary_plan())
             elif self.accept_kw("productn"):
-                t = self.peek()
-                if t.kind != "num" or t.value.denominator != 1 or t.value < 1:
+                kind, _, n, _, _ = self.peek()
+                if kind != "num" or n.denominator != 1 or n < 1:
                     self.error("expected a positive block size")
                 self.advance()
-                left = ProductN(int(t.value), left, self.unary_plan())
+                left = ProductN(int(n), left, self.unary_plan())
             elif self.accept_kw("productagg"):
                 fn = self.fn_spec()
                 left = ProductAgg(fn, left, self.unary_plan())
@@ -472,8 +480,8 @@ class _Parser:
             inner = self.plan()
             self.expect_op(")")
             return inner
-        if self.peek().kind == "ident":
-            return Id(self.advance().text)
+        if self.kind() == "ident":
+            return Id(self.advance()[1])
         self.error("expected a relation or a select/project/group form")
 
 
@@ -488,7 +496,7 @@ def parse_schemas(text: str) -> dict[str, ConstrainedSchema]:
 def parse_constraint(text: str) -> Constraint:
     parser = _Parser(text)
     out = parser.constraint()
-    if parser.peek().kind != "eof":
+    if parser.kind() != "eof":
         parser.error("trailing input after the constraint")
     return out
 

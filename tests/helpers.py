@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
+import math
 import operator
 import random
 import re
@@ -15,6 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from raqdp.constraints import (
+    _NARROW_MAX_PASSES,
     DEFAULT_ENUM_CAP,
     And,
     Arith,
@@ -22,22 +24,27 @@ from raqdp.constraints import (
     BoolConst,
     Cmp,
     ConstrainedSchema,
+    Constraint,
     Domain,
+    DomainKind,
     Iff,
     InSet,
     Lit,
     Not,
     Or,
     _finite_grid,
+    _fmt_values,
     _prepared,
+    _quotient,
     compile_constraint,
+    format_term,
     held_value,
     solution_count,
     initial_constraint,
 )
 from raqdp.engine import Relation, answer, eval_plan
 from raqdp.errors import DataError, ParseError, ValidationError
-from raqdp.extmath import too_many_digits
+from raqdp.extmath import Ext, is_infinite, too_many_digits
 from raqdp.oracle import (
     BruteResult,
     SensitiveRelation,
@@ -701,6 +708,312 @@ def reference_tokenize(text: str) -> list[tuple]:
         pos = m.end()
     tokens.append(("eof", "", None, line, col))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Reference narrowing: hull-consistency narrowing as it was before its exact
+# shortcuts (a copy keeps its source's `moved` set, a one-attribute form
+# tightens its attribute directly, sorted members are one bisect slice).
+# The code is kept as it was, names prefixed; only the copy of the first box
+# is made by the reference's `copy`, whatever box class the seed is.
+
+
+class _ReferenceBox:
+    """Per-attribute intervals (numeric) and allowed-value sets (string).
+
+    Every endpoint and num-set member is held as `held_value` holds it, or is
+    +-inf; `attribute_bounds` turns endpoints back into Fractions. `moved`
+    holds the attributes whose interval narrowed since `integer_tighten`
+    last ran; a copy starts with every numeric attribute in it."""
+
+    __slots__ = ("nums", "strs", "numset_members", "int_attrs", "moved")
+
+    def __init__(self, schema: ConstrainedSchema):
+        self.nums: dict[str, list] = {}
+        self.strs: dict[str, set] = {}
+        self.numset_members: dict[str, tuple] = {}
+        self.int_attrs: set[str] = set()
+        self.moved: set[str] = set()
+        for a, dom in schema.all_domains().items():
+            if dom.kind is DomainKind.STR_SET:
+                self.strs[a] = set(dom.members)
+            else:
+                self.nums[a] = [*map(held_value, dom.interval()), False, False]
+                if dom.kind is DomainKind.NUM_SET:
+                    self.numset_members[a] = tuple(map(held_value, dom.members))
+                elif dom.kind is DomainKind.INT_RANGE:
+                    self.int_attrs.add(a)
+
+    def copy(self) -> "_ReferenceBox":
+        out = object.__new__(_ReferenceBox)
+        out.nums = {a: list(v) for a, v in self.nums.items()}
+        out.strs = {a: set(v) for a, v in self.strs.items()}
+        out.numset_members = self.numset_members
+        out.int_attrs = self.int_attrs
+        out.moved = set(self.nums)
+        return out
+
+    def is_empty(self) -> bool:
+        for lo, hi, lo_open, hi_open in self.nums.values():
+            if lo > hi or (lo == hi and (lo_open or hi_open)):
+                return True
+        return any(not s for s in self.strs.values())
+
+    def tighten_upper(self, attr: str, value: Ext, strict: bool) -> bool:
+        st = self.nums[attr]
+        if value < st[1] or (value == st[1] and strict and not st[3]):
+            st[1], st[3] = value, strict
+            self.moved.add(attr)
+            return True
+        return False
+
+    def tighten_lower(self, attr: str, value: Ext, strict: bool) -> bool:
+        st = self.nums[attr]
+        if value > st[0] or (value == st[0] and strict and not st[2]):
+            st[0], st[2] = value, strict
+            self.moved.add(attr)
+            return True
+        return False
+
+    def integer_tighten(self) -> bool:
+        """Round the ends of each int attribute inward and move those of each
+        num-set attribute onto its members, for the attributes that moved
+        since the last call only: tightening again an attribute that has not
+        moved changes nothing."""
+        attrs, self.moved = self.moved, set()
+        changed = False
+        for a in self.int_attrs.intersection(attrs):
+            st = self.nums[a]
+            lo, hi = st[0], st[1]
+            if not is_infinite(lo):
+                new_lo = math.floor(lo) + 1 if st[2] else math.ceil(lo)
+                if new_lo != lo or st[2]:
+                    st[0], st[2] = new_lo, False
+                    changed = changed or new_lo != lo
+            if not is_infinite(hi):
+                new_hi = math.ceil(hi) - 1 if st[3] else math.floor(hi)
+                if new_hi != hi or st[3]:
+                    st[1], st[3] = new_hi, False
+                    changed = changed or new_hi != hi
+        for a in self.numset_members.keys() & attrs:
+            members = self.numset_members[a]
+            st = self.nums[a]
+            kept = [v for v in members if _reference_within(v, *st)]
+            if not kept:
+                st[0], st[1] = 1, 0  # mark empty
+                changed = True
+            else:
+                if kept[0] != st[0] or kept[-1] != st[1] or st[2] or st[3]:
+                    changed = changed or kept[0] != st[0] or kept[-1] != st[1]
+                    st[0], st[1], st[2], st[3] = kept[0], kept[-1], False, False
+        return changed
+
+    def intersect(self, other: "_ReferenceBox") -> None:
+        for a, st in self.nums.items():
+            o = other.nums[a]
+            self.tighten_lower(a, o[0], o[2])
+            self.tighten_upper(a, o[1], o[3])
+        for a in self.strs:
+            self.strs[a] &= other.strs[a]
+
+
+def _reference_within(v, lo: Ext, hi: Ext, lo_open: bool, hi_open: bool) -> bool:
+    """Whether v lies between lo and hi, each end open or closed as flagged."""
+    return (v > lo or (v == lo and not lo_open)) and (v < hi or (v == hi and not hi_open))
+
+
+def _reference_sum_extreme(coeffs: dict[str, int | Fraction], box: _ReferenceBox, skip: str, minimum: bool) -> tuple[Ext, bool] | None:
+    """Min (or max) of sum(c_j * x_j) over the box, skipping one variable.
+
+    Returns (value, any_open_endpoint_used) or None when unbounded.
+    """
+    total: Ext = 0
+    used_open = False
+    for a, c in coeffs.items():
+        if a == skip:
+            continue
+        lo, hi, lo_open, hi_open = box.nums[a]
+        want_low = (c > 0) == minimum
+        end, is_open = (lo, lo_open) if want_low else (hi, hi_open)
+        if is_infinite(end):
+            return None
+        total = total + c * end
+        used_open = used_open or is_open
+    return total, used_open
+
+
+def _reference_apply_linear_le(box: _ReferenceBox, coeffs: dict[str, int | Fraction], bound: int | Fraction, strict: bool) -> bool | None:
+    """Narrow the box with sum(c_i * x_i) <= bound (< if strict).
+
+    Returns whether anything changed, or None when the atom is contradictory
+    on a variable-free form.
+    """
+    if not coeffs:
+        ok = 0 < bound if strict else 0 <= bound
+        return None if not ok else False
+    changed = False
+    for a, c in coeffs.items():
+        rest = _reference_sum_extreme(coeffs, box, skip=a, minimum=True)
+        if rest is None:
+            continue
+        rest_min, rest_open = rest
+        limit = _quotient(bound - rest_min, c)
+        derived_strict = strict or rest_open
+        if c > 0:
+            changed = box.tighten_upper(a, limit, derived_strict) or changed
+        else:
+            changed = box.tighten_lower(a, limit, derived_strict) or changed
+    return changed
+
+
+def _reference_apply_atom(box: _ReferenceBox, atom: Constraint) -> bool | None:
+    """Narrow with one atom; None signals a proven-empty box."""
+    if isinstance(atom, BoolConst):
+        return None if not atom.value else False
+    if isinstance(atom, Cmp):
+        return _reference_apply_cmp(box, atom)
+    if isinstance(atom, InSet):
+        return _reference_apply_inset(box, atom)
+    raise TypeError(f"not an atom: {atom!r}")
+
+
+def _reference_apply_cmp(box: _ReferenceBox, atom: Cmp) -> bool | None:
+    """Narrow with one comparison. Its linear form and that form's negation
+    are derived once per atom object (`Cmp._linear`, `Cmp._negated`), not on
+    each pass of each `narrow` call."""
+    linear = atom._linear
+    # s = t over two string attributes has a linear form but is no arithmetic
+    if linear is not None and box.strs.keys().isdisjoint(linear[0]):
+        op = atom.op
+        if op in ("<=", "<"):
+            return _reference_apply_linear_le(box, *linear, op == "<")
+        if op in (">=", ">"):
+            return _reference_apply_linear_le(box, *atom._negated, op == ">")
+        if op == "=":
+            r1 = _reference_apply_linear_le(box, *linear, False)
+            if r1 is None:
+                return None
+            r2 = _reference_apply_linear_le(box, *atom._negated, False)
+            if r2 is None:
+                return None
+            return r1 or r2
+        return False  # '!=' does not narrow intervals
+    # string-typed or nonlinear comparisons
+    return _reference_apply_string_cmp(box, atom)
+
+
+def _reference_apply_string_cmp(box: _ReferenceBox, atom: Cmp) -> bool | None:
+    left, right = atom.left, atom.right
+    if atom.op not in ("=", "!="):
+        return False
+    if isinstance(left, Lit) and isinstance(right, Attr):
+        left, right = right, left
+    if isinstance(left, Attr) and left.name in box.strs and isinstance(right, Lit):
+        return _reference_apply_inset(box, InSet(left, frozenset({right.value}), negated=atom.op == "!="))
+    if (
+        isinstance(left, Attr)
+        and isinstance(right, Attr)
+        and left.name in box.strs
+        and right.name in box.strs
+        and atom.op == "="
+    ):
+        common = box.strs[left.name] & box.strs[right.name]
+        changed = common != box.strs[left.name] or common != box.strs[right.name]
+        box.strs[left.name] = set(common)
+        box.strs[right.name] = set(common)
+        return changed
+    return False
+
+
+def _reference_apply_inset(box: _ReferenceBox, atom: InSet) -> bool | None:
+    term = atom.term
+    if isinstance(term, Attr) and term.name in box.strs:
+        allowed = box.strs[term.name]
+        # check_types has made the set's values strings, like the attribute's
+        new = (allowed - atom.values) if atom.negated else (allowed & atom.values)
+        if new != allowed:
+            box.strs[term.name] = new
+            return True
+        return False
+    if atom.negated:
+        return False
+    lf = atom._linear
+    if lf is None or len(lf[0]) != 1:
+        if lf is not None and not lf[0]:
+            return None if lf[1] not in atom.values else False
+        return False
+    a, vals = atom._solved
+    if a not in box.nums:
+        return False
+    if not vals:
+        return None
+    interval = box.nums[a]
+    inside = [v for v in vals if _reference_within(v, *interval)]
+    if not inside:
+        box.nums[a][0], box.nums[a][1] = 1, 0
+        return True
+    changed = box.tighten_lower(a, inside[0], False)
+    changed = box.tighten_upper(a, inside[-1], False) or changed
+    return changed
+
+
+def reference_narrow(atoms, schema: ConstrainedSchema, seed: _ReferenceBox | None = None) -> _ReferenceBox | None:
+    """Hull-consistency fixpoint over a conjunction of atoms; None if empty.
+
+    Each pass applies every atom, but an atom derives its linear form (or
+    its sorted candidate values) once, on its first pass, and keeps it; after
+    the first pass only attributes that moved are rounded to integers or
+    members again. A schema's own constraint is narrowed at most once per
+    node, and only when its domains' grid is too big to walk (`_grid`)."""
+    box = _ReferenceBox.copy(seed if seed is not None else schema._box)
+    box.integer_tighten()
+    if box.is_empty():
+        return None
+    for _ in range(_NARROW_MAX_PASSES):
+        changed = False
+        for atom in atoms:
+            result = _reference_apply_atom(box, atom)
+            if result is None:
+                return None
+            changed = changed or result
+        changed = box.integer_tighten() or changed
+        if box.is_empty():
+            return None
+        if not changed:
+            break
+    return box
+
+
+# ---------------------------------------------------------------------------
+# Reference rendering: the recursion that renders every node of a
+# constraint again each time it is asked for
+
+
+def reference_format_constraint(c: Constraint) -> str:
+    def wrap(child: Constraint, strength: int) -> str:
+        # strength: 3 = need atom-level, 2 = inside and, 1 = inside or
+        text = reference_format_constraint(child)
+        rank = {Iff: 0, Or: 1, And: 2}.get(type(child), 3)
+        return f"({text})" if rank < strength else text
+
+    if isinstance(c, BoolConst):
+        return "true" if c.value else "false"
+    if isinstance(c, Cmp):
+        if c.op == "!=":
+            return f"not ({format_term(c.left)} = {format_term(c.right)})"
+        return f"{format_term(c.left)} {c.op} {format_term(c.right)}"
+    if isinstance(c, InSet):
+        base = f"{format_term(c.term)} in {_fmt_values(c.values)}"
+        return f"not ({base})" if c.negated else base
+    if isinstance(c, Not):
+        return f"not {wrap(c.arg, 3)}"
+    if isinstance(c, And):
+        return " and ".join(wrap(x, 2) for x in c.items)
+    if isinstance(c, Or):
+        return " or ".join(wrap(x, 1) for x in c.items)
+    if isinstance(c, Iff):
+        return f"{wrap(c.left, 1)} iff {wrap(c.right, 1)}"
+    raise TypeError(f"not a constraint: {c!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Constraint language: solving, bounds, diameters, satisfiability."""
 
+import collections
 import itertools
 import math
 import random
@@ -28,6 +29,7 @@ from raqdp.constraints import (
     Iff,
     InSet,
     Not,
+    Or,
     attribute_bounds,
     compile_constraint,
     constraint_attrs,
@@ -37,6 +39,7 @@ from raqdp.constraints import (
     iter_solutions,
     make_and,
     make_or,
+    narrow,
     normalize,
     rename_attrs,
     solution_count,
@@ -51,6 +54,8 @@ from helpers import (
     multi_relation_case,
     random_case,
     reference_compile,
+    reference_format_constraint,
+    reference_narrow,
     reference_solution_count,
     reference_solutions,
 )
@@ -458,11 +463,12 @@ def test_a_walk_is_built_once(monkeypatch):
     monkeypatch.setattr(constraints.Codegen, "function", counting)
     assert len(list(iter_solutions(c, schema))) == 6 * 4 * 3
     assert builds == 1
-    # one walk per attribute-disjoint group: {a, b}, {d} and {e}
+    # one walk per attribute-disjoint group that a conjunct tests, {a, b} and
+    # {d}; {e}, which no conjunct tests, is itertools.product and no walk
     assert solution_count(c, schema) == 6 * 4 * 3
-    assert builds == 1 + 3
+    assert builds == 1 + 2
     assert attribute_bounds(c, schema, "a") == Bounds(Fraction(0), Fraction(3))
-    assert builds == 1 + 3 + 1
+    assert builds == 1 + 2 + 1
 
 
 @given(constraint_texts())
@@ -1070,3 +1076,225 @@ def test_a_count_derives_each_conjuncts_attributes_once(monkeypatch):
     # the grouping (`_components`) derives them, and the walk reuses them
     assert {solution_count(schema.constraint, schema) for _ in range(20_000)} == {3}
     assert calls == 20_000
+
+
+# ---------------------------------------------------------------------------
+# Narrowing and rendering against the code their shortcuts replaced
+
+
+def _box_state(box):
+    """What a narrowing box holds, each number with its class; None for no box."""
+    if box is None:
+        return None
+    nums = {a: [(type(x), x) for x in st] for a, st in box.nums.items()}
+    return nums, box.strs, box.moved
+
+
+_REALS = ((NEG_INF, INF), (0, INF), (NEG_INF, 3), (-2, Fraction(5, 2)))
+
+
+def _narrowing_schema(rng: random.Random) -> ConstrainedSchema:
+    """One to three attributes, each an int range, a num set, a string set
+    or a real range open at one end, both or neither."""
+    attrs = []
+    for i in range(rng.randint(1, 3)):
+        kind = rng.choice(["int", "num", "str", "real"])
+        if kind == "int":
+            lo = rng.randint(-5, 5)
+            dom = Domain.int_range(lo, lo + rng.randint(0, 12))
+        elif kind == "num":
+            dom = Domain.num_set(rng.sample([-3, Fraction(-1, 2), 0, 1, Fraction(5, 3), 2, 4, 7], rng.randint(1, 5)))
+        elif kind == "str":
+            dom = Domain.str_set(rng.sample(["p", "q", "r", "s"], rng.randint(1, 4)))
+        else:
+            dom = Domain.real_range(*rng.choice(_REALS))
+        attrs.append((f"x{i}", dom))
+    return ConstrainedSchema("R", tuple(attrs))
+
+
+def _narrowing_atom(rng: random.Random, schema: ConstrainedSchema):
+    """A well-typed atom: a string membership or (in)equality, or a linear
+    comparison or membership over one to three numeric attributes, now and
+    then nonlinear."""
+    nums = [a for a, d in schema.attributes if d.is_numeric]
+    strs = [a for a, d in schema.attributes if not d.is_numeric]
+    if strs and (not nums or rng.random() < 0.3):
+        a = rng.choice(strs)
+        values = rng.sample(["p", "q", "r", "s", "t"], rng.randint(1, 3))
+        form = rng.randrange(3)
+        if form == 0:
+            return InSet(Attr(a), frozenset(values), negated=rng.random() < 0.4)
+        right = Lit(values[0]) if form == 1 else Attr(rng.choice(strs))
+        return Cmp(rng.choice(["=", "!="]), Attr(a), right)
+    if rng.random() < 0.05:
+        return Cmp("<=", Arith("*", Attr(rng.choice(nums)), Attr(rng.choice(nums))), Lit(Fraction(3)))
+    term = None
+    for a in rng.sample(nums, rng.randint(1, min(3, len(nums)))):
+        c = rng.choice([1, 1, -1, 2, -3, Fraction(1, 2)])
+        part = Attr(a) if c == 1 else Arith("*", Lit(Fraction(c)), Attr(a))
+        term = part if term is None else Arith(rng.choice("+-"), term, part)
+    if rng.random() < 0.2:
+        values = {Fraction(rng.randint(-4, 8), rng.choice([1, 2])) for _ in range(rng.randint(1, 4))}
+        return InSet(term, frozenset(values))
+    right = Lit(Fraction(rng.randint(-6, 10), rng.choice([1, 1, 3])))
+    if rng.random() < 0.3:
+        right = Arith("+", Attr(rng.choice(nums)), right)
+    return Cmp(rng.choice(["<=", "<", ">=", ">", "=", "!="]), term, right)
+
+
+def _narrowing_seeds(rng: random.Random, schema: ConstrainedSchema) -> list:
+    """No seed; the domains' box with one end moved to an open fraction,
+    which `moved` records and the first rounding must tighten; the
+    structural box of a random disjunction (`_struct_box`); and that box
+    intersected into the domains' box, as `_struct_box` seeds a conjunction."""
+    seeds = [None]
+    nums = [a for a, d in schema.attributes if d.is_numeric]
+    if nums:
+        moved = schema._box.copy()
+        end = Fraction(rng.randint(-8, 16), 3)
+        (moved.tighten_upper if rng.random() < 0.5 else moved.tighten_lower)(rng.choice(nums), end, rng.random() < 0.5)
+        seeds.append(moved)
+    branches = [make_and([_narrowing_atom(rng, schema) for _ in range(rng.randint(1, 3))]) for _ in range(2)]
+    sub = constraints._struct_box(normalize(make_or(branches)), schema)
+    if sub is None:
+        return seeds
+    mixed = schema._box.copy()
+    mixed.intersect(sub)
+    return seeds + [sub] + ([] if mixed.is_empty() else [mixed])
+
+
+def test_narrow_matches_the_reference():
+    """`narrow` gives the box, or None, that it gave before its shortcuts
+    (`reference_narrow`), from the domains' box and from `_struct_box` seeds."""
+    rng = random.Random(3217)
+    outcomes = collections.Counter()
+    kinds = collections.Counter()
+    for _ in range(1500):
+        schema = _narrowing_schema(rng)
+        atoms = [_narrowing_atom(rng, schema) for _ in range(rng.randint(0, 5))]
+        for seed in _narrowing_seeds(rng, schema):
+            got = narrow(atoms, schema, seed)
+            assert _box_state(got) == _box_state(reference_narrow(atoms, schema, seed)), (schema, atoms)
+            outcomes["empty" if got is None else "seeded" if seed is not None else "box"] += 1
+        kinds.update(dom.kind for _, dom in schema.attributes)
+        kinds.update(a.op if isinstance(a, Cmp) else "in" for a in atoms)
+        kinds.update(len(a._linear[0]) for a in atoms if isinstance(a, Cmp) and a._linear is not None)
+    assert min(outcomes.values()) > 200, outcomes
+    assert min(kinds.values()) > 100, kinds
+
+
+def test_narrow_stops_at_the_pass_cap_as_the_reference_does():
+    # each pass moves every end by one, so 32 passes end short of proving the box empty
+    schema = ConstrainedSchema("R", (ints("x", 0, 1000), ints("y", 0, 1000)))
+    atoms = [parse_constraint("x >= y + 1"), parse_constraint("y >= x")]
+    box = narrow(atoms, schema)
+    assert _box_state(box) == _box_state(reference_narrow(atoms, schema))
+    assert box.nums == {"x": [32, 968, False, False], "y": [32, 968, False, False]}
+    again = narrow(atoms, schema, box)
+    assert _box_state(again) == _box_state(reference_narrow(atoms, schema, box))
+    assert again.nums["x"] == [64, 936, False, False]
+
+
+def _constraint_nodes(c):
+    """Every node of a constraint, parents before their children."""
+    stack = [c]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (And, Or)):
+            stack.extend(reversed(node.items))
+        elif isinstance(node, Not):
+            stack.append(node.arg)
+        elif isinstance(node, Iff):
+            stack += [node.right, node.left]
+
+
+def test_format_constraint_matches_the_reference_recursion():
+    """Every node of every plan node's constraint, over `random_case` and
+    `multi_relation_case` draws and a few nested texts, renders as the
+    recursion that kept no text did: parents first, and on a fresh copy
+    children first."""
+    rng = random.Random(4417)
+    found = [parse_constraint(text) for text in (
+        "a <= 1 iff not (b = 2 or a in {1, 2})",
+        '(a = 1 or b != 2) and not (c in {"x", "y"} iff a < 0)',
+        "not (a <= 1 and (b >= 2 or a = b)) or (a > 0 iff b < 1) iff true",
+    )]
+    for draw in [random_case] * 150 + [multi_relation_case] * 100:
+        tq, schemas, _ = draw(rng)
+        found += [facts.schema.constraint for facts in validate(tq, schemas).nodes.values()]
+    kinds = collections.Counter()
+    for c in found:
+        for order in (list, lambda nodes: nodes[::-1]):
+            for node in order(list(_constraint_nodes(rename_attrs(c, {})))):
+                assert format_constraint(node) == reference_format_constraint(node)
+                kinds[type(node).__name__] += 1
+    assert min(kinds[k] for k in ("Cmp", "InSet", "Not", "And", "Or", "Iff", "BoolConst")) > 0, kinds
+    assert kinds["And"] > 200 and kinds["Or"] > 50 and kinds["Not"] > 50, kinds
+
+
+def test_a_report_renders_each_atom_once(monkeypatch, capsys):
+    # each restriction's constraint splices its source's atoms (`make_and`),
+    # so the 41 nodes share 45 atoms (four domain bounds, the check and the
+    # 40 predicates), and each node joins its atoms' kept texts
+    from raqdp.cli import _print_report
+
+    schemas = parse_schemas("relation R { a: int [0, 100]; b: int [0, 100] } check { a <= b }")
+    query = "count of " + "".join(f"select a <= b + {i} from " for i in range(40)) + "R"
+    report = global_sensitivity(validate(parse_query(query), schemas))
+    render = constraints._render
+    rendered = []
+    monkeypatch.setattr(constraints, "_render", lambda c: rendered.append(c) or render(c))
+    for fmt in ("table", "json"):
+        _print_report(report, fmt)
+    out = capsys.readouterr().out
+    # the innermost predicate is in every restriction's constraint, the outermost in the top's
+    assert (out.count("a <= b + 39"), out.count("a <= b + 0"), out.count("a <= b")) == (80, 2, 2 * 41 + 2 * 40 * 41 // 2)
+    assert len({id(c) for c in rendered}) == len(rendered) == 45 + 41
+    assert sum(isinstance(c, Cmp) for c in rendered) == 45
+
+
+@pytest.mark.parametrize("visible", [("a", "b", "c"), ("a", "c"), ("b",), ()])
+def test_a_walk_with_no_conjunct_is_the_product_of_the_visible_lists(visible):
+    full = {"a": [1, Fraction(3, 2)], "b": ["x", "y", "z"], "c": [0, 5]}
+    want = list(reference_solutions(TRUE, full, visible))
+    walk = constraints._solutions([], full, visible)
+    assert isinstance(walk, itertools.product) and list(walk) == want
+    # an empty list, visible or not, leaves no point
+    for a in full:
+        emptied = dict(full, **{a: []})
+        assert list(constraints._solutions([], emptied, visible)) == [] == list(reference_solutions(TRUE, emptied, visible))
+    # an unconstrained schema is walked the same way
+    schema = ConstrainedSchema("R", (ints("a", 0, 5), ints("b", 1, 2)))
+    assert list(iter_solutions(TRUE, schema)) == list(itertools.product(range(6), range(1, 3)))
+
+
+def _grid_box(schema: ConstrainedSchema, **ends):
+    """The schema's domains' box with some attributes' ends replaced."""
+    box = schema._box.copy()
+    for a, (lo, hi) in ends.items():
+        box.nums[a][:2] = [lo, hi]
+    return box
+
+
+@pytest.mark.parametrize(
+    "ends, cap, want",
+    [
+        pytest.param({}, 4096, "exceeds-cap", id="product-over-cap"),
+        pytest.param({"x": (0, 64)}, 4096, "exceeds-cap", id="product-one-over"),
+        pytest.param({"x": (0, 3)}, 4096, None, id="within-cap"),
+        pytest.param({}, 999, "infinite", id="infinite-wins-over-the-cap"),
+        pytest.param({"y": (5, 4)}, 999, "empty", id="empty-after-an-attribute-over-the-cap"),
+    ],
+)
+def test_finite_grid_counts_before_it_lists(ends, cap, want):
+    reals = cap == 999
+    attrs = (ints("x", 0, 999), ints("y", 0, 63)) + ((("r", Domain.real_range()),) if reals else ())
+    schema = ConstrainedSchema("R", attrs)
+    grid = constraints._finite_grid(TRUE, _grid_box(schema, **ends), schema, cap)
+    if want == "empty":
+        assert grid == {a: [] for a in schema.all_domains()}
+    elif want is None:
+        assert grid == {"x": [0, 1, 2, 3], "y": list(range(64))}
+    else:
+        assert grid == want

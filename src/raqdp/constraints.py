@@ -90,17 +90,15 @@ class Domain:
 
     @classmethod
     def int_range(cls, lower, upper) -> Domain:
-        return cls(DomainKind.INT_RANGE, Fraction(lower), Fraction(upper))
+        return cls(DomainKind.INT_RANGE, _fraction(lower), _fraction(upper))
 
     @classmethod
     def real_range(cls, lower=NEG_INF, upper=INF) -> Domain:
-        lo = lower if is_infinite(lower) else Fraction(lower)
-        hi = upper if is_infinite(upper) else Fraction(upper)
-        return cls(DomainKind.REAL_RANGE, lo, hi)
+        return cls(DomainKind.REAL_RANGE, _fraction(lower), _fraction(upper))
 
     @classmethod
     def num_set(cls, values) -> Domain:
-        members = tuple(sorted({Fraction(v) for v in values}))
+        members = tuple(sorted({v if v.__class__ is Fraction else Fraction(v) for v in values}))
         return cls(DomainKind.NUM_SET, members=members)
 
     @classmethod
@@ -140,6 +138,12 @@ class Domain:
 
 
 _NUMBER_CLASSES = frozenset({int, Fraction})
+
+
+def _fraction(x: Ext) -> Ext:
+    """x as a Fraction, or +-inf; a Fraction is kept as it is (the parser
+    makes each number one already)."""
+    return x if x.__class__ is Fraction or is_infinite(x) else Fraction(x)
 
 
 def held_value(v):
@@ -1493,8 +1497,3 @@ def attribute_bounds(
             return Bounds.make_empty()
     lo, hi, lo_open, hi_open = box.nums[attr]
     return Bounds(_fraction(lo), _fraction(hi), lo_open, hi_open)
-
-
-def _fraction(x: Ext) -> Ext:
-    """A box endpoint as `Bounds` holds it: a Fraction, or +-inf."""
-    return x if is_infinite(x) else Fraction(x)

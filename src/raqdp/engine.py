@@ -11,7 +11,11 @@ read in one pass, through one loop generated as Python source for the schema
 (`constraints.Codegen`) that converts the cells and tests the domains and the
 check constraint; the rows that fail it are read again by the row check of
 `Relation.from_rows` (`_checked`), the one path that reads fractions and
-words violations. The loop turns a string cell into its domain's own member
+words violations. A column whose domain is finite and small reads each cell
+through a table of texts built for the load (`_cell_table`), which holds
+each value's canonical text and learns each other in-domain spelling from
+the first row that holds it, so the loop pays no conversion and no domain
+test for it. The loop turns a string cell into its domain's own member
 object, so a loaded relation holds one `str` per value, not one per cell; its
 frozenset, like product-agg's output, is copied from a dict, so its hash
 table is sized once (`_frozen`). Types are checked when a schema is
@@ -35,6 +39,7 @@ from .constraints import (
     Codegen,
     ConstrainedSchema,
     Domain,
+    DomainKind,
     _held_number,
     _quotient,
     compile_constraint,
@@ -83,9 +88,11 @@ class Relation:
 
 def _number_parser(attr: str):
     """A parser of the attribute's CSV cells into numbers as `held_value`
-    holds them. It accepts what `Fraction(text)` accepts, trying `int` first."""
+    holds them. It strips the cell, then accepts what `Fraction(text)`
+    accepts, trying `int` first."""
 
     def parse(text: str):
+        text = text.strip()
         try:
             return int(text)
         except ValueError:
@@ -141,38 +148,91 @@ def _checked(schema: ConstrainedSchema, rows: Iterable) -> tuple[set, list[str]]
 
 def _shown(v) -> str:
     """A value as a violation echoes it: its first 20 characters and `...`
-    when it is longer."""
+    when it is longer; characters that `str.isprintable` rejects, such as a
+    newline or an escape, are shown as the `repr` of those 20."""
     text = str(v)
-    return text if len(text) <= 20 else text[:20] + "..."
+    shown = text[:20]
+    if not shown.isprintable():
+        shown = repr(shown)
+    return shown if len(text) <= 20 else shown + "..."
 
 
-def _csv_loader(schema: ConstrainedSchema):
-    """load(rows, bad): the tuples of the valid rows among CSV `rows`, which
-    are numbered from 1; blank rows are skipped, and every other row goes to
-    bad((label, row)).
+# the most values a domain may have for its column to be read through a table
+_TABLE_CAP = 256
 
-    One generated loop (`Codegen`) unpacks each row into its cells, turns each
-    numeric cell into an `int` and each stripped string cell into its domain's
-    member object (None outside the domain), and tests each cell's domain and
-    then the check constraint on the cells. A wrong number of fields, or a
-    numeric cell that `int` does not read, refuses the row too.
+
+def _cell_table(domain: Domain) -> dict | None:
+    """A new table from each canonical cell text of a finite domain of at
+    most `_TABLE_CAP` values to the value a relation holds for it (`str(v)`
+    for a number, the member itself for a string), or None for a larger or
+    infinite domain. A string member with spaces around it is left out, as
+    a stripped cell never equals it."""
+    if domain.kind is DomainKind.INT_RANGE:
+        lo, hi = int(domain.lower), int(domain.upper)
+        return {str(v): v for v in range(lo, hi + 1)} if hi - lo < _TABLE_CAP else None
+    if not domain.members or len(domain.members) > _TABLE_CAP:
+        return None
+    if domain.is_numeric:
+        return {str(v): v for v in map(held_value, domain.members)}
+    return {m: m for m in domain.members if m == m.strip()}
+
+
+def _cell_reader(attr: str, domain: Domain):
+    """read(text): a CSV cell as the row check reads it, stripped: a number
+    (`_number_parser`) for a numeric attribute, else the domain's own member
+    object when the text is a member, else the text."""
+    if domain.is_numeric:
+        return _number_parser(attr)
+    members = {m: m for m in domain.members}
+
+    def read(text: str) -> str:
+        text = text.strip()
+        return members.get(text, text)
+
+    return read
+
+
+def _csv_loader(schema: ConstrainedSchema, readers: list, refused: list):
+    """load(rows): the tuples of the valid rows among CSV `rows`, which are
+    numbered from 1; blank rows are skipped, and every other row is appended
+    to `refused` as (label, row).
+
+    One generated loop (`Codegen`) unpacks each row into its cells and
+    converts each cell. A column of a small finite domain reads its cell
+    through its own new table (`_cell_table`), and a miss refuses the row;
+    any other numeric cell goes through `int` and any other stripped string
+    cell to its domain's member object (None outside the domain), then that
+    column's domain test. The check constraint is tested last. A wrong
+    number of fields, or a numeric cell that `int` does not read, refuses
+    the row too.
+
+    A refused row of the schema's arity teaches the tables: each cell that
+    missed its table and that `readers` (`_cell_reader`, the row check's
+    reading) turns into a value in its domain is added with that value, so
+    a later row spelling a value the same way (` 50`, `050`, `3.0`, `1/2`)
+    is read by the loop. A table grows only by texts the file holds.
     """
     names = schema.attr_names()
     cells = [f"c{i}" for i in range(len(names))]
     gen = Codegen(", ".join(cells), dict(zip(names, cells)))
     domains = [schema.domain(a) for a in names]
-    tests = [_domain_test(gen, c, d) for c, d in zip(cells, domains)]
+    tables = [_cell_table(d) for d in domains]
+    tests = [_domain_test(gen, c, d) for c, d, t in zip(cells, domains, tables) if t is None]
     test = " and ".join([*tests, f"({gen.test(schema.constraint)})"])
 
-    def converted(c: str, d: Domain) -> str:
+    def converted(c: str, d: Domain, table: dict | None) -> str:
+        if table is not None:
+            return f"{gen.const(table)}[{c}]"
         if d.is_numeric:
             return f"int({c})"
         # the member's own object, so the relation holds one str per value
         return f"{gen.const({m: m for m in d.members}.get)}({c}.strip())"
 
-    convert = "".join(f"\n            {c} = {converted(c, d)}" for c, d in zip(cells, domains))
+    convert = "".join(
+        f"\n            {c} = {converted(c, d, t)}" for c, d, t in zip(cells, domains, tables)
+    )
     unpacked = ", ".join(cells) + ","
-    return gen.function(f"""def _f(rows, bad):
+    load = gen.function(f"""def _f(rows, bad):
     out = []
     for label, row in enumerate(rows, 1):
         try:
@@ -180,11 +240,34 @@ def _csv_loader(schema: ConstrainedSchema):
             if {test}:
                 out.append(({unpacked}))
                 continue
-        except ValueError:
+        except (ValueError, KeyError):
             pass
         if row:
             bad((label, row))
     return out""")
+    learned = [
+        (i, table, readers[i], domains[i].member_test())
+        for i, table in enumerate(tables)
+        if table is not None
+    ]
+    arity = len(names)
+
+    def bad(item: tuple) -> None:
+        refused.append(item)
+        row = item[1]
+        if len(row) != arity:
+            return
+        for i, table, read, inside in learned:
+            text = row[i]
+            if text not in table:
+                try:
+                    value = read(text)
+                except ValueError:
+                    continue
+                if inside(value):
+                    table[text] = value
+
+    return lambda rows: load(rows, bad)
 
 
 def _domain_test(gen: Codegen, cell: str, domain: Domain) -> str:
@@ -206,15 +289,21 @@ def load_csv(schema: ConstrainedSchema, path: str) -> Relation:
     skipped.
 
     Every data row goes through one loop generated for the schema
-    (`_csv_loader`): the row must have the schema's arity, each numeric cell
-    must read as an `int`, and the cells must lie in their domains and satisfy
-    the check constraint. The rows that fail any of these, such as one with a
-    cell like `3.0`, are collected and read again: their numbers are parsed
-    (`_number_parser`), then the row check of `Relation.from_rows`
-    (`_checked`) words their violations. The rows gather in one list that
-    the relation's frozenset is built from once (`_frozen`).
+    (`_csv_loader`): the row must have the schema's arity, each cell of a
+    small finite domain must be in its column's table of texts (each value's
+    canonical text, and the other spellings of in-domain values that earlier
+    rows of the file held), each other numeric cell must read as an `int`,
+    and the cells must lie in their domains and satisfy the check
+    constraint. The rows that fail any of these, such as one with a cell
+    like `3.0` the first time the file spells a value so, are collected and
+    read again: their cells are read as the row check reads them
+    (`_cell_reader`: numbers parsed by `_number_parser`), then the row check
+    of `Relation.from_rows` (`_checked`) words their violations. The rows
+    gather in one list that the relation's frozenset is built from once
+    (`_frozen`).
     """
     names = schema.attr_names()
+    readers = [_cell_reader(a, schema.domain(a)) for a in names]
     refused: list[tuple[int, list]] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -226,16 +315,15 @@ def load_csv(schema: ConstrainedSchema, path: str) -> Relation:
                 raise DataError(
                     f"{path}: header {header} does not match schema attributes {list(names)}", []
                 )
-            out = _csv_loader(schema)(reader, refused.append)
+            out = _csv_loader(schema, readers, refused)(reader)
         except csv.Error as e:
             raise DataError(f"{path}: line {reader.line_num}: {e}", []) from None
     violations: list[str] = []
     if refused:
-        parsers = [_number_parser(a) if schema.domain(a).is_numeric else str for a in names]
         parsed = []
         for label, row in refused:
             try:
-                cells = tuple([parse(text.strip()) for parse, text in zip(parsers, row)])
+                cells = tuple([read(text) for read, text in zip(readers, row)])
             except ValueError as e:
                 violations.append(f"row {label}: {e}")
                 continue

@@ -23,6 +23,7 @@ from raqdp.constraints import (
     Attr,
     BoolConst,
     Cmp,
+    Codegen,
     ConstrainedSchema,
     Constraint,
     Domain,
@@ -42,7 +43,7 @@ from raqdp.constraints import (
     solution_count,
     initial_constraint,
 )
-from raqdp.engine import Relation, answer, eval_plan
+from raqdp.engine import Relation, _checked, _domain_test, _number_parser, answer, eval_plan
 from raqdp.errors import DataError, ParseError, ValidationError
 from raqdp.extmath import Ext, is_infinite, too_many_digits
 from raqdp.oracle import (
@@ -500,7 +501,8 @@ def reference_load_csv(schema: ConstrainedSchema, path: str) -> frozenset:
     (an int when integral). A row's violation is its first cell that is not a
     number (among the schema's arity of cells), else a wrong number of
     fields, else its first cell outside its domain (`Domain.member_test`;
-    a value longer than 20 characters is cut to its first 20 and `...`),
+    a value longer than 20 characters is cut to its first 20 and `...`, and
+    those 20 are shown as their `repr` when `str.isprintable` rejects them),
     else the check constraint; not-a-number rows are listed first. Cells
     past the digit limit are not covered."""
     names = schema.attr_names()
@@ -534,8 +536,9 @@ def reference_load_csv(schema: ConstrainedSchema, path: str) -> frozenset:
             continue
         outside = [(a, v) for a, test, v in zip(names, tests, cells) if not test(v)]
         if outside:
-            shown = str(outside[0][1])
-            shown = shown if len(shown) <= 20 else shown[:20] + "..."
+            text = str(outside[0][1])
+            shown = text[:20] if text[:20].isprintable() else repr(text[:20])
+            shown = shown if len(text) <= 20 else shown + "..."
             violations.append(f"row {i}: {outside[0][0]} = {shown} outside its domain")
         elif not satisfies(cells):
             violations.append(f"row {i}: violates the check constraint")
@@ -546,6 +549,81 @@ def reference_load_csv(schema: ConstrainedSchema, path: str) -> frozenset:
         raise DataError(f"{path}: {len(violations)} invalid row(s)", violations)
     return frozenset(out)
 
+
+
+# ---------------------------------------------------------------------------
+# Reference loop: `engine.load_csv` as it was before cell tables, when the
+# generated loop read every numeric cell with `int` and every string cell
+# with its domain's `.get` on the stripped text, then tested each domain.
+# The code is kept as it was, names prefixed; the row check it reads refused
+# rows again with is the engine's own (`_checked`, `_number_parser`).
+
+
+def _reference_csv_loader(schema: ConstrainedSchema):
+    names = schema.attr_names()
+    cells = [f"c{i}" for i in range(len(names))]
+    gen = Codegen(", ".join(cells), dict(zip(names, cells)))
+    domains = [schema.domain(a) for a in names]
+    tests = [_domain_test(gen, c, d) for c, d in zip(cells, domains)]
+    test = " and ".join([*tests, f"({gen.test(schema.constraint)})"])
+
+    def converted(c: str, d: Domain) -> str:
+        if d.is_numeric:
+            return f"int({c})"
+        return f"{gen.const({m: m for m in d.members}.get)}({c}.strip())"
+
+    convert = "".join(f"\n            {c} = {converted(c, d)}" for c, d in zip(cells, domains))
+    unpacked = ", ".join(cells) + ","
+    return gen.function(f"""def _f(rows, bad):
+    out = []
+    for label, row in enumerate(rows, 1):
+        try:
+            {unpacked} = row{convert}
+            if {test}:
+                out.append(({unpacked}))
+                continue
+        except ValueError:
+            pass
+        if row:
+            bad((label, row))
+    return out""")
+
+
+def reference_loop_load_csv(schema: ConstrainedSchema, path: str) -> frozenset:
+    """The tuples of a CSV file, or its DataError, as the loop without cell
+    tables loads them: every row it refuses is read again row by row."""
+    names = schema.attr_names()
+    refused: list[tuple[int, list]] = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file", [])
+            if [h.strip() for h in header] != list(names):
+                raise DataError(
+                    f"{path}: header {header} does not match schema attributes {list(names)}", []
+                )
+            out = _reference_csv_loader(schema)(reader, refused.append)
+        except csv.Error as e:
+            raise DataError(f"{path}: line {reader.line_num}: {e}", []) from None
+    violations: list[str] = []
+    if refused:
+        parsers = [_number_parser(a) if schema.domain(a).is_numeric else str for a in names]
+        parsed = []
+        for label, row in refused:
+            try:
+                cells = tuple([parse(text.strip()) for parse, text in zip(parsers, row)])
+            except ValueError as e:
+                violations.append(f"row {label}: {e}")
+                continue
+            parsed.append((label, tuple(row) if len(row) > len(names) else cells))
+        tuples, problems = _checked(schema, parsed)
+        out += tuples
+        violations += problems
+    if violations:
+        raise DataError(f"{path}: {len(violations)} invalid row(s)", violations)
+    return frozenset(out)
 
 # ---------------------------------------------------------------------------
 # SQLite as an independent judge of evaluation: a plan translated to SQL over

@@ -99,6 +99,20 @@ def test_contains():
     assert n.contains(Fraction(5, 2)) and not n.contains(2)
 
 
+def test_a_domain_holds_the_fractions_it_is_built_from():
+    lo, hi, half, three = Fraction(0), Fraction(9), Fraction(1, 2), Fraction(3)
+    d = Domain.int_range(lo, hi)
+    assert d.lower is lo and d.upper is hi
+    r = Domain.real_range(half, three)
+    assert r.lower is half and r.upper is three
+    n = Domain.num_set([three, half])
+    assert n.members[0] is half and n.members[1] is three
+    # numbers of any other type are still made Fractions
+    assert [type(x) for x in (*Domain.int_range(0, 9).interval(), *Domain.num_set([1]).members)] == [Fraction] * 3
+    parsed = parse_schemas("relation R { a: int [0, 9]; m: num in {1/2, 3} }")["R"]
+    assert all(x.__class__ is Fraction for x in (*parsed.domain("a").interval(), *parsed.domain("m").members))
+
+
 def test_schema_rejects_duplicate_and_unknown():
     with pytest.raises(SchemaError):
         ConstrainedSchema("R", (ints("a", 0, 1), ints("a", 0, 1)))

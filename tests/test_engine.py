@@ -816,6 +816,194 @@ def test_load_csv_reads_again_only_the_rows_the_generated_loop_refuses(tmp_path,
     assert checked == [104, 701]
 
 
+def _counting_checker(monkeypatch) -> list:
+    """The labels of the rows `_row_checker`'s checks are called on, in order."""
+    checked = []
+    row_checker = engine._row_checker
+
+    def counting_checker(schema):
+        check = row_checker(schema)
+        return lambda label, cells: checked.append(label) or check(label, cells)
+
+    monkeypatch.setattr(engine, "_row_checker", counting_checker)
+    return checked
+
+
+MEMO_SCHEMA = "relation R { a: int [0, 999]; b: int [0, 9]; m: num in {1/2, 3} }"
+
+
+@pytest.mark.parametrize("bs, ms", [
+    (["0", "5", "9"], ["1/2", "3"]),  # canonical: the loop reads every row
+    (["00", "05", "5", "09"], ["1/2"]),
+    ([" 0", "5 ", " 9 ", "9"], ["3", "1/2"]),
+    (["0", "7"], ["2/4", " 1/2", "3.0", "6/2", "1/2"]),
+])
+def test_a_spelling_reaches_the_row_check_once(tmp_path, monkeypatch, bs, ms):
+    """Each cell table learns an in-domain spelling from the first row that
+    holds it, so at most one row per distinct non-canonical text is read
+    again, and a file of canonical texts sends none."""
+    checked = _counting_checker(monkeypatch)
+    rng = random.Random(len(bs) * 10 + len(ms))
+    rows = [(i, rng.choice(bs), rng.choice(ms)) for i in range(1000)]
+    path = write_csv(tmp_path, "a,b,m\n" + "".join(f"{i},{b},{m}\n" for i, b, m in rows))
+    schema = parse_schemas(MEMO_SCHEMA)["R"]
+    assert load_csv(schema, path).tuples == {(i, int(b), Fraction(m.strip())) for i, b, m in rows}
+    canonical = [set(map(str, range(10))), {"1/2", "3"}]
+    seen, first = [set(texts) for texts in canonical], []
+    for i, *texts in rows:
+        if any(t not in known for t, known in zip(texts, seen)):
+            first.append(i + 1)
+        for t, known in zip(texts, seen):
+            known.add(t)
+    assert checked == first
+    assert len(checked) <= len(set(bs) - canonical[0]) + len(set(ms) - canonical[1])
+
+
+def test_a_refused_spelling_is_not_learned(tmp_path, monkeypatch):
+    """A text outside its domain, or not a number, stays out of the table:
+    every row that holds it is read again, and each is reported."""
+    checked = _counting_checker(monkeypatch)
+    lines = [f"{i},{'10' if i % 3 else ' 05'},3" for i in range(9)] + ["9,zz,3", "10,zz,3"]
+    path = write_csv(tmp_path, "a,b,m\n" + "".join(line + "\n" for line in lines))
+    with pytest.raises(DataError) as refused:
+        load_csv(parse_schemas(MEMO_SCHEMA)["R"], path)
+    assert checked == [1, 2, 3, 5, 6, 8, 9]  # row 1 teaches " 05"
+    assert refused.value.violations == [
+        "row 10: b = 'zz' is not a number",
+        "row 11: b = 'zz' is not a number",
+        *(f"row {r}: b = 10 outside its domain" for r in checked[1:]),
+    ]
+
+
+DIFF_WORDS = [f"w{i}" for i in range(300)]  # over the table cap: read by .get and a set test
+DIFF_SCHEMA = """relation R {
+  a: int [0, 9];
+  b: int [-300, 300];
+  m: num in {-5/2, 1/2, 3, 1000};
+  s: string in {"a", "b", " c", "d e"};
+  x: real [-5, 5];
+  w: string in {%s}
+} check { a + b <= 200 or s = "a" }""" % ", ".join(f'"{w}"' for w in DIFF_WORDS)
+_FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def _spellings(v) -> list[str]:
+    """Texts that read as v, canonical ones the most often."""
+    if isinstance(v, str):
+        return [v, v, v, f" {v} ", f"\x1c{v}", f"{v}  "]
+    f = Fraction(v)
+    sign, n, d = "-" if f < 0 else "", abs(f.numerator), f.denominator
+    base = str(f)
+    out = [base, base, base, f" {base}", f"{base} ", f"\x1c{base}", base.translate(_FULLWIDTH),
+           f"{sign}0{n}" + (f"/{d}" if d > 1 else ""), f"{2 * f.numerator}/{2 * d}"]
+    if f >= 0:
+        out.append(f"+{base}")
+    if d in (1, 2, 4, 5):
+        out.append(f"{float(f)}")
+    if d == 1 and n >= 10:
+        out.append(sign + "_".join(str(n)))
+    if d == 1 and n and n % 10 == 0:
+        out.append(f"{sign}{n // 10}e1")
+    return out
+
+
+# (column, text) cells no row may hold; a row too long or too short; a check violation
+DIFF_BAD = [(0, "10"), (0, "-1"), (0, "zz"), (0, "3/2"), (0, ""), (1, "301"), (1, "1/0"),
+            (1, "nan"), (2, "1/3"), (2, "7"), (2, "inf"), (3, "zz"), (3, " c"), (3, ""),
+            (4, "6"), (4, "-inf"), (5, "w300"), (5, "W1"), ("long", "1"), ("short", 4),
+            ("short", 1), ("check", None)]
+
+
+def _differential_case(rng: random.Random, bad_rows=None) -> str:
+    """A seeded CSV over DIFF_SCHEMA: valid rows spelled in many ways,
+    duplicates, blank rows, perhaps a BOM, and with `bad_rows`, an iterator
+    over `DIFF_BAD`, a few bad rows, each once or twice."""
+    pools = ([0, 3, 7, 9], [-300, -17, 0, 5, 10, 120, 300], [Fraction(-5, 2), Fraction(1, 2), 3, 1000],
+             ["a", "b", "d e"], [-5, Fraction(-5, 2), Fraction(1, 3), 0, Fraction(1, 2), 5],
+             DIFF_WORDS[::37])
+
+    def row(valid: bool = True, plain: bool = False) -> list[str]:
+        """A row's texts; `plain`, canonical texts the loop reads whole."""
+        while True:
+            values = [rng.choice(pool) for pool in pools]
+            if plain:
+                values[4] = rng.choice([-5, 0, 5])
+            if (values[0] + values[1] <= 200 or values[3] == "a") == valid:
+                return [str(v) if plain else rng.choice(_spellings(v)) for v in values]
+
+    lines = [row() for _ in range(rng.randint(50, 400))]
+    for _ in range(rng.randint(0, 5)):
+        lines[rng.randrange(len(lines))] = list(rng.choice(lines))
+    for _ in range(rng.randint(0, 3)):
+        lines.insert(rng.randrange(len(lines)), [])
+    for _ in range(rng.randint(1, 4) if bad_rows else 0):
+        where, text = next(bad_rows)
+        texts = row(where != "check", plain=rng.random() < 0.5)
+        if where == "long":
+            texts.append(text)
+        elif where == "short":
+            texts = texts[:text]
+        elif where != "check":
+            texts[where] = text
+        for _ in range(rng.randint(1, 2)):  # twice: a later row with the text is refused too
+            lines.insert(rng.randrange(len(lines)), texts)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([["a", "b", "m", "s", "x", "w"], *lines])
+    return ("\ufeff" if rng.random() < 0.3 else "") + out.getvalue()
+
+
+def test_cell_tables_load_what_the_loop_without_them_loaded(tmp_path):
+    """Seeded files of canonical, padded, zero-led, signed, `1_0`,
+    Unicode-digit, U+001C-padded, `3.0`, `1e1` and `3/2` cells, bad rows, blank
+    rows and BOMs: the loader with cell tables gives the tuples of the loader
+    without them (`reference_loop_load_csv`), every string cell its domain's
+    member object, or the same DataError."""
+    from helpers import reference_loop_load_csv
+
+    schema = parse_schemas(DIFF_SCHEMA)["R"]
+    members = {a: {id(m) for m in schema.domain(a).members} for a in ("s", "w")}
+    rng = random.Random(33_033)
+    bad_rows = itertools.cycle(rng.sample(DIFF_BAD, len(DIFF_BAD)))
+    refused = 0
+    for case in range(40):
+        text = _differential_case(rng, bad_rows if case % 2 else None)
+        path = write_csv(tmp_path, text, f"case{case}.csv")
+        got = _load_outcome(lambda s, p: load_csv(s, p).tuples, schema, path)
+        assert got == _load_outcome(reference_loop_load_csv, schema, path), case
+        if isinstance(got, tuple):
+            refused += 1
+            continue
+        for t in load_csv(schema, path).tuples:
+            assert id(t[3]) in members["s"] and id(t[5]) in members["w"], (case, t)
+    assert refused == 20
+
+
+@pytest.mark.parametrize("cell", ["x\ny", "x\x00", "\x1b[2Jy"])
+def test_a_violation_shows_a_control_character_escaped(tmp_path, cell):
+    """A cell holding a newline, a NUL or an escape gives one violation line
+    that holds no control character."""
+    schema = parse_schemas('relation R { a: int [0, 5]; s: string in {"x", "y"} }')["R"]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([("a", "s"), ("1", cell)])
+    with pytest.raises(DataError) as loaded:
+        load_csv(schema, write_csv(tmp_path, out.getvalue()))
+    with pytest.raises(DataError) as built:
+        Relation.from_rows(schema, [(1, cell)])
+    for violations in (loaded.value.violations, built.value.violations):
+        assert violations == [f"row 1: s = {cell!r} outside its domain"]
+        assert "\n".join(violations).isprintable()
+
+
+def test_a_violation_cuts_an_escaped_value_at_20_characters():
+    schema = parse_schemas('relation R { s: string in {"x"} }')["R"]
+    with pytest.raises(DataError) as built:
+        Relation.from_rows(schema, [("\x1b" + "z" * 30,), ("z" * 30,)])
+    assert built.value.violations == [
+        f"row 1: s = {chr(27) + 'z' * 19!r}... outside its domain",
+        f"row 2: s = {'z' * 20}... outside its domain",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Generated source: only generated names, positions and fixed operators
 
@@ -829,8 +1017,8 @@ HOSTILE_SCHEMA = r"""relation R {
 GENERATED_NAMES = {
     "def", "return", "lambda", "and", "or", "not", "in", "for", "if", "try", "except",
     "True", "False", "None", "_make", "_f", "v", "db", "rows", "out", "append",
-    "enumerate", "label", "row", "int", "strip", "continue", "ValueError", "pass", "bad",
-    "frozenset",
+    "enumerate", "label", "row", "int", "strip", "continue", "ValueError", "KeyError", "pass",
+    "bad", "frozenset",
     "_", "seen", "set", "add", "point",
 }
 GENERATED_OPS = {"(", ")", "[", "]", "{", "}", ":", ",", ".", "=",

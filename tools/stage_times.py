@@ -1,13 +1,15 @@
-"""Time each stage of every analyze and validate benchmark operation.
+"""Time each stage of every release, analyze and validate benchmark operation.
 
     python3 tools/stage_times.py [--checkout DIR] [--seeds 1 2 ...] [--repeats N]
 
-For each seed, builds the analyze and validate workloads of
+For each seed, builds the release, analyze and validate workloads of
 `perfbench/workloads.py` in a temporary directory (removed afterwards) and
 runs each operation's stages in this process, as `raqdp.cli` runs them:
-parse (schema and query text, and any --data file), `query.validate`,
-`global_sensitivity`, report rendering (analyze only: `cli._print_report` into a buffer),
-`build_universe` and `brute_sensitivity` (validate only). Every repetition
+parse (schema and query text), load (each --data file, `engine.load_csv`),
+`query.validate`, then `global_sensitivity` (analyze and validate), report
+rendering (analyze only: `cli._print_report` into a buffer), the release
+(`dp-run` only: `dp.dp_answer`, which computes the bound, the answer and
+the noise), and `build_universe` and `brute_sensitivity` (validate only). Every repetition
 parses afresh, so no stage reuses what an earlier repetition kept on its
 schema, plan or constraint objects; compiled-code caches stay warm, as in a
 long-running process.
@@ -40,8 +42,8 @@ import tempfile
 import time
 from contextlib import redirect_stdout
 
-WORKLOADS = ("analyze", "validate")
-STAGES = ("parse", "validate", "gs", "report", "universe", "brute")
+WORKLOADS = ("release", "analyze", "validate")
+STAGES = ("parse", "load", "validate", "gs", "report", "release", "universe", "brute")
 
 
 def _load(checkout: str):
@@ -61,11 +63,14 @@ def _stages(cli, args) -> list:
     """One (stage, thunk) per stage the command runs; each thunk takes the
     previous stage's result."""
     def parse(_):
-        schemas = cli.parse_schemas(cli._read(args.schema))
-        return schemas, cli.parse_query(cli._read(args.query)), cli._parse_data(getattr(args, "data", []), schemas)
+        return cli.parse_schemas(cli._read(args.schema)), cli.parse_query(cli._read(args.query))
 
-    def validate(parsed):
-        schemas, tq, db = parsed
+    def load(parsed):
+        schemas, tq = parsed
+        return schemas, tq, cli._parse_data(getattr(args, "data", []), schemas)
+
+    def validate(loaded):
+        schemas, tq, db = loaded
         return cli.validate(tq, schemas, enum_cap=args.enum_cap, dnf_cap=args.dnf_cap), db
 
     def gs(loaded):
@@ -83,8 +88,16 @@ def _stages(cli, args) -> list:
     def brute(state):
         return cli.brute_sensitivity(*state)
 
-    tail = [("report", report)] if args.command == "analyze" else [("universe", universe), ("brute", brute)]
-    return [("parse", parse), ("validate", validate), ("gs", gs)] + tail
+    def release(state):
+        params = cli.DpParams(cli.parse_rational(args.epsilon, "epsilon"), args.seed)
+        return cli.dp_answer(*state, params)
+
+    tail = {
+        "dp-run": [("release", release)],
+        "analyze": [("gs", gs), ("report", report)],
+        "validate": [("gs", gs), ("universe", universe), ("brute", brute)],
+    }[args.command]
+    return [("parse", parse), ("load", load), ("validate", validate)] + tail
 
 
 def _run_once(stages) -> dict:

@@ -17,19 +17,23 @@ each value's canonical text and learns each other in-domain spelling from
 the first row that holds it, so the loop pays no conversion and no domain
 test for it. The loop turns a string cell into its domain's own member
 object, so a loaded relation holds one `str` per value, not one per cell; its
-frozenset, like product-agg's output, is copied from a dict, so its hash
-table is sized once (`_frozen`). Types are checked when a schema is
-built and when a query is validated, never per row.
+frozenset is copied from a dict, so its hash table is sized once
+(`_frozen`). Types are checked when a schema is built and when a query is
+validated, never per row.
 
 A plan is compiled once (`compile_plan`, `compile_query`) into a function of
 databases; `eval_plan` and `answer` compile and run it once. Each restriction
-is one generated comprehension over its source's tuples.
+is one generated comprehension over its source's tuples. Only the nodes
+that remove duplicates or test membership hash rows into sets; the others
+return lists that cannot repeat a row of their duplicate-free inputs, and
+grouping and aggregates read their rows' cells through `itemgetter`.
 """
 
 from __future__ import annotations
 
 import csv
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -165,8 +169,7 @@ def _cell_table(domain: Domain) -> dict | None:
     """A new table from each canonical cell text of a finite domain of at
     most `_TABLE_CAP` values to the value a relation holds for it (`str(v)`
     for a number, the member itself for a string), or None for a larger or
-    infinite domain. A string member with spaces around it is left out, as
-    a stripped cell never equals it."""
+    infinite domain."""
     if domain.kind is DomainKind.INT_RANGE:
         lo, hi = int(domain.lower), int(domain.upper)
         return {str(v): v for v in range(lo, hi + 1)} if hi - lo < _TABLE_CAP else None
@@ -174,18 +177,21 @@ def _cell_table(domain: Domain) -> dict | None:
         return None
     if domain.is_numeric:
         return {str(v): v for v in map(held_value, domain.members)}
-    return {m: m for m in domain.members if m == m.strip()}
+    return {m: m for m in domain.members}
 
 
 def _cell_reader(attr: str, domain: Domain):
-    """read(text): a CSV cell as the row check reads it, stripped: a number
-    (`_number_parser`) for a numeric attribute, else the domain's own member
-    object when the text is a member, else the text."""
+    """read(text): a CSV cell as the row check reads it: a number
+    (`_number_parser`, which strips it) for a numeric attribute, else the
+    domain's own member object when the text is a member as written or,
+    stripped, becomes one, else the stripped text."""
     if domain.is_numeric:
         return _number_parser(attr)
     members = {m: m for m in domain.members}
 
     def read(text: str) -> str:
+        if text in members:
+            return members[text]
         text = text.strip()
         return members.get(text, text)
 
@@ -200,11 +206,11 @@ def _csv_loader(schema: ConstrainedSchema, readers: list, refused: list):
     One generated loop (`Codegen`) unpacks each row into its cells and
     converts each cell. A column of a small finite domain reads its cell
     through its own new table (`_cell_table`), and a miss refuses the row;
-    any other numeric cell goes through `int` and any other stripped string
-    cell to its domain's member object (None outside the domain), then that
-    column's domain test. The check constraint is tested last. A wrong
-    number of fields, or a numeric cell that `int` does not read, refuses
-    the row too.
+    any other numeric cell goes through `int` and any other string cell to
+    its domain's member object, looked up as written, then stripped (None
+    outside the domain), then that column's domain test. The check
+    constraint is tested last. A wrong number of fields, or a numeric cell
+    that `int` does not read, refuses the row too.
 
     A refused row of the schema's arity teaches the tables: each cell that
     missed its table and that `readers` (`_cell_reader`, the row check's
@@ -225,8 +231,10 @@ def _csv_loader(schema: ConstrainedSchema, readers: list, refused: list):
             return f"{gen.const(table)}[{c}]"
         if d.is_numeric:
             return f"int({c})"
-        # the member's own object, so the relation holds one str per value
-        return f"{gen.const({m: m for m in d.members}.get)}({c}.strip())"
+        # the member's own object, so the relation holds one str per value; a
+        # member "" is falsy, but then the stripped cell is "" too
+        get = gen.const({m: m for m in d.members}.get)
+        return f"({get}({c}) or {get}({c}.strip()))"
 
     convert = "".join(
         f"\n            {c} = {converted(c, d, t)}" for c, d, t in zip(cells, domains, tables)
@@ -362,13 +370,13 @@ def _compile_agg(fn: AggFn, schema: ConstrainedSchema, bounds: Bounds | None = N
     if fn.kind == "count":
         return len  # the default count of an empty input is 0 too
     empty = held_value(default_aggregate(fn, bounds))
-    idx, kind = schema.index(fn.attr), fn.kind
+    cell, kind = operator.itemgetter(schema.index(fn.attr)), fn.kind
     fold = {"max": max, "min": min, "sum": sum, "avg": sum}[kind]
 
     def agg(tuples):
         if not tuples:
             return empty
-        total = fold([t[idx] for t in tuples])
+        total = fold(map(cell, tuples))
         return _quotient(total, len(tuples)) if kind == "avg" else _held_number(total)
 
     return agg
@@ -381,12 +389,23 @@ def _compile_agg(fn: AggFn, schema: ConstrainedSchema, bounds: Bounds | None = N
 def compile_plan(
     plan: Plan, vq: ValidatedQuery, trace: list | None = None, *, kept: dict | None = None
 ):
-    """run(db): the output tuples over `db`, a frozenset, of `plan`, a node
-    of the validated query `vq`.
+    """run(db): the output rows over `db` of `plan`, a node of the validated
+    query `vq`, each row once: a frozenset or a list.
+
+    Only the nodes that remove duplicates or test membership hash rows:
+    leaves, kept row trees (below), union, intersection, difference and
+    projection return frozensets, each turning a list operand into a set
+    once. Restriction, product, product-one, product-n, product-agg and
+    group-aggregate return lists, which hold no row twice when their
+    operands hold none: a restriction keeps some of its source's rows; a
+    product pairs distinct rows of fixed widths, and product-n pairs them
+    with distinct rows of its block; product-agg appends one value to each
+    distinct row; and grouping emits one row per distinct key, which the
+    row starts with.
 
     Every lookup in `vq` is made here, once: each node's schema, projection
     indices, compiled predicate and aggregate range, so a run over one
-    database is set operations only (the oracle runs one compiled plan per
+    database is row operations only (the oracle runs one compiled plan per
     database). With `trace`, each node appends (operator, output rows) when
     it finishes: children before their parent, in the order the node
     evaluates them, which is left before right and `single` before
@@ -403,7 +422,7 @@ def compile_plan(
         return run
     name = vq.nodes[plan].op
 
-    def traced(db) -> frozenset:
+    def traced(db):
         out = run(db)
         trace.append((name, len(out)))
         return out
@@ -434,7 +453,7 @@ def _compile_node(plan: Plan, vq: ValidatedQuery, trace: list | None, kept: dict
     if isinstance(plan, Restriction):
         gen = Codegen.row(vq.nodes[plan.source].schema.attr_names())
         test, source = gen.test(plan.predicate), gen.const(sub(plan.source))
-        return gen.function(f"_f = lambda db: frozenset([v for v in {source}(db) if {test}])")
+        return gen.function(f"_f = lambda db: [v for v in {source}(db) if {test}]")
     if isinstance(plan, Projection):
         source = sub(plan.source)
         cells = _cells(vq.nodes[plan.source].schema, plan.attrs)
@@ -442,7 +461,7 @@ def _compile_node(plan: Plan, vq: ValidatedQuery, trace: list | None, kept: dict
     if isinstance(plan, ProductOne):
         single, source = sub(plan.single), sub(plan.source)
 
-        def product_one(db) -> frozenset:
+        def product_one(db) -> list:
             row = single(db)
             if len(row) != 1:
                 raise EvalError(
@@ -454,7 +473,7 @@ def _compile_node(plan: Plan, vq: ValidatedQuery, trace: list | None, kept: dict
     if isinstance(plan, ProductN):
         left, right, n = sub(plan.left), sub(plan.right), plan.n
 
-        def product_n(db) -> frozenset:
+        def product_n(db) -> list:
             block = sorted(right(db), key=tuple_key)[:n]
             return _cross(left(db), block)
 
@@ -463,24 +482,28 @@ def _compile_node(plan: Plan, vq: ValidatedQuery, trace: list | None, kept: dict
         left, right = sub(plan.left), sub(plan.right)
         agg = _compile_agg(plan.fn, vq.nodes[plan.right].schema, vq.nodes[plan].bounds)
 
-        def product_agg(db) -> frozenset:
+        def product_agg(db) -> list:
             value = (agg(right(db)),)
-            return _frozen(l + value for l in left(db))
+            return [l + value for l in left(db)]
 
         return product_agg
     if isinstance(plan, GroupAggregate):
         source = sub(plan.source)
         schema = vq.nodes[plan.source].schema
-        key = _cells(schema, plan.group_attrs)
+        # validation admits no empty key; one attribute's key is its cell,
+        # wrapped in a tuple once per group
+        key = operator.itemgetter(*map(schema.index, plan.group_attrs))
+        one = len(plan.group_attrs) == 1
         aggs = [_compile_agg(f, schema) for f in plan.fns]
 
-        def group(db) -> frozenset:
-            groups: dict[tuple, list] = {}
+        def group(db) -> list:
+            groups = defaultdict(list)
             for t in source(db):
-                groups.setdefault(key(t), []).append(t)
-            return frozenset(
-                k + tuple(agg(ts) for agg in aggs) for k, ts in groups.items()
-            )
+                groups[key(t)].append(t)
+            return [
+                ((k,) if one else k) + tuple([agg(ts) for agg in aggs])
+                for k, ts in groups.items()
+            ]
 
         return group
     raise TypeError(f"not a plan node: {plan!r}")
@@ -495,21 +518,23 @@ def _cells(schema: ConstrainedSchema, attrs: tuple[str, ...]):
     return operator.itemgetter(*idxs) if idxs else lambda t: ()
 
 
-def _cross(left, right) -> frozenset:
-    return frozenset(l + r for l in left for r in right)
+def _cross(left, right) -> list:
+    return [l + r for l in left for r in right]
 
 
+# each set operator turns its left operand into a set, if it is a list, and
+# reads its right operand as any iterable
 _BINARY = {
-    Union: operator.or_,
-    Intersection: operator.and_,
-    Difference: operator.sub,
+    Union: lambda l, r: frozenset(l).union(r),
+    Intersection: lambda l, r: frozenset(l).intersection(r),
+    Difference: lambda l, r: frozenset(l).difference(r),
     Product: _cross,
 }
 
 
 def eval_plan(plan: Plan, db: dict[str, Relation], vq: ValidatedQuery) -> Relation:
     """The output over `db` of `plan`, a node of the validated query `vq`."""
-    return Relation(vq.nodes[plan].schema, compile_plan(plan, vq)(db))
+    return Relation(vq.nodes[plan].schema, frozenset(compile_plan(plan, vq)(db)))
 
 
 def compile_query(vq: ValidatedQuery, trace: list | None = None, *, kept: dict | None = None):

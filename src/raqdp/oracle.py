@@ -131,7 +131,7 @@ def _row_trees(plan: Plan, vq: ValidatedQuery, universe: Universe) -> dict[Plan,
         elif name in universes:
             sr = universes[name]
             db = {name: Relation(sr.schema, frozenset(sr.universe))}
-            trees[node] = compile_plan(node, vq)(db)
+            trees[node] = frozenset(compile_plan(node, vq)(db))
 
     visit(plan)
     return trees
@@ -294,7 +294,7 @@ def brute_lipschitz(plan: Plan, universe: Universe, vq: ValidatedQuery) -> int:
     trees = _row_trees(plan, vq, universe)
     run = compile_plan(plan, vq, kept=trees)
     kept = _read_tuples(universe, _read_bits(plan, vq, universe, trees))
-    outputs = list(map(run, _databases(universe, kept)))
+    outputs = [frozenset(run(db)) for db in _databases(universe, kept)]
     steps = _steps(_flips(kept))
     return max(
         (len(out ^ outputs[x ^ s]) for x, out in enumerate(outputs) for s in steps if x ^ s > x),

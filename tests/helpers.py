@@ -11,6 +11,7 @@ import random
 import re
 import sqlite3
 from fractions import Fraction
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -493,18 +494,25 @@ def _reference_number(attr: str, text: str):
     return value.numerator if value.denominator == 1 else value
 
 
+def _reference_string(domain: Domain, text: str) -> str:
+    """A string cell: the text as written when it is a member, else stripped."""
+    return text if text in domain.members else text.strip()
+
+
 def reference_load_csv(schema: ConstrainedSchema, path: str) -> frozenset:
     """The tuples of a CSV file as `engine.load_csv` documents them, or its
     DataError: a UTF-8 byte-order mark is skipped; rows are numbered from 1
-    after the header, blank rows included, and blank rows are skipped; cells
-    are stripped, and a numeric cell is read as `int` or `Fraction` reads it
-    (an int when integral). A row's violation is its first cell that is not a
-    number (among the schema's arity of cells), else a wrong number of
-    fields, else its first cell outside its domain (`Domain.member_test`;
-    a value longer than 20 characters is cut to its first 20 and `...`, and
-    those 20 are shown as their `repr` when `str.isprintable` rejects them),
-    else the check constraint; not-a-number rows are listed first. Cells
-    past the digit limit are not covered."""
+    after the header, blank rows included, and blank rows are skipped; a
+    string cell that is a member of its domain as written is that member,
+    and every other cell is stripped; a numeric cell is read as `int` or
+    `Fraction` reads it (an int when integral). A row's violation is its
+    first cell that is not a number (among the schema's arity of cells),
+    else a wrong number of fields, else its first cell outside its domain
+    (`Domain.member_test`; a value longer than 20 characters is cut to its
+    first 20 and `...`, and those 20 are shown as their `repr` when
+    `str.isprintable` rejects them), else the check constraint;
+    not-a-number rows are listed first. Cells past the digit limit are not
+    covered."""
     names = schema.attr_names()
     domains = [schema.domain(a) for a in names]
     tests = [d.member_test() for d in domains]
@@ -525,7 +533,7 @@ def reference_load_csv(schema: ConstrainedSchema, path: str) -> frozenset:
             continue
         try:
             cells = tuple(
-                _reference_number(a, text.strip()) if d.is_numeric else text.strip()
+                _reference_number(a, text.strip()) if d.is_numeric else _reference_string(d, text)
                 for a, d, text in zip(names, domains, row)
             )
         except ValueError as e:
@@ -555,8 +563,10 @@ def reference_load_csv(schema: ConstrainedSchema, path: str) -> frozenset:
 # Reference loop: `engine.load_csv` as it was before cell tables, when the
 # generated loop read every numeric cell with `int` and every string cell
 # with its domain's `.get` on the stripped text, then tested each domain.
-# The code is kept as it was, names prefixed; the row check it reads refused
-# rows again with is the engine's own (`_checked`, `_number_parser`).
+# The code is kept as it was, names prefixed, but for string cells, which
+# are read as the engine documents them now (`_reference_string`: a member
+# as written is kept); the row check it reads refused rows again with is
+# the engine's own (`_checked`, `_number_parser`).
 
 
 def _reference_csv_loader(schema: ConstrainedSchema):
@@ -570,7 +580,8 @@ def _reference_csv_loader(schema: ConstrainedSchema):
     def converted(c: str, d: Domain) -> str:
         if d.is_numeric:
             return f"int({c})"
-        return f"{gen.const({m: m for m in d.members}.get)}({c}.strip())"
+        members = {m: m for m in d.members}
+        return f"{gen.const(lambda text: members.get(_reference_string(d, text)))}({c})"
 
     convert = "".join(f"\n            {c} = {converted(c, d)}" for c, d in zip(cells, domains))
     unpacked = ", ".join(cells) + ","
@@ -609,11 +620,15 @@ def reference_loop_load_csv(schema: ConstrainedSchema, path: str) -> frozenset:
             raise DataError(f"{path}: line {reader.line_num}: {e}", []) from None
     violations: list[str] = []
     if refused:
-        parsers = [_number_parser(a) if schema.domain(a).is_numeric else str for a in names]
+        domains = [schema.domain(a) for a in names]
+        parsers = [
+            _number_parser(a) if d.is_numeric else partial(_reference_string, d)
+            for a, d in zip(names, domains)
+        ]
         parsed = []
         for label, row in refused:
             try:
-                cells = tuple([parse(text.strip()) for parse, text in zip(parsers, row)])
+                cells = tuple([parse(text) for parse, text in zip(parsers, row)])
             except ValueError as e:
                 violations.append(f"row {label}: {e}")
                 continue

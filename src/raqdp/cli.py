@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .analyzer import SensitivityReport, global_sensitivity
 from .constraints import DEFAULT_DNF_CAP, DEFAULT_ENUM_CAP, format_constraint
-from .dp import DpParams, dp_answer, sample_answers
+from .dp import DpParams, dp_answer
 from .engine import Relation, answer, load_csv
 from .errors import (
     DataError,
@@ -91,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seed (64-bit unsigned) for a reproducible release, whose noise "
                          "anyone who knows the seed can recompute; without it the noise "
                          "comes from the operating system")
-    sp.add_argument("--samples", type=int, default=None, metavar="N",
-                    help="emit N noisy draws instead of one answer")
 
     sp = sub.add_parser("validate", help="check the bound against the brute-force oracle")
     common(sp, data=True, fmt_default="json")
@@ -199,22 +197,6 @@ def cmd_run(args) -> int:
 def cmd_dp_run(args) -> int:
     vq, db = _load(args)
     params = DpParams(parse_rational(args.epsilon, "epsilon"), args.seed)
-    if args.samples is not None:
-        try:
-            draws = sample_answers(vq, db, params, args.samples)
-        except (MemoryError, OverflowError):  # raised before the first draw
-            raise ValueError(
-                f"--samples {args.samples} is more draws than memory can hold"
-            ) from None
-        if global_sensitivity(vq).gs != 0:  # else every draw is the exact answer, and costs nothing
-            print(f"warning: the {args.samples} draws together cost epsilon "
-                  f"{args.samples * params.epsilon} (sequential composition)", file=sys.stderr)
-        if args.format == "json":
-            print(json.dumps({"samples": draws}))
-        else:
-            for x in draws:
-                print(x)
-        return EXIT_OK
     result = dp_answer(vq, db, params)
     if args.format == "json":
         print(json.dumps(result.to_json_dict(), indent=2))
@@ -289,13 +271,13 @@ def _check_options(args) -> None:
     versions, the string '--' (for a repeatable option, inside its list),
     where every option here takes one string or number; `--data` is the
     one repeatable option.
-    Caps and sample counts are counts: a negative one is an input error.
+    Caps are counts: a negative one is an input error.
     """
     for dest, value in vars(args).items():
         values = value if dest == "data" else [value]
         if any(isinstance(v, list) or v == "--" for v in values):
             raise ValueError(f"--{dest.replace('_', '-')} needs a value, got '--'")
-    for name in ("enum_cap", "dnf_cap", "universe_cap", "samples"):
+    for name in ("enum_cap", "dnf_cap", "universe_cap"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             raise ValueError(f"--{name.replace('_', '-')} must not be negative, got {value}")

@@ -12,11 +12,9 @@ the standard library's `random`. Without a seed it comes from
 it comes from `random.Random(seed)`, MT19937 (Matsumoto and Nishimura,
 1998), whose `random()` sequence for a given seed Python keeps the same
 across versions, so the release can be replayed; the record names the seed
-and warns that anyone who knows it can take the noise back out. A release
-and a run of `--samples` are drawn by one loop (`_release`), so the first
-of n draws is the release at the same seed. This is a floating-point
-mechanism - not hardened against bit-level leakage; the answer record
-carries that note verbatim.
+and warns that anyone who knows it can take the noise back out. This is a
+floating-point mechanism - not hardened against bit-level leakage; the
+answer record carries that note verbatim.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analyzer import SensitivityReport, global_sensitivity
+from .analyzer import global_sensitivity
 from .engine import Relation, answer
 from .errors import UnboundedSensitivityError
 from .extmath import Ext, is_infinite, to_double
@@ -103,43 +101,33 @@ def laplace_samples(rng: random.Random, scale: float, n: int) -> list[float]:
     return [laplace_sample(rng, scale) for _ in range(n)]
 
 
-def _release(
-    vq: ValidatedQuery, db: dict[str, Relation], params: DpParams, n: int
-) -> tuple[SensitivityReport, list[float]]:
-    """The report and n releases from one stream (no noise when gs is 0), in
-    a list allocated before the first draw, so a count too large to hold
-    fails at once (MemoryError, or OverflowError past the index range)."""
+def dp_answer(vq: ValidatedQuery, db: dict[str, Relation], params: DpParams) -> DpAnswer:
+    """Evaluate the validated query exactly, then release it with calibrated
+    noise: one draw, or none when the sensitivity is zero."""
     report = global_sensitivity(vq)
     if is_infinite(report.gs):
         raise UnboundedSensitivityError(
             "unbounded sensitivity: refusing to release a noisy answer"
         )
-    true_value = to_double(answer(vq, db), "answer")
-    if report.gs == 0:
-        return report, [true_value] * n
-    scale = to_double(report.gs, "gs") / to_double(params.epsilon, "epsilon")
-    if math.isinf(scale):
-        raise ValueError("the noise scale gs/epsilon is too large for double precision")
-    draws = [true_value] * n
-    rng = make_rng(params.seed)
-    for i in range(n):
-        draws[i] += laplace_sample(rng, scale)
-    return report, draws
-
-
-def dp_answer(vq: ValidatedQuery, db: dict[str, Relation], params: DpParams) -> DpAnswer:
-    """Evaluate the validated query exactly, then release it with calibrated noise."""
-    report, (noisy,) = _release(vq, db, params, 1)
+    noisy = to_double(answer(vq, db), "answer")
     warnings = list(report.warnings)
     if report.gs == 0:
         warnings.append(
             "sensitivity is zero; the exact answer is released without noise"
         )
-    elif params.seed is not None:
-        warnings.append(
-            "the noise can be recomputed from the seed, so the release is private"
-            " only while the seed stays secret"
-        )
+    else:
+        scale = to_double(report.gs, "gs") / to_double(params.epsilon, "epsilon")
+        if math.isinf(scale):
+            raise ValueError("the noise scale gs/epsilon is too large for double precision")
+        noisy += laplace_sample(make_rng(params.seed), scale)
+        # a test of the released value alone: post-processing, no privacy cost
+        if not math.isfinite(noisy):
+            raise ValueError("the noisy answer overflows double precision")
+        if params.seed is not None:
+            warnings.append(
+                "the noise can be recomputed from the seed, so the release is private"
+                " only while the seed stays secret"
+            )
     return DpAnswer(
         noisy_value=noisy,
         gs_used=report.gs,
@@ -147,11 +135,3 @@ def dp_answer(vq: ValidatedQuery, db: dict[str, Relation], params: DpParams) -> 
         seed=params.seed,
         warnings=tuple(warnings),
     )
-
-
-def sample_answers(
-    vq: ValidatedQuery, db: dict[str, Relation], params: DpParams, n: int
-) -> list[float]:
-    """n noisy releases from one stream, for distribution checks; the
-    first is `dp_answer`'s release at the same seed."""
-    return _release(vq, db, params, n)[1]

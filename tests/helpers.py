@@ -16,6 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
+from raqdp.analyzer import global_sensitivity
 from raqdp.constraints import (
     _NARROW_MAX_PASSES,
     DEFAULT_ENUM_CAP,
@@ -45,8 +46,9 @@ from raqdp.constraints import (
     initial_constraint,
 )
 from raqdp.engine import Relation, _checked, _domain_test, _number_parser, answer, eval_plan
+from raqdp.dp import DpParams, laplace_samples, make_rng
 from raqdp.errors import DataError, ParseError, ValidationError
-from raqdp.extmath import Ext, is_infinite, too_many_digits
+from raqdp.extmath import Ext, is_infinite, to_double, too_many_digits
 from raqdp.oracle import (
     BruteResult,
     SensitiveRelation,
@@ -1117,3 +1119,18 @@ def laplace_cdf(x, scale: float):
     """Analytic CDF of Laplace(0, scale), for distribution tests."""
     x = np.asarray(x, dtype=float)
     return np.where(x < 0, 0.5 * np.exp(x / scale), 1 - 0.5 * np.exp(-x / scale))
+
+
+def sample_answers(
+    vq: ValidatedQuery, db: dict[str, Relation], params: DpParams, n: int
+) -> list[float]:
+    """n noisy releases of the query from one stream, for distribution
+    checks: the exact answer plus a Laplace(0, gs/epsilon) draw each, or the
+    exact answer n times when gs is 0. The first is `dp.dp_answer`'s release
+    at the same seed."""
+    true_value = to_double(answer(vq, db), "answer")
+    gs = global_sensitivity(vq).gs
+    if gs == 0:
+        return [true_value] * n
+    scale = to_double(gs, "gs") / to_double(params.epsilon, "epsilon")
+    return [true_value + z for z in laplace_samples(make_rng(params.seed), scale, n)]

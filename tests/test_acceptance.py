@@ -20,11 +20,12 @@ from helpers import (
     random_atom,
     random_case,
     random_plan,
+    sample_answers,
     schema_of,
 )
 from raqdp.analyzer import global_sensitivity
 from raqdp.constraints import ConstrainedSchema, make_and
-from raqdp.dp import DpParams, laplace_samples, make_rng, sample_answers
+from raqdp.dp import DpParams, laplace_samples, make_rng
 from raqdp.engine import Relation, eval_plan
 from raqdp.errors import ValidationError
 from raqdp.extmath import INF

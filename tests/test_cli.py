@@ -244,7 +244,7 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
-def test_json_outputs_parse_strictly(workspace, tmp_path):
+def test_json_outputs_parse_strictly(workspace, tmp_path, capsys):
     schema = write(tmp_path, "w.schema", "relation W { w: real [-inf, inf]; k: int [0, 3] }")
     unbounded = write(tmp_path, "w.raq", "sum(w) of select w >= 0 from W")
     people = [str(workspace / "people.schema"), str(workspace / "avg.raq")]
@@ -254,7 +254,6 @@ def test_json_outputs_parse_strictly(workspace, tmp_path):
         "analyze people": (["analyze", *people], 0),
         "run": (["run", *people, *data, "--trace"], 0),
         "dp-run": (["dp-run", *people, *data, "--epsilon", "1", "--seed", "3"], 0),
-        "dp-run samples": (["dp-run", *people, *data, "--epsilon", "1", "--samples", "3"], 0),
         "validate": (["validate", write(tmp_path, "k.schema", "relation K { k: int [0, 3] }"),
                       write(tmp_path, "k.raq", "sum(k) of K")], 0),
         "validate people": (["validate", *people, *data], 0),
@@ -268,6 +267,18 @@ def test_json_outputs_parse_strictly(workspace, tmp_path):
     assert (report["gs"], report["gs_float"]) == ("inf", None)
     assert report["top"]["bounds"] == {"lo": "0", "hi": "inf", "lo_float": 0.0, "hi_float": None}
     assert [n["diam_float"] for n in report["nodes"]] == [None, None]
+    # a draw that overflows double precision would print Infinity: refused
+    huge = write(tmp_path, "h.schema", "relation H { a: int [0, 1" + "0" * 300 + "] }")
+    h_data = write(tmp_path, "h.csv", "a\n5\n")
+    h_query = write(tmp_path, "h.raq", "sum(a) of H")
+    argv = ["dp-run", huge, h_query, "--data", f"H={h_data}", "--epsilon", "1/100000000",
+            "--seed", "2"]
+    for fmt in ("json", "table"):
+        assert main([*argv, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: the noisy answer overflows double precision\n"
+        )
 
 
 def test_parse_error_exits_2(tmp_path, capsys):
@@ -395,18 +406,6 @@ def test_dp_run_rejects_bad_epsilon(workspace, capsys):
     assert code == 2
 
 
-def test_dp_run_samples_mode(workspace, capsys):
-    argv = ["dp-run", str(workspace / "people.schema"), str(workspace / "avg.raq"),
-            "--data", f"People={workspace / 'people.csv'}",
-            "--epsilon", "1/2", "--seed", "3", "--samples", "50"]
-    assert main(argv) == 0
-    captured = capsys.readouterr()
-    assert len(json.loads(captured.out)["samples"]) == 50
-    assert captured.err == (
-        "warning: the 50 draws together cost epsilon 25 (sequential composition)\n"
-    )
-
-
 def test_dp_run_seeded_record_gives_the_exact_answer_back_and_warns(workspace, capsys):
     argv = ["dp-run", str(workspace / "people.schema"), str(workspace / "avg.raq"),
             "--data", f"People={workspace / 'people.csv'}", "--epsilon", "1/2", "--seed", "7"]
@@ -430,16 +429,6 @@ def test_dp_run_unseeded_releases_differ_and_carry_no_seed(workspace, capsys):
     assert records[0]["noisy_value"] != records[1]["noisy_value"]
     for record in records:
         assert (record["seed"], record["rng"], record["warnings"]) == (None, "os.urandom", [])
-
-
-def test_dp_run_samples_table_prints_one_float_per_line(workspace, capsys):
-    argv = ["dp-run", str(workspace / "people.schema"), str(workspace / "avg.raq"),
-            "--data", f"People={workspace / 'people.csv'}",
-            "--epsilon", "1", "--seed", "3", "--samples", "3", "--format", "table"]
-    assert main(argv) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3
-    assert all(line == repr(float(line)) for line in lines)
 
 
 REFUSED_QUERY_SCHEMA = """relation R { a: int [0, 9]; b: int [0, 9]; count: int [0, 3] }
@@ -484,10 +473,6 @@ def test_dp_run_statically_empty_release_prints_every_line(tmp_path, capsys):
         "warning: query is statically empty: the propagated constraint is unsatisfiable",
         "warning: sensitivity is zero; the exact answer is released without noise",
     ]
-    assert main([*argv, "--samples", "2"]) == 0
-    captured = capsys.readouterr()
-    # no noise is drawn, so the draws cost no epsilon and nothing is warned
-    assert (captured.out, captured.err) == ('{"samples": [0.0, 0.0]}\n', "")
 
 
 def test_readme_quick_tour(workspace, capsys):
@@ -925,7 +910,7 @@ def test_each_subcommand_takes_exactly_its_options():
     assert got == {
         "analyze": common,
         "run": common | {"--data", "--trace"},
-        "dp-run": common | {"--data", "--epsilon", "--samples", "--seed"},
+        "dp-run": common | {"--data", "--epsilon", "--seed"},
         "validate": common | {"--data", "--universe-cap"},
     }
 
@@ -1006,10 +991,6 @@ CONTRACT_FILES = {
         pytest.param("analyze people.schema avg.raq --dnf-cap -1", 2, id="negative-dnf-cap"),
         pytest.param("validate wide.schema count.raq --universe-cap -1", 2,
                      id="negative-universe-cap"),
-        pytest.param(
-            "dp-run people.schema avg.raq --data People=people.csv --epsilon 1 --samples -1", 2,
-            id="negative-samples",
-        ),
         pytest.param("analyze big.schema parens.raq", 2, id="deep-parens"),
         pytest.param("run big.schema unions.raq --data R=r.csv", 2, id="deep-unions"),
         pytest.param("dp-run big.schema selects.raq --data R=r.csv --epsilon 1", 2,
@@ -1060,10 +1041,6 @@ def test_deeply_nested_input_ends_in_one_error_line(tmp_path, capsys, name):
         pytest.param("analyze people.schema avg.raq --dnf-cap -1", "--dnf-cap", id="dnf-cap"),
         pytest.param("validate wide.schema count.raq --universe-cap -1", "--universe-cap",
                      id="universe-cap"),
-        pytest.param(
-            "dp-run people.schema avg.raq --data People=people.csv --epsilon 1 --samples -1",
-            "--samples", id="samples",
-        ),
     ],
 )
 def test_input_errors_name_the_field(tmp_path, monkeypatch, capsys, argv, field):
@@ -1191,7 +1168,6 @@ def test_no_command_loads_numpy(workspace):
         ["analyze", "people.schema", "avg.raq"],
         ["run", *people],
         ["validate", "rtu.schema", "count.raq"],
-        ["dp-run", *people, "--epsilon", "1/2", "--seed", "7", "--samples", "3"],
         # the README's release
         ["dp-run", *people, "--epsilon", "1/2", "--seed", "7"],
     ]
@@ -1201,7 +1177,6 @@ def test_no_command_loads_numpy(workspace):
         ["analyze", 0, False],
         ["run", 0, False],
         ["validate", 0, False],
-        ["dp-run", 0, False],
         ["dp-run", 0, False],
     ]
     assert json.loads(result["last_out"])["noisy_value"] == 6.561912619244303
@@ -1248,9 +1223,8 @@ def tiny_argv(root, command, *options):
 
 @pytest.mark.parametrize(
     "command, options",
-    [("analyze", ()), ("run", ()), ("run", ("--trace",)), ("dp-run", ()),
-     ("dp-run", ("--samples", "5")), ("validate", ())],
-    ids=["analyze", "run", "run --trace", "dp-run", "dp-run --samples", "validate"],
+    [("analyze", ()), ("run", ()), ("run", ("--trace",)), ("dp-run", ()), ("validate", ())],
+    ids=["analyze", "run", "run --trace", "dp-run", "validate"],
 )
 def test_each_command_validates_once(tiny, monkeypatch, capsys, command, options):
     built = []
@@ -1263,16 +1237,6 @@ def test_each_command_validates_once(tiny, monkeypatch, capsys, command, options
     monkeypatch.setattr(query, "_SchemaBuilder", CountingBuilder)
     assert main(tiny_argv(tiny, command, *options)) == 0
     assert len(built) == 1
-
-
-def test_sample_count_too_large_to_allocate_exits_2(tiny, capsys):
-    # a list of 10^15 draws needs 8 PB, past any address space, so it is
-    # refused before it takes any memory; 10^30 is past the index range
-    for count in (10**15, 10**30):
-        assert main(tiny_argv(tiny, "dp-run", "--samples", str(count))) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: --samples {count} is more draws than memory can hold\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1352,14 +1316,6 @@ def test_help_of_the_shared_parser_is_that_of_a_fresh_one(tiny, fresh_parser, co
     assert out == fresh_out.getvalue() and out.startswith(f"usage: raqdp {command or ''}".rstrip())
 
 
-def _is_int(text: str) -> bool:
-    try:
-        int(text)
-    except ValueError:
-        return False
-    return True
-
-
 def _flags():
     """(command, option) for every option that takes no value."""
     parser = build_parser()
@@ -1380,12 +1336,6 @@ _COUNTS = (st.integers(0, 4) | st.integers(min_value=0, max_value=10**30)).map(s
 
 def _values(option: str, root):
     """Values for an option: mostly ones it accepts, else anything."""
-    if option == "--samples":
-        # a sample count that memory could actually hold would be drawn
-        anything = st.integers(min_value=-(10**30), max_value=1000).map(str) | _WORDS.filter(
-            lambda text: not _is_int(text)
-        )
-        return st.integers(0, 1000).map(str) | anything
     good = {
         "--enum-cap": _COUNTS,
         "--dnf-cap": _COUNTS,

@@ -6,14 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import laplace_cdf
+from helpers import laplace_cdf, sample_answers
 from raqdp.dp import (
     DpParams,
     dp_answer,
     laplace_sample,
     laplace_samples,
     make_rng,
-    sample_answers,
 )
 from raqdp.engine import Relation
 from raqdp.errors import UnboundedSensitivityError
@@ -178,9 +177,12 @@ def test_noise_scale_follows_gs_over_epsilon():
 
 def test_first_sample_is_the_release_at_the_same_seed():
     # the samples and the release share one scalar sampler, so they agree in
-    # every bit (a vectorised log1p can differ from math.log1p in the last)
+    # every bit (a vectorised log1p can differ from math.log1p in the last);
+    # sum(a) at epsilon 1/2 has scale 4, so a wrong scale in either fails
     schemas, db = fixture_db()
-    vq = validate(parse_query("count of R"), schemas)
-    for seed in range(300):
-        params = DpParams(Fraction(1), seed)
-        assert sample_answers(vq, db, params, 3)[0] == dp_answer(vq, db, params).noisy_value, seed
+    for query, epsilon in (("count of R", Fraction(1)), ("sum(a) of R", Fraction(1, 2))):
+        vq = validate(parse_query(query), schemas)
+        for seed in range(300):
+            params = DpParams(epsilon, seed)
+            release = dp_answer(vq, db, params).noisy_value
+            assert sample_answers(vq, db, params, 3)[0] == release, (query, seed)

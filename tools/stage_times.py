@@ -17,15 +17,20 @@ long-running process.
 
 It prints one line per operation: workload, seed, index, the best-of-N wall
 time of each stage in microseconds ("-" where the command has no such stage,
-"!" from a stage that raised on, as the command would stop there), and the
-number of `constraints.narrow` calls in one more, counted, repetition. After
-each workload and seed comes a line of the medians over its operations.
-raqdp is imported from DIR/src and the workloads from DIR/perfbench (DIR is
-the checkout holding this script by default); neither is written to.
+"!" from a stage that raised on, as the command would stop there), `ref_us`,
+and the number of `constraints.narrow` calls in one more, counted,
+repetition. `ref_us` is the best-of-N time of `perfbench/reference.py`'s
+`reference()`, a fixed piece of pure-Python work that imports nothing from
+raqdp, timed once after each repetition: it measures how fast the machine
+ran next to that operation. After each workload and seed comes a line of
+the medians over its operations. raqdp is imported from DIR/src and the
+workloads and the reference from DIR/perfbench (DIR is the checkout holding
+this script by default); neither is written to.
 
 Uses the standard library only. Timings are wall time on whatever machine
-runs it; compare two checkouts by running both on the same machine, one
-after the other:
+runs it, which can drift between runs on a shared host; compare two
+checkouts by running both on the same machine, one after the other, and
+comparing each stage's time over `ref_us` rather than raw times:
 
     python3 tools/stage_times.py --checkout PARENT
     python3 tools/stage_times.py
@@ -34,6 +39,7 @@ after the other:
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import os
 import shutil
@@ -48,16 +54,18 @@ STAGES = ("parse", "load", "validate", "gs", "report", "answer", "release", "uni
 
 
 def _load(checkout: str):
-    """The raqdp modules from the checkout's src/, and its perfbench/workloads.py."""
+    """The raqdp modules from the checkout's src/, and its perfbench/workloads.py
+    and perfbench/reference.py."""
     sys.dont_write_bytecode = True  # leave the tree as it is
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
     import raqdp.cli as cli
+    import reference
     import workloads
 
-    for module in (cli, workloads):
+    for module in (cli, workloads, reference):
         if not os.path.abspath(module.__file__).startswith(checkout + os.sep):
             sys.exit(f"stage_times: imported {module.__file__}, not from {checkout}")
-    return cli, workloads
+    return cli, workloads, reference.reference
 
 
 def _stages(cli, args) -> list:
@@ -118,6 +126,20 @@ def _run_once(stages) -> dict:
     return times
 
 
+def _timed_reference(reference) -> float:
+    """One call of the reference work, in seconds, with no garbage collection
+    inside it (the previous repetition's garbage is not its cost)."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        reference()
+        return time.perf_counter() - start
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def _counted_narrows(constraints, stages) -> int:
     """The number of `constraints.narrow` calls in one run of the stages."""
     real = constraints.narrow
@@ -155,9 +177,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    cli, workloads = _load(os.path.abspath(args.checkout))
+    cli, workloads, reference = _load(os.path.abspath(args.checkout))
     constraints = sys.modules["raqdp.constraints"]
-    print("workload seed index", *(f"{s}_us" for s in STAGES), "narrows")
+    print("workload seed index", *(f"{s}_us" for s in STAGES), "ref_us", "narrows")
     for seed in args.seeds:
         for name in WORKLOADS:
             workdir = tempfile.mkdtemp(prefix=f"stage-times-{name}-")
@@ -165,12 +187,15 @@ def main(argv: list[str] | None = None) -> int:
                 rows = []
                 for i, op in enumerate(workloads.GENERATORS[name](seed, workdir).ops):
                     stages = _stages(cli, cli.build_parser().parse_args(op.argv))
-                    runs = [_run_once(stages) for _ in range(args.repeats)]
+                    runs, refs = [], []
+                    for _ in range(args.repeats):
+                        runs.append(_run_once(stages))
+                        refs.append(_timed_reference(reference))
                     best = {}
                     for stage in STAGES:
                         seen = [run.get(stage, "-") for run in runs]
                         best[stage] = "-" if "-" in seen else None if None in seen else min(seen)
-                    row = [best[s] for s in STAGES] + [_counted_narrows(constraints, stages)]
+                    row = [best[s] for s in STAGES] + [min(refs), _counted_narrows(constraints, stages)]
                     rows.append(row)
                     print(name, seed, i, *map(_cell, row[:-1]), row[-1])
                 medians = []
